@@ -13,10 +13,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <vector>
+
 #include "base/random.hh"
 #include "base/units.hh"
 #include "cache/cache.hh"
-#include "cache/sweep_bank.hh"
 #include "dragonhead/dragonhead.hh"
 
 using namespace cosim;
@@ -82,29 +84,45 @@ BENCHMARK(BM_SliceCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 void
 BM_SweepBankVsSeparateRuns(benchmark::State& state)
 {
+    // The paper's one-pass sweep (every configuration snooping one bus)
+    // against one run per configuration over the identical stream.
     bool banked = state.range(0) != 0;
-    std::vector<CacheParams> configs;
+    std::vector<DragonheadParams> configs;
     for (std::uint64_t mb : {1, 2, 4, 8, 16, 32, 64}) {
-        configs.push_back(
-            {"llc", mb * MiB, 64, 16, ReplPolicy::LRU});
+        DragonheadParams dp;
+        dp.llc = {"llc", mb * MiB, 64, 16, ReplPolicy::LRU};
+        configs.push_back(dp);
     }
+    std::vector<BusTransaction> stream = {
+        msg::encode(msg::Type::StartEmulation, 0)};
+    Rng rng(17);
+    for (std::uint64_t i = 0; i < 500'000; ++i) {
+        BusTransaction txn;
+        txn.addr = traceAddr(i, rng);
+        txn.size = 64;
+        txn.kind = TxnKind::ReadLine;
+        stream.push_back(txn);
+    }
+    auto run = [&stream](const std::vector<DragonheadParams>& group) {
+        FrontSideBus bus;
+        bus.setBatchCapacity(4096);
+        std::vector<std::unique_ptr<Dragonhead>> emulators;
+        for (const DragonheadParams& dp : group) {
+            emulators.push_back(std::make_unique<Dragonhead>(dp));
+            bus.attach(emulators.back().get());
+        }
+        for (const BusTransaction& txn : stream)
+            bus.issue(txn);
+        bus.flush();
+        for (const auto& dh : emulators)
+            benchmark::DoNotOptimize(dh->results().misses);
+    };
     for (auto _ : state) {
         if (banked) {
-            CacheSweepBank bank;
-            for (const auto& cfg : configs)
-                bank.addConfig(cfg);
-            Rng rng(17);
-            for (std::uint64_t i = 0; i < 500'000; ++i)
-                bank.access(traceAddr(i, rng), false);
-            benchmark::DoNotOptimize(bank.missCounts());
+            run(configs);
         } else {
-            for (const auto& cfg : configs) {
-                Cache cache(cfg);
-                Rng rng(17); // regenerate the identical stream per run
-                for (std::uint64_t i = 0; i < 500'000; ++i)
-                    cache.access(traceAddr(i, rng), false);
-                benchmark::DoNotOptimize(cache.stats().misses);
-            }
+            for (const DragonheadParams& dp : configs)
+                run({dp});
         }
     }
     state.SetItemsProcessed(state.iterations() * 500'000 * 7);

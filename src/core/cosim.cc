@@ -10,7 +10,7 @@ namespace cosim {
 
 namespace {
 
-/** Chunk size when parallel mode is on and the user did not pick one. */
+/** FSB delivery chunk when the caller did not pick one. */
 constexpr std::size_t kDefaultBatchTxns = 4096;
 
 } // namespace
@@ -22,18 +22,20 @@ CoSimulation::CoSimulation(const CoSimParams& params)
              "co-simulation requires cores that emit FSB traffic "
              "(set CpuParams::emitFsbTraffic)");
 
+    // Every rig batches its bus: snoopers take whole chunks (the bank
+    // ships them to its workers, a Dragonhead emulates them in
+    // observeBatch) instead of a virtual call per transaction.
+    const std::size_t chunk = params.fsbBatchTxns > 0 ? params.fsbBatchTxns
+                                                      : kDefaultBatchTxns;
+    platform_.fsb().setBatchCapacity(chunk);
     if (params.emulationThreads > 0 && !params.emulators.empty()) {
         EmulatorBankParams bp;
         bp.emulators = params.emulators;
         bp.nThreads = params.emulationThreads;
-        bp.chunkTxns = params.fsbBatchTxns > 0 ? params.fsbBatchTxns
-                                               : kDefaultBatchTxns;
+        bp.chunkTxns = chunk;
         bp.degradeToSerial = params.degradeToSerial;
         bank_ = std::make_unique<AsyncEmulatorBank>(bp);
         platform_.fsb().attach(bank_.get());
-        // Batch the bus itself so the bank receives whole chunks instead
-        // of paying a buffered copy per transaction.
-        platform_.fsb().setBatchCapacity(bp.chunkTxns);
         obs::HostProfiler::global().noteEmulationThreads(
             bank_->nThreads());
         return;
@@ -43,8 +45,6 @@ CoSimulation::CoSimulation(const CoSimParams& params)
         emulators_.push_back(std::make_unique<Dragonhead>(dh));
         platform_.fsb().attach(emulators_.back().get());
     }
-    if (params.fsbBatchTxns > 1)
-        platform_.fsb().setBatchCapacity(params.fsbBatchTxns);
 }
 
 CoSimulation::~CoSimulation()

@@ -12,14 +12,17 @@
  * Two emulation modes:
  *
  *  - *Serial* (emulationThreads == 0, the default): every emulator is
- *    attached to the bus directly and emulates inline on the workload's
- *    host thread, exactly the original behaviour.
+ *    attached to the bus directly and emulates each delivered chunk
+ *    inline on the workload's host thread.
  *  - *Parallel* (emulationThreads > 0): the emulators live in an
- *    AsyncEmulatorBank, the bus batches transactions into chunks, and
- *    worker threads emulate the chunks while the workload keeps
- *    executing -- the software analogue of the FPGA emulating
- *    concurrently with the host CPUs. Results are bit-identical to
- *    serial mode (tests/test_parallel.cc enforces this).
+ *    AsyncEmulatorBank whose worker threads emulate the chunks while
+ *    the workload keeps executing -- the software analogue of the FPGA
+ *    emulating concurrently with the host CPUs. Results are
+ *    bit-identical to serial mode (tests/test_parallel.cc enforces
+ *    this).
+ *
+ * Either way the bus batches transactions into chunks (fsbBatchTxns),
+ * so snoopers pay one virtual call per chunk, not per transaction.
  */
 
 #ifndef COSIM_CORE_COSIM_HH
@@ -49,10 +52,10 @@ struct CoSimParams
     unsigned emulationThreads = 0;
 
     /**
-     * FSB batch-chunk size in transactions; 0 picks a default (4096)
-     * in parallel mode and immediate delivery in serial mode. Values
-     * > 1 enable batched delivery even for serial emulation, which
-     * amortizes the per-transaction virtual snooper dispatch.
+     * FSB delivery chunk size in transactions; 0 picks the default
+     * (4096). The bus delivers whole chunks to every snooper in serial
+     * and parallel mode alike, amortizing the per-transaction virtual
+     * dispatch; 1 restores per-transaction delivery.
      */
     std::size_t fsbBatchTxns = 0;
 

@@ -143,8 +143,11 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.seedSource = "cli";
         } else if (startsWith(arg, "--workloads=")) {
             for (const std::string& w : split(arg.substr(12), ',')) {
+                // Catalog spelling, so every row, label, digest and
+                // stream path names the workload the same way.
                 if (!trim(w).empty())
-                    opts.workloads.push_back(trim(w));
+                    opts.workloads.push_back(
+                        canonicalWorkloadName(trim(w)));
             }
         } else if (startsWith(arg, "--out=")) {
             opts.outDir = arg.substr(6);

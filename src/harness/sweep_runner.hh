@@ -1,28 +1,29 @@
 /**
  * @file
- * Runs the paper's sweep experiments. Three cell decompositions
- * (BenchOptions::cells):
+ * Runs the paper's sweep experiments. One workload execution per
+ * (workload, CMP scale) with every cache configuration of the sweep
+ * attached as a passive Dragonhead is the paper's rig (--cells=combined,
+ * the default); --cells=exec, replay and sampled decompose the same
+ * sweep into other cells (harness/sweep_cell.hh has the table). Every
+ * mode runs through the same pieces:
  *
- *  - *combined* (default): one workload execution per (workload, CMP
- *    scale), every cache configuration of the sweep emulated
- *    simultaneously by passive Dragonhead instances -- the paper's rig.
- *  - *exec*: one guest execution per (workload, configuration) cell.
- *    This is the execute-every-cell baseline that capture/replay is
- *    measured against; it exists because it parallelizes trivially
- *    under --jobs but pays the guest W x C times.
- *  - *replay*: the guest executes once per workload (captured to an
- *    in-memory FSB stream, or not at all with --replay=<base>), and
- *    every configuration cell replays the recorded stream -- same
- *    results as exec, guest cost paid once.
+ *  - harness/sweep_cell: the cell plan, the one cell body, and the rig
+ *    lifetime rule;
+ *  - harness/cell_isolation: --isolate-cells children and the cell
+ *    artifact they (and the journal) leave behind;
+ *  - harness/sweep_journal: the write-ahead journal --resume reads;
+ *  - this file: the scheduler (retries, watchdog, phase-1 barrier,
+ *    --jobs) and the figure assembly (CSV rows, run.json, --stats,
+ *    --digest, --plan-out).
  *
  * Orthogonally, --capture records each workload's bus stream to disk,
  * --replay feeds recorded streams back instead of executing the guest,
  * and --digest writes the per-workload stream fingerprints that CI
  * gates against tests/golden/.
  *
- * Every cell also snapshots its rig's statistics into the global
- * registry under "cell/<workload>/[<config>/]", so parallel cells'
- * stats coexist instead of only the final rig's surviving.
+ * Every cell snapshots its rig's statistics into the global registry
+ * under "cell/<label>/", so parallel cells' stats coexist and no rig
+ * has to outlive its cell.
  */
 
 #ifndef COSIM_HARNESS_SWEEP_RUNNER_HH

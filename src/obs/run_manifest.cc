@@ -48,6 +48,119 @@ stringArray(const std::vector<std::string>& values)
 } // namespace
 
 std::string
+ManifestWorkload::toJson() const
+{
+    std::string out =
+        "{\"name\": " + json::quote(name) + ",\n     \"insts\": " +
+        json::number(static_cast<double>(totalInsts)) +
+        ", \"host_seconds\": " + json::number(hostSeconds) +
+        ", \"sim_mips\": " + json::number(simMips) +
+        ", \"verified\": " + (verified ? "true" : "false") +
+        ",\n     \"status\": " + json::quote(status) +
+        ", \"attempts\": " +
+        json::number(static_cast<double>(attempts)) +
+        ", \"error\": " + json::quote(error) +
+        ",\n     \"replayed_from\": " + json::quote(replayedFrom) +
+        ",\n     \"mpki_per_config\": " + numberArray(mpkiPerConfig) +
+        ",\n     \"mpki_series\": {\"time_us\": " +
+        numberArray(seriesTimeUs) + ", \"mpki\": " +
+        numberArray(seriesMpki) + "}";
+    if (sampling.active) {
+        const ManifestSampling& s = sampling;
+        out += ",\n     \"sampling\": {\"intervals\": " +
+               json::number(static_cast<double>(s.intervals)) +
+               ", \"total_windows\": " +
+               json::number(static_cast<double>(s.totalWindows)) +
+               ", \"warmup_quanta\": " +
+               json::number(static_cast<double>(s.warmupQuanta)) +
+               ", \"coverage\": " + json::number(s.coverage);
+        if (s.hasError) {
+            out += ",\n      \"error\": {\"cpi\": " +
+                   json::number(s.errCpi) +
+                   ", \"mpki\": " + json::number(s.errMpki) +
+                   ", \"apki\": " + json::number(s.errApki) +
+                   ", \"dram\": " + json::number(s.errDram) + "}";
+        }
+        out += ",\n      \"est\": {\"cpi\": " + json::number(s.estCpi) +
+               ", \"mpki\": " + json::number(s.estMpki) +
+               ", \"apki\": " + json::number(s.estApki) +
+               "},\n      \"full\": {\"cpi\": " +
+               json::number(s.fullCpi) +
+               ", \"mpki\": " + json::number(s.fullMpki) +
+               ", \"apki\": " + json::number(s.fullApki) + "}}";
+    }
+    return out + "}";
+}
+
+bool
+ManifestWorkload::fromJson(const json::Value& v, ManifestWorkload* out)
+{
+    if (!v.isObject())
+        return false;
+    auto num = [](const json::Value& obj, const char* key) {
+        const json::Value* f = obj.find(key);
+        return f != nullptr ? f->num : 0.0;
+    };
+    auto str = [](const json::Value& obj, const char* key) {
+        const json::Value* f = obj.find(key);
+        return f != nullptr ? f->str : std::string();
+    };
+    auto nums = [](const json::Value* arr) {
+        std::vector<double> values;
+        if (arr != nullptr) {
+            for (const json::Value& e : arr->arr)
+                values.push_back(e.num);
+        }
+        return values;
+    };
+    ManifestWorkload w;
+    w.name = str(v, "name");
+    w.totalInsts = static_cast<std::uint64_t>(num(v, "insts"));
+    w.hostSeconds = num(v, "host_seconds");
+    w.simMips = num(v, "sim_mips");
+    const json::Value* verified = v.find("verified");
+    w.verified = verified != nullptr && verified->boolean;
+    w.status = str(v, "status");
+    w.attempts = static_cast<std::uint64_t>(num(v, "attempts"));
+    w.error = str(v, "error");
+    w.replayedFrom = str(v, "replayed_from");
+    w.mpkiPerConfig = nums(v.find("mpki_per_config"));
+    if (const json::Value* series = v.find("mpki_series")) {
+        w.seriesTimeUs = nums(series->find("time_us"));
+        w.seriesMpki = nums(series->find("mpki"));
+    }
+    if (const json::Value* s = v.find("sampling")) {
+        ManifestSampling& ms = w.sampling;
+        ms.active = true;
+        ms.intervals = static_cast<std::uint64_t>(num(*s, "intervals"));
+        ms.totalWindows =
+            static_cast<std::uint64_t>(num(*s, "total_windows"));
+        ms.warmupQuanta =
+            static_cast<std::uint64_t>(num(*s, "warmup_quanta"));
+        ms.coverage = num(*s, "coverage");
+        if (const json::Value* err = s->find("error")) {
+            ms.hasError = true;
+            ms.errCpi = num(*err, "cpi");
+            ms.errMpki = num(*err, "mpki");
+            ms.errApki = num(*err, "apki");
+            ms.errDram = num(*err, "dram");
+        }
+        if (const json::Value* est = s->find("est")) {
+            ms.estCpi = num(*est, "cpi");
+            ms.estMpki = num(*est, "mpki");
+            ms.estApki = num(*est, "apki");
+        }
+        if (const json::Value* full = s->find("full")) {
+            ms.fullCpi = num(*full, "cpi");
+            ms.fullMpki = num(*full, "mpki");
+            ms.fullApki = num(*full, "apki");
+        }
+    }
+    *out = std::move(w);
+    return true;
+}
+
+std::string
 RunManifest::toJson() const
 {
     std::string out = "{\n";
@@ -108,51 +221,9 @@ RunManifest::toJson() const
 
     out += "  \"workloads\": [";
     for (std::size_t i = 0; i < workloads.size(); ++i) {
-        const ManifestWorkload& w = workloads[i];
         if (i)
             out += ",";
-        out += "\n    {\"name\": " + json::quote(w.name) +
-               ",\n     \"insts\": " +
-               json::number(static_cast<double>(w.totalInsts)) +
-               ", \"host_seconds\": " + json::number(w.hostSeconds) +
-               ", \"sim_mips\": " + json::number(w.simMips) +
-               ", \"verified\": " + (w.verified ? "true" : "false") +
-               ",\n     \"status\": " + json::quote(w.status) +
-               ", \"attempts\": " +
-               json::number(static_cast<double>(w.attempts)) +
-               ", \"error\": " + json::quote(w.error) +
-               ",\n     \"replayed_from\": " + json::quote(w.replayedFrom) +
-               ",\n     \"mpki_per_config\": " +
-               numberArray(w.mpkiPerConfig) +
-               ",\n     \"mpki_series\": {\"time_us\": " +
-               numberArray(w.seriesTimeUs) + ", \"mpki\": " +
-               numberArray(w.seriesMpki) + "}";
-        if (w.sampling.active) {
-            const ManifestSampling& s = w.sampling;
-            out += ",\n     \"sampling\": {\"intervals\": " +
-                   json::number(static_cast<double>(s.intervals)) +
-                   ", \"total_windows\": " +
-                   json::number(static_cast<double>(s.totalWindows)) +
-                   ", \"warmup_quanta\": " +
-                   json::number(static_cast<double>(s.warmupQuanta)) +
-                   ", \"coverage\": " + json::number(s.coverage);
-            if (s.hasError) {
-                out += ",\n      \"error\": {\"cpi\": " +
-                       json::number(s.errCpi) +
-                       ", \"mpki\": " + json::number(s.errMpki) +
-                       ", \"apki\": " + json::number(s.errApki) +
-                       ", \"dram\": " + json::number(s.errDram) + "}";
-            }
-            out += ",\n      \"est\": {\"cpi\": " +
-                   json::number(s.estCpi) +
-                   ", \"mpki\": " + json::number(s.estMpki) +
-                   ", \"apki\": " + json::number(s.estApki) +
-                   "},\n      \"full\": {\"cpi\": " +
-                   json::number(s.fullCpi) +
-                   ", \"mpki\": " + json::number(s.fullMpki) +
-                   ", \"apki\": " + json::number(s.fullApki) + "}}";
-        }
-        out += "}";
+        out += "\n    " + workloads[i].toJson();
     }
     out += workloads.empty() ? "]\n" : "\n  ]\n";
     out += "}\n";

@@ -20,6 +20,10 @@
 namespace cosim {
 namespace obs {
 
+namespace json {
+struct Value;
+} // namespace json
+
 /** Manifest schema identifier (bump on incompatible change). */
 inline constexpr const char* kManifestSchema = "cosim-run-manifest/1";
 
@@ -94,6 +98,13 @@ struct ManifestWorkload
 
     /** Sampled-simulation record (active only under --cells=sampled). */
     ManifestSampling sampling;
+
+    /** Serialize as one entry of the manifest's "workloads" array. */
+    std::string toJson() const;
+
+    /** Parse a toJson() object back into @p out (exact for every
+     * field); false when @p v is not an object. */
+    static bool fromJson(const json::Value& v, ManifestWorkload* out);
 };
 
 /** One phase of the host-profiler snapshot embedded in the manifest. */

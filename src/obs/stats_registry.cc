@@ -58,17 +58,20 @@ StatsRegistry::makeGroup(const std::string& name)
 
 void
 StatsRegistry::addSnapshotOf(const StatsRegistry& src,
-                             const std::string& prefix)
+                             const std::string& prefix,
+                             const std::string& from)
 {
     // Freeze outside our own locks: evaluating src's formulas may take
-    // arbitrary time, and src may be *this in odd call patterns. The
-    // sort keeps the destination's relative order equal to src's.
+    // arbitrary time, and src may be *this. The sort keeps the
+    // destination's relative order equal to src's.
     std::vector<FrozenGroup> frozen = src.collectAll();
     for (const FrozenGroup& fg : frozen) {
+        if (fg.name.compare(0, from.size(), from) != 0)
+            continue;
         // Build the whole frozen copy before add() takes a shard lock:
         // parallel cells snapshotting at once then only contend for the
         // final push, not for each formula allocation.
-        stats::Group copy(prefix + fg.name);
+        stats::Group copy(prefix + fg.name.substr(from.size()));
         copy.reserve(0, fg.stats.size());
         for (const auto& [stat_name, value] : fg.stats)
             copy.add(stat_name, [value = value] { return value; });

@@ -65,14 +65,17 @@ class StatsRegistry
     stats::Group& makeGroup(const std::string& name);
 
     /**
-     * Copy every group of @p src into this registry under
-     * "<prefix><group>", with every stat frozen to its current value.
-     * This is how parallel sweep cells coexist: each cell registers its
-     * rig into a private registry, then snapshots it into the global
-     * one under "cell/<workload>/<config>/" -- the frozen values stay
-     * correct after the cell's components are reset or destroyed.
+     * Copy every group of @p src whose name starts with @p from into
+     * this registry, renamed "<prefix><name without from>", with every
+     * stat frozen to its current value. This is how parallel sweep
+     * cells coexist: each cell registers its rig into a private
+     * registry, then snapshots it into the global one under
+     * "cell/<workload>/<config>/" -- the frozen values stay correct
+     * after the cell's components are reset or destroyed. A non-empty
+     * @p from selects (and re-roots) one cell's namespace.
      */
-    void addSnapshotOf(const StatsRegistry& src, const std::string& prefix);
+    void addSnapshotOf(const StatsRegistry& src, const std::string& prefix,
+                       const std::string& from = "");
 
     /** Drop every registered group. */
     void clear();

@@ -1,6 +1,7 @@
 #include "workloads/plsa.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "base/logging.hh"
 #include "base/random.hh"
@@ -17,7 +18,10 @@ PlsaParams::scaled(double scale)
         double len = static_cast<double>(p.seqLen) * scale;
         p.seqLen = std::max<std::size_t>(
             512, (static_cast<std::size_t>(len) / 256) * 256);
-        p.blockWidth = std::min<std::size_t>(p.blockWidth, p.seqLen / 2);
+        // A block width that tiles the sequence exactly (the capped
+        // width itself whenever it already does).
+        p.blockWidth = std::gcd(
+            p.seqLen, std::min<std::size_t>(p.blockWidth, p.seqLen / 2));
         p.commonLen = p.seqLen / 8;
         p.tracebackBands = 16;
     }

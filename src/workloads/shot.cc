@@ -28,7 +28,8 @@ ShotParams::scaled(double scale)
     fatal_if(scale <= 0.0, "SHOT scale must be positive");
     ShotParams p;
     if (scale < 1.0) {
-        p.video.width = 360;
+        // CIF: the macroblock pipeline needs a 16-aligned width.
+        p.video.width = 352;
         p.video.height = 288;
         if (scale < 0.1) {
             p.video.width = 176;

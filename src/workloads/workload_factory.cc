@@ -57,27 +57,40 @@ workloadNames()
     return names;
 }
 
+std::string
+canonicalWorkloadName(const std::string& name)
+{
+    std::string n = toLower(name);
+    if (n == "svmrfe" || n == "svm_rfe")
+        n = "svm-rfe";
+    for (const auto& info : workloadCatalog()) {
+        if (toLower(info.name) == n)
+            return info.name;
+    }
+    return name;
+}
+
 std::unique_ptr<Workload>
 createWorkload(const std::string& name, double scale)
 {
-    std::string n = toLower(name);
-    if (n == "snp")
+    const std::string n = canonicalWorkloadName(name);
+    if (n == "SNP")
         return std::make_unique<SnpWorkload>(SnpParams::scaled(scale));
-    if (n == "svm-rfe" || n == "svmrfe" || n == "svm_rfe")
+    if (n == "SVM-RFE")
         return std::make_unique<SvmRfeWorkload>(
             SvmRfeParams::scaled(scale));
-    if (n == "mds")
+    if (n == "MDS")
         return std::make_unique<MdsWorkload>(MdsParams::scaled(scale));
-    if (n == "shot")
+    if (n == "SHOT")
         return std::make_unique<ShotWorkload>(ShotParams::scaled(scale));
-    if (n == "fimi")
+    if (n == "FIMI")
         return std::make_unique<FimiWorkload>(FimiParams::scaled(scale));
-    if (n == "viewtype")
+    if (n == "VIEWTYPE")
         return std::make_unique<ViewtypeWorkload>(
             ViewtypeParams::scaled(scale));
-    if (n == "plsa")
+    if (n == "PLSA")
         return std::make_unique<PlsaWorkload>(PlsaParams::scaled(scale));
-    if (n == "rsearch")
+    if (n == "RSEARCH")
         return std::make_unique<RsearchWorkload>(
             RsearchParams::scaled(scale));
     fatal("unknown workload '%s'", name.c_str());

@@ -30,6 +30,12 @@ const std::vector<WorkloadInfo>& workloadCatalog();
 std::vector<std::string> workloadNames();
 
 /**
+ * The catalog spelling of a (case-insensitive) workload name or alias,
+ * e.g. "svm_rfe" -> "SVM-RFE"; an unknown name comes back unchanged.
+ */
+std::string canonicalWorkloadName(const std::string& name);
+
+/**
  * Instantiate a workload by (case-insensitive) name with inputs derived
  * from @p scale (1.0 = the default reproduction input). fatal() on an
  * unknown name.

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "base/random.hh"
 #include "base/units.hh"
 #include "cache/cache.hh"
-#include "cache/sweep_bank.hh"
+#include "dragonhead/dragonhead.hh"
+#include "mem/fsb.hh"
 
 namespace cosim {
 namespace {
@@ -334,61 +336,70 @@ TEST(Replacement, NruFindsUnreferenced)
     EXPECT_EQ(state->victim(0), 2u); // first never-referenced way
 }
 
-// ------------------------------------------------------------ sweep bank
+// ------------------------------------------------------------ size sweep
+
+// A full LLC sweep attaches one Dragonhead per configuration to one bus
+// (harness/sweep_cell.hh). These check the properties it relies on.
 
 TEST(SweepBank, MatchesIndividualCaches)
 {
-    CacheSweepBank bank;
-    std::vector<CacheParams> configs = {
-        smallCache(1 * KiB, 64, 2), smallCache(4 * KiB, 64, 4),
-        smallCache(16 * KiB, 128, 8)};
-    for (const auto& cfg : configs)
-        bank.addConfig(cfg);
+    // Passive emulators sharing one bus end exactly where the same
+    // configurations end when each runs alone on its own bus.
+    std::vector<DragonheadParams> configs(3);
+    configs[0].llc = smallCache(1 * KiB, 64, 2);
+    configs[1].llc = smallCache(4 * KiB, 64, 4);
+    configs[2].llc = smallCache(16 * KiB, 128, 8);
 
-    std::vector<Cache> solo;
-    for (const auto& cfg : configs)
-        solo.emplace_back(cfg);
-
+    std::vector<BusTransaction> stream = {
+        msg::encode(msg::Type::StartEmulation, 0)};
     Rng rng(41);
     for (int i = 0; i < 30000; ++i) {
-        Addr a = rng.nextBounded(1 << 16);
-        bool w = rng.nextBool(0.25);
-        bank.access(a, w);
-        for (auto& c : solo)
-            c.access(a, w);
+        BusTransaction txn;
+        txn.addr = rng.nextBounded(1 << 16) & ~Addr{63};
+        txn.size = 64;
+        txn.kind = rng.nextBool(0.25) ? TxnKind::WriteLine
+                                      : TxnKind::ReadLine;
+        stream.push_back(txn);
     }
 
-    auto misses = bank.missCounts();
-    ASSERT_EQ(misses.size(), solo.size());
-    for (std::size_t i = 0; i < solo.size(); ++i) {
-        EXPECT_EQ(misses[i], solo[i].stats().misses);
-        EXPECT_DOUBLE_EQ(bank.missRates()[i], solo[i].stats().missRate());
+    FrontSideBus shared;
+    shared.setBatchCapacity(4096);
+    std::vector<std::unique_ptr<Dragonhead>> swept;
+    for (const auto& cfg : configs) {
+        swept.push_back(std::make_unique<Dragonhead>(cfg));
+        shared.attach(swept.back().get());
+    }
+    for (const BusTransaction& txn : stream)
+        shared.issue(txn);
+    shared.flush();
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        Dragonhead solo(configs[i]);
+        FrontSideBus bus;
+        bus.attach(&solo);
+        for (const BusTransaction& txn : stream)
+            bus.issue(txn);
+        EXPECT_EQ(swept[i]->results().accesses, solo.results().accesses);
+        EXPECT_EQ(swept[i]->results().misses, solo.results().misses);
+        EXPECT_GT(solo.results().misses, 0u);
     }
 }
 
 TEST(SweepBank, BiggerCachesMissLess)
 {
-    CacheSweepBank bank;
+    std::vector<Cache> sweep;
     for (std::uint64_t kb : {1, 2, 4, 8, 16})
-        bank.addConfig(smallCache(kb * KiB, 64, 4));
+        sweep.emplace_back(smallCache(kb * KiB, 64, 4));
     Rng rng(43);
-    for (int i = 0; i < 50000; ++i)
-        bank.access(rng.nextBounded(12 * KiB), false);
-    auto misses = bank.missCounts();
-    for (std::size_t i = 1; i < misses.size(); ++i)
-        EXPECT_LE(misses[i], misses[i - 1]);
+    for (int i = 0; i < 50000; ++i) {
+        const Addr a = rng.nextBounded(12 * KiB);
+        for (Cache& cache : sweep)
+            cache.access(a, false);
+    }
+    for (std::size_t i = 1; i < sweep.size(); ++i)
+        EXPECT_LE(sweep[i].stats().misses, sweep[i - 1].stats().misses);
     // 16 KB fully captures the 12 KB working set: only cold misses.
-    EXPECT_EQ(misses.back(), 12 * KiB / 64);
-}
-
-TEST(SweepBank, ResetStats)
-{
-    CacheSweepBank bank;
-    bank.addConfig(smallCache());
-    bank.access(0, false);
-    EXPECT_EQ(bank.missCounts()[0], 1u);
-    bank.resetStats();
-    EXPECT_EQ(bank.missCounts()[0], 0u);
+    EXPECT_EQ(sweep.back().stats().misses, 12 * KiB / 64);
 }
 
 } // namespace

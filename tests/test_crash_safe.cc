@@ -90,6 +90,74 @@ TEST(CrashSafe, IsolatedSweepMatchesInProcessByteForByte)
         EXPECT_EQ(cell.second.state, "done") << cell.first;
 }
 
+/**
+ * Run one --cells mode in process and under --isolate-cells: the child
+ * runs the same planned cell on the same body, so the CSVs must match
+ * byte for byte.
+ */
+void
+expectIsolatedMatchesInProcess(const std::string& name,
+                               const std::vector<std::string>& mode)
+{
+    const std::string in_dir = scratchDir(name + "_inproc");
+    SubprocessResult in = runFig4(in_dir, mode);
+    ASSERT_TRUE(in.ok()) << in.describe() << "\n" << in.stderrTail;
+    std::vector<std::string> isolated = mode;
+    isolated.push_back("--isolate-cells");
+    const std::string iso_dir = scratchDir(name + "_iso");
+    SubprocessResult iso = runFig4(iso_dir, isolated);
+    ASSERT_TRUE(iso.ok()) << iso.describe() << "\n" << iso.stderrTail;
+    const std::string csv = readFile(in_dir + "/fig4_scmp.csv");
+    ASSERT_FALSE(csv.empty());
+    EXPECT_EQ(readFile(iso_dir + "/fig4_scmp.csv"), csv);
+}
+
+/** Record the streams and sampling plans file-backed modes replay;
+ * @return the base path both live under. */
+std::string
+recordInputs(const std::string& name)
+{
+    const std::string dir = scratchDir(name);
+    SubprocessResult r = runFig4(dir, {"--capture=" + dir + "/s",
+                                       "--plan-out=" + dir + "/s"});
+    EXPECT_TRUE(r.ok()) << r.describe() << "\n" << r.stderrTail;
+    return dir + "/s";
+}
+
+TEST(CrashSafe, IsolatedExecMatchesInProcess)
+{
+    expectIsolatedMatchesInProcess("crash_safe_exec", {"--cells=exec"});
+}
+
+TEST(CrashSafe, IsolatedFileReplayMatchesInProcess)
+{
+    const std::string base = recordInputs("crash_safe_replay_inputs");
+    expectIsolatedMatchesInProcess(
+        "crash_safe_replay", {"--cells=replay", "--replay=" + base});
+}
+
+TEST(CrashSafe, IsolatedSampledMatchesInProcess)
+{
+    const std::string base = recordInputs("crash_safe_sampled_inputs");
+    expectIsolatedMatchesInProcess(
+        "crash_safe_sampled",
+        {"--cells=sampled", "--replay=" + base, "--plan=" + base});
+}
+
+TEST(CrashSafe, KeepGoingHoldsOneRigAtATime)
+{
+    // Containing a failing cell must not cost memory: a serial sweep
+    // keeps at most one rig alive whatever its failure policy, so
+    // --keep-going peaks where the plain run does.
+    SubprocessResult plain = runFig4(scratchDir("crash_safe_rss_plain"), {});
+    ASSERT_TRUE(plain.ok()) << plain.describe() << "\n" << plain.stderrTail;
+    SubprocessResult keep =
+        runFig4(scratchDir("crash_safe_rss_keep"), {"--keep-going"});
+    ASSERT_TRUE(keep.ok()) << keep.describe() << "\n" << keep.stderrTail;
+    EXPECT_LE(keep.maxRssKb, plain.maxRssKb * 5 / 4)
+        << "plain " << plain.maxRssKb << " KB";
+}
+
 TEST(CrashSafe, CrashedCellLeavesSiblingRowsByteIdentical)
 {
     const std::string base = baselineCsv("crash_safe_base_b");

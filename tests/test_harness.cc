@@ -12,9 +12,11 @@
 
 #include "base/fault.hh"
 #include "base/units.hh"
+#include "harness/cell_isolation.hh"
 #include "harness/report.hh"
 #include "harness/sweep_runner.hh"
 #include "obs/json.hh"
+#include "obs/stats_registry.hh"
 
 namespace cosim {
 namespace {
@@ -53,6 +55,17 @@ TEST(BenchOptions, WorkloadSubset)
     ASSERT_EQ(o.workloads.size(), 2u);
     EXPECT_EQ(o.workloads[0], "FIMI");
     EXPECT_EQ(o.workloads[1], "MDS");
+}
+
+TEST(BenchOptions, WorkloadNamesTakeTheCatalogSpelling)
+{
+    BenchOptions o = parse({"--workloads=plsa,svm_rfe,Fimi,nope"});
+    ASSERT_EQ(o.workloads.size(), 4u);
+    EXPECT_EQ(o.workloads[0], "PLSA");
+    EXPECT_EQ(o.workloads[1], "SVM-RFE");
+    EXPECT_EQ(o.workloads[2], "FIMI");
+    // An unknown name is left for the cell to reject.
+    EXPECT_EQ(o.workloads[3], "nope");
 }
 
 TEST(BenchOptions, SeedOutAndVerify)
@@ -133,6 +146,42 @@ TEST(SweepRunner, TinyEndToEndFigure)
     EXPECT_GT(points[0].insts, 0u);
 }
 
+TEST(SweepRunner, LowercaseWorkloadNamesGiveCatalogRows)
+{
+    // Every mode names a workload's row, CSV line and stats namespace
+    // by its catalog spelling, whatever spelling --workloads used.
+    const std::string out = ::testing::TempDir() + "cosim_lowercase";
+    ensureOutputDir(out);
+    for (const char* mode : {"combined", "replay"}) {
+        BenchOptions opts = parse({"--workloads=plsa", "--scale=0.02",
+                                   std::string("--cells=") + mode,
+                                   "--out=" + out});
+        obs::StatsRegistry::global().clear();
+        PlatformParams platform = presets::cmpPlatform("tiny", 2);
+        SweepRunner runner(opts);
+        FigureData fig = runner.runCacheSizeFigure("FigCase", platform);
+        ASSERT_EQ(fig.seriesNames(), std::vector<std::string>{"PLSA"})
+            << mode;
+
+        const std::string csv = out + "/case.csv";
+        fig.writeCsv(csv);
+        std::ifstream in(csv);
+        std::string header, row;
+        std::getline(in, header);
+        std::getline(in, row);
+        EXPECT_EQ(row.rfind("PLSA,", 0), 0u) << mode << ": " << row;
+
+        bool prefixed = false;
+        for (const std::string& group :
+             obs::StatsRegistry::global().groupNames()) {
+            prefixed = prefixed || group.rfind("cell/PLSA/", 0) == 0;
+            EXPECT_NE(group.rfind("cell/plsa", 0), 0u) << group;
+        }
+        EXPECT_TRUE(prefixed) << mode;
+    }
+    obs::StatsRegistry::global().clear();
+}
+
 TEST(SweepRunner, SampledCellRetryRebuildsTheSamplingRecord)
 {
     // An injected throw fails the sampled cell's first attempt (hit 1
@@ -183,6 +232,86 @@ TEST(SweepRunner, SampledCellRetryRebuildsTheSamplingRecord)
     // The profile pass succeeded (hit 1 did not fire), so the error
     // baseline must be present too.
     EXPECT_NE(sampling->find("error"), nullptr);
+}
+
+TEST(CellArtifact, RenderParseRenderIsByteIdentical)
+{
+    // The artifact is both the isolation wire format and the journal's
+    // durable result, so every field must survive a round trip: the
+    // manifest entry with its sampling block, the points, the 64-bit
+    // stream digest, the CB samples, and the cell's stats groups.
+    CellOutput cell;
+    cell.mw.name = "PLSA";
+    cell.mw.totalInsts = 123456789;
+    cell.mw.hostSeconds = 0.1 + 0.2;
+    cell.mw.simMips = 1.0 / 3.0;
+    cell.mw.verified = true;
+    cell.mw.status = "retried";
+    cell.mw.attempts = 2;
+    cell.mw.replayedFrom = "sampled:file:/tmp/s.PLSA.fsb";
+    cell.mw.mpkiPerConfig = {12.5, 3.0 / 7.0};
+    cell.mw.seriesTimeUs = {500.0, 1000.0};
+    cell.mw.seriesMpki = {2.0 / 3.0, 0.0};
+    obs::ManifestSampling& s = cell.mw.sampling;
+    s.active = true;
+    s.intervals = 3;
+    s.totalWindows = 40;
+    s.warmupQuanta = 2;
+    s.coverage = 0.225;
+    s.hasError = true;
+    s.errCpi = 1e-3;
+    s.errMpki = 0.0275;
+    s.errApki = 2e-17;
+    s.errDram = 0.5;
+    s.estCpi = 1.75;
+    s.estMpki = 12.5;
+    s.estApki = 40.125;
+    s.fullCpi = 1.7;
+    s.fullMpki = 12.2;
+    s.fullApki = 40.0;
+    for (int i = 0; i < 2; ++i) {
+        SweepPoint p;
+        p.workload = "PLSA";
+        p.nCores = 2;
+        p.llcSize = (4ull << 20) << i;
+        p.lineSize = 64;
+        p.llcAccesses = 100000 + i;
+        p.llcMisses = 1234 - i;
+        p.insts = 98765432;
+        cell.points.push_back(p);
+    }
+    cell.guestExecutions = 1;
+    cell.hasDigest = true;
+    cell.streamTxns = 424242;
+    cell.streamDigest = 0xfedcba9876543210ull;
+    cell.replayTxns = 424242;
+    cell.replayBytes = 1u << 20;
+    cell.replaySeconds = 0.125;
+    Sample sample;
+    sample.timeUs = 500.0;
+    sample.insts = 4000;
+    sample.cycles = 500000;
+    sample.accesses = 77;
+    sample.misses = 7;
+    cell.cbSamples = {sample, sample};
+
+    const std::string prefix = "cell/RoundTrip/sampled/";
+    obs::StatsRegistry& registry = obs::StatsRegistry::global();
+    stats::Group& fsb = registry.makeGroup(prefix + "fsb");
+    fsb.add("txns", [] { return 424242.0; });
+    fsb.add("batches", [] { return 104.0; });
+    registry.makeGroup(prefix + "dragonhead0")
+        .add("mpki", [] { return 1.0 / 3.0; });
+
+    const std::string first = renderCellArtifact(cell, prefix);
+    registry.removePrefix(prefix);
+    CellOutput parsed;
+    std::string error;
+    ASSERT_TRUE(parseCellArtifact(first, &parsed, &error)) << error;
+    EXPECT_EQ(renderCellArtifact(parsed, prefix), first);
+    EXPECT_EQ(parsed.streamDigest, cell.streamDigest);
+    ASSERT_NE(registry.find(prefix + "dragonhead0"), nullptr);
+    registry.removePrefix(prefix);
 }
 
 } // namespace

@@ -120,13 +120,19 @@ runOnce(unsigned emu_threads, std::size_t chunk_txns, bool shared_array)
     EXPECT_EQ(cosim.nEmulators(), 3u);
     EXPECT_EQ(cosim.emulationThreads(),
               emu_threads == 0 ? 0u : std::min(emu_threads, 3u));
+    // Chunk size 1 is the per-transaction reference: nothing batched.
+    if (chunk_txns == 1)
+        EXPECT_EQ(cosim.platform().fsb().batchCount(), 0u);
+    else
+        EXPECT_GT(cosim.platform().fsb().batchCount(), 0u);
     return fingerprintOf(cosim, cores);
 }
 
 TEST(ParallelEmulation, BitIdenticalToSerialAcrossThreadCounts)
 {
     for (bool shared : {false, true}) {
-        Fingerprint serial = runOnce(0, 0, shared);
+        // Serial, per-transaction delivery is the reference.
+        Fingerprint serial = runOnce(0, 1, shared);
         ASSERT_FALSE(serial.counters.empty());
         ASSERT_FALSE(serial.samples.empty());
         for (unsigned threads : {1u, 2u, 4u}) {
@@ -142,10 +148,14 @@ TEST(ParallelEmulation, SerialBatchedDeliveryIsIdenticalToImmediate)
 {
     // Batching alone (no worker threads) must not change anything: the
     // same transactions arrive in the same order, just chunk-deferred.
+    // Chunk size 1 delivers each transaction as it is issued; 0 is the
+    // default chunk every sweep rig uses.
     for (bool shared : {false, true}) {
-        Fingerprint immediate = runOnce(0, 0, shared);
+        Fingerprint immediate = runOnce(0, 1, shared);
+        ASSERT_FALSE(immediate.samples.empty());
         EXPECT_EQ(runOnce(0, 64, shared), immediate);
         EXPECT_EQ(runOnce(0, 4096, shared), immediate);
+        EXPECT_EQ(runOnce(0, 0, shared), immediate);
     }
 }
 

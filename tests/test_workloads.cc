@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "base/str.hh"
 #include "base/units.hh"
 #include "softsdv/virtual_platform.hh"
 #include "workloads/fimi.hh"
@@ -68,11 +69,32 @@ TEST(WorkloadFactory, CatalogHasAllEight)
     }
 }
 
+TEST(WorkloadFactory, EveryWorkloadConstructsAtEveryScale)
+{
+    // Every --scale must yield parameters the workload itself accepts;
+    // a rejected geometry aborts the whole sweep.
+    for (double scale : {0.05, 0.1, 0.2, 0.25, 0.5, 0.7, 1.0}) {
+        for (const std::string& name : workloadNames())
+            EXPECT_EQ(createWorkload(name, scale)->name(), name) << scale;
+    }
+}
+
 TEST(WorkloadFactory, NamesAreCaseInsensitive)
 {
     EXPECT_EQ(createWorkload("fimi", testScale)->name(), "FIMI");
     EXPECT_EQ(createWorkload("SVM-RFE", testScale)->name(), "SVM-RFE");
     EXPECT_EQ(createWorkload("svm_rfe", testScale)->name(), "SVM-RFE");
+}
+
+TEST(WorkloadFactory, CanonicalNameIsTheCatalogSpelling)
+{
+    for (const std::string& name : workloadNames()) {
+        EXPECT_EQ(canonicalWorkloadName(name), name);
+        EXPECT_EQ(canonicalWorkloadName(toLower(name)), name);
+        EXPECT_EQ(createWorkload(toLower(name), testScale)->name(), name);
+    }
+    EXPECT_EQ(canonicalWorkloadName("svmrfe"), "SVM-RFE");
+    EXPECT_EQ(canonicalWorkloadName("Nope"), "Nope");
 }
 
 // -------------------------------------------------- every workload runs
