@@ -1,5 +1,8 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "base/bitops.hh"
 #include "base/logging.hh"
 
@@ -19,6 +22,24 @@ CacheStats::operator+=(const CacheStats& o)
     prefetchFills += o.prefetchFills;
     usefulPrefetches += o.usefulPrefetches;
     return *this;
+}
+
+void
+CacheStats::addStats(stats::Group& group) const
+{
+    const CacheStats* s = this;
+    group.add("accesses", [s] { return double(s->accesses); });
+    group.add("reads", [s] { return double(s->reads); });
+    group.add("writes", [s] { return double(s->writes); });
+    group.add("misses", [s] { return double(s->misses); });
+    group.add("read_misses", [s] { return double(s->readMisses); });
+    group.add("write_misses", [s] { return double(s->writeMisses); });
+    group.add("evictions", [s] { return double(s->evictions); });
+    group.add("writebacks", [s] { return double(s->writebacks); });
+    group.add("prefetch_fills", [s] { return double(s->prefetchFills); });
+    group.add("useful_prefetches",
+              [s] { return double(s->usefulPrefetches); });
+    group.add("miss_rate", [s] { return s->missRate(); });
 }
 
 Cache::Cache(const CacheParams& params) : params_(params)
@@ -44,119 +65,139 @@ Cache::Cache(const CacheParams& params) : params_(params)
     lineMask_ = params_.lineSize - 1;
     setMask_ = sets_ - 1;
 
+    // One spare host line of entries, so the first set can start on a
+    // 64 B boundary and a 16-way set never straddles two host lines.
+    constexpr std::size_t hostLine = 64 / sizeof(Entry);
     std::size_t n = static_cast<std::size_t>(sets_) * params_.assoc;
-    tags_.assign(n, 0);
-    flags_.assign(n, 0);
+    storage_.assign(n + hostLine - 1, 0);
+    const std::uintptr_t at =
+        reinterpret_cast<std::uintptr_t>(storage_.data());
+    first_ = (hostLine - at / sizeof(Entry) % hostLine) % hostLine;
     repl_ = ReplacementState::create(params_.repl, sets_, params_.assoc);
-    lruView_ = repl_->lruDirect();
+    lru_ = params_.repl == ReplPolicy::LRU;
 }
 
-Cache::Lookup
-Cache::lookup(Addr addr) const
+void
+Cache::locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const
 {
-    Addr line = addr >> lineBits_;
-    Lookup l;
-    l.set = static_cast<std::uint32_t>(line & setMask_);
-    l.tag = line >> setBits_;
-    l.way = -1;
-    std::size_t base = static_cast<std::size_t>(l.set) * params_.assoc;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if ((flags_[base + w] & flagValid) != 0 && tags_[base + w] == l.tag) {
-            l.way = static_cast<std::int32_t>(w);
-            break;
-        }
-    }
-    return l;
+    const Addr line = addr >> lineBits_;
+    set = static_cast<std::uint32_t>(line & setMask_);
+    tag = line >> setBits_;
+    fatal_if(tag > maxTag,
+             "%s: address %#llx is out of range: its tag %#llx is wider "
+             "than the %u bits of a cache entry",
+             params_.name.c_str(), static_cast<unsigned long long>(addr),
+             static_cast<unsigned long long>(tag), tagBits);
 }
 
-std::size_t
-Cache::wayIndex(std::uint32_t set, std::uint32_t way) const
+// install() and accessLine() are inlined into access(), so an LLC access
+// from Dragonhead is one call.
+[[gnu::always_inline]] inline void
+Cache::install(std::uint32_t set, std::uint64_t tag, Entry flags,
+               Outcome& outcome)
 {
-    return static_cast<std::size_t>(set) * params_.assoc + way;
-}
-
-std::uint32_t
-Cache::install(std::uint32_t set, std::uint64_t tag, Outcome& outcome)
-{
-    std::size_t base = static_cast<std::size_t>(set) * params_.assoc;
-
-    // Prefer an invalid way.
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        if ((flags_[base + w] & flagValid) == 0) {
-            tags_[base + w] = tag;
-            flags_[base + w] = flagValid;
-            repl_->fill(set, w);
-            return w;
-        }
+    Entry* ways = setEntries(set);
+    const std::uint32_t assoc = params_.assoc;
+    std::uint32_t way = assoc - 1;
+    if (repl_ != nullptr) {
+        // Fixed positions: prefer an invalid way, else ask the policy.
+        way = 0;
+        while (way < assoc && (ways[way] & entryValid) != 0)
+            ++way;
+        if (way == assoc)
+            way = repl_->victim(set);
+        panic_if(way >= assoc, "%s: replacement chose way %u of %u",
+                 params_.name.c_str(), way, assoc);
     }
 
-    std::uint32_t victim = repl_->victim(set);
-    panic_if(victim >= params_.assoc, "%s: replacement chose way %u of %u",
-             params_.name.c_str(), victim, params_.assoc);
+    // Under LRU and FIFO the last entry is the oldest, or invalid.
+    const Entry victim = ways[way];
+    if ((victim & entryValid) != 0) {
+        outcome.evicted = true;
+        outcome.evictedDirty = (victim & entryDirty) != 0;
+        // Reconstruct the victim's line address from tag and set.
+        outcome.victimAddr =
+            ((static_cast<Addr>(victim >> entryTagShift) << setBits_) |
+             set)
+            << lineBits_;
+        ++stats_.evictions;
+        stats_.writebacks += outcome.evictedDirty;
+    }
 
-    std::size_t vi = base + victim;
-    outcome.evicted = true;
-    outcome.evictedDirty = (flags_[vi] & flagDirty) != 0;
-    // Reconstruct the victim's line address from tag and set.
-    outcome.victimAddr =
-        ((tags_[vi] << setBits_) | set) << lineBits_;
-    ++stats_.evictions;
-    if (outcome.evictedDirty)
-        ++stats_.writebacks;
+    if (repl_ == nullptr) {
+        shiftBack(ways, assoc);
+        ways[0] = keyOf(tag) | flags;
+    } else {
+        ways[way] = keyOf(tag) | flags;
+        repl_->fill(set, way);
+    }
+}
 
-    tags_[vi] = tag;
-    flags_[vi] = flagValid;
-    repl_->fill(set, victim);
-    return victim;
+[[gnu::always_inline]] inline Cache::Outcome
+Cache::accessLine(std::uint32_t set, std::uint64_t tag, bool write)
+{
+    Outcome outcome;
+    ++stats_.accesses;
+    stats_.writes += write;
+    stats_.reads += !write;
+
+    Entry* ways = setEntries(set);
+    const int way = findWay(ways, params_.assoc, keyOf(tag));
+    if (way >= 0) {
+        outcome.hit = true;
+        Entry& e = ways[way];
+        if ((e & entryPrefetched) != 0) {
+            outcome.firstHitOnPrefetch = true;
+            ++stats_.usefulPrefetches;
+            e &= ~entryPrefetched;
+        }
+        e |= write ? entryDirty : 0;
+        if (repl_ != nullptr)
+            repl_->touch(set, static_cast<std::uint32_t>(way));
+        else if (lru_)
+            promote(ways, way);
+        return outcome;
+    }
+
+    ++stats_.misses;
+    stats_.writeMisses += write;
+    stats_.readMisses += !write;
+    install(set, tag, write ? entryDirty : 0, outcome);
+    return outcome;
 }
 
 Cache::Outcome
 Cache::access(Addr addr, bool write)
 {
-    Outcome outcome;
-    ++stats_.accesses;
-    if (write)
-        ++stats_.writes;
-    else
-        ++stats_.reads;
+    std::uint32_t set;
+    std::uint64_t tag;
+    locate(addr, set, tag);
+    return accessLine(set, tag, write);
+}
 
-    Lookup l = lookup(addr);
-    if (l.way >= 0) {
-        outcome.hit = true;
-        std::size_t i = wayIndex(l.set, static_cast<std::uint32_t>(l.way));
-        if ((flags_[i] & flagPrefetched) != 0) {
-            outcome.firstHitOnPrefetch = true;
-            ++stats_.usefulPrefetches;
-            flags_[i] = static_cast<std::uint8_t>(flags_[i] &
-                                                  ~flagPrefetched);
-        }
-        if (write)
-            flags_[i] |= flagDirty;
-        repl_->touch(l.set, static_cast<std::uint32_t>(l.way));
-        return outcome;
-    }
-
-    ++stats_.misses;
-    if (write)
-        ++stats_.writeMisses;
-    else
-        ++stats_.readMisses;
-
-    std::uint32_t way = install(l.set, l.tag, outcome);
-    if (write)
-        flags_[wayIndex(l.set, way)] |= flagDirty;
-    return outcome;
+Cache::Outcome
+Cache::accessSet(std::uint32_t set, std::uint64_t tag, bool write)
+{
+    panic_if(set >= sets_, "%s: set %u of %u", params_.name.c_str(), set,
+             sets_);
+    fatal_if(tag > maxTag,
+             "%s: tag %#llx of set %u is wider than the %u bits of a "
+             "cache entry",
+             params_.name.c_str(), static_cast<unsigned long long>(tag),
+             set, tagBits);
+    return accessLine(set, tag, write);
 }
 
 bool
 Cache::prefetchFill(Addr addr)
 {
-    Lookup l = lookup(addr);
-    if (l.way >= 0)
+    std::uint32_t set;
+    std::uint64_t tag;
+    locate(addr, set, tag);
+    if (findWay(setEntries(set), params_.assoc, keyOf(tag)) >= 0)
         return false;
     Outcome scratch;
-    std::uint32_t way = install(l.set, l.tag, scratch);
-    flags_[wayIndex(l.set, way)] |= flagPrefetched;
+    install(set, tag, entryPrefetched, scratch);
     ++stats_.prefetchFills;
     return true;
 }
@@ -164,53 +205,49 @@ Cache::prefetchFill(Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    return lookup(addr).way >= 0;
+    const Addr line = addr >> lineBits_;
+    const std::uint64_t tag = line >> setBits_;
+    return tag <= maxTag &&
+           findWay(setEntries(static_cast<std::uint32_t>(line & setMask_)),
+                   params_.assoc, keyOf(tag)) >= 0;
 }
 
 bool
 Cache::invalidate(Addr addr)
 {
-    Lookup l = lookup(addr);
-    if (l.way < 0)
+    const Addr line = addr >> lineBits_;
+    const std::uint64_t tag = line >> setBits_;
+    if (tag > maxTag)
         return false;
-    std::size_t i = wayIndex(l.set, static_cast<std::uint32_t>(l.way));
-    bool dirty = (flags_[i] & flagDirty) != 0;
-    flags_[i] = 0;
+    Entry* ways = setEntries(static_cast<std::uint32_t>(line & setMask_));
+    const int way = findWay(ways, params_.assoc, keyOf(tag));
+    if (way < 0)
+        return false;
+    const bool dirty = (ways[way] & entryDirty) != 0;
+    if (repl_ == nullptr) {
+        // Keep the order dense: later entries move up, invalid trails.
+        std::copy(ways + way + 1, ways + params_.assoc, ways + way);
+        ways[params_.assoc - 1] = 0;
+    } else {
+        ways[way] = 0;
+    }
     return dirty;
 }
 
 void
 Cache::flush()
 {
-    std::fill(flags_.begin(), flags_.end(), std::uint8_t{0});
+    std::fill(storage_.begin(), storage_.end(), Entry{0});
 }
 
 std::uint64_t
 Cache::linesValid() const
 {
     std::uint64_t n = 0;
-    for (std::uint8_t f : flags_)
-        if ((f & flagValid) != 0)
+    for (Entry e : storage_)
+        if ((e & entryValid) != 0)
             ++n;
     return n;
-}
-
-void
-Cache::addStats(stats::Group& group) const
-{
-    const CacheStats* s = &stats_;
-    group.add("accesses", [s] { return double(s->accesses); });
-    group.add("reads", [s] { return double(s->reads); });
-    group.add("writes", [s] { return double(s->writes); });
-    group.add("misses", [s] { return double(s->misses); });
-    group.add("read_misses", [s] { return double(s->readMisses); });
-    group.add("write_misses", [s] { return double(s->writeMisses); });
-    group.add("evictions", [s] { return double(s->evictions); });
-    group.add("writebacks", [s] { return double(s->writebacks); });
-    group.add("prefetch_fills", [s] { return double(s->prefetchFills); });
-    group.add("useful_prefetches",
-              [s] { return double(s->usefulPrefetches); });
-    group.add("miss_rate", [s] { return s->missRate(); });
 }
 
 } // namespace cosim

@@ -10,10 +10,16 @@
 #ifndef COSIM_CACHE_CACHE_HH
 #define COSIM_CACHE_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "base/stats.hh"
 #include "base/types.hh"
@@ -63,12 +69,26 @@ struct CacheStats
     void reset() { *this = CacheStats(); }
 
     CacheStats& operator+=(const CacheStats& o);
+
+    /**
+     * Register these counters (as lazily evaluated formulas) into
+     * @p group; the group must not outlive them.
+     */
+    void addStats(stats::Group& group) const;
 };
 
 /**
  * One physical cache. All addresses are full byte addresses; the cache
  * masks them to lines internally. Accesses must not span a line (the CPU
  * model splits straddling references).
+ *
+ * Storage is one array of 32-bit entries, a set's ways side by side, so
+ * a 16-way set is one 64 B host line. Under LRU a set's entries are kept
+ * in recency order and under FIFO in fill order, most recent first, with
+ * invalid entries trailing: a hit moves its entry to the front (LRU), a
+ * fill shifts the set back by one and the last entry is the victim.
+ * Random, Tree-PLRU and NRU keep their ReplacementState and address the
+ * same entries at fixed way positions.
  */
 class Cache
 {
@@ -87,62 +107,74 @@ class Cache
         bool firstHitOnPrefetch = false;
     };
 
+    /** Widest tag an entry holds; a wider address is out of range. */
+    static constexpr unsigned tagBits = 29;
+
     /** Validates geometry (power-of-two sizes, at least one set). */
     explicit Cache(const CacheParams& params);
 
-    /** Demand access to the line containing @p addr. Fills on miss. */
+    /**
+     * Demand access to the line containing @p addr. Fills on miss.
+     * fatal() if the address's tag is wider than tagBits.
+     */
     Outcome access(Addr addr, bool write);
 
     /**
+     * Demand access to the line with @p tag in @p set, for a caller
+     * that divides the sets itself (Dragonhead's per-core partitions).
+     * A victim's address is rebuilt as if its tag and set came from
+     * access(). fatal() if @p tag is wider than tagBits.
+     */
+    Outcome accessSet(std::uint32_t set, std::uint64_t tag, bool write);
+
+    /**
      * Inlined fast path for the dominant case: a plain hit (valid line,
-     * not carrying the prefetched flag) under LRU replacement. Performs
-     * the *complete* hit -- access/read/write counters, dirty bit, LRU
-     * touch through a raw stamp view -- with no virtual dispatch.
+     * not carrying the prefetched flag) under LRU or FIFO replacement.
+     * Performs the *complete* hit -- access/read/write counters, dirty
+     * bit, move to the front under LRU -- with no virtual dispatch.
      *
      * @return true iff the access completed as a plain hit. On false
      * nothing was modified and the caller must take access(): the line
      * missed, is a first hit on a prefetched line (useful-prefetch
-     * accounting), or the policy has no direct LRU view.
+     * accounting), is out of range, or the policy keeps a
+     * ReplacementState.
      */
     bool
     tryHitFast(Addr addr, bool write)
     {
-        if (lruView_.stamps == nullptr)
+        if (repl_ != nullptr)
             return false;
         const Addr line = addr >> lineBits_;
-        const std::uint32_t set =
-            static_cast<std::uint32_t>(line & setMask_);
         const std::uint64_t tag = line >> setBits_;
-        const std::size_t base =
-            static_cast<std::size_t>(set) * params_.assoc;
-        const std::uint64_t* tags = tags_.data() + base;
-        std::uint8_t* flags = flags_.data() + base;
-        for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-            const std::uint8_t f = flags[w];
-            if ((f & flagValid) == 0 || tags[w] != tag)
-                continue;
-            if ((f & flagPrefetched) != 0)
-                return false; // full path owns useful-prefetch stats
-            ++stats_.accesses;
-            if (write) {
-                ++stats_.writes;
-                flags[w] = static_cast<std::uint8_t>(f | flagDirty);
-            } else {
-                ++stats_.reads;
-            }
-            lruView_.stamps[base + w] = ++*lruView_.clock;
-            return true;
-        }
-        return false; // miss: full path installs the line
+        if (tag > maxTag)
+            return false;
+        Entry* set =
+            setEntries(static_cast<std::uint32_t>(line & setMask_));
+        const int way = findWay(set, params_.assoc, keyOf(tag));
+        // A miss is installed, a prefetched line's first hit counted,
+        // by the full path.
+        if (way < 0 || (set[way] & entryPrefetched) != 0)
+            return false;
+        ++stats_.accesses;
+        stats_.writes += write;
+        stats_.reads += !write;
+        set[way] |= write ? entryDirty : 0;
+        if (lru_)
+            promote(set, way);
+        return true;
     }
 
     /**
      * Install the line containing @p addr as a (clean) prefetch.
      * @return true if the line was absent and is now installed.
+     * fatal() if the address's tag is wider than tagBits.
      */
     bool prefetchFill(Addr addr);
 
-    /** True iff the line containing @p addr is present (no side effects). */
+    /**
+     * True iff the line containing @p addr is present (no side
+     * effects). An out-of-range address is never present.
+     */
     bool probe(Addr addr) const;
 
     /**
@@ -168,26 +200,115 @@ class Cache
      * Register this cache's counters (as lazily evaluated formulas) into
      * @p group; the group must not outlive the cache.
      */
-    void addStats(stats::Group& group) const;
+    void addStats(stats::Group& group) const { stats_.addStats(group); }
 
   private:
-    static constexpr std::uint8_t flagValid = 1;
-    static constexpr std::uint8_t flagDirty = 2;
-    static constexpr std::uint8_t flagPrefetched = 4;
+    /** A way: tag << 3 | prefetched | dirty | valid; 0 is invalid. */
+    using Entry = std::uint32_t;
+    static constexpr Entry entryValid = 1;
+    static constexpr Entry entryDirty = 2;
+    static constexpr Entry entryPrefetched = 4;
+    static constexpr unsigned entryTagShift = 3;
+    /** The bits a lookup compares: tag and valid. */
+    static constexpr Entry entryKeyMask = ~(entryDirty | entryPrefetched);
+    static constexpr std::uint64_t maxTag =
+        (std::uint64_t{1} << tagBits) - 1;
 
-    struct Lookup
+    static Entry
+    keyOf(std::uint64_t tag)
     {
-        std::uint32_t set;
-        std::uint64_t tag;
-        std::int32_t way; ///< -1 if not present
-    };
+        return static_cast<Entry>(tag << entryTagShift) | entryValid;
+    }
 
-    Lookup lookup(Addr addr) const;
-    std::size_t wayIndex(std::uint32_t set, std::uint32_t way) const;
+#if defined(__SSE2__)
+    /** Four consecutive entries, at any 4 B alignment. @{ */
+    static __m128i
+    load4(const Entry* p)
+    {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    }
+    static void
+    store4(Entry* p, __m128i v)
+    {
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+    }
+    /** @} */
+#endif
 
-    /** Install @p tag into @p set, evicting if needed; returns way. */
-    std::uint32_t install(std::uint32_t set, std::uint64_t tag,
-                          Outcome& outcome);
+    /** The way of @p set whose tag and valid bit equal @p key, or -1. */
+    static int
+    findWay(const Entry* set, std::uint32_t ways, Entry key)
+    {
+#if defined(__SSE2__)
+        if (ways % 4 == 0) {
+            const __m128i want = _mm_set1_epi32(static_cast<int>(key));
+            const __m128i mask =
+                _mm_set1_epi32(static_cast<int>(entryKeyMask));
+            for (std::uint32_t w = 0; w < ways; w += 4) {
+                const __m128i e = _mm_and_si128(load4(set + w), mask);
+                const int eq = _mm_movemask_ps(
+                    _mm_castsi128_ps(_mm_cmpeq_epi32(e, want)));
+                if (eq != 0)
+                    return static_cast<int>(w) +
+                           std::countr_zero(static_cast<unsigned>(eq));
+            }
+            return -1;
+        }
+#endif
+        int way = -1;
+        for (std::uint32_t w = ways; w-- > 0;)
+            way = (set[w] & entryKeyMask) == key ? static_cast<int>(w)
+                                                 : way;
+        return way;
+    }
+
+    /** Move entry @p way to the front, the ones before it back by one. */
+    static void
+    promote(Entry* set, int way)
+    {
+        for (int w = way; w > 0; --w)
+            std::swap(set[w], set[w - 1]);
+    }
+
+    /** Move entries [0, ways - 1) back by one; the last falls off. */
+    static void
+    shiftBack(Entry* set, std::uint32_t ways)
+    {
+#if defined(__SSE2__)
+        if (ways >= 8 && ways % 4 == 0) {
+            // Four ways at a time from the back: each load sits below
+            // every store made so far.
+            for (std::uint32_t w = ways - 4; w >= 4; w -= 4)
+                store4(set + w, load4(set + w - 1));
+            store4(set + 1, load4(set));
+            return;
+        }
+#endif
+        for (std::uint32_t w = ways - 1; w > 0; --w)
+            set[w] = set[w - 1];
+    }
+
+    Entry*
+    setEntries(std::uint32_t set)
+    {
+        return storage_.data() + first_ +
+               static_cast<std::size_t>(set) * params_.assoc;
+    }
+    const Entry*
+    setEntries(std::uint32_t set) const
+    {
+        return storage_.data() + first_ +
+               static_cast<std::size_t>(set) * params_.assoc;
+    }
+
+    /** Set and range-checked tag of @p addr (fatal if too wide). */
+    void locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const;
+
+    Outcome accessLine(std::uint32_t set, std::uint64_t tag, bool write);
+
+    /** Install @p tag with @p flags into @p set, evicting if needed. */
+    void install(std::uint32_t set, std::uint64_t tag, Entry flags,
+                 Outcome& outcome);
 
     CacheParams params_;
     Addr lineMask_;
@@ -196,11 +317,12 @@ class Cache
     unsigned setBits_;
     std::uint64_t setMask_;
 
-    std::vector<std::uint64_t> tags_;
-    std::vector<std::uint8_t> flags_;
+    /** sets * ways entries from first_, which starts a host line. */
+    std::vector<Entry> storage_;
+    std::size_t first_ = 0;
+    /** Null under LRU and FIFO, which the entry order itself keeps. */
     std::unique_ptr<ReplacementState> repl_;
-    /** Raw LRU stamp window (null stamps => no fast path). */
-    LruDirectView lruView_;
+    bool lru_;
     CacheStats stats_;
 };
 

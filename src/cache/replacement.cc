@@ -1,6 +1,7 @@
 #include "cache/replacement.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "base/bitops.hh"
 #include "base/logging.hh"
@@ -44,72 +45,6 @@ toString(ReplPolicy p)
 }
 
 namespace {
-
-/**
- * Timestamp-based state shared by LRU and FIFO: LRU refreshes the stamp
- * on every touch, FIFO only stamps at fill time.
- */
-class StampState : public ReplacementState
-{
-  public:
-    StampState(ReplPolicy p, std::uint32_t sets, std::uint32_t ways)
-        : policy_(p), ways_(ways),
-          stamps_(static_cast<std::size_t>(sets) * ways, 0)
-    {}
-
-    void
-    touch(std::uint32_t set, std::uint32_t way) override
-    {
-        if (policy_ == ReplPolicy::LRU)
-            stamps_[idx(set, way)] = ++clock_;
-    }
-
-    void
-    fill(std::uint32_t set, std::uint32_t way) override
-    {
-        stamps_[idx(set, way)] = ++clock_;
-    }
-
-    std::uint32_t
-    victim(std::uint32_t set) override
-    {
-        std::size_t base = static_cast<std::size_t>(set) * ways_;
-        std::uint32_t best = 0;
-        std::uint64_t best_stamp = stamps_[base];
-        for (std::uint32_t w = 1; w < ways_; ++w) {
-            if (stamps_[base + w] < best_stamp) {
-                best_stamp = stamps_[base + w];
-                best = w;
-            }
-        }
-        return best;
-    }
-
-    ReplPolicy policy() const override { return policy_; }
-
-    LruDirectView
-    lruDirect() override
-    {
-        // Only LRU touches on hits; FIFO's stamps move at fill time
-        // alone, so exposing them would let the fast path corrupt the
-        // insertion order.
-        if (policy_ != ReplPolicy::LRU)
-            return {};
-        return LruDirectView{stamps_.data(), &clock_};
-    }
-
-  private:
-    std::size_t
-    idx(std::uint32_t set, std::uint32_t way) const
-    {
-        return static_cast<std::size_t>(set) * ways_ + way;
-    }
-
-    ReplPolicy policy_;
-    std::uint32_t ways_;
-    std::uint64_t clock_ = 0;
-    std::vector<std::uint64_t> stamps_;
-};
 
 /** Deterministic pseudo-random victim selection. */
 class RandomState : public ReplacementState
@@ -267,7 +202,7 @@ ReplacementState::create(ReplPolicy p, std::uint32_t sets,
     switch (p) {
       case ReplPolicy::LRU:
       case ReplPolicy::FIFO:
-        return std::make_unique<StampState>(p, sets, ways);
+        return nullptr;
       case ReplPolicy::Random:
         return std::make_unique<RandomState>(ways);
       case ReplPolicy::TreePLRU:

@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace cosim {
 
@@ -33,20 +32,11 @@ ReplPolicy parseReplPolicy(const std::string& name);
 const char* toString(ReplPolicy p);
 
 /**
- * Raw window into an LRU policy's recency state, letting the cache's
- * inlined hit fast path apply the touch (stamps[set*ways+way] = ++clock)
- * without a virtual call per hit. Null pointers mean the policy does not
- * support direct touching and the caller must use the virtual interface.
- */
-struct LruDirectView
-{
-    std::uint64_t* stamps = nullptr; ///< sets*ways recency stamps
-    std::uint64_t* clock = nullptr;  ///< global access clock
-};
-
-/**
- * Per-cache replacement state. The cache calls touch() on hits, fill() on
- * insertions, and victim() when it must evict from a full set.
+ * Per-cache replacement state of the policies that pick victims at
+ * fixed way positions (Random, Tree-PLRU, NRU). The cache calls touch()
+ * on hits, fill() on insertions, and victim() when it must evict from a
+ * full set. LRU and FIFO need no state of their own: the cache keeps
+ * each set's entries in recency or fill order (cache/cache.hh).
  */
 class ReplacementState
 {
@@ -66,13 +56,9 @@ class ReplacementState
     virtual ReplPolicy policy() const = 0;
 
     /**
-     * De-virtualized touch support. The default (no view) keeps every
-     * policy correct through the virtual interface; LRU overrides it so
-     * the dominant L1-hit path can skip the dispatch.
+     * Factory; null for LRU and FIFO. @p ways must be a power of two
+     * for TreePLRU.
      */
-    virtual LruDirectView lruDirect() { return {}; }
-
-    /** Factory. @p ways must be a power of two for TreePLRU. */
     static std::unique_ptr<ReplacementState>
     create(ReplPolicy p, std::uint32_t sets, std::uint32_t ways);
 };

@@ -124,7 +124,6 @@ llcConfig(std::uint64_t size, std::uint32_t line_size)
     dh.llc.assoc = 16;
     dh.llc.repl = ReplPolicy::LRU;
     dh.nSlices = 4;
-    dh.maxCores = 64;
     dh.cb.samplePeriodUs = 500;
     dh.cb.coreFreqGhz = 3.0;
     return dh;

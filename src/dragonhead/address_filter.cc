@@ -2,42 +2,27 @@
 
 namespace cosim {
 
-FilterAction
-AddressFilter::process(const BusTransaction& txn, CoreId& core_out,
-                       msg::Message& msg_out)
+void
+AddressFilter::consume(const BusTransaction& txn, msg::Message& msg_out)
 {
-    ++stats_.observed;
-
-    if (txn.kind == TxnKind::Message || msg::isMessageAddr(txn.addr)) {
-        ++stats_.messages;
-        msg_out = msg::decode(txn.addr);
-        switch (msg_out.type) {
-          case msg::Type::StartEmulation:
-            emulating_ = true;
-            break;
-          case msg::Type::StopEmulation:
-            emulating_ = false;
-            break;
-          case msg::Type::SetCoreId:
-            currentCore_ = static_cast<CoreId>(msg_out.payload);
-            break;
-          case msg::Type::InstRetired:
-          case msg::Type::CyclesCompleted:
-            // Bookkeeping messages are consumed here and interpreted by
-            // the control block.
-            break;
-        }
-        return FilterAction::Consumed;
+    ++stats_.messages;
+    msg_out = msg::decode(txn.addr);
+    switch (msg_out.type) {
+      case msg::Type::StartEmulation:
+        emulating_ = true;
+        break;
+      case msg::Type::StopEmulation:
+        emulating_ = false;
+        break;
+      case msg::Type::SetCoreId:
+        currentCore_ = static_cast<CoreId>(msg_out.payload);
+        break;
+      case msg::Type::InstRetired:
+      case msg::Type::CyclesCompleted:
+        // Bookkeeping messages are consumed here and interpreted by
+        // the control block.
+        break;
     }
-
-    if (!emulating_) {
-        ++stats_.dropped;
-        return FilterAction::Dropped;
-    }
-
-    ++stats_.forwarded;
-    core_out = currentCore_;
-    return FilterAction::Forward;
 }
 
 void

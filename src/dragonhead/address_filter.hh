@@ -47,10 +47,26 @@ class AddressFilter
     /**
      * Regulate one transaction.
      * On Forward, @p core_out is the core that owns the current slice.
-     * On Consumed, @p msg_out is the decoded message.
+     * On Consumed, @p msg_out is the decoded message. Inline: every
+     * emulator runs it once per bus transaction.
      */
-    FilterAction process(const BusTransaction& txn, CoreId& core_out,
-                         msg::Message& msg_out);
+    FilterAction
+    process(const BusTransaction& txn, CoreId& core_out,
+            msg::Message& msg_out)
+    {
+        ++stats_.observed;
+        if (txn.kind == TxnKind::Message || msg::isMessageAddr(txn.addr)) {
+            consume(txn, msg_out);
+            return FilterAction::Consumed;
+        }
+        if (!emulating_) {
+            ++stats_.dropped;
+            return FilterAction::Dropped;
+        }
+        ++stats_.forwarded;
+        core_out = currentCore_;
+        return FilterAction::Forward;
+    }
 
     bool emulating() const { return emulating_; }
     CoreId currentCore() const { return currentCore_; }
@@ -59,6 +75,9 @@ class AddressFilter
     void reset();
 
   private:
+    /** Decode message @p txn and apply it to the window and core. */
+    void consume(const BusTransaction& txn, msg::Message& msg_out);
+
     bool emulating_ = false;
     CoreId currentCore_ = 0;
     FilterStats stats_;

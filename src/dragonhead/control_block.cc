@@ -17,14 +17,6 @@ ControlBlock::ControlBlock(const ControlBlockParams& params)
 }
 
 void
-ControlBlock::attachControllers(const std::vector<CacheController*>& ccs)
-{
-    for (CacheController* cc : ccs)
-        panic_if(cc == nullptr, "null cache controller attached to CB");
-    ccs_ = ccs;
-}
-
-void
 ControlBlock::traceSample(const Sample& s) const
 {
     obs::TraceSession& trace = obs::TraceSession::global();
@@ -37,15 +29,11 @@ ControlBlock::traceSample(const Sample& s) const
 }
 
 void
-ControlBlock::pollControllers(std::uint64_t& accesses,
-                              std::uint64_t& misses) const
+ControlBlock::pollCounters(std::uint64_t& accesses,
+                           std::uint64_t& misses) const
 {
-    accesses = 0;
-    misses = 0;
-    for (const CacheController* cc : ccs_) {
-        accesses += cc->stats().accesses;
-        misses += cc->stats().misses;
-    }
+    accesses = llc_ != nullptr ? llc_->accesses : 0;
+    misses = llc_ != nullptr ? llc_->misses : 0;
 }
 
 void
@@ -56,7 +44,7 @@ ControlBlock::onMessage(const msg::Message& m)
         // Window accounting restarts at the emulation window boundary.
         windowCycleMark_ = totalCycles_;
         windowInstMark_ = totalInsts_;
-        pollControllers(windowAccessMark_, windowMissMark_);
+        pollCounters(windowAccessMark_, windowMissMark_);
         break;
       case msg::Type::StopEmulation:
         flushWindow();
@@ -78,7 +66,7 @@ ControlBlock::onMessage(const msg::Message& m)
 
             std::uint64_t acc = 0;
             std::uint64_t mis = 0;
-            pollControllers(acc, mis);
+            pollCounters(acc, mis);
 
             Sample s;
             s.timeUs = static_cast<double>(windowsClosed_) *
@@ -103,7 +91,7 @@ ControlBlock::flushWindow()
 {
     std::uint64_t acc = 0;
     std::uint64_t mis = 0;
-    pollControllers(acc, mis);
+    pollCounters(acc, mis);
 
     Cycles partial = totalCycles_ - windowCycleMark_;
     InstCount insts = totalInsts_ - windowInstMark_;

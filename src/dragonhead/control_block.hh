@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "dragonhead/cache_controller.hh"
+#include "cache/cache.hh"
 #include "dragonhead/fsb_messages.hh"
 
 namespace cosim {
@@ -66,8 +66,11 @@ class ControlBlock
   public:
     explicit ControlBlock(const ControlBlockParams& params);
 
-    /** Tell the CB which controllers to poll for access/miss counts. */
-    void attachControllers(const std::vector<CacheController*>& ccs);
+    /**
+     * Tell the CB whose access/miss counts to poll: the emulated LLC's
+     * (all CC slices together). Unattached, every poll reads zero.
+     */
+    void attachCounters(const CacheStats* llc) { llc_ = llc; }
 
     /** Feed a consumed message (forwarded by the AF). */
     void onMessage(const msg::Message& m);
@@ -89,15 +92,15 @@ class ControlBlock
     void reset();
 
   private:
-    /** Sum of (accesses, misses) over all attached controllers. */
-    void pollControllers(std::uint64_t& accesses,
-                         std::uint64_t& misses) const;
+    /** Current (accesses, misses) of the attached counters. */
+    void pollCounters(std::uint64_t& accesses,
+                      std::uint64_t& misses) const;
 
     /** Publish a just-closed window to an active trace session. */
     void traceSample(const Sample& s) const;
 
     ControlBlockParams params_;
-    std::vector<CacheController*> ccs_;
+    const CacheStats* llc_ = nullptr;
 
     InstCount totalInsts_ = 0;
     Cycles totalCycles_ = 0;

@@ -22,39 +22,51 @@ labeledCb(const DragonheadParams& params)
     return cb;
 }
 
+/** The LLC's geometry, once the slice count is known to divide it. */
+const CacheParams&
+sliceable(const DragonheadParams& params)
+{
+    fatal_if(params.nSlices == 0, "Dragonhead needs at least one CC");
+    fatal_if(!isPowerOf2(params.nSlices),
+             "slice count %u must be a power of two", params.nSlices);
+    fatal_if(params.llc.size % params.nSlices != 0,
+             "LLC size %llu not divisible across %u slices",
+             static_cast<unsigned long long>(params.llc.size),
+             params.nSlices);
+    return params.llc;
+}
+
+/**
+ * Count one access in its CC slice's counters. Reads, writes, hits and
+ * dirty victims mix unpredictably on the bus, so the counts are added
+ * rather than branched on.
+ */
+void
+countAccess(CacheStats& s, const Cache::Outcome& out, bool write)
+{
+    const bool miss = !out.hit;
+    ++s.accesses;
+    s.writes += write;
+    s.reads += !write;
+    s.misses += miss;
+    s.writeMisses += miss && write;
+    s.readMisses += miss && !write;
+    s.evictions += out.evicted;
+    s.writebacks += out.evictedDirty;
+}
+
 } // namespace
 
 Dragonhead::Dragonhead(const DragonheadParams& params)
-    : params_(params), cb_(labeledCb(params))
+    : params_(params), llc_(sliceable(params)), cb_(labeledCb(params)),
+      slices_(params.nSlices), perCore_(1)
 {
-    fatal_if(params_.nSlices == 0, "Dragonhead needs at least one CC");
-    fatal_if(!isPowerOf2(params_.nSlices),
-             "slice count %u must be a power of two", params_.nSlices);
-
-    const CacheParams& llc = params_.llc;
-    fatal_if(llc.size % params_.nSlices != 0,
-             "LLC size %llu not divisible across %u slices",
-             static_cast<unsigned long long>(llc.size), params_.nSlices);
-
-    CacheParams slice = llc;
-    slice.size = llc.size / params_.nSlices;
-    fatal_if(slice.sets() == 0,
+    const std::uint32_t sets = llc_.params().sets();
+    fatal_if(sets < params_.nSlices,
              "LLC too small: a slice has no complete set");
-
-    for (unsigned i = 0; i < params_.nSlices; ++i) {
-        slice.name = llc.name + ".cc" + std::to_string(i);
-        ccs_.push_back(std::make_unique<CacheController>(
-            i, slice, params_.maxCores));
-    }
-
-    std::vector<CacheController*> raw;
-    raw.reserve(ccs_.size());
-    for (auto& cc : ccs_)
-        raw.push_back(cc.get());
-    cb_.attachControllers(raw);
-
-    lineBits_ = floorLog2(llc.lineSize);
-    sliceBits_ = floorLog2(params_.nSlices);
+    cb_.attachCounters(&llc_.stats());
+    lineBits_ = floorLog2(params_.llc.lineSize);
+    sliceSetBits_ = floorLog2(sets / params_.nSlices);
 }
 
 Dragonhead::~Dragonhead() = default;
@@ -68,6 +80,9 @@ Dragonhead::observe(const BusTransaction& txn)
       case FilterAction::Dropped:
         return;
       case FilterAction::Consumed:
+        if (m.type == msg::Type::SetCoreId &&
+            af_.currentCore() >= perCore_.size())
+            perCore_.resize(af_.currentCore() + std::size_t{1});
         cb_.onMessage(m);
         return;
       case FilterAction::Forward:
@@ -77,23 +92,29 @@ Dragonhead::observe(const BusTransaction& txn)
     // Prefetch fills brought lines into *private* caches; the shared LLC
     // still observes them as line reads. WriteLine transactions install
     // the line dirty.
-    bool write = txn.kind == TxnKind::WriteLine;
+    const bool write = txn.kind == TxnKind::WriteLine;
+    const Addr line = txn.addr >> lineBits_;
+    unsigned slice;
+    Cache::Outcome out;
     if (params_.partitioning == LlcPartitioning::PerCore) {
-        // Private partitions: the slice is the issuing core's, and the
-        // full address indexes it.
-        unsigned slice = static_cast<unsigned>(core) %
-                         static_cast<unsigned>(ccs_.size());
-        ccs_[slice]->handleDemand(txn.addr, write, core);
-        return;
+        // Private partitions: the issuing core's run of sets, indexed
+        // and tagged by the full address as a cache of that size would.
+        slice = static_cast<unsigned>(core) % nSlices();
+        const Addr set_mask = (Addr{1} << sliceSetBits_) - 1;
+        out = llc_.accessSet(
+            (slice << sliceSetBits_) |
+                static_cast<std::uint32_t>(line & set_mask),
+            line >> sliceSetBits_, write);
+    } else {
+        // Interleaved: the slice is the low bits of the line address,
+        // which are also the low bits of the whole cache's set index.
+        slice = static_cast<unsigned>(line & (nSlices() - 1));
+        out = llc_.access(txn.addr, write);
     }
-    Addr line = txn.addr >> lineBits_;
-    unsigned slice = static_cast<unsigned>(line & (ccs_.size() - 1));
-    // Fold the slice-select bits out of the address the slice cache
-    // indexes with, exactly as the physical interleave does -- otherwise
-    // each CC would only ever touch 1/nSlices of its sets.
-    Addr folded = ((line >> sliceBits_) << lineBits_) |
-                  (txn.addr & (params_.llc.lineSize - 1));
-    ccs_[slice]->handleDemand(folded, write, core);
+    countAccess(slices_[slice], out, write);
+    CoreCounters& row = perCore_[core];
+    ++row.accesses;
+    row.misses += !out.hit;
 }
 
 void
@@ -108,10 +129,8 @@ LlcResults
 Dragonhead::results() const
 {
     LlcResults r;
-    for (const auto& cc : ccs_) {
-        r.accesses += cc->stats().accesses;
-        r.misses += cc->stats().misses;
-    }
+    r.accesses = llc_.stats().accesses;
+    r.misses = llc_.stats().misses;
     r.insts = cb_.totalInsts();
     r.cycles = cb_.totalCycles();
     return r;
@@ -120,20 +139,14 @@ Dragonhead::results() const
 CoreCounters
 Dragonhead::coreResults(CoreId core) const
 {
-    CoreCounters out;
-    for (const auto& cc : ccs_) {
-        const CoreCounters& c = cc->coreCounters(core);
-        out.accesses += c.accesses;
-        out.misses += c.misses;
-    }
-    return out;
+    return core < perCore_.size() ? perCore_[core] : CoreCounters{};
 }
 
-const CacheController&
-Dragonhead::slice(unsigned i) const
+const CacheStats&
+Dragonhead::sliceStats(unsigned i) const
 {
-    panic_if(i >= ccs_.size(), "slice index %u out of range", i);
-    return *ccs_[i];
+    panic_if(i >= slices_.size(), "slice index %u out of range", i);
+    return slices_[i];
 }
 
 stats::Group&
@@ -153,7 +166,7 @@ Dragonhead::registerStats(obs::StatsRegistry& registry,
 
     for (unsigned i = 0; i < nSlices(); ++i) {
         stats::Group g(prefix + ".cc" + std::to_string(i));
-        ccs_[i]->addStats(g);
+        slices_[i].addStats(g);
         registry.add(std::move(g));
     }
     return stored;
@@ -164,8 +177,10 @@ Dragonhead::reset()
 {
     af_.reset();
     cb_.reset();
-    for (auto& cc : ccs_)
-        cc->reset();
+    llc_.flush();
+    llc_.resetStats();
+    std::fill(slices_.begin(), slices_.end(), CacheStats{});
+    perCore_.assign(1, CoreCounters{});
 }
 
 } // namespace cosim

@@ -7,6 +7,14 @@
  * software models of those blocks together and exposes the host-computer
  * view: configure a cache, snoop the bus, read performance data.
  *
+ * The CC slices are one emulated cache. The board interleaves line
+ * addresses across the slices and each slice indexes its sets with the
+ * remaining line bits, so slice j's set i is set i * nSlices + j of a
+ * monolithic cache of the full size, under the same tag: the slice id is
+ * the low bits of the set index. Per-core partitions are runs of
+ * consecutive sets instead. The Dragonhead keeps the counters each CC
+ * kept, per slice and per core, beside that one cache.
+ *
  * Like the FPGA, the emulator is *passive*: it never affects what the
  * cores do, so any number of Dragonhead instances with different cache
  * configurations can snoop the same bus simultaneously -- that is how the
@@ -16,13 +24,11 @@
 #ifndef COSIM_DRAGONHEAD_DRAGONHEAD_HH
 #define COSIM_DRAGONHEAD_DRAGONHEAD_HH
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "dragonhead/address_filter.hh"
-#include "dragonhead/cache_controller.hh"
 #include "dragonhead/control_block.hh"
 #include "mem/fsb.hh"
 #include "obs/stats_registry.hh"
@@ -54,11 +60,15 @@ struct DragonheadParams
     /** Capacity division policy. */
     LlcPartitioning partitioning = LlcPartitioning::Interleaved;
 
-    /** Rows of per-core counters. */
-    unsigned maxCores = 64;
-
     /** CB sampling configuration. */
     ControlBlockParams cb;
+};
+
+/** Per-core LLC counters, as the CCs kept them. */
+struct CoreCounters
+{
+    std::uint64_t accesses = 0;
+    std::uint64_t misses = 0;
 };
 
 /** Aggregated LLC results, the host-computer view. */
@@ -91,6 +101,10 @@ class Dragonhead : public BusSnooper
     explicit Dragonhead(const DragonheadParams& params);
     ~Dragonhead() override;
 
+    /** The CB polls the cache's counters in place. */
+    Dragonhead(const Dragonhead&) = delete;
+    Dragonhead& operator=(const Dragonhead&) = delete;
+
     /** BusSnooper: regulate and emulate one transaction. */
     void observe(const BusTransaction& txn) override;
 
@@ -104,7 +118,7 @@ class Dragonhead : public BusSnooper
     /** Aggregated results over the whole emulation window. */
     LlcResults results() const;
 
-    /** Per-core accesses/misses summed over slices. */
+    /** Per-core accesses/misses (zero for a core never announced). */
     CoreCounters coreResults(CoreId core) const;
 
     /** The 500 us sample series. */
@@ -112,10 +126,12 @@ class Dragonhead : public BusSnooper
 
     const DragonheadParams& params() const { return params_; }
     const AddressFilter& addressFilter() const { return af_; }
-    const CacheController& slice(unsigned i) const;
+
+    /** The counters CC slice @p i kept (its share of the accesses). */
+    const CacheStats& sliceStats(unsigned i) const;
     unsigned nSlices() const
     {
-        return static_cast<unsigned>(ccs_.size());
+        return static_cast<unsigned>(slices_.size());
     }
 
     /** Return the board to power-on state. */
@@ -133,10 +149,17 @@ class Dragonhead : public BusSnooper
   private:
     DragonheadParams params_;
     AddressFilter af_;
-    std::vector<std::unique_ptr<CacheController>> ccs_;
+    /** The whole LLC, every slice's sets. */
+    Cache llc_;
     ControlBlock cb_;
+    /** Per-slice counters, indexed by slice id. */
+    std::vector<CacheStats> slices_;
+    /** Per-core counters; grown on SetCoreId, so the AF's current core
+     * always has a row. */
+    std::vector<CoreCounters> perCore_;
     unsigned lineBits_;
-    unsigned sliceBits_;
+    /** Sets per slice (a per-core partition's sets), as a shift. */
+    unsigned sliceSetBits_;
 };
 
 } // namespace cosim

@@ -8,7 +8,7 @@
  * FrontSideBus::issue(), which is the same entry point the CPU models
  * use. The bus therefore keeps its own traffic counters, applies its
  * configured batching, and hands chunks to BusSnooper::observeBatch()
- * exactly as in a live run: CacheController counters and CB sample
+ * exactly as in a live run: per-slice and per-core counters and CB sample
  * series come out bit-identical (tests/test_replay.cc enforces this),
  * only the guest execution is gone.
  */

@@ -307,25 +307,56 @@ TEST(Replacement, TreePlruRoundRobinTouchCyclesVictims)
     EXPECT_EQ(state->victim(0), 0u);
 }
 
-TEST(Replacement, LruExactOrder)
+TEST(Cache, LruExactOrder)
 {
-    auto state = ReplacementState::create(ReplPolicy::LRU, 1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        state->fill(0, w);
-    state->touch(0, 0); // order now 1, 2, 3, 0
-    EXPECT_EQ(state->victim(0), 1u);
-    state->touch(0, 1);
-    EXPECT_EQ(state->victim(0), 2u);
+    // One 4-way set: lines at a 64 B stride all land in it.
+    Cache c(smallCache(4 * 64, 64, 4));
+    for (Addr line = 0; line < 4; ++line)
+        c.access(line * 64, false);
+    c.access(0, false); // recency now 1, 2, 3, 0
+    auto out = c.access(4 * 64, false);
+    EXPECT_TRUE(out.evicted);
+    EXPECT_EQ(out.victimAddr, 1 * 64u);
+    c.access(2 * 64, false); // recency now 3, 0, 4, 2
+    EXPECT_EQ(c.access(5 * 64, false).victimAddr, 3 * 64u);
+    EXPECT_EQ(c.access(6 * 64, false).victimAddr, 0u);
 }
 
-TEST(Replacement, FifoIgnoresTouches)
+TEST(Cache, FifoIgnoresTouches)
 {
-    auto state = ReplacementState::create(ReplPolicy::FIFO, 1, 4);
-    for (std::uint32_t w = 0; w < 4; ++w)
-        state->fill(0, w);
-    state->touch(0, 0);
-    state->touch(0, 0);
-    EXPECT_EQ(state->victim(0), 0u); // oldest fill regardless of touches
+    Cache c(smallCache(4 * 64, 64, 4, ReplPolicy::FIFO));
+    for (Addr line = 0; line < 4; ++line)
+        c.access(line * 64, false);
+    EXPECT_TRUE(c.access(0, false).hit);
+    EXPECT_TRUE(c.tryHitFast(0, true));
+    // Oldest fill regardless of touches, then the next oldest.
+    auto out = c.access(4 * 64, false);
+    EXPECT_TRUE(out.evicted);
+    EXPECT_TRUE(out.evictedDirty);
+    EXPECT_EQ(out.victimAddr, 0u);
+    EXPECT_EQ(c.access(5 * 64, false).victimAddr, 1 * 64u);
+}
+
+// 8 sets of 64 B lines: tags start at bit 9, so address bits 38 and up
+// do not fit an entry. Line 0 holds the entry that 2^40's tag would
+// truncate to; 2^40 must still read as absent.
+constexpr Addr outOfRange = Addr{1} << 40;
+
+TEST(Cache, ProbeReportsOutOfRangeLineAbsent)
+{
+    Cache c(smallCache());
+    c.access(0, false);
+    EXPECT_FALSE(c.probe(outOfRange));
+    EXPECT_FALSE(c.tryHitFast(outOfRange, false));
+    EXPECT_EQ(c.stats().accesses, 1u);
+}
+
+TEST(Cache, InvalidateReportsOutOfRangeLineAbsent)
+{
+    Cache c(smallCache());
+    c.access(0, true);
+    EXPECT_FALSE(c.invalidate(outOfRange));
+    EXPECT_TRUE(c.probe(0)); // line 0 is untouched
 }
 
 TEST(Replacement, NruFindsUnreferenced)

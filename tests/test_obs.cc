@@ -300,7 +300,6 @@ TEST_F(TraceSessionTest, CoSimulationRunEmitsQuantumSpansAndCbCounters)
     DragonheadParams dh;
     dh.llc = {"llc", 64 * KiB, 64, 4, ReplPolicy::LRU};
     dh.nSlices = 4;
-    dh.maxCores = 8;
     // 1 GHz, 500 us windows -> one window per 500k emulated cycles.
     dh.cb.coreFreqGhz = 1.0;
     params.emulators = {dh};

@@ -50,7 +50,6 @@ llc(std::uint64_t size)
     DragonheadParams dh;
     dh.llc = {"llc", size, 64, 4, ReplPolicy::LRU};
     dh.nSlices = 4;
-    dh.maxCores = 8;
     return dh;
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "base/logging.hh"
 #include "base/units.hh"
@@ -51,6 +52,40 @@ TEST_F(ParamValidation, CacheRejectsBadGeometry)
 
     CacheParams p3{"bad", 3 * 64 * 4, 64, 4, ReplPolicy::LRU};
     EXPECT_THROW(Cache c(p3), std::runtime_error); // 3 sets
+}
+
+/** The message of the fatal() that @p f raises, or "" if none. */
+template <typename F>
+std::string
+fatalMessage(F f)
+{
+    try {
+        f();
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST_F(ParamValidation, CacheAccessRejectsOutOfRangeTag)
+{
+    // 8 sets of 64 B lines: the tag starts at bit 9 and holds 29 bits.
+    Cache c(CacheParams{"l1", 1024, 64, 2, ReplPolicy::LRU});
+    EXPECT_NO_THROW(c.access((Addr{1} << 38) - 1, false));
+    const std::string msg =
+        fatalMessage([&] { c.access(Addr{1} << 38, false); });
+    EXPECT_NE(msg.find("l1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("0x4000000000"), std::string::npos) << msg;
+}
+
+TEST_F(ParamValidation, CachePrefetchFillRejectsOutOfRangeTag)
+{
+    Cache c(CacheParams{"l2", 1024, 64, 2, ReplPolicy::LRU});
+    const std::string msg =
+        fatalMessage([&] { c.prefetchFill(Addr{0xdead} << 40); });
+    EXPECT_NE(msg.find("l2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("0xdead0000000000"), std::string::npos) << msg;
+    EXPECT_EQ(c.stats().prefetchFills, 0u);
 }
 
 TEST_F(ParamValidation, TreePlruNeedsPowerOfTwoWays)

@@ -4,7 +4,7 @@
  *
  * The tentpole property: replaying a captured stream through any
  * emulator configuration is *bit-identical* to live snooping -- every
- * CacheController counter, per-core counter and ControlBlock 500 us
+ * per-slice counter, per-core counter and ControlBlock 500 us
  * sample window -- in serial and in worker-thread emulation mode.
  * On top of that: replay provenance in RunResult, sweep cell-mode
  * equivalence (combined / exec / replay decompositions produce the same
@@ -56,7 +56,6 @@ llc(std::uint64_t size)
     DragonheadParams dh;
     dh.llc = {"llc", size, 64, 4, ReplPolicy::LRU};
     dh.nSlices = 4;
-    dh.maxCores = 8;
     return dh;
 }
 
