@@ -17,7 +17,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -139,28 +138,6 @@ BM_CoSimParallelEmulators(benchmark::State& state)
     reportMips(state, insts);
 }
 BENCHMARK(BM_CoSimParallelEmulators)->Arg(1)->Arg(4)->Arg(7)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_CoSimDexShards(benchmark::State& state)
-{
-    unsigned dex_threads = static_cast<unsigned>(state.range(0));
-    CoSimParams params;
-    params.platform = smallPlatform(8);
-    params.platform.dex.hostThreads = dex_threads;
-    params.emulators = sweepEmulators(7);
-    CoSimulation cosim(params);
-    std::uint64_t insts = 0;
-    for (auto _ : state) {
-        bench::LoopWorkload wl(256 * KiB, 2);
-        WorkloadConfig cfg;
-        cfg.nThreads = 8;
-        RunResult r = cosim.run(wl, cfg);
-        insts = r.totalInsts;
-    }
-    reportMips(state, insts);
-}
-BENCHMARK(BM_CoSimDexShards)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -322,11 +299,10 @@ struct ModeResult
 };
 
 ModeResult
-runSweepOnce(unsigned emulation_threads, unsigned dex_threads = 0)
+runSweepOnce(unsigned emulation_threads)
 {
     CoSimParams params;
     params.platform = smallPlatform(8);
-    params.platform.dex.hostThreads = dex_threads;
     params.emulators = sweepEmulators(7);
     params.emulationThreads = emulation_threads;
     CoSimulation cosim(params);
@@ -498,7 +474,7 @@ writeMipsJson()
     std::string path = env != nullptr ? env : "BENCH_mips.json";
 
     // Report the host honestly: hardware_concurrency() as the kernel
-    // sees it, not a clamped pool size. A DEX/emulation "speedup" on a
+    // sees it, not a clamped pool size. An emulation "speedup" on a
     // box with fewer cores than requested threads is noise, and the
     // JSON must say so rather than flatter the run.
     const unsigned host_cores = std::thread::hardware_concurrency();
@@ -511,31 +487,6 @@ writeMipsJson()
         ? serial.hostSeconds / parallel.hostSeconds
         : 0.0;
 
-    // The --dex-threads sweep column: same rig, guest execution
-    // sharded 0 (classic) / 2 / 4 ways. Results must stay
-    // bit-identical; MIPS is the tracked number.
-    const unsigned dex_values[] = {0, 2, 4};
-    std::vector<ModeResult> dex_results;
-    bool dex_identical = true;
-    for (unsigned dex : dex_values) {
-        if (dex > host_cores) {
-            std::fprintf(stderr,
-                         "microbench_mips: WARNING: host has %u "
-                         "core(s) but the DEX sweep requests %u "
-                         "threads; the dex_sweep timing columns are "
-                         "oversubscribed and NOT evidence of "
-                         "speedup\n", host_cores, dex);
-        }
-        dex_results.push_back(runSweepOnce(0, dex));
-        dex_identical = dex_identical &&
-                        identicalResults(serial, dex_results.back());
-    }
-    const double dex_best_mips =
-        std::max(dex_results[1].simMips, dex_results[2].simMips);
-    const double dex_speedup = dex_results[0].simMips > 0.0
-        ? dex_best_mips / dex_results[0].simMips
-        : 0.0;
-
     const double reg_single = measureRegistryOps(/*serialize=*/true);
     const double reg_sharded = measureRegistryOps(/*serialize=*/false);
     const double reg_speedup =
@@ -544,7 +495,7 @@ writeMipsJson()
     const SampledResult sampled = runSampledComparison();
 
     std::string out = "{\n";
-    out += "  \"schema\": \"cosim-bench-mips/3\",\n";
+    out += "  \"schema\": \"cosim-bench-mips/4\",\n";
     out += "  \"git\": " + json::quote(obs::buildRevision()) + ",\n";
     out += "  \"host_cores\": " + json::number(host_cores) + ",\n";
     out += "  \"host_threads\": " + json::number(host_threads) + ",\n";
@@ -554,20 +505,6 @@ writeMipsJson()
     out += "  \"speedup\": " + json::number(speedup) + ",\n";
     out += std::string("  \"identical_results\": ") +
            (identical ? "true" : "false") + ",\n";
-    out += "  \"dex_sweep\": [";
-    for (std::size_t i = 0; i < dex_results.size(); ++i) {
-        const ModeResult& m = dex_results[i];
-        out += std::string(i ? "," : "") + "\n    {\"dex_threads\": " +
-               json::number(dex_values[i]) + ", \"host_seconds\": " +
-               json::number(m.hostSeconds) + ", \"sim_mips\": " +
-               json::number(m.simMips) + "}";
-    }
-    out += "\n  ],\n";
-    out += "  \"dex_speedup\": " + json::number(dex_speedup) + ",\n";
-    out += std::string("  \"dex_identical_results\": ") +
-           (dex_identical ? "true" : "false") + ",\n";
-    out += std::string("  \"dex_honest_cores\": ") +
-           (host_cores >= 2 ? "true" : "false") + ",\n";
     out += "  \"stats_registration\": {\"single_lock_ops_per_s\": " +
            json::number(reg_single) + ", \"sharded_ops_per_s\": " +
            json::number(reg_sharded) + ", \"speedup\": " +
@@ -594,13 +531,7 @@ writeMipsJson()
                        "registering concurrently: single_lock wraps "
                        "the sharded registry in one global mutex "
                        "(the pre-sharding behaviour), sharded is the "
-                       "16-way lock-striped registry as shipped. "
-                       "dex_sweep shards guest execution with "
-                       "--dex-threads; when dex_honest_cores is false "
-                       "the host cannot run the shards concurrently "
-                       "and the timing column is not evidence of "
-                       "speedup (dex_identical_results still is "
-                       "evidence of determinism)") +
+                       "16-way lock-striped registry as shipped.") +
            "\n";
     out += "}\n";
 
@@ -614,11 +545,6 @@ writeMipsJson()
                 "%.2fx, identical=%s -> %s\n", serial.simMips,
                 host_threads, parallel.simMips, speedup,
                 identical ? "yes" : "NO", path.c_str());
-    std::printf("dex sweep: classic %.1f MIPS, 2-shard %.1f MIPS, "
-                "4-shard %.1f MIPS (speedup %.2fx on %u host "
-                "core(s)), identical=%s\n", dex_results[0].simMips,
-                dex_results[1].simMips, dex_results[2].simMips,
-                dex_speedup, host_cores, dex_identical ? "yes" : "NO");
     std::printf("stats registration: single-lock %.0f ops/s, sharded "
                 "%.0f ops/s (%.2fx)\n", reg_single, reg_sharded,
                 reg_speedup);
@@ -632,11 +558,6 @@ writeMipsJson()
     if (!identical) {
         std::fprintf(stderr, "microbench_mips: parallel emulation "
                      "diverged from serial!\n");
-        std::exit(1);
-    }
-    if (!dex_identical) {
-        std::fprintf(stderr, "microbench_mips: sharded DEX execution "
-                     "diverged from the classic scheduler!\n");
         std::exit(1);
     }
     if (!sampled.deterministic) {

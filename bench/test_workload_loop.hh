@@ -47,9 +47,6 @@ class LoopTask : public ThreadTask
   public:
     LoopTask(LoopWorkload& wl, unsigned tid) : wl_(wl), tid_(tid) {}
 
-    /** Concurrent-safe: every task streams over its own array. */
-    bool parallelStepSafe() const override { return true; }
-
     bool
     step(CoreContext& ctx) override
     {

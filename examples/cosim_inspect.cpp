@@ -947,21 +947,23 @@ normalizeErase(Value& obj, const char* const* keys, std::size_t n)
  * Strip the fields of a run manifest that legitimately differ between
  * two runs of the same sweep configuration: host timing (wall seconds,
  * MIPS, speedup, profiler phases, stream encode/decode seconds) and
- * the resume block. Everything else -- results, series, verification,
- * statuses, stream byte/txn counts -- must match exactly.
+ * the resume block. Older manifests also carry host.dex_threads, a
+ * retired guest-threading knob that never changed results. Everything
+ * else -- results, series, verification, statuses, stream byte/txn
+ * counts -- must match exactly.
  */
 void
 normalizeRun(Value& doc)
 {
     static const char* kTop[] = {"resume"};
     static const char* kHost[] = {"sim_mips", "wall_seconds", "speedup",
-                                  "phases"};
+                                  "phases", "dex_threads"};
     static const char* kStream[] = {"seconds"};
     static const char* kWorkload[] = {"host_seconds", "sim_mips"};
     normalizeErase(doc, kTop, 1);
     for (auto& member : doc.obj) {
         if (member.first == "host") {
-            normalizeErase(member.second, kHost, 4);
+            normalizeErase(member.second, kHost, 5);
         } else if (member.first == "stream") {
             for (auto& sub : member.second.obj) {
                 if (sub.first == "capture" || sub.first == "replay")

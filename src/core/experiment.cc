@@ -59,7 +59,6 @@ cmpPlatform(const std::string& name, unsigned n_cores)
     p.nCores = n_cores;
     p.cpu = cmpCoreCpu();
     p.dex.quantumInsts = 50000;
-    p.dex.emitMessages = true;
     return p;
 }
 
@@ -96,7 +95,6 @@ unisysSmp(unsigned n_cores, bool prefetch_enabled)
     p.dram.prefetchThrottleFull = 0.80;
     p.dram.maxLatencyInflation = 4.0;
     p.dex.quantumInsts = 50000;
-    p.dex.emitMessages = true;
     return p;
 }
 

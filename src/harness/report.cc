@@ -1,5 +1,9 @@
 #include "harness/report.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sys/stat.h>
@@ -41,6 +45,68 @@ fsbStreamPath(const std::string& base, const std::string& workload)
     return stem + "." + workload + ext;
 }
 
+namespace {
+
+/** Cap on --retry-cells, so the attempt count (retries + 1) is small. */
+constexpr unsigned kMaxRetryCells = 1000;
+
+/** Cap on --sample-period-us: 1000 simulated seconds per CB window. */
+constexpr std::uint64_t kMaxSamplePeriodUs = 1000000000;
+
+/**
+ * The value of "--flag=<n>" as an integer in [lo, hi]. The value must
+ * be plain decimal digits, consumed whole: no sign, no blanks, no
+ * suffix. Anything else is fatal, naming the flag.
+ */
+std::uint64_t
+integerFlag(const std::string& arg, std::uint64_t lo, std::uint64_t hi)
+{
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const char* value = arg.c_str() + eq + 1;
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(value, &end, 10);
+    fatal_if(!std::isdigit(static_cast<unsigned char>(*value)) ||
+                 *end != '\0' || errno == ERANGE || v < lo || v > hi,
+             "bad %s value '%s' (expected an integer from %llu to %llu)",
+             flag.c_str(), value, static_cast<unsigned long long>(lo),
+             static_cast<unsigned long long>(hi));
+    return v;
+}
+
+/** integerFlag() for flags stored as unsigned. */
+unsigned
+unsignedFlag(const std::string& arg, unsigned lo = 0,
+             unsigned hi = UINT_MAX)
+{
+    return static_cast<unsigned>(integerFlag(arg, lo, hi));
+}
+
+/**
+ * The value of "--flag=<x>" as a positive finite number, consumed
+ * whole. Anything else is fatal, naming the flag.
+ */
+double
+positiveFlag(const std::string& arg)
+{
+    const std::size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const char* value = arg.c_str() + eq + 1;
+    char* end = nullptr;
+    errno = 0;
+    const double v = std::strtod(value, &end);
+    fatal_if(*value == '\0' ||
+                 std::isspace(static_cast<unsigned char>(*value)) ||
+                 *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
+                 v <= 0.0,
+             "bad %s value '%s' (expected a positive number)",
+             flag.c_str(), value);
+    return v;
+}
+
+} // namespace
+
 BenchOptions
 parseBenchArgs(int argc, char** argv, const std::string& bench_description)
 {
@@ -76,10 +142,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "host threads (default 1)\n"
                 "  --emu-threads=<n> emulate Dragonheads on n worker "
                 "threads per rig (default 0 = inline)\n"
-                "  --dex-threads=<n> shard guest (DEX) execution across "
-                "n host threads per rig (default 0 =\n"
-                "                   classic scheduler; results are "
-                "bit-identical for every value)\n"
                 "  --cells=<mode>   sweep cell decomposition: combined "
                 "(default), exec (guest per config cell),\n"
                 "                   replay (guest once per workload, "
@@ -112,7 +174,7 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "  --keep-going     finish the sweep despite failed "
                 "cells (recorded with status \"failed\")\n"
                 "  --retry-cells=<n> retry a failed cell up to n extra "
-                "times (default 0)\n"
+                "times (default 0, at most 1000)\n"
                 "  --cell-timeout=<s> mark a cell failed after s "
                 "wall-clock seconds (default off)\n"
                 "  --degrade-serial adopt a dead emulation worker's "
@@ -132,14 +194,12 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 bench_description.c_str());
             std::exit(0);
         } else if (startsWith(arg, "--scale=")) {
-            opts.scale = std::strtod(arg.c_str() + 8, nullptr);
-            fatal_if(opts.scale <= 0.0, "bad --scale value '%s'",
-                     arg.c_str());
+            opts.scale = positiveFlag(arg);
         } else if (arg == "--quick") {
             opts.scale = 0.05;
             quick = true;
         } else if (startsWith(arg, "--seed=")) {
-            opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
+            opts.seed = integerFlag(arg, 0, UINT64_MAX);
             opts.seedSource = "cli";
         } else if (startsWith(arg, "--workloads=")) {
             for (const std::string& w : split(arg.substr(12), ',')) {
@@ -164,15 +224,9 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             fatal_if(opts.manifestFile.empty(),
                      "--manifest needs a file path");
         } else if (startsWith(arg, "--jobs=")) {
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 7, nullptr, 10));
-            fatal_if(opts.jobs == 0, "bad --jobs value '%s'", arg.c_str());
+            opts.jobs = unsignedFlag(arg, 1);
         } else if (startsWith(arg, "--emu-threads=")) {
-            opts.emuThreads = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 14, nullptr, 10));
-        } else if (startsWith(arg, "--dex-threads=")) {
-            opts.dexThreads = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 14, nullptr, 10));
+            opts.emuThreads = unsignedFlag(arg);
         } else if (startsWith(arg, "--cells=")) {
             std::string mode = arg.substr(8);
             if (mode == "combined") {
@@ -202,25 +256,17 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             fatal_if(opts.planOutBase.empty(),
                      "--plan-out needs a file path");
         } else if (startsWith(arg, "--warmup-windows=")) {
-            opts.warmupWindows =
-                std::strtoull(arg.c_str() + 17, nullptr, 10);
+            opts.warmupWindows = unsignedFlag(arg);
         } else if (arg == "--no-warming") {
             opts.sampledWarming = false;
         } else if (startsWith(arg, "--warm-stride=")) {
-            opts.warmStride = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 14, nullptr, 10));
-            fatal_if(opts.warmStride == 0,
-                     "bad --warm-stride value '%s' (1 delivers every "
-                     "fast-forwarded transaction)", arg.c_str());
+            // 1 delivers every fast-forwarded transaction.
+            opts.warmStride = unsignedFlag(arg, 1);
         } else if (startsWith(arg, "--sample-period-us=")) {
-            opts.samplePeriodUs =
-                std::strtoull(arg.c_str() + 19, nullptr, 10);
-            fatal_if(opts.samplePeriodUs == 0,
-                     "bad --sample-period-us value '%s'", arg.c_str());
+            opts.samplePeriodUs = integerFlag(arg, 1, kMaxSamplePeriodUs);
             sample_period_cli = true;
         } else if (startsWith(arg, "--max-phases=")) {
-            opts.maxPhases = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 13, nullptr, 10));
+            opts.maxPhases = unsignedFlag(arg);
         } else if (startsWith(arg, "--digest=")) {
             opts.digestFile = arg.substr(9);
             fatal_if(opts.digestFile.empty(), "--digest needs a file path");
@@ -230,12 +276,9 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
         } else if (arg == "--keep-going") {
             opts.keepGoing = true;
         } else if (startsWith(arg, "--retry-cells=")) {
-            opts.retryCells = static_cast<unsigned>(
-                std::strtoul(arg.c_str() + 14, nullptr, 10));
+            opts.retryCells = unsignedFlag(arg, 0, kMaxRetryCells);
         } else if (startsWith(arg, "--cell-timeout=")) {
-            opts.cellTimeout = std::strtod(arg.c_str() + 15, nullptr);
-            fatal_if(opts.cellTimeout <= 0.0,
-                     "bad --cell-timeout value '%s'", arg.c_str());
+            opts.cellTimeout = positiveFlag(arg);
         } else if (arg == "--degrade-serial") {
             opts.degradeSerial = true;
         } else if (arg == "--progress") {
@@ -267,8 +310,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
         } else if (startsWith(arg, "--cell-result=")) {
             opts.cellResultFile = arg.substr(14);
         } else if (startsWith(arg, "--heartbeat-fd=")) {
-            opts.heartbeatFd = static_cast<int>(
-                std::strtol(arg.c_str() + 15, nullptr, 10));
+            opts.heartbeatFd =
+                static_cast<int>(unsignedFlag(arg, 0, INT_MAX));
         } else if (startsWith(arg, "--self-destruct=")) {
             opts.selfDestruct = arg.substr(16);
         } else {

@@ -58,9 +58,6 @@ struct BenchOptions
     unsigned jobs = 1;
     /** Host threads per rig emulating Dragonheads (0 = inline/serial). */
     unsigned emuThreads = 0;
-    /** Host threads sharding guest (DEX) execution per rig (0 = the
-     *  classic single-thread scheduler; results identical either way). */
-    unsigned dexThreads = 0;
 
     /** @name FSB capture / replay @{ */
     /** Sweep cell decomposition. */
@@ -179,8 +176,6 @@ std::string fsbStreamPath(const std::string& base,
  *   --manifest=<f>   run manifest path (default <out>/run.json)
  *   --jobs=<n>       run up to n sweep cells on parallel host threads
  *   --emu-threads=<n> emulate Dragonheads on n worker threads per rig
- *   --dex-threads=<n> shard guest (DEX) execution across n host threads
- *                    per rig (0 = classic scheduler; bit-identical)
  *   --plan=<base>    load sampling plans from <base>.<workload>.plan.json
  *                    (requires --cells=sampled)
  *   --plan-out=<base> write generated sampling plans to
@@ -198,7 +193,7 @@ std::string fsbStreamPath(const std::string& base,
  *   --faults=<spec>  arm a fault plan (site:nth=K / site:p=X, comma-
  *                    separated; see base/fault.hh)
  *   --keep-going     finish the sweep despite failed cells
- *   --retry-cells=<n> retry a failed cell up to n times
+ *   --retry-cells=<n> retry a failed cell up to n times (n <= 1000)
  *   --cell-timeout=<s> mark cells failed after s wall-clock seconds
  *   --degrade-serial adopt dead emulation workers onto the workload
  *                    thread instead of failing the run
@@ -209,7 +204,9 @@ std::string fsbStreamPath(const std::string& base,
  *   --journal[=<f>]  write-ahead journal of cell state transitions
  *   --resume=<f>     resume an interrupted sweep from its journal
  *   --help           print usage (and exit 0)
- * Unknown flags are fatal. A --faults plan is parsed, seeded with the
+ * Unknown flags are fatal, and so is a numeric value that does not
+ * parse whole or lies outside its flag's range; the error names the
+ * flag. A --faults plan is parsed, seeded with the
  * run seed, and armed in the global FaultInjector before returning.
  * Any of the telemetry flags enables the (otherwise zero-cost) metrics
  * registry for the whole run.

@@ -394,8 +394,6 @@ RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
         rig_.reset();
         CoSimParams params;
         params.platform = fig.platform;
-        params.platform.dex.hostThreads = fig.opts.dexThreads;
-        params.platform.dex.degradeSerial = fig.opts.degradeSerial;
         switch (cell.group) {
           case EmulatorGroup::All:
             params.emulators = fig.emulators;

@@ -605,7 +605,6 @@ SweepRunner::runFigure(const std::string& figure_id,
         static_cast<unsigned>(std::min<std::size_t>(opts_.jobs, widest));
     manifest.emulationThreads = static_cast<unsigned>(
         std::min<std::size_t>(opts_.emuThreads, group));
-    manifest.dexThreads = opts_.dexThreads;
 
     auto wall0 = std::chrono::steady_clock::now();
     std::vector<WorkloadStream> streams;

@@ -18,11 +18,9 @@ DramModel::DramModel(const DramParams& params)
 void
 DramModel::endRound(Cycles round_cycles)
 {
-    // Runs at the round barrier: no quantum is in flight, so relaxed
-    // exchanges see every add of the round.
-    std::uint64_t demand = demandBytes_.exchange(0, std::memory_order_relaxed);
-    std::uint64_t prefetch =
-        prefetchBytes_.exchange(0, std::memory_order_relaxed);
+    std::uint64_t demand = demandBytes_;
+    std::uint64_t prefetch = prefetchBytes_;
+    demandBytes_ = prefetchBytes_ = 0;
     std::uint64_t bytes = demand + prefetch;
     totalDemandBytes_ += demand;
     totalPrefetchBytes_ += prefetch;
@@ -79,8 +77,7 @@ DramModel::addStats(stats::Group& group) const
 void
 DramModel::reset()
 {
-    demandBytes_.store(0, std::memory_order_relaxed);
-    prefetchBytes_.store(0, std::memory_order_relaxed);
+    demandBytes_ = prefetchBytes_ = 0;
     totalDemandBytes_ = totalPrefetchBytes_ = 0;
     lastUtilization_ = 0.0;
     effectiveLatency_ = params_.baseLatency;

@@ -20,7 +20,6 @@
 #ifndef COSIM_MEM_DRAM_HH
 #define COSIM_MEM_DRAM_HH
 
-#include <atomic>
 #include <cstdint>
 
 #include "base/stats.hh"
@@ -56,22 +55,11 @@ class DramModel
   public:
     explicit DramModel(const DramParams& params = DramParams());
 
-    /**
-     * Record @p bytes of demand (miss/writeback) traffic. Relaxed atomic
-     * add: under --dex-threads all cores of a round report concurrently,
-     * and integer byte sums commute exactly, so the round total -- the
-     * only thing endRound() reads -- is identical to serial.
-     */
-    void addDemandTraffic(std::uint64_t bytes)
-    {
-        demandBytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
+    /** Record @p bytes of demand (miss/writeback) traffic. */
+    void addDemandTraffic(std::uint64_t bytes) { demandBytes_ += bytes; }
 
-    /** Record @p bytes of prefetch traffic (same commutativity note). */
-    void addPrefetchTraffic(std::uint64_t bytes)
-    {
-        prefetchBytes_.fetch_add(bytes, std::memory_order_relaxed);
-    }
+    /** Record @p bytes of prefetch traffic. */
+    void addPrefetchTraffic(std::uint64_t bytes) { prefetchBytes_ += bytes; }
 
     /**
      * Effective latency of a demand memory access during the current
@@ -111,10 +99,9 @@ class DramModel
   private:
     DramParams params_;
 
-    /** Atomic so concurrent DEX quanta can report (see addDemandTraffic);
-     *  only touched with relaxed ops, read exactly at round boundaries. */
-    std::atomic<std::uint64_t> demandBytes_{0};
-    std::atomic<std::uint64_t> prefetchBytes_{0};
+    /** Traffic of the current round, read and zeroed by endRound(). */
+    std::uint64_t demandBytes_ = 0;
+    std::uint64_t prefetchBytes_ = 0;
     std::uint64_t totalDemandBytes_ = 0;
     std::uint64_t totalPrefetchBytes_ = 0;
 

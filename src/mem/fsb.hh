@@ -55,52 +55,12 @@ class BusSnooper
 };
 
 /**
- * Anything a producer can issue transactions into. The front-side bus
- * itself is one sink; the sharded DEX scheduler rebinds each core's
- * producer to a per-slot TxnRecorder so concurrent quanta buffer their
- * traffic instead of racing on the bus (softsdv/dex_scheduler.cc
- * merges the buffers back into the real bus in core-id order).
+ * The broadcast bus. Not thread-safe by design: cores and the DEX
+ * scheduler issue on the one host thread that runs the guest, exactly
+ * as the physical FSB serializes transactions. (Cross-thread fan-out
+ * happens *behind* a snooper -- see AsyncEmulatorBank.)
  */
-class TxnSink
-{
-  public:
-    virtual ~TxnSink() = default;
-
-    /** Accept one transaction, in the producer's issue order. */
-    virtual void issue(const BusTransaction& txn) = 0;
-};
-
-/**
- * A sink that records instead of delivering: the per-slot slice buffer
- * of the sharded DEX scheduler. One worker thread owns a recorder at a
- * time, so it needs no locking; the round merge drains it on the
- * scheduling thread.
- */
-class TxnRecorder : public TxnSink
-{
-  public:
-    void issue(const BusTransaction& txn) override
-    {
-        txns_.push_back(txn);
-    }
-
-    const std::vector<BusTransaction>& txns() const { return txns_; }
-    void clear() { txns_.clear(); }
-    void reserve(std::size_t n) { txns_.reserve(n); }
-
-  private:
-    std::vector<BusTransaction> txns_;
-};
-
-/**
- * The broadcast bus. Not thread-safe by design: all delivery happens on
- * the scheduling host thread, exactly as the physical FSB serializes
- * transactions. Under --dex-threads the concurrently executed quanta
- * issue into per-slot TxnRecorders and only the round merge -- on the
- * scheduling thread -- touches the bus. (Cross-thread fan-out happens
- * *behind* a snooper -- see AsyncEmulatorBank.)
- */
-class FrontSideBus : public TxnSink
+class FrontSideBus
 {
   public:
     /** Attach a snooper; it starts seeing subsequent transactions. */
@@ -114,7 +74,7 @@ class FrontSideBus : public TxnSink
     void detach(BusSnooper* snooper);
 
     /** Broadcast one transaction to every snooper. */
-    void issue(const BusTransaction& txn) override;
+    void issue(const BusTransaction& txn);
 
     /**
      * Accumulate up to @p txns transactions per delivery chunk; 0 or 1

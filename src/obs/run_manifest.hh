@@ -139,8 +139,6 @@ struct RunManifest
     unsigned hostJobs = 1;
     /** Dragonhead emulation worker threads per rig (0 = inline). */
     unsigned emulationThreads = 0;
-    /** Guest (DEX) execution shards per rig (0 = classic scheduler). */
-    unsigned dexThreads = 0;
     /** Wall-clock of the whole sweep phase. */
     double wallSeconds = 0.0;
     /** Sum of per-workload host seconds over wallSeconds (>= ~1). */

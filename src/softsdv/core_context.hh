@@ -51,33 +51,6 @@ class CoreContext
     /** Scheduler-side: re-arm for the next step. */
     void clearYield() { yielded_ = false; }
 
-    /**
-     * Synchronization fence. Guest code calls this at the entry of any
-     * step that is about to touch a shared sync primitive (see
-     * BarrierWaiter::wait). In the serial scheduler the fence is unarmed
-     * and returns false -- the step proceeds exactly as before. Under
-     * --dex-threads the concurrent pass arms it: the call returns true,
-     * the step must immediately return without simulating anything, and
-     * the scheduler re-runs the slice from this point on the scheduling
-     * thread where the primitive is safe to touch. The fence contract is
-     * therefore: no load/store/compute may precede the syncFence() call
-     * inside the fencing step, so the re-run charges identical work.
-     */
-    bool syncFence()
-    {
-        if (!fenceArmed_)
-            return false;
-        fenced_ = true;
-        yielded_ = true;
-        return true;
-    }
-
-    /** @name Scheduler-side fence control @{ */
-    void armFence() { fenceArmed_ = true; fenced_ = false; }
-    void disarmFence() { fenceArmed_ = false; fenced_ = false; }
-    bool fenced() const { return fenced_; }
-    /** @} */
-
     /** Virtual core this thread is currently scheduled on. */
     CoreId coreId() const { return cpu_->id(); }
 
@@ -90,8 +63,6 @@ class CoreContext
   private:
     CpuModel* cpu_;
     bool yielded_ = false;
-    bool fenceArmed_ = false;
-    bool fenced_ = false;
 };
 
 } // namespace cosim

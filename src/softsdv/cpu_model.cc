@@ -8,8 +8,8 @@
 namespace cosim {
 
 CpuModel::CpuModel(CoreId id, const CpuParams& params, DramModel* dram,
-                   TxnSink* sink)
-    : id_(id), params_(params), dram_(dram), sink_(sink),
+                   FrontSideBus* fsb)
+    : id_(id), params_(params), dram_(dram), fsb_(fsb),
       l1LineMask_(params.caches.l1.lineSize - 1),
       caches_(params.caches),
       pfAdmitRng_(0xA11CE5EEDull + id) // deterministic stream per core
@@ -55,7 +55,7 @@ CpuModel::handleBeyond(Addr fetch_line, bool l1_was_write)
         miss_latency.record(beyond_cycles);
     }
 
-    if (sink_ != nullptr && params_.emitFsbTraffic) {
+    if (fsb_ != nullptr && params_.emitFsbTraffic) {
         BusTransaction txn;
         txn.addr = fetch_line;
         txn.size = bus_line;
@@ -64,7 +64,7 @@ CpuModel::handleBeyond(Addr fetch_line, bool l1_was_write)
         // snoopers can classify traffic.
         txn.kind = l1_was_write ? TxnKind::WriteLine : TxnKind::ReadLine;
         txn.core = id_;
-        sink_->issue(txn);
+        fsb_->issue(txn);
     }
 }
 
@@ -96,13 +96,13 @@ CpuModel::issuePrefetches(Addr trigger, bool was_beyond)
         ++pfStats_.installed;
         if (dram_ != nullptr)
             dram_->addPrefetchTraffic(bus_line);
-        if (sink_ != nullptr && params_.emitFsbTraffic) {
+        if (fsb_ != nullptr && params_.emitFsbTraffic) {
             BusTransaction txn;
             txn.addr = target & ~static_cast<Addr>(bus_line - 1);
             txn.size = bus_line;
             txn.kind = TxnKind::Prefetch;
             txn.core = id_;
-            sink_->issue(txn);
+            fsb_->issue(txn);
         }
     }
 }
@@ -167,13 +167,13 @@ CpuModel::dataAccess(Addr addr, std::uint32_t size, bool write,
             std::uint32_t bus_line = caches_.busLineSize();
             if (dram_ != nullptr)
                 dram_->addDemandTraffic(bus_line);
-            if (sink_ != nullptr && params_.emitFsbTraffic) {
+            if (fsb_ != nullptr && params_.emitFsbTraffic) {
                 BusTransaction txn;
                 txn.addr = r.writebacks[i];
                 txn.size = bus_line;
                 txn.kind = TxnKind::WriteLine;
                 txn.core = id_;
-                sink_->issue(txn);
+                fsb_->issue(txn);
             }
         }
 

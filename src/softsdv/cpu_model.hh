@@ -94,21 +94,11 @@ class CpuModel
      * @param id this core's id (tagged on bus transactions)
      * @param params static configuration
      * @param dram shared memory model (may be nullptr in pure co-sim mode)
-     * @param sink where beyond-L1 traffic goes (the FrontSideBus itself,
-     *        or a per-slot TxnRecorder under --dex-threads; may be
+     * @param fsb the bus beyond-L1 traffic is issued on (may be
      *        nullptr in timing mode)
      */
     CpuModel(CoreId id, const CpuParams& params, DramModel* dram,
-             TxnSink* sink);
-
-    /**
-     * Redirect subsequent traffic to @p sink (nullptr restores "no
-     * emission"). The sharded DEX scheduler points each core at its
-     * slot's recorder for the concurrent passes and back at the bus for
-     * serial rounds; the traffic content is identical either way.
-     */
-    void bindSink(TxnSink* sink) { sink_ = sink; }
-    TxnSink* sink() const { return sink_; }
+             FrontSideBus* fsb);
 
     /**
      * A data memory reference of @p size bytes at @p addr.
@@ -155,7 +145,7 @@ class CpuModel
     CoreId id_;
     CpuParams params_;
     DramModel* dram_;
-    TxnSink* sink_;
+    FrontSideBus* fsb_;
     /** L1 line size - 1, precomputed for the dataAccess fast path. */
     Addr l1LineMask_;
 

@@ -1,14 +1,9 @@
 #include "softsdv/dex_scheduler.hh"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
-#include "base/fault.hh"
-#include "base/host_clock.hh"
 #include "base/logging.hh"
 #include "dragonhead/fsb_messages.hh"
-#include "obs/metrics.hh"
 #include "obs/trace_session.hh"
 
 namespace cosim {
@@ -31,24 +26,8 @@ DexScheduler::run(std::vector<CoreSlot>& slots)
         fatal_if(slot.task == nullptr, "core slot without a task");
     }
 
-    if (params_.hostThreads == 0) {
-        runClassic(slots);
-        return;
-    }
-    unsigned n_workers = static_cast<unsigned>(
-        std::min<std::size_t>(params_.hostThreads, slots.size()));
-    runSharded(slots, n_workers);
-}
-
-void
-DexScheduler::runClassic(std::vector<CoreSlot>& slots)
-{
-    bool messages = params_.emitMessages && fsb_ != nullptr;
-
     auto emit = [&](msg::Type type, std::uint64_t payload) {
-        if (messages)
-            // The classic scheduler IS the delivery path (no
-            // recorders). cosim-analyze: allow(fsb-direct-issue)
+        if (fsb_ != nullptr)
             fsb_->issue(msg::encode(type, payload));
     };
 
@@ -144,481 +123,6 @@ DexScheduler::runClassic(std::vector<CoreSlot>& slots)
     }
 
     emit(msg::Type::StopEmulation, 0);
-}
-
-void
-DexScheduler::runSlice(CoreSlot& slot, SlotState& state, bool concurrent)
-{
-    state.ran = true;
-    state.fenced = false;
-
-    if (params_.emitMessages && fsb_ != nullptr) {
-        state.recorder.issue(
-            msg::encode(msg::Type::SetCoreId, slot.cpu->id()));
-    }
-
-    slot.instsAtSliceStart = slot.cpu->insts();
-    slot.cyclesAtSliceStart = slot.cpu->cycles();
-    CoreContext ctx(slot.cpu);
-    if (concurrent)
-        ctx.armFence();
-
-    InstCount target = slot.instsAtSliceStart + params_.quantumInsts;
-    while (slot.cpu->insts() < target) {
-        InstCount insts_before = slot.cpu->insts();
-        bool more = slot.task->step(ctx);
-        if (ctx.fenced()) {
-            // The step was about to touch a shared sync primitive and
-            // paused instead. The fence contract says it charged
-            // nothing, which is what makes the in-order re-run on the
-            // scheduling thread reproduce the serial slice exactly.
-            panic_if(slot.cpu->insts() != insts_before,
-                     "core %u charged work before its sync fence",
-                     static_cast<unsigned>(slot.cpu->id()));
-            panic_if(!more, "core %u finished while sync-fenced",
-                     static_cast<unsigned>(slot.cpu->id()));
-            state.fenced = true;
-            return; // suspended; resumeSlice() completes the quantum
-        }
-        if (!more) {
-            slot.done = true;
-            break;
-        }
-        if (ctx.yielded()) {
-            ctx.clearYield();
-            break;
-        }
-    }
-
-    finishSlice(slot, state);
-}
-
-void
-DexScheduler::resumeSlice(CoreSlot& slot, SlotState& state)
-{
-    // Fence disarmed: the sync primitive runs directly, and because
-    // fenced slots resume in slot-id order after every concurrent
-    // quantum finished, barrier arrivals/releases interleave exactly as
-    // the serial scheduler's in-round slice order would have them.
-    CoreContext ctx(slot.cpu);
-    InstCount target = slot.instsAtSliceStart + params_.quantumInsts;
-    while (slot.cpu->insts() < target) {
-        if (!slot.task->step(ctx)) {
-            slot.done = true;
-            break;
-        }
-        if (ctx.yielded()) {
-            ctx.clearYield();
-            break;
-        }
-    }
-
-    state.fenced = false;
-    ++fencedSlices_;
-    finishSlice(slot, state);
-}
-
-void
-DexScheduler::finishSlice(CoreSlot& slot, SlotState& state)
-{
-    InstCount inst_delta = slot.cpu->insts() - slot.instsAtSliceStart;
-    Cycles cycle_delta = slot.cpu->cycles() - slot.cyclesAtSliceStart;
-
-    if (params_.emitMessages && fsb_ != nullptr) {
-        state.recorder.issue(
-            msg::encode(msg::Type::InstRetired, inst_delta));
-        state.recorder.issue(
-            msg::encode(msg::Type::CyclesCompleted, cycle_delta));
-    }
-
-    if (heartbeat_ != nullptr) {
-        // Relaxed stores only; safe from whichever host thread ran the
-        // quantum, and liveness is all the consumers read from it.
-        heartbeat_->beat(
-            inst_delta,
-            static_cast<std::uint64_t>(
-                static_cast<double>(cycle_delta) / params_.coreFreqGhz));
-    }
-}
-
-void
-DexScheduler::runShard(std::vector<CoreSlot>& slots,
-                       std::vector<SlotState>& states, unsigned worker,
-                       unsigned n_workers, bool* dirty)
-{
-    for (std::size_t i = worker; i < slots.size(); i += n_workers) {
-        if (slots[i].done)
-            continue;
-        // An exception escaping runSlice leaves this slot's guest state
-        // partially advanced; the flag stays true so the death is
-        // classified unrecoverable.
-        if (dirty != nullptr)
-            *dirty = true;
-        runSlice(slots[i], states[i], /*concurrent=*/true);
-        if (dirty != nullptr)
-            *dirty = false;
-    }
-}
-
-void
-DexScheduler::runSharded(std::vector<CoreSlot>& slots, unsigned n_workers)
-{
-    bool messages = params_.emitMessages && fsb_ != nullptr;
-    obs::TraceSession& trace = obs::TraceSession::global();
-    const double cycles_to_us = 1.0 / (params_.coreFreqGhz * 1000.0);
-
-    if (messages)
-        // Scheduling-thread control message, before any round.
-        // cosim-analyze: allow(fsb-direct-issue)
-        fsb_->issue(msg::encode(msg::Type::StartEmulation, 0));
-
-    std::uint64_t total_insts_base = 0;
-    for (CoreSlot& slot : slots)
-        total_insts_base += slot.cpu->insts();
-
-    std::vector<SlotState> states(slots.size());
-
-    // Destruction order on unwind: crew guard joins the workers first,
-    // then the binder restores the sinks, then states dies -- so no
-    // worker can touch a recorder or a rebound sink after it is gone.
-    struct StateRecorders
-    {
-        std::vector<SlotState>& states;
-        std::vector<CoreSlot>& slots;
-        std::vector<TxnSink*> originals;
-
-        StateRecorders(std::vector<CoreSlot>& s,
-                       std::vector<SlotState>& st)
-            : states(st), slots(s)
-        {
-            originals.reserve(s.size());
-            for (std::size_t i = 0; i < s.size(); ++i) {
-                TxnSink* orig = s[i].cpu->sink();
-                originals.push_back(orig);
-                if (orig != nullptr)
-                    s[i].cpu->bindSink(&st[i].recorder);
-            }
-        }
-        ~StateRecorders()
-        {
-            for (std::size_t i = 0; i < slots.size(); ++i)
-                slots[i].cpu->bindSink(originals[i]);
-        }
-        StateRecorders(const StateRecorders&) = delete;
-        StateRecorders& operator=(const StateRecorders&) = delete;
-    } binder(slots, states);
-
-    // Spawn workers 1..W-1 (worker 0 is this thread). All Worker
-    // objects exist before any thread starts, so workers_[w-1] never
-    // races vector growth.
-    workers_.clear();
-    for (unsigned w = 1; w < n_workers; ++w)
-        workers_.push_back(std::make_unique<Worker>());
-    for (unsigned w = 1; w < n_workers; ++w) {
-        Worker* self = workers_[w - 1].get();
-        workers_[w - 1]->thread = std::thread([this, self, w] {
-            std::uint64_t seen = 0;
-            for (;;) {
-                std::vector<CoreSlot>* round_slots = nullptr;
-                std::vector<SlotState>* round_states = nullptr;
-                unsigned width = 0;
-                {
-                    LockGuard lock(crewMutex_);
-                    while (roundGen_ == seen && !crewShutdown_)
-                        crewWorkCv_.wait(lock);
-                    if (crewShutdown_)
-                        return;
-                    seen = roundGen_;
-                    round_slots = crewSlots_;
-                    round_states = crewStates_;
-                    width = crewWidth_;
-                }
-                bool failed = false;
-                try {
-                    // Fires before any slice: an injected crash is
-                    // always a *clean* death (no guest state touched),
-                    // the recoverable kind.
-                    COSIM_FAULT_POINT("dex.worker.crash");
-                    runShard(*round_slots, *round_states, w, width,
-                             &self->dirty);
-                } catch (...) {
-                    self->error = std::current_exception();
-                    failed = true;
-                }
-                {
-                    LockGuard lock(crewMutex_);
-                    if (--pendingWorkers_ == 0)
-                        crewDoneCv_.notifyAll();
-                }
-                if (failed)
-                    return; // dead workers take no further rounds
-            }
-        });
-    }
-
-    struct CrewGuard
-    {
-        DexScheduler& sched;
-        explicit CrewGuard(DexScheduler& s) : sched(s) {}
-        ~CrewGuard()
-        {
-            {
-                LockGuard lock(sched.crewMutex_);
-                sched.crewShutdown_ = true;
-            }
-            sched.crewWorkCv_.notifyAll();
-            for (auto& worker : sched.workers_) {
-                if (worker->thread.joinable())
-                    worker->thread.join();
-            }
-            sched.workers_.clear();
-            {
-                LockGuard lock(sched.crewMutex_);
-                sched.crewShutdown_ = false;
-                sched.crewSlots_ = nullptr;
-                sched.crewStates_ = nullptr;
-            }
-        }
-        CrewGuard(const CrewGuard&) = delete;
-        CrewGuard& operator=(const CrewGuard&) = delete;
-    } crew_guard(*this);
-
-    bool any_alive = true;
-    while (any_alive) {
-        bool round_safe = true;
-        for (CoreSlot& slot : slots) {
-            if (!slot.done && !slot.task->parallelStepSafe())
-                round_safe = false;
-        }
-
-        unsigned alive_spawned = 0;
-        for (auto& worker : workers_) {
-            if (!worker->dead)
-                ++alive_spawned;
-        }
-
-        if (round_safe && alive_spawned > 0) {
-            // Concurrent pass: publish the round, run our own shard
-            // (plus any shard adopted from a degraded worker), then
-            // wait at the round barrier.
-            {
-                LockGuard lock(crewMutex_);
-                crewSlots_ = &slots;
-                crewStates_ = &states;
-                crewWidth_ = n_workers;
-                pendingWorkers_ = alive_spawned;
-                ++roundGen_;
-            }
-            crewWorkCv_.notifyAll();
-
-            {
-                // If our own shard throws (a workload bug on the
-                // scheduling thread), quiesce the crew before the
-                // exception unwinds past the round's state.
-                struct RoundQuiesce
-                {
-                    DexScheduler& sched;
-                    explicit RoundQuiesce(DexScheduler& s) : sched(s) {}
-                    ~RoundQuiesce()
-                    {
-                        LockGuard lock(sched.crewMutex_);
-                        while (sched.pendingWorkers_ > 0)
-                            sched.crewDoneCv_.wait(lock);
-                    }
-                } quiesce(*this);
-
-                runShard(slots, states, 0, n_workers);
-                for (unsigned w = 1; w < n_workers; ++w) {
-                    if (workers_[w - 1]->dead)
-                        runShard(slots, states, w, n_workers);
-                }
-
-                std::uint64_t wait_from_us = hostClockNowUs();
-                {
-                    LockGuard lock(crewMutex_);
-                    while (pendingWorkers_ > 0)
-                        crewDoneCv_.wait(lock);
-                }
-                if (obs::metrics::enabled()) {
-                    static const obs::metrics::Histogram merge_wait =
-                        obs::metrics::histogram(
-                            "dex.merge_wait_us",
-                            "scheduling thread's wait at the DEX round "
-                            "barrier before merging");
-                    merge_wait.record(hostClockNowUs() - wait_from_us);
-                }
-            }
-
-            // Round quiescent: handle worker deaths before touching
-            // slot state.
-            for (unsigned w = 1; w < n_workers; ++w) {
-                Worker& worker = *workers_[w - 1];
-                if (worker.dead || !worker.error)
-                    continue;
-                std::string reason = "unknown error";
-                try {
-                    std::rethrow_exception(worker.error);
-                } catch (const std::exception& e) {
-                    reason = e.what();
-                } catch (...) {
-                }
-                std::string shard;
-                for (std::size_t i = w; i < slots.size();
-                     i += n_workers) {
-                    if (!shard.empty())
-                        shard += ",";
-                    shard += std::to_string(slots[i].cpu->id());
-                }
-                worker.dead = true;
-                if (worker.dirty || !params_.degradeSerial) {
-                    throw std::runtime_error(
-                        "DEX worker " + std::to_string(w) + " (shard: cores " +
-                        shard + ") died at round " +
-                        std::to_string(rounds_) +
-                        (worker.dirty ? " mid-slice (unrecoverable)"
-                                      : "") +
-                        ": " + reason);
-                }
-                // Clean death + --degrade-serial: the shard is
-                // untouched this round; run it here with the fence
-                // armed, exactly as the worker would have, and keep
-                // the run bit-identical.
-                warn("DEX worker %u died cleanly (%s); degrading its "
-                     "shard (cores %s) to the scheduling thread",
-                     w, reason.c_str(), shard.c_str());
-                ++degradedWorkers_;
-                runShard(slots, states, w, n_workers);
-            }
-
-            ++parallelRounds_;
-        } else {
-            // Serial round (parallel-unsafe task alive, or no live
-            // workers): same record/merge path, fence unarmed, slices
-            // in slot order on this thread -- delivery below is
-            // identical either way.
-            for (std::size_t i = 0; i < slots.size(); ++i) {
-                if (slots[i].done)
-                    continue;
-                runSlice(slots[i], states[i], /*concurrent=*/false);
-            }
-            if (!round_safe)
-                ++serialFallbackRounds_;
-        }
-
-        // In-order resume of sync-fenced slices: barrier arrivals and
-        // releases happen here, in slot-id order, on this thread.
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (states[i].fenced)
-                resumeSlice(slots[i], states[i]);
-        }
-
-        // Merge: deliver every slice's buffered stream in slot-id
-        // order -- the serial emission order -- onto the real bus.
-        Cycles max_round_cycles = 0;
-        std::uint64_t round_insts_min = 0;
-        std::uint64_t round_insts_max = 0;
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (!states[i].ran)
-                continue;
-            panic_if(states[i].fenced,
-                     "slot %zu still fenced at merge", i);
-
-            if (fsb_ != nullptr) {
-                for (const BusTransaction& txn :
-                     states[i].recorder.txns()) {
-                    // The one sanctioned delivery point: everything
-                    // upstream went through a TxnSink recorder.
-                    // cosim-analyze: allow(fsb-direct-issue)
-                    fsb_->issue(txn);
-                }
-            }
-
-            InstCount inst_delta =
-                slots[i].cpu->insts() - slots[i].instsAtSliceStart;
-            Cycles cycle_delta =
-                slots[i].cpu->cycles() - slots[i].cyclesAtSliceStart;
-            if (trace.active()) {
-                trace.recordComplete(
-                    obs::TraceDomain::Simulated,
-                    static_cast<std::uint32_t>(slots[i].cpu->id()),
-                    "dex", "quantum",
-                    static_cast<double>(slots[i].cyclesAtSliceStart) *
-                        cycles_to_us,
-                    static_cast<double>(cycle_delta) * cycles_to_us,
-                    static_cast<double>(inst_delta), true);
-            }
-
-            max_round_cycles = std::max(max_round_cycles, cycle_delta);
-            round_insts_min = round_insts_min == 0
-                ? inst_delta
-                : std::min<std::uint64_t>(round_insts_min, inst_delta);
-            round_insts_max =
-                std::max<std::uint64_t>(round_insts_max, inst_delta);
-            ++slices_;
-            states[i].recorder.clear();
-            states[i].ran = false;
-        }
-
-        if (obs::metrics::enabled() && round_insts_max > 0) {
-            static const obs::metrics::Histogram imbalance =
-                obs::metrics::histogram(
-                    "dex.round_imbalance_pct",
-                    "spread between the lightest and heaviest DEX "
-                    "slice of a round, percent of the heaviest");
-            imbalance.record((round_insts_max - round_insts_min) * 100 /
-                             round_insts_max);
-        }
-
-        if (dram_ != nullptr)
-            dram_->endRound(max_round_cycles);
-        ++rounds_;
-
-        if (params_.maxTotalInsts != 0) {
-            std::uint64_t executed = 0;
-            for (CoreSlot& slot : slots)
-                executed += slot.cpu->insts();
-            panic_if(executed - total_insts_base > params_.maxTotalInsts,
-                     "workload exceeded the %llu-instruction safety cap",
-                     static_cast<unsigned long long>(
-                         params_.maxTotalInsts));
-        }
-
-        any_alive = false;
-        for (CoreSlot& slot : slots) {
-            if (!slot.done)
-                any_alive = true;
-        }
-    }
-
-    if (obs::metrics::enabled()) {
-        static const obs::metrics::Counter parallel_rounds =
-            obs::metrics::counter(
-                "dex.parallel_rounds",
-                "DEX rounds whose quanta ran on multiple host threads");
-        static const obs::metrics::Counter serial_fallback =
-            obs::metrics::counter(
-                "dex.serial_fallback_rounds",
-                "DEX rounds forced serial by a parallel-unsafe task");
-        static const obs::metrics::Counter fenced =
-            obs::metrics::counter(
-                "dex.fenced_slices",
-                "DEX slices paused at a sync fence and resumed in "
-                "slot order");
-        static const obs::metrics::Counter degraded =
-            obs::metrics::counter(
-                "dex.degraded_workers",
-                "DEX workers that died cleanly and had their shard "
-                "adopted by the scheduling thread");
-        parallel_rounds.add(parallelRounds_);
-        serial_fallback.add(serialFallbackRounds_);
-        fenced.add(fencedSlices_);
-        degraded.add(degradedWorkers_);
-    }
-
-    if (messages)
-        // Scheduling-thread control message, after the last round.
-        // cosim-analyze: allow(fsb-direct-issue)
-        fsb_->issue(msg::encode(msg::Type::StopEmulation, 0));
 }
 
 void

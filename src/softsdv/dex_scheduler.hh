@@ -10,33 +10,17 @@
  * This class reproduces that loop: round-robin over the live tasks, one
  * quantum of retired instructions per slice, messages on the bus at every
  * boundary, and a shared-memory round boundary for the DRAM contention
- * model.
- *
- * With hostThreads > 0 the round itself is sharded across host worker
- * threads (slot i -> worker i mod W, main thread is worker 0): each
- * slot's quantum runs concurrently and records its bus traffic into a
- * per-slot TxnRecorder instead of issuing live; at the round barrier the
- * buffers are merged onto the real bus in slot-id order, which is
- * exactly the serial emission order, so every artifact stays
- * bit-identical. Tasks whose steps are not parallel-safe (see
- * ThreadTask::parallelStepSafe) force their rounds through the same
- * record/merge path but executed serially, and sync primitives pause
- * concurrent tasks via CoreContext::syncFence for an in-order resume on
- * the scheduling thread. DESIGN.md "Parallel guest execution" carries
- * the full determinism argument.
+ * model. Every slice runs on the calling host thread, and cores issue
+ * straight into the bus, so the bus sees transactions in exactly the
+ * order the slices produce them.
  */
 
 #ifndef COSIM_SOFTSDV_DEX_SCHEDULER_HH
 #define COSIM_SOFTSDV_DEX_SCHEDULER_HH
 
 #include <cstdint>
-#include <exception>
-#include <memory>
-#include <thread>
 #include <vector>
 
-#include "base/annotations.hh"
-#include "base/mutex.hh"
 #include "base/stats.hh"
 #include "mem/dram.hh"
 #include "mem/fsb.hh"
@@ -52,9 +36,6 @@ struct DexParams
     /** Retired instructions per slice before switching cores. */
     std::uint64_t quantumInsts = 50000;
 
-    /** Emit Start/Stop/SetCoreId/InstRetired/Cycles messages. */
-    bool emitMessages = true;
-
     /**
      * Safety cap on total retired instructions (0 = none). A workload
      * that fails to terminate trips a panic instead of hanging the run.
@@ -66,25 +47,6 @@ struct DexParams
      * simulated-time axis (matches ControlBlockParams::coreFreqGhz).
      */
     double coreFreqGhz = 3.0;
-
-    /**
-     * Host threads sharing the guest execution of one round (--dex-threads).
-     * 0 = the classic single-thread path with live bus issue; N >= 1 runs
-     * the record/merge engine with min(N, nSlots) workers (1 = merge
-     * engine without concurrency, useful for isolating the seam).
-     * Results are bit-identical for every value.
-     */
-    unsigned hostThreads = 0;
-
-    /**
-     * When a spawned DEX worker dies *cleanly* (before touching any of
-     * its slots this round, e.g. the dex.worker.crash fault point), adopt
-     * its shard on the scheduling thread and keep going instead of
-     * failing the run (--degrade-serial). Dirty deaths -- mid-slice, with
-     * guest state partially advanced -- always fail: the quantum cannot
-     * be replayed.
-     */
-    bool degradeSerial = false;
 };
 
 /** One virtual core with the task currently bound to it. */
@@ -105,7 +67,8 @@ class DexScheduler
   public:
     /**
      * @param params scheduler tuning
-     * @param fsb bus for message emission (may be nullptr)
+     * @param fsb bus for Start/Stop/SetCoreId/InstRetired/Cycles
+     *        messages (nullptr = emit none)
      * @param dram shared memory model for round boundaries (may be null)
      */
     DexScheduler(const DexParams& params, FrontSideBus* fsb,
@@ -120,17 +83,6 @@ class DexScheduler
     /** Total slices executed. */
     std::uint64_t slices() const { return slices_; }
 
-    /** @name Sharded-engine introspection (all 0 on the classic path) @{ */
-    /** Rounds whose quanta actually ran on >1 host thread. */
-    std::uint64_t parallelRounds() const { return parallelRounds_; }
-    /** Rounds forced serial by a parallel-unsafe task. */
-    std::uint64_t serialFallbackRounds() const { return serialFallbackRounds_; }
-    /** Slices paused at a sync fence and resumed in slot order. */
-    std::uint64_t fencedSlices() const { return fencedSlices_; }
-    /** Workers that died cleanly and had their shard adopted. */
-    unsigned degradedWorkers() const { return degradedWorkers_; }
-    /** @} */
-
     /** Register scheduler activity counters into @p group. */
     void addStats(stats::Group& group) const;
 
@@ -143,76 +95,12 @@ class DexScheduler
     void setHeartbeat(obs::HeartbeatSlot* slot) { heartbeat_ = slot; }
 
   private:
-    /** Per-slot sharded-engine state, parallel to the slots vector. */
-    struct SlotState
-    {
-        /** Slice buffer; merged onto the bus in slot-id order. */
-        TxnRecorder recorder;
-        /** Slot ran a slice this round (merge/trace bookkeeping). */
-        bool ran = false;
-        /** Slice paused at a sync fence, pending an in-order resume. */
-        bool fenced = false;
-    };
-
-    /** One spawned worker (workers 1..W-1; worker 0 is the caller). */
-    struct Worker
-    {
-        std::thread thread;
-        /** Set once when the worker dies; read after round quiescence. */
-        std::exception_ptr error;
-        /** Worker died mid-slice: guest state is unrecoverable. */
-        bool dirty = false;
-        /** Dead workers take no further rounds; their shard moves to
-         *  the scheduling thread (degrade) or the run fails. */
-        bool dead = false;
-    };
-
-    void runClassic(std::vector<CoreSlot>& slots);
-    void runSharded(std::vector<CoreSlot>& slots, unsigned n_workers);
-
-    /** Record SetCoreId + run the quantum into the slot's recorder.
-     *  @p concurrent arms the sync fence (worker context). */
-    void runSlice(CoreSlot& slot, SlotState& state, bool concurrent);
-    /** Resume a fenced slice on the scheduling thread (fence disarmed). */
-    void resumeSlice(CoreSlot& slot, SlotState& state);
-    /** Close a slice: record InstRetired/CyclesCompleted, beat. */
-    void finishSlice(CoreSlot& slot, SlotState& state);
-    /** Worker w's slots of this round, executed with the fence armed.
-     *  @p dirty (worker context) is left true iff an exception escaped
-     *  mid-slice, i.e. guest state is partially advanced. */
-    void runShard(std::vector<CoreSlot>& slots,
-                  std::vector<SlotState>& states, unsigned worker,
-                  unsigned n_workers, bool* dirty = nullptr);
-
     DexParams params_;
     FrontSideBus* fsb_;
     DramModel* dram_;
     obs::HeartbeatSlot* heartbeat_ = nullptr;
     std::uint64_t rounds_ = 0;
     std::uint64_t slices_ = 0;
-    std::uint64_t parallelRounds_ = 0;
-    std::uint64_t serialFallbackRounds_ = 0;
-    std::uint64_t fencedSlices_ = 0;
-    unsigned degradedWorkers_ = 0;
-
-    /** @name Round hand-off between the scheduler and its crew
-     * Workers sleep until roundGen_ advances, run their shard of the
-     * slots/states arrays published in crewSlots_/crewStates_, then
-     * decrement pendingWorkers_. The scheduler only inspects worker
-     * errors after pendingWorkers_ reaches zero, so slot state is
-     * quiescent whenever it is read. @{ */
-    Mutex crewMutex_;
-    CondVar crewWorkCv_;
-    CondVar crewDoneCv_;
-    std::uint64_t roundGen_ GUARDED_BY(crewMutex_) = 0;
-    unsigned pendingWorkers_ GUARDED_BY(crewMutex_) = 0;
-    bool crewShutdown_ GUARDED_BY(crewMutex_) = false;
-    std::vector<CoreSlot>* crewSlots_ GUARDED_BY(crewMutex_) = nullptr;
-    std::vector<SlotState>* crewStates_ GUARDED_BY(crewMutex_) = nullptr;
-    unsigned crewWidth_ GUARDED_BY(crewMutex_) = 0;
-    /** @} */
-
-    std::vector<std::unique_ptr<Worker>> workers_;
 };
 
 } // namespace cosim

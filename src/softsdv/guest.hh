@@ -57,20 +57,6 @@ class ThreadTask
 
     /** Advance by one unit of work. @return true iff more work remains. */
     virtual bool step(CoreContext& ctx) = 0;
-
-    /**
-     * May step() run concurrently with the other tasks of the same
-     * workload on different host threads? A task may answer true only
-     * when every step either (a) touches exclusively task-private or
-     * per-tid-disjoint host state plus stable shared reads, with any
-     * commutative shared updates done atomically, or (b) begins with
-     * ctx.syncFence() before touching a shared sync primitive, charging
-     * nothing before the fence (see CoreContext::syncFence). Defaults to
-     * false: the sharded DEX scheduler then runs every round of this
-     * workload serially -- still through the record/merge path, so the
-     * artifacts stay bit-identical either way.
-     */
-    virtual bool parallelStepSafe() const { return false; }
 };
 
 /** A complete benchmark program. */

@@ -159,10 +159,6 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
         std::chrono::duration<double>(t1 - t0).count();
     result.schedulerRounds = scheduler.rounds();
     result.schedulerSlices = scheduler.slices();
-    result.dexParallelRounds = scheduler.parallelRounds();
-    result.dexSerialFallbackRounds = scheduler.serialFallbackRounds();
-    result.dexFencedSlices = scheduler.fencedSlices();
-    result.dexDegradedWorkers = scheduler.degradedWorkers();
     result.footprintBytes = allocator_.footprint();
     result.hasL2 = params_.cpu.caches.hasL2;
 

@@ -64,18 +64,6 @@ struct RunResult
     std::uint64_t schedulerRounds = 0;
     std::uint64_t schedulerSlices = 0;
 
-    /**
-     * @name Sharded-DEX host diagnostics.
-     * How the scheduler ran, not what the guest computed: these depend
-     * on DexParams::hostThreads and are deliberately excluded from
-     * bit-identity comparisons (all zero under the classic scheduler).
-     * @{ */
-    std::uint64_t dexParallelRounds = 0;
-    std::uint64_t dexSerialFallbackRounds = 0;
-    std::uint64_t dexFencedSlices = 0;
-    std::uint64_t dexDegradedWorkers = 0;
-    /** @} */
-
     /** Simulated footprint allocated by the workload, in bytes. */
     std::uint64_t footprintBytes = 0;
 

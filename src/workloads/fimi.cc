@@ -39,16 +39,6 @@ class FimiTask : public ThreadTask
 
     bool step(CoreContext& ctx) override;
 
-    /**
-     * Concurrent-safe: the first scan's counters take relaxed atomic
-     * adds (commutative, exact); the tree build is thread-0-only while
-     * the rest are fenced at the barrier; mining state is per-tid
-     * (mineBuf_[tid], minedByTid_[tid]) over a by-then-immutable tree;
-     * every phase change happens in the barrier release callback
-     * behind the sync fence.
-     */
-    bool parallelStepSafe() const override { return true; }
-
   private:
     void scanBlock(CoreContext& ctx, std::size_t block);
     void buildBatch(CoreContext& ctx);
@@ -166,8 +156,7 @@ FimiWorkload::advancePhase()
       case Phase::Mine:
       case Phase::Done:
         // Fold the per-thread mining emissions in tid order; runs in
-        // the barrier's release callback, i.e. on the scheduling
-        // thread, after every miner arrived.
+        // the barrier's release callback, after every miner arrived.
         for (std::vector<FrequentItemset>& staged : minedByTid_) {
             mined_.insert(mined_.end(), staged.begin(), staged.end());
             staged.clear();
@@ -187,13 +176,8 @@ FimiTask::scanBlock(CoreContext& ctx, std::size_t block)
         std::min(p.scanBlockItems, wl_.items_.size() - lo);
 
     const std::uint16_t* items = wl_.items_.readBlock(ctx, lo, n);
-    for (std::size_t k = 0; k < n; ++k) {
-        // Relaxed atomic add: scan blocks run concurrently under
-        // --dex-threads and integer increments commute exactly, so the
-        // final counts match the serial scan bit for bit.
-        __atomic_fetch_add(&wl_.counts_.host(items[k]), 1u,
-                           __ATOMIC_RELAXED);
-    }
+    for (std::size_t k = 0; k < n; ++k)
+        ++wl_.counts_.host(items[k]);
     // Each item is a read-modify-write of its counter.
     ctx.load(wl_.counts_.base(),
              static_cast<std::uint32_t>(wl_.counts_.size() * 4));

@@ -120,10 +120,9 @@ class FimiWorkload : public Workload
     PhaseBarrier barrier_;
 
     /**
-     * Mining emissions staged per thread (disjoint under concurrent
-     * quanta) and folded into mined_ in tid order when the Mine phase's
-     * barrier releases. Every run -- serial or --dex-threads -- goes
-     * through the same staging, so the final order is identical too.
+     * Mining emissions staged per thread and folded into mined_ in tid
+     * order when the Mine phase's barrier releases, so the result order
+     * does not depend on how DEX slices interleave the miners.
      */
     std::vector<std::vector<FrequentItemset>> minedByTid_;
     std::vector<FrequentItemset> mined_;

@@ -35,15 +35,6 @@ class MdsTask : public ThreadTask
 
     bool step(CoreContext& ctx) override;
 
-    /**
-     * Concurrent-safe: powerRows writes rankNext_ rows strided by tid
-     * (disjoint) against a stable rank_; the rank_/rankNext_ swap runs
-     * in the barrier's release callback, i.e. on the scheduling thread
-     * behind the sync fence; Mmr runs on thread 0 only while the rest
-     * are fenced at the barrier.
-     */
-    bool parallelStepSafe() const override { return true; }
-
   private:
     void powerRows(CoreContext& ctx, std::size_t count);
     void mmrRound(CoreContext& ctx);

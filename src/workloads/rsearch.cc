@@ -110,11 +110,6 @@ class RsearchTask : public ThreadTask
         cur_ = first_;
     }
 
-    /** Concurrent-safe: the DP state is per-thread (buffers_[tid]), the
-     *  database is read-only, and each window's score slot is written
-     *  by exactly one task (windows are range-partitioned). */
-    bool parallelStepSafe() const override { return true; }
-
     bool
     step(CoreContext& ctx) override
     {

@@ -65,9 +65,8 @@ class RsearchWorkload : public Workload
 
     /**
      * Windows whose fold score crossed the threshold (post-run).
-     * Derived from the per-window scores on demand: the scores are the
-     * only result tasks record, each into its own disjoint slot, which
-     * is what lets RsearchTask run concurrently under --dex-threads.
+     * Derived from the per-window scores on demand, so the list is in
+     * window order whatever order the tasks scanned them in.
      */
     std::vector<std::size_t> hits() const;
 

@@ -54,11 +54,6 @@ class ShotTask : public ThreadTask
         frame_ = first_;
     }
 
-    /** Concurrent-safe: each task owns its frame range, histogram and
-     *  cut buffers (buffers_[tid], cutsPerThread_[tid]); the synthetic
-     *  video is a pure function of (frame, pixel). */
-    bool parallelStepSafe() const override { return true; }
-
     bool
     step(CoreContext& ctx) override
     {

@@ -130,11 +130,6 @@ class SnpTask : public ThreadTask
         resetCandidate();
     }
 
-    /** Concurrent-safe: geno_ is read-only, scoreCache_ rows and the
-     *  bestScore_/bestVar_ cells are indexed by tid (disjoint), and the
-     *  tasks never synchronize. */
-    bool parallelStepSafe() const override { return true; }
-
     bool
     step(CoreContext& ctx) override
     {

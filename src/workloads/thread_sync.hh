@@ -2,13 +2,11 @@
  * @file
  * Cooperative synchronization for DEX-scheduled workload threads.
  *
- * These primitives are plain state machines -- no atomics: in the serial
- * scheduler all virtual cores share one host thread, and the sharded
- * scheduler fences every task at wait() entry (see CoreContext::syncFence)
- * so barrier state is only ever touched from the scheduling thread. A
- * blocked task calls ctx.yield() so the scheduler donates the rest of
- * its slice instead of letting it spin, which keeps barrier idling from
- * polluting the instruction counts that MPKI is normalized by.
+ * These primitives are plain state machines -- no atomics: the DEX
+ * scheduler runs every virtual core on one host thread. A blocked task
+ * calls ctx.yield() so the scheduler donates the rest of its slice
+ * instead of letting it spin, which keeps barrier idling from polluting
+ * the instruction counts that MPKI is normalized by.
  */
 
 #ifndef COSIM_WORKLOADS_THREAD_SYNC_HH
@@ -79,13 +77,6 @@ class BarrierWaiter
     bool
     wait(PhaseBarrier& barrier, CoreContext& ctx)
     {
-        // Under --dex-threads the concurrent pass must not touch the
-        // shared barrier; the fence pauses this task (charging nothing)
-        // and the scheduler re-runs it on the scheduling thread. The
-        // caller's contract -- nothing charged before wait() in the
-        // waiting step -- makes the re-run exact.
-        if (ctx.syncFence())
-            return true;
         if (!arrived_) {
             waitGen_ = barrier.generation();
             barrier.arrive();

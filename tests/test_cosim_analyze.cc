@@ -432,45 +432,6 @@ TEST(AnalyzeHygiene, OfstreamInCommentsAndIncludesNotFlagged)
 }
 
 // ---------------------------------------------------------------------
-// FSB delivery discipline (src/softsdv/ only).
-// ---------------------------------------------------------------------
-
-TEST(AnalyzeFsbIssue, DirectIssueFlaggedInSoftsdv)
-{
-    EXPECT_TRUE(hasRule(rulesHit("src/softsdv/cpu_model.cc",
-                                 "void f() { fsb_->issue(txn); }\n"),
-                        "fsb-direct-issue"));
-    EXPECT_TRUE(hasRule(rulesHit("src/softsdv/x.cc",
-                                 "void g(FrontSideBus* fsb) { "
-                                 "fsb->issue(t); }\n"),
-                        "fsb-direct-issue"));
-}
-
-TEST(AnalyzeFsbIssue, OtherTreesAndRecorderCallsAreFine)
-{
-    // The rule is softsdv/'s delivery discipline, not a repo-wide ban:
-    // the bus's own code, tests and the harness issue directly.
-    const std::string code = "void f() { fsb_->issue(txn); }\n";
-    EXPECT_FALSE(hasRule(rulesHit("src/mem/fsb.cc", code),
-                         "fsb-direct-issue"));
-    EXPECT_FALSE(hasRule(rulesHit("tests/x.cc", code),
-                         "fsb-direct-issue"));
-    // Recording into the slot's sink is the sanctioned path.
-    EXPECT_FALSE(hasRule(rulesHit("src/softsdv/x.cc",
-                                  "void f() { sink_->issue(txn); }\n"),
-                         "fsb-direct-issue"));
-}
-
-TEST(AnalyzeFsbIssue, MergePathAllowSuppresses)
-{
-    EXPECT_FALSE(hasRule(
-        rulesHit("src/softsdv/dex_scheduler.cc",
-                 "// cosim-analyze: allow(fsb-direct-issue)\n"
-                 "void merge() { fsb_->issue(txn); }\n"),
-        "fsb-direct-issue"));
-}
-
-// ---------------------------------------------------------------------
 // Sampled-simulation rules (plan writers, interval selection).
 // ---------------------------------------------------------------------
 
@@ -1294,8 +1255,7 @@ TEST(AnalyzeRuleTable, SuiteCoversEveryRule)
         "no-rand",        "no-time",         "no-system-clock",
         "no-random-device", "unordered-iteration", "no-raw-new",
         "no-raw-delete",  "no-printf",       "no-raw-ofstream",
-        "metric-name",    "fsb-direct-issue", "plan-atomic-write",
-        "journal-atomic-append",
+        "metric-name",    "plan-atomic-write", "journal-atomic-append",
         "interval-wallclock", "header-guard", "include-hygiene",
         "trailing-whitespace",
     };

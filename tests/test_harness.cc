@@ -94,6 +94,67 @@ TEST(BenchOptions, RobustnessFlags)
     EXPECT_TRUE(d.faults.empty());
 }
 
+TEST(BenchOptions, NumericFlagsTakeTheirWholeRange)
+{
+    EXPECT_EQ(parse({"--seed=0"}).seed, 0u);
+    EXPECT_EQ(parse({"--seed=18446744073709551615"}).seed,
+              18446744073709551615ull);
+    EXPECT_EQ(parse({"--jobs=1"}).jobs, 1u);
+    EXPECT_EQ(parse({"--emu-threads=0"}).emuThreads, 0u);
+    EXPECT_EQ(parse({"--retry-cells=1000"}).retryCells, 1000u);
+    EXPECT_EQ(parse({"--max-phases=4294967295"}).maxPhases, 4294967295u);
+    EXPECT_EQ(parse({"--sample-period-us=1000000000"}).samplePeriodUs,
+              1000000000u);
+    EXPECT_DOUBLE_EQ(parse({"--scale=1e-3"}).scale, 1e-3);
+    EXPECT_DOUBLE_EQ(parse({"--cell-timeout=0.25"}).cellTimeout, 0.25);
+}
+
+TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
+{
+    // Every numeric flag, with a value that overflows its type.
+    const std::pair<std::string, std::string> flags[] = {
+        {"--scale", "1e999"},
+        {"--seed", "18446744073709551616"},
+        {"--jobs", "4294967296"},
+        {"--emu-threads", "4294967296"},
+        {"--warmup-windows", "4294967296"},
+        {"--warm-stride", "4294967296"},
+        {"--sample-period-us", "18446744073709551616"},
+        {"--max-phases", "4294967296"},
+        {"--retry-cells", "4294967296"},
+        {"--cell-timeout", "1e999"},
+        {"--heartbeat-fd", "2147483648"},
+    };
+    for (const auto& [flag, overflow] : flags) {
+        for (const std::string& value :
+             {std::string("7x"), std::string(""), std::string("-1"),
+              overflow}) {
+            const std::string arg = flag + "=" + value;
+            EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
+                        "bad " + flag + " value")
+                << arg;
+        }
+    }
+}
+
+TEST(BenchOptionsDeathTest, OutOfRangeValuesAreFatal)
+{
+    for (const char* arg :
+         {"--scale=0", "--scale=nan", "--scale= 1", "--seed=+7",
+          "--jobs=0", "--warm-stride=0", "--sample-period-us=0",
+          "--sample-period-us=1000000001", "--retry-cells=1001",
+          "--cell-timeout=inf"}) {
+        EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), "bad --")
+            << arg;
+    }
+}
+
+TEST(BenchOptionsDeathTest, DexThreadsIsAnUnknownOption)
+{
+    EXPECT_EXIT(parse({"--dex-threads=2"}), ::testing::ExitedWithCode(1),
+                "unknown option '--dex-threads=2'");
+}
+
 TEST(BenchOptions, FaultsFlagArmsThePlanWithTheRunSeed)
 {
     BenchOptions o = parse({"--faults=cell.throw:nth=5", "--seed=9"});

@@ -312,7 +312,7 @@ TEST(SamplingPlanIo, PlanPathMirrorsStreamPathConvention)
 
 FigureData
 runSweep(CellMode cells, const std::string& plan_out = "",
-         const std::string& plan = "")
+         const std::string& plan = "", unsigned jobs = 1)
 {
     BenchOptions opts;
     opts.scale = 0.02;
@@ -320,6 +320,7 @@ runSweep(CellMode cells, const std::string& plan_out = "",
     opts.cells = cells;
     opts.planOutBase = plan_out;
     opts.planBase = plan;
+    opts.jobs = jobs;
 
     PlatformParams platform = presets::cmpPlatform("tiny", 2);
     return SweepRunner(opts).runLineSizeFigure("FigSampledTest",
@@ -359,6 +360,8 @@ TEST(SampledSweep, SamePlanAndSeedYieldByteIdenticalCsvs)
     FigureData first = runSweep(CellMode::Sampled, plan_base);
     FigureData second =
         runSweep(CellMode::Sampled, "", plan_base);
+    // Cells on two host threads, clustering their own plans.
+    FigureData parallel = runSweep(CellMode::Sampled, "", "", 2);
 
     auto csv_bytes = [](const FigureData& fig, const std::string& tag) {
         const std::string path =
@@ -374,6 +377,7 @@ TEST(SampledSweep, SamePlanAndSeedYieldByteIdenticalCsvs)
     const std::string b = csv_bytes(second, "b");
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a, b);
+    EXPECT_EQ(a, csv_bytes(parallel, "jobs2"));
 
     for (const std::string& w : {std::string("PLSA"),
                                  std::string("FIMI")})

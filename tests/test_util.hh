@@ -97,11 +97,6 @@ class LoopTask : public ThreadTask
   public:
     LoopTask(LoopWorkload& wl, unsigned tid) : wl_(wl), tid_(tid) {}
 
-    // Reads from the (possibly shared) array are stable and each
-    // thread only writes its own sums_[tid] slot, so concurrent
-    // quanta cannot observe each other.
-    bool parallelStepSafe() const override { return true; }
-
     bool
     step(CoreContext& ctx) override
     {

@@ -20,7 +20,7 @@ namespace {
 
 // Bump when the FileFacts serialization or any per-file rule changes
 // meaning: stale cache entries then miss instead of lying.
-const char* kCacheHeader = "cosim-analyze-cache/3";
+const char* kCacheHeader = "cosim-analyze-cache/4";
 const char* kEntrySep = "%%";
 
 std::string

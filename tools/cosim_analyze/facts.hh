@@ -52,7 +52,6 @@ struct RuleSet
     bool noPrintf = false;
     bool noRawOfstream = false;
     bool metricName = false;
-    bool fsbDirectIssue = false; ///< DEX delivery discipline (softsdv/)
     bool planAtomicWrite = false; ///< plan writers use AtomicFile (src/)
     bool journalAtomicAppend = false; ///< journal writers use the
                                       ///< durable append helper (src/)

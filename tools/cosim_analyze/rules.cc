@@ -103,9 +103,6 @@ const RuleInfo kRules[] = {
                         "through AtomicFile (base/atomic_file.hh)"},
     {"metric-name", "obs::metrics names must match [a-z][a-z0-9_.]* and "
                     "register once per file"},
-    {"fsb-direct-issue", "direct FrontSideBus issue from softsdv/; "
-                         "deliver through the slot's TxnSink and the "
-                         "DEX merge path"},
     {"plan-atomic-write", "sampling-plan writers must use AtomicFile so "
                           "a failed run never leaves a torn plan"},
     {"journal-atomic-append", "sweep-journal records must go through "
@@ -406,11 +403,6 @@ ruleSetFor(const std::string& rel_path)
     // Metric names panic at runtime when malformed or duplicated;
     // tests register deliberately bad names, so src/ only.
     rs.metricName = true;
-    // Guest-visible bus traffic from softsdv/ must flow through the
-    // slot's TxnSink recorder; only the DEX merge loop delivers onto
-    // the real FrontSideBus (and carries the one allow). A stray
-    // direct issue would silently break --dex-threads bit-identity.
-    rs.fsbDirectIssue = startsWith(rel_path, "src/softsdv/");
     // Sampling-plan writers anywhere in src/ must write atomically
     // (the rule itself only fires in files mentioning the schema).
     rs.planAtomicWrite = true;
@@ -616,18 +608,6 @@ lintTokens(const std::string& rel_path, const std::string& content,
                     break;
                 }
             }
-        }
-
-        if (rules.fsbDirectIssue &&
-            (t.isIdent("fsb") || t.isIdent("fsb_")) &&
-            cv.isPunct(i + 1, "->") && cv.is(i + 2, TokKind::Ident,
-                                             "issue") &&
-            cv.isPunct(i + 3, "(")) {
-            report("fsb-direct-issue", n,
-                   "direct FrontSideBus issue from softsdv/; record "
-                   "into the slot's TxnSink and let the DEX merge "
-                   "path (dex_scheduler.cc) deliver it, or sharded "
-                   "execution loses bit-identity");
         }
 
         if (writes_plans &&
