@@ -431,7 +431,9 @@ runSampledComparison()
     // Full replay reference.
     {
         CoSimulation cosim(params);
-        RunResult r = cosim.replayBuffer(stream, "memory:loop");
+        FsbStreamReader reader;
+        reader.openBuffer(stream);
+        RunResult r = cosim.replay(reader, "memory:loop");
         out.fullSeconds = r.hostSeconds;
         out.fullMips = r.simMips();
         out.mpkiFull = cosim.emulator(0).results().mpki();
@@ -441,8 +443,9 @@ runSampledComparison()
     std::vector<std::uint64_t> first_misses;
     for (int pass = 0; pass < 2; ++pass) {
         CoSimulation cosim(params);
-        RunResult r =
-            cosim.replaySampledBuffer(stream, "memory:loop", plan);
+        FsbStreamReader reader;
+        reader.openBuffer(stream);
+        RunResult r = cosim.replaySampled(reader, "memory:loop", plan);
         std::vector<std::uint64_t> misses;
         for (unsigned e = 0; e < cosim.nEmulators(); ++e)
             misses.push_back(cosim.emulator(e).results().misses);

@@ -186,8 +186,10 @@ cmdReplay(const std::vector<std::string>& args)
     FrontSideBus bus;
     bus.attach(&emulator);
 
+    FsbStreamReader reader;
+    reader.openFile(path);
     ReplayDriver driver;
-    ReplayResult rr = driver.replayFile(path, bus);
+    ReplayResult rr = driver.replay(reader, bus);
     if (!rr.ok) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(), rr.error.c_str());
         return 1;

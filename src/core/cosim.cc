@@ -135,60 +135,30 @@ CoSimulation::finishReplay(const ReplayResult& rr,
 }
 
 RunResult
-CoSimulation::replayFile(const std::string& path, ReplayResult* details)
+CoSimulation::replay(FsbStreamReader& reader, const std::string& source,
+                     ReplayResult* details)
 {
     prepareReplay();
     ReplayDriver driver;
-    return finishReplay(driver.replayFile(path, platform_.fsb()),
-                        "file:" + path, details);
+    return finishReplay(driver.replay(reader, platform_.fsb()), source,
+                        details);
 }
 
 RunResult
-CoSimulation::replayBuffer(
-    std::shared_ptr<const std::vector<std::uint8_t>> stream,
-    const std::string& source, ReplayResult* details)
-{
-    prepareReplay();
-    ReplayDriver driver;
-    return finishReplay(
-        driver.replayBuffer(std::move(stream), platform_.fsb()), source,
-        details);
-}
-
-RunResult
-CoSimulation::replaySampledFile(const std::string& path,
-                                const SamplingPlan& plan,
-                                SampledReplayStats* sstats,
-                                ReplayResult* details, bool warming,
-                                unsigned warm_stride)
+CoSimulation::replaySampled(FsbStreamReader& reader,
+                            const std::string& source,
+                            const SamplingPlan& plan,
+                            SampledReplayStats* sstats,
+                            ReplayResult* details, bool warming,
+                            unsigned warm_stride)
 {
     prepareReplay();
     SampledReplayDriver driver;
     auto t0 = std::chrono::steady_clock::now();
-    ReplayResult rr = driver.replayFile(path, plan, platform_.fsb(),
-                                        sstats, warming, warm_stride);
+    ReplayResult rr = driver.replay(reader, plan, platform_.fsb(), sstats,
+                                    warming, warm_stride);
     // The driver never reads the host clock (interval selection must
     // stay a pure function of the stream); the pass is timed here.
-    rr.seconds = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count();
-    obs::HostProfiler::global().accumulate("replay.sampled", rr.seconds);
-    return finishReplay(rr, "sampled:file:" + path, details);
-}
-
-RunResult
-CoSimulation::replaySampledBuffer(
-    std::shared_ptr<const std::vector<std::uint8_t>> stream,
-    const std::string& source, const SamplingPlan& plan,
-    SampledReplayStats* sstats, ReplayResult* details, bool warming,
-    unsigned warm_stride)
-{
-    prepareReplay();
-    SampledReplayDriver driver;
-    auto t0 = std::chrono::steady_clock::now();
-    ReplayResult rr = driver.replayBuffer(std::move(stream), plan,
-                                          platform_.fsb(), sstats,
-                                          warming, warm_stride);
     rr.seconds = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count();

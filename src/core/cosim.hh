@@ -29,6 +29,7 @@
 #define COSIM_CORE_COSIM_HH
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/emulator_bank.hh"
@@ -89,23 +90,20 @@ class CoSimulation
 
     /**
      * Feed a recorded FSB stream through the attached emulators instead
-     * of executing a guest. Emulators are reset at entry and observe
-     * the exact live sequence, so their counters and CB samples are
+     * of executing a guest. @p reader is freshly opened, from a buffer
+     * or a file; @p source names it for provenance ("memory:<name>",
+     * "file:<path>"). Emulators are reset at entry and observe the
+     * exact live sequence, so their counters and CB samples are
      * bit-identical to the run that was captured. The returned result
-     * carries the captured run's totalInsts/verified plus a
-     * `replayedFrom` provenance tag; CPU-side counters stay zero.
-     * @throws std::runtime_error on an unreadable or corrupt stream,
-     * so a sweep cell replaying a bad capture can be isolated instead
-     * of killing the whole run. @p details (optional) receives the
-     * replay's stream statistics.
+     * carries the captured run's totalInsts/verified plus @p source as
+     * `replayedFrom`; CPU-side counters stay zero.
+     * @throws std::runtime_error on a stream that did not open or is
+     * corrupt, so a sweep cell replaying a bad capture can be isolated
+     * instead of killing the whole run. @p details (optional) receives
+     * the replay's stream statistics.
      */
-    RunResult replayFile(const std::string& path,
-                         ReplayResult* details = nullptr);
-
-    /** Replay an in-memory stream (a capture writer's share()). */
-    RunResult replayBuffer(
-        std::shared_ptr<const std::vector<std::uint8_t>> stream,
-        const std::string& source, ReplayResult* details = nullptr);
+    RunResult replay(FsbStreamReader& reader, const std::string& source,
+                     ReplayResult* details = nullptr);
 
     /**
      * Sampled replay: deliver only @p plan's representative intervals
@@ -114,25 +112,18 @@ class CoSimulation
      * rest (trace/sampled_replay.hh). Message transactions are always
      * delivered, so CB totals and the sample-window clock stay exact;
      * the caller reconstructs whole-run metrics from the emulator's
-     * per-window samples and the plan weights. Error contract matches
-     * replayFile(). @p sstats (optional) receives the delivery-gate
-     * counters. @p warm_stride dilutes warming to every Nth
-     * fast-forwarded data transaction (trace/sampled_replay.hh).
+     * per-window samples and the plan weights. Stream and error
+     * contract match replay(); `replayedFrom` is "sampled:<source>".
+     * @p sstats (optional) receives the delivery-gate counters.
+     * @p warm_stride dilutes warming to every Nth fast-forwarded data
+     * transaction (trace/sampled_replay.hh).
      */
-    RunResult replaySampledFile(const std::string& path,
-                                const SamplingPlan& plan,
-                                SampledReplayStats* sstats = nullptr,
-                                ReplayResult* details = nullptr,
-                                bool warming = true,
-                                unsigned warm_stride = 1);
-
-    /** Sampled replay of an in-memory stream. */
-    RunResult replaySampledBuffer(
-        std::shared_ptr<const std::vector<std::uint8_t>> stream,
-        const std::string& source, const SamplingPlan& plan,
-        SampledReplayStats* sstats = nullptr,
-        ReplayResult* details = nullptr, bool warming = true,
-        unsigned warm_stride = 1);
+    RunResult replaySampled(FsbStreamReader& reader,
+                            const std::string& source,
+                            const SamplingPlan& plan,
+                            SampledReplayStats* sstats = nullptr,
+                            ReplayResult* details = nullptr,
+                            bool warming = true, unsigned warm_stride = 1);
 
     unsigned nEmulators() const
     {

@@ -1,11 +1,13 @@
 #include "harness/report.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <sys/stat.h>
 #include <sys/types.h>
 
@@ -116,10 +118,14 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
     opts.selfArgv.reserve(static_cast<std::size_t>(argc));
     for (int i = 0; i < argc; ++i)
         opts.selfArgv.push_back(argv[i]);
-    bool quick = false;
-    bool sample_period_cli = false;
+    // Every flag given, by name ("--journal" and "--journal=<f>" are
+    // one flag): a repeat is refused rather than resolved by order.
+    std::set<std::string> given;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        const std::string flag = arg.substr(0, arg.find('='));
+        fatal_if(!given.insert(flag).second,
+                 "option %s given more than once", flag.c_str());
         if (arg == "--help" || arg == "-h") {
             std::printf(
                 "%s\n\n"
@@ -144,8 +150,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "threads per rig (default 0 = inline)\n"
                 "  --cells=<mode>   sweep cell decomposition: combined "
                 "(default), exec (guest per config cell),\n"
-                "                   replay (guest once per workload, "
-                "replay per config cell), sampled\n"
+                "                   replay (capture the guest once per "
+                "workload, replay it into every config), sampled\n"
                 "                   (replay only a plan's representative "
                 "intervals in detail)\n"
                 "  --plan=<base>    load sampling plans from "
@@ -197,17 +203,34 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.scale = positiveFlag(arg);
         } else if (arg == "--quick") {
             opts.scale = 0.05;
-            quick = true;
         } else if (startsWith(arg, "--seed=")) {
             opts.seed = integerFlag(arg, 0, UINT64_MAX);
             opts.seedSource = "cli";
         } else if (startsWith(arg, "--workloads=")) {
-            for (const std::string& w : split(arg.substr(12), ',')) {
+            const std::string list = arg.substr(12);
+            fatal_if(trim(list).empty(),
+                     "--workloads needs at least one workload name");
+            const std::vector<std::string> catalog = workloadNames();
+            for (const std::string& w : split(list, ',')) {
                 // Catalog spelling, so every row, label, digest and
                 // stream path names the workload the same way.
-                if (!trim(w).empty())
-                    opts.workloads.push_back(
-                        canonicalWorkloadName(trim(w)));
+                const std::string name = canonicalWorkloadName(trim(w));
+                fatal_if(name.empty(), "--workloads has an empty entry "
+                         "in '%s'", list.c_str());
+                if (std::find(catalog.begin(), catalog.end(), name) ==
+                    catalog.end()) {
+                    std::string known;
+                    for (const std::string& c : catalog)
+                        known += (known.empty() ? "" : ", ") + c;
+                    fatal("unknown workload '%s' in --workloads (known: "
+                          "%s)", name.c_str(), known.c_str());
+                }
+                fatal_if(std::find(opts.workloads.begin(),
+                                   opts.workloads.end(),
+                                   name) != opts.workloads.end(),
+                         "--workloads names '%s' more than once",
+                         name.c_str());
+                opts.workloads.push_back(name);
             }
         } else if (startsWith(arg, "--out=")) {
             opts.outDir = arg.substr(6);
@@ -264,7 +287,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.warmStride = unsignedFlag(arg, 1);
         } else if (startsWith(arg, "--sample-period-us=")) {
             opts.samplePeriodUs = integerFlag(arg, 1, kMaxSamplePeriodUs);
-            sample_period_cli = true;
         } else if (startsWith(arg, "--max-phases=")) {
             opts.maxPhases = unsignedFlag(arg);
         } else if (startsWith(arg, "--digest=")) {
@@ -318,6 +340,10 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             fatal("unknown option '%s' (try --help)", arg.c_str());
         }
     }
+    const bool quick = given.count("--quick") != 0;
+    fatal_if(quick && given.count("--scale") != 0,
+             "--quick and --scale are mutually exclusive (--quick means "
+             "--scale=0.05)");
     if (opts.workloads.empty())
         opts.workloads = workloadNames();
     if (opts.manifestFile.empty())
@@ -326,7 +352,7 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
     // collapses into a handful of CB windows and a sampling plan ends
     // up covering nearly all of them. A finer window restores enough
     // geometry for phase clustering to find fast-forwardable spans.
-    if (quick && !sample_period_cli)
+    if (quick && given.count("--sample-period-us") == 0)
         opts.samplePeriodUs = 50;
     fatal_if(!opts.captureBase.empty() && !opts.replayBase.empty(),
              "--capture and --replay are mutually exclusive (a replay "

@@ -22,12 +22,14 @@ enum class CellMode : std::uint8_t
     /** One cell per (workload, configuration), each executing the guest
      * -- the execute-every-cell baseline replay is measured against. */
     Exec,
-    /** One guest execution (or recorded stream) per workload, then one
-     * replay cell per configuration. */
+    /** Combined over a capture: per workload, one guest execution
+     * records the bus stream in memory, then one broadcast cell replays
+     * it into every configuration. With --replay the stream is the
+     * recorded file, and the plan is combined's. */
     Replay,
-    /** Like replay, but each configuration cell simulates only a
-     * sampling plan's representative intervals in detail and
-     * reconstructs whole-run metrics by weight extrapolation
+    /** Like replay, but the broadcast cell simulates only a sampling
+     * plan's representative intervals in detail and reconstructs
+     * whole-run metrics by weight extrapolation
      * (trace/phase_cluster.hh, trace/sampled_replay.hh). */
     Sampled,
 };
@@ -204,9 +206,11 @@ std::string fsbStreamPath(const std::string& base,
  *   --journal[=<f>]  write-ahead journal of cell state transitions
  *   --resume=<f>     resume an interrupted sweep from its journal
  *   --help           print usage (and exit 0)
- * Unknown flags are fatal, and so is a numeric value that does not
- * parse whole or lies outside its flag's range; the error names the
- * flag. A --faults plan is parsed, seeded with the
+ * Unknown flags are fatal, and so are a flag given twice (--journal
+ * and --journal=<f> are one flag), --quick with --scale, a numeric
+ * value that does not parse whole or lies outside its flag's range,
+ * and an unknown, empty or repeated --workloads entry; the error names
+ * the flag or entry. A --faults plan is parsed, seeded with the
  * run seed, and armed in the global FaultInjector before returning.
  * Any of the telemetry flags enables the (otherwise zero-cost) metrics
  * registry for the whole run.

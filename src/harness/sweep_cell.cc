@@ -267,90 +267,82 @@ planSweep(const SweepFigure& fig)
     const bool capture = !opts.captureBase.empty();
     const bool digest = !opts.digestFile.empty();
     const std::size_t n_w = opts.workloads.size();
-    const std::size_t n_c = fig.emulators.size();
+    const std::vector<std::string>& names = opts.workloads;
+    const StreamSource stream =
+        file_backed ? StreamSource::Capture : StreamSource::Guest;
 
     SweepPlan plan;
-    std::vector<SweepPlan::Chain> phase1;
-    std::vector<SweepPlan::Chain> phase2;
     auto add = [&](SweepCell cell) {
         plan.cells.push_back(std::move(cell));
         return plan.cells.size() - 1;
     };
-    const std::vector<std::string>& names = opts.workloads;
-    auto per_config = [&](StreamSource source, bool cap, bool dig) {
-        for (std::size_t w = 0; w < n_w; ++w) {
-            for (std::size_t c = 0; c < n_c; ++c) {
-                phase2.push_back({add({.label = names[w] + "/" + fig.ticks[c],
-                                       .workload = w,
-                                       .source = source,
-                                       .group = EmulatorGroup::One,
-                                       .config = c,
-                                       .capture = cap && c == 0,
-                                       .digest = dig && c == 0})});
-            }
-        }
-    };
 
     switch (opts.cells) {
+      case CellMode::Replay:
+        if (!file_backed) {
+            // Phase 1 captures the stream in memory; one broadcast cell
+            // replays it into every configuration.
+            for (std::size_t w = 0; w < n_w; ++w) {
+                plan.chains.push_back(
+                    {add({.label = names[w] + "/capture",
+                          .workload = w,
+                          .group = EmulatorGroup::None,
+                          .capture = true,
+                          .phase1 = true}),
+                     add({.label = names[w] + "/replay",
+                          .workload = w,
+                          .source = StreamSource::Capture})});
+            }
+            break;
+        }
+        // From files nothing is left to capture: the plan is combined's.
+        [[fallthrough]];
       case CellMode::Combined:
         for (std::size_t w = 0; w < n_w; ++w) {
-            phase2.push_back({add({.label = names[w],
-                                   .workload = w,
-                                   .source = file_backed
-                                       ? StreamSource::File
-                                       : StreamSource::Guest,
-                                   .capture = capture,
-                                   .digest = file_backed || digest})});
+            plan.chains.push_back({add({.label = names[w],
+                                        .workload = w,
+                                        .source = stream,
+                                        .capture = capture,
+                                        .digest = file_backed || digest})});
         }
         break;
       case CellMode::Exec:
-        per_config(StreamSource::Guest, capture, digest);
-        break;
-      case CellMode::Replay:
-        // Every configuration cell consumes the workload's stream, so
-        // the in-memory capture is a barrier stage of its own.
-        for (std::size_t w = 0; !file_backed && w < n_w; ++w) {
-            phase1.push_back({add({.label = names[w] + "/capture",
-                                   .workload = w,
-                                   .group = EmulatorGroup::None,
-                                   .capture = true,
-                                   .phase1 = true})});
+        for (std::size_t w = 0; w < n_w; ++w) {
+            for (std::size_t c = 0; c < fig.emulators.size(); ++c) {
+                plan.chains.push_back(
+                    {add({.label = names[w] + "/" + fig.ticks[c],
+                          .workload = w,
+                          .group = EmulatorGroup::One,
+                          .config = c,
+                          .capture = capture && c == 0,
+                          .digest = digest && c == 0})});
+            }
         }
-        per_config(file_backed ? StreamSource::File : StreamSource::Memory,
-                   false, file_backed);
         break;
       case CellMode::Sampled: {
         // The profile runs whenever the plan (or the error reference)
-        // must come from a full pass. A workload's stream feeds only
-        // its own broadcast cell, so profile and sampled cell fuse into
-        // one chain -- a barrier would serialize the sweep on its
-        // slowest profile for no consumer.
+        // must come from a full pass.
         const bool profile = !file_backed || opts.planBase.empty();
-        phase2.resize(n_w);
+        plan.chains.resize(n_w);
         for (std::size_t w = 0; profile && w < n_w; ++w) {
-            phase2[w].push_back(add({.label = names[w] + "/profile",
-                                     .workload = w,
-                                     .source = file_backed
-                                         ? StreamSource::File
-                                         : StreamSource::Guest,
-                                     .group = EmulatorGroup::One,
-                                     .config = 0,
-                                     .capture = !file_backed,
-                                     .digest = file_backed,
-                                     .phase1 = true}));
+            plan.chains[w].push_back(add({.label = names[w] + "/profile",
+                                          .workload = w,
+                                          .source = stream,
+                                          .group = EmulatorGroup::One,
+                                          .config = 0,
+                                          .capture = !file_backed,
+                                          .digest = file_backed,
+                                          .phase1 = true}));
         }
         for (std::size_t w = 0; w < n_w; ++w) {
-            phase2[w].push_back(add({.label = names[w] + "/sampled",
-                                     .workload = w,
-                                     .source = StreamSource::Sampled,
-                                     .digest = !profile}));
+            plan.chains[w].push_back(add({.label = names[w] + "/sampled",
+                                          .workload = w,
+                                          .source = StreamSource::Sampled,
+                                          .digest = !profile}));
         }
         break;
       }
     }
-    if (!phase1.empty())
-        plan.stages.push_back(std::move(phase1));
-    plan.stages.push_back(std::move(phase2));
     return plan;
 }
 
@@ -363,6 +355,7 @@ resolveStream(const SweepFigure& fig, std::size_t w)
     if (opts.replayBase.empty())
         return ws;
     ws.path = fsbStreamPath(opts.replayBase, name);
+    ws.source = "file:" + ws.path;
     if (opts.cells != CellMode::Sampled || opts.planBase.empty())
         return ws;
     // --plan with --replay skips the profiling pass entirely, at the
@@ -481,28 +474,26 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
             fsb.detach(digest.get());
         out.guestExecutions = 1;
     } else {
+        // A --replay file is read here, when its cell runs, so a
+        // missing or corrupt one fails this cell alone.
+        FsbStreamReader reader;
+        if (ws.buffer != nullptr)
+            reader.openBuffer(ws.buffer);
+        else
+            reader.openFile(ws.path);
         ReplayResult details;
-        SampledReplayStats sstats;
-        const bool memory = ws.buffer != nullptr;
         if (cell.source == StreamSource::Sampled) {
-            result = memory
-                ? rig.replaySampledBuffer(ws.buffer, ws.source, ws.plan,
-                                          &sstats, &details,
-                                          opts.sampledWarming,
-                                          opts.warmStride)
-                : rig.replaySampledFile(ws.path, ws.plan, &sstats,
-                                        &details, opts.sampledWarming,
-                                        opts.warmStride);
+            SampledReplayStats sstats;
+            result = rig.replaySampled(reader, ws.source, ws.plan, &sstats,
+                                       &details, opts.sampledWarming,
+                                       opts.warmStride);
             countSampled(sstats);
         } else {
-            result = memory
-                ? rig.replayBuffer(ws.buffer, ws.source, &details)
-                : rig.replayFile(ws.path, &details);
+            result = rig.replay(reader, ws.source, &details);
         }
-        const std::string& from = memory ? ws.source : ws.path;
         if (details.meta.workload != name) {
             warn("replay stream %s records workload '%s', expected '%s'",
-                 from.c_str(), details.meta.workload.c_str(),
+                 ws.source.c_str(), details.meta.workload.c_str(),
                  name.c_str());
         }
         out.replayTxns = details.txns;

@@ -4,19 +4,21 @@
  *
  * The paper gets a whole LLC sweep from one workload execution by
  * attaching passive Dragonheads to it. Every --cells mode is a choice
- * of cells over one body (runCellBody):
+ * of cells over one body (runCellBody), laid out as one chain per
+ * workload (per workload and config in exec mode):
  *
- *   mode      phase-1 cell, per workload     phase-2 cells
- *   combined  -                              Guest|File x All, per workload
+ *   mode      phase-1 cell                   broadcast / config cells
+ *   combined  -                              Guest|Capture x All
  *   exec      -                              Guest x One, per config
- *   replay    Guest x None (in-memory FSBC)  Memory|File x One, per config
- *   sampled   Guest|File x One, config 0     Sampled x All, per workload
+ *   replay    Guest x None (in-memory FSBC)  Capture x All
+ *   sampled   Guest|Capture x One, config 0  Sampled x All
  *
- * A phase-1 cell produces what its workload's later cells consume (the
+ * A phase-1 cell produces what the rest of its chain consumes (the
  * in-memory capture, the sampling plan and its full-run reference);
  * with --replay (and, for sampled, --plan) the inputs come from files
- * and phase 1 disappears. Capture and digest ride on whichever cell
- * speaks for the workload's first configuration.
+ * and phase 1 disappears -- replay then plans exactly combined's
+ * cells. Capture and digest ride on whichever cell speaks for the
+ * workload's first configuration.
  *
  * A rig is the CoSimulation a cell runs on. RigSlot enforces the one
  * lifetime rule: at most one rig per running cell, reused by the next
@@ -83,9 +85,8 @@ struct CellOutput
 enum class StreamSource : std::uint8_t
 {
     Guest,   ///< execute the workload live
-    Memory,  ///< the workload's in-memory FSBC capture (phase 1)
-    File,    ///< "<replayBase>.<workload>.fsb"
-    Sampled, ///< the capture or file, gated by the workload's plan
+    Capture, ///< the workload's FSBC stream: phase 1's, or its file
+    Sampled, ///< that stream, gated by the workload's plan
 };
 
 /** Which of the sweep's configurations a cell's rig attaches. */
@@ -107,8 +108,9 @@ struct SweepCell
     EmulatorGroup group = EmulatorGroup::All;
     /** The configuration of a One group. */
     std::size_t config = 0;
-    /** Record the stream: in memory for phase 2 (phase-1 cells) and
-     * to "<captureBase>.<workload>.fsb" under --capture. */
+    /** Record the stream: in memory for the rest of the chain
+     * (phase-1 cells) and to "<captureBase>.<workload>.fsb" under
+     * --capture. */
     bool capture = false;
     /** Fingerprint the stream for --digest (a replay always has the
      * reader's fingerprint; this says whether the cell reports it). */
@@ -128,18 +130,16 @@ struct SweepFigure
 };
 
 /**
- * A figure's cells in progress-row order, and how to run them: stages
- * run one after another (the phase-1 barrier of replay mode); within a
- * stage, chains run concurrently across --jobs host threads, each chain
- * executing its cells in order on one thread (sampled mode fuses a
- * workload's profile and sampled cells into one chain).
+ * A figure's cells in progress-row order, and how to run them: chains
+ * run concurrently across --jobs host threads, each executing its cells
+ * in order on one thread. A chain never reads another chain's output.
  */
 struct SweepPlan
 {
     using Chain = std::vector<std::size_t>;
 
     std::vector<SweepCell> cells;
-    std::vector<std::vector<Chain>> stages;
+    std::vector<Chain> chains;
 };
 
 /** Plan every cell of @p fig's sweep (see file comment). */
@@ -148,10 +148,11 @@ SweepPlan planSweep(const SweepFigure& fig);
 /** What one workload's cells share: its stream, plan and phase 1. */
 struct WorkloadStream
 {
-    /** In-memory capture (null = file-backed via @ref path). */
+    /** The FSBC stream: phase 1's in-memory capture, or (when null)
+     * the --replay file at @ref path, read by each cell that runs. */
     std::shared_ptr<const std::vector<std::uint8_t>> buffer;
     std::string path;
-    /** Provenance label for in-memory replays. */
+    /** Provenance: "memory:<workload>" or "file:<path>". */
     std::string source;
 
     /** The phase-1 cell's output (failed = later cells cannot run). */
@@ -173,9 +174,9 @@ struct WorkloadStream
 
 /**
  * Resolve workload @p w's file-backed inputs before any cell runs: the
- * --replay stream path, and the --plan file when no phase-1 cell
- * produces the plan. A plan that does not load fails the workload
- * (base.failed), not the sweep.
+ * --replay stream path (each cell reads the file when it runs), and the
+ * --plan file when no phase-1 cell produces the plan. A plan that does
+ * not load fails the workload (base.failed), not the sweep.
  */
 WorkloadStream resolveStream(const SweepFigure& fig, std::size_t w);
 

@@ -371,12 +371,12 @@ emitSkipEvents(obs::SweepProgress& progress, const std::string& name,
 }
 
 /**
- * The one scheduler: run @p plan's stages in order, each stage's chains
- * across up to --jobs host threads, every cell behind the guard on a
- * rig from a RigSlot. A serial stage shares one slot, so a cell can
- * take over its predecessor's rig; a parallel chain gets its own, so
- * at most one rig exists per running cell. Returns one output per
- * planned cell.
+ * The one scheduler: run @p plan's chains across up to --jobs host
+ * threads, every cell behind the guard on a rig from a RigSlot. A
+ * serial sweep shares one slot across every chain, so a cell can take
+ * over its predecessor's rig; a parallel chain gets its own, so at most
+ * one rig exists per running cell. A workload's in-memory stream is
+ * released when its chain ends. Returns one output per planned cell.
  */
 std::vector<CellOutput>
 runPlan(const SweepFigure& fig, const SweepPlan& plan,
@@ -426,33 +426,39 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
         outs[i] = std::move(out);
     };
 
-    for (const std::vector<SweepPlan::Chain>& stage : plan.stages) {
-        const unsigned jobs = static_cast<unsigned>(
-            std::min<std::size_t>(opts.jobs, stage.size()));
-        if (jobs > 1) {
-            ThreadPool pool(jobs);
-            std::vector<std::future<void>> done;
-            done.reserve(stage.size());
-            for (const SweepPlan::Chain& chain : stage) {
-                done.push_back(pool.submit([&run_cell, &chain] {
-                    RigSlot slot;
-                    for (std::size_t i : chain)
-                        run_cell(i, slot, nullptr);
-                }));
-            }
-            for (std::future<void>& f : done)
-                f.get();
-            continue;
+    auto run_chain = [&](const SweepPlan::Chain& chain, RigSlot& slot,
+                         const SweepCell* after) {
+        for (std::size_t j = 0; j < chain.size(); ++j) {
+            run_cell(chain[j], slot,
+                     j + 1 < chain.size() ? &plan.cells[chain[j + 1]]
+                                          : after);
         }
-        std::vector<std::size_t> order;
-        for (const SweepPlan::Chain& chain : stage)
-            order.insert(order.end(), chain.begin(), chain.end());
-        RigSlot slot;
-        for (std::size_t k = 0; k < order.size(); ++k) {
-            run_cell(order[k], slot,
-                     k + 1 < order.size() ? &plan.cells[order[k + 1]]
-                                          : nullptr);
+        // A phase-1 capture feeds only the rest of its own chain.
+        if (plan.cells[chain.front()].phase1)
+            streams[plan.cells[chain.front()].workload].buffer.reset();
+    };
+
+    const unsigned jobs = static_cast<unsigned>(
+        std::min<std::size_t>(opts.jobs, plan.chains.size()));
+    if (jobs > 1) {
+        ThreadPool pool(jobs);
+        std::vector<std::future<void>> done;
+        for (const SweepPlan::Chain& chain : plan.chains) {
+            done.push_back(pool.submit([&run_chain, &chain] {
+                RigSlot slot;
+                run_chain(chain, slot, nullptr);
+            }));
         }
+        for (std::future<void>& f : done)
+            f.get();
+        return outs;
+    }
+    RigSlot slot;
+    for (std::size_t k = 0; k < plan.chains.size(); ++k) {
+        run_chain(plan.chains[k], slot,
+                  k + 1 < plan.chains.size()
+                      ? &plan.cells[plan.chains[k + 1].front()]
+                      : nullptr);
     }
     return outs;
 }
@@ -590,10 +596,7 @@ SweepRunner::runFigure(const std::string& figure_id,
     manifest.journalPath = opts_.journalFile;
     manifest.resumed = !opts_.resumeFrom.empty();
     // Host parallelism as the scheduler applies it: jobs clamp to the
-    // widest stage, emulation threads to the largest emulator group.
-    std::size_t widest = 1;
-    for (const std::vector<SweepPlan::Chain>& stage : plan.stages)
-        widest = std::max(widest, stage.size());
+    // number of chains, emulation threads to the largest emulator group.
     std::size_t group = 0;
     for (const SweepCell& cell : plan.cells) {
         group = std::max<std::size_t>(
@@ -602,7 +605,8 @@ SweepRunner::runFigure(const std::string& figure_id,
                                                        : 1);
     }
     manifest.hostJobs =
-        static_cast<unsigned>(std::min<std::size_t>(opts_.jobs, widest));
+        static_cast<unsigned>(std::min<std::size_t>(
+            opts_.jobs, std::max<std::size_t>(plan.chains.size(), 1)));
     manifest.emulationThreads = static_cast<unsigned>(
         std::min<std::size_t>(opts_.emuThreads, group));
 
@@ -774,12 +778,16 @@ SweepRunner::runFigure(const std::string& figure_id,
     }
 
     // Publish the component stats and the host profile through the
-    // uniform registry dumpers. Combined mode also exposes the "state
-    // after the final workload" view unprefixed: the last successful
-    // workload's frozen cell/<w>/ snapshot, re-rooted. Per-config modes
-    // rely on the cell/<workload>/<config>/ snapshots alone.
+    // uniform registry dumpers. Combined plans (combined mode, and
+    // replay from files) also expose the "state after the final
+    // workload" view unprefixed: the last successful workload's frozen
+    // cell/<w>/ snapshot, re-rooted. Other plans rely on their
+    // cell/<workload>/<cell>/ snapshots alone.
     obs::StatsRegistry& registry = obs::StatsRegistry::global();
-    if (opts_.cells == CellMode::Combined && !last_ok.empty())
+    const bool combined_plan =
+        opts_.cells == CellMode::Combined ||
+        (opts_.cells == CellMode::Replay && !opts_.replayBase.empty());
+    if (combined_plan && !last_ok.empty())
         registry.addSnapshotOf(registry, "", "cell/" + last_ok + "/");
     registry.add(obs::HostProfiler::global().statsGroup());
     if (obs::metrics::enabled()) {

@@ -4,7 +4,8 @@
  * (workload, CMP scale) with every cache configuration of the sweep
  * attached as a passive Dragonhead is the paper's rig (--cells=combined,
  * the default); --cells=exec, replay and sampled decompose the same
- * sweep into other cells (harness/sweep_cell.hh has the table). Every
+ * sweep into other cells (harness/sweep_cell.hh has the table). Replay
+ * is combined over a capture: one broadcast replay per workload. Every
  * mode runs through the same pieces:
  *
  *  - harness/sweep_cell: the cell plan, the one cell body, and the rig
@@ -12,9 +13,9 @@
  *  - harness/cell_isolation: --isolate-cells children and the cell
  *    artifact they (and the journal) leave behind;
  *  - harness/sweep_journal: the write-ahead journal --resume reads;
- *  - this file: the scheduler (retries, watchdog, phase-1 barrier,
- *    --jobs) and the figure assembly (CSV rows, run.json, --stats,
- *    --digest, --plan-out).
+ *  - this file: the scheduler (retries, watchdog, one chain of cells
+ *    per workload across --jobs threads) and the figure assembly (CSV
+ *    rows, run.json, --stats, --digest, --plan-out).
  *
  * Orthogonally, --capture records each workload's bus stream to disk,
  * --replay feeds recorded streams back instead of executing the guest,

@@ -411,6 +411,8 @@ FsbStreamReader::nextChunk(std::vector<BusTransaction>& out)
     out.clear();
     if (!ok() || atEnd_)
         return false;
+    if (data_ == nullptr)
+        return fail("FSB stream reader was never opened");
     const std::vector<std::uint8_t>& d = *data_;
 
     if (pos_ >= d.size())

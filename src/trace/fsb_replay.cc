@@ -1,33 +1,12 @@
 #include "trace/fsb_replay.hh"
 
 #include <chrono>
+#include <vector>
 
 #include "mem/fsb.hh"
 #include "obs/host_profiler.hh"
 
 namespace cosim {
-
-ReplayResult
-ReplayDriver::replayFile(const std::string& path, FrontSideBus& bus)
-{
-    FsbStreamReader reader;
-    ReplayResult result;
-    if (!reader.openFile(path, &result.error))
-        return result;
-    return replay(reader, bus);
-}
-
-ReplayResult
-ReplayDriver::replayBuffer(
-    std::shared_ptr<const std::vector<std::uint8_t>> stream,
-    FrontSideBus& bus)
-{
-    FsbStreamReader reader;
-    ReplayResult result;
-    if (!reader.openBuffer(std::move(stream), &result.error))
-        return result;
-    return replay(reader, bus);
-}
 
 ReplayResult
 ReplayDriver::replay(FsbStreamReader& reader, FrontSideBus& bus)

@@ -17,9 +17,7 @@
 #define COSIM_TRACE_FSB_REPLAY_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "trace/fsb_capture.hh"
 
@@ -47,18 +45,12 @@ class ReplayDriver
 {
   public:
     /**
-     * Replay the stream at @p path through @p bus. On a corrupt stream
-     * the error is reported in the result; transactions decoded before
-     * the damage was detected have already been delivered.
+     * Replay @p reader's stream -- opened from a buffer or a file --
+     * through @p bus. On a corrupt stream the error is reported in the
+     * result; transactions decoded before the damage was detected have
+     * already been delivered. A reader whose open failed delivers
+     * nothing and reports its open error.
      */
-    ReplayResult replayFile(const std::string& path, FrontSideBus& bus);
-
-    /** Replay an in-memory stream (a capture-run writer's share()). */
-    ReplayResult replayBuffer(
-        std::shared_ptr<const std::vector<std::uint8_t>> stream,
-        FrontSideBus& bus);
-
-  private:
     ReplayResult replay(FsbStreamReader& reader, FrontSideBus& bus);
 };
 

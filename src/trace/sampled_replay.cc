@@ -1,6 +1,7 @@
 #include "trace/sampled_replay.hh"
 
 #include <algorithm>
+#include <vector>
 
 #include "base/logging.hh"
 #include "dragonhead/fsb_messages.hh"
@@ -128,33 +129,6 @@ seenSlot(std::uint64_t line)
 }
 
 } // namespace
-
-ReplayResult
-SampledReplayDriver::replayFile(const std::string& path,
-                                const SamplingPlan& plan,
-                                FrontSideBus& bus,
-                                SampledReplayStats* stats, bool warming,
-                                unsigned warm_stride)
-{
-    FsbStreamReader reader;
-    ReplayResult result;
-    if (!reader.openFile(path, &result.error))
-        return result;
-    return replay(reader, plan, bus, stats, warming, warm_stride);
-}
-
-ReplayResult
-SampledReplayDriver::replayBuffer(
-    std::shared_ptr<const std::vector<std::uint8_t>> stream,
-    const SamplingPlan& plan, FrontSideBus& bus,
-    SampledReplayStats* stats, bool warming, unsigned warm_stride)
-{
-    FsbStreamReader reader;
-    ReplayResult result;
-    if (!reader.openBuffer(std::move(stream), &result.error))
-        return result;
-    return replay(reader, plan, bus, stats, warming, warm_stride);
-}
 
 ReplayResult
 SampledReplayDriver::replay(FsbStreamReader& reader,

@@ -48,9 +48,6 @@
 #define COSIM_TRACE_SAMPLED_REPLAY_HH
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "trace/fsb_replay.hh"
 #include "trace/phase_cluster.hh"
@@ -86,34 +83,21 @@ class SampledReplayDriver
 {
   public:
     /**
-     * Sampled-replay the stream at @p path through @p bus under
-     * @p plan. Stream decode errors surface exactly as in ReplayDriver
-     * (error in the result, already-decoded windows delivered); the
-     * result's `seconds` is left 0 for the caller to fill -- this
-     * translation unit deliberately never reads the host clock.
-     * @p warming selects functional warming of the fast-forwarded
-     * spans (see the file comment); leave it on unless measuring the
-     * cold-start bias itself. @p warm_stride dilutes that warming to
-     * every Nth fast-forwarded data transaction (0 and 1 both mean
-     * every one).
+     * Sampled-replay @p reader's stream -- opened from a buffer or a
+     * file -- through @p bus under @p plan. Stream errors surface
+     * exactly as in ReplayDriver::replay (error in the result,
+     * already-decoded windows delivered); the result's `seconds` is
+     * left 0 for the caller to fill -- this translation unit
+     * deliberately never reads the host clock. @p warming selects
+     * functional warming of the fast-forwarded spans (see the file
+     * comment); leave it on unless measuring the cold-start bias
+     * itself. @p warm_stride dilutes that warming to every Nth
+     * fast-forwarded data transaction (0 and 1 both mean every one).
      */
-    ReplayResult replayFile(const std::string& path,
-                            const SamplingPlan& plan, FrontSideBus& bus,
-                            SampledReplayStats* stats = nullptr,
-                            bool warming = true,
-                            unsigned warm_stride = 1);
-
-    /** Sampled-replay an in-memory stream (a capture writer's share()). */
-    ReplayResult replayBuffer(
-        std::shared_ptr<const std::vector<std::uint8_t>> stream,
-        const SamplingPlan& plan, FrontSideBus& bus,
-        SampledReplayStats* stats = nullptr, bool warming = true,
-        unsigned warm_stride = 1);
-
-  private:
     ReplayResult replay(FsbStreamReader& reader, const SamplingPlan& plan,
-                        FrontSideBus& bus, SampledReplayStats* stats,
-                        bool warming, unsigned warm_stride);
+                        FrontSideBus& bus,
+                        SampledReplayStats* stats = nullptr,
+                        bool warming = true, unsigned warm_stride = 1);
 };
 
 } // namespace cosim

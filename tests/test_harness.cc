@@ -59,13 +59,60 @@ TEST(BenchOptions, WorkloadSubset)
 
 TEST(BenchOptions, WorkloadNamesTakeTheCatalogSpelling)
 {
-    BenchOptions o = parse({"--workloads=plsa,svm_rfe,Fimi,nope"});
-    ASSERT_EQ(o.workloads.size(), 4u);
+    BenchOptions o = parse({"--workloads=plsa,svm_rfe,Fimi"});
+    ASSERT_EQ(o.workloads.size(), 3u);
     EXPECT_EQ(o.workloads[0], "PLSA");
     EXPECT_EQ(o.workloads[1], "SVM-RFE");
     EXPECT_EQ(o.workloads[2], "FIMI");
-    // An unknown name is left for the cell to reject.
-    EXPECT_EQ(o.workloads[3], "nope");
+}
+
+TEST(BenchOptionsDeathTest, BadWorkloadListsAreFatalAndNameTheEntry)
+{
+    const std::pair<std::string, std::string> cases[] = {
+        {"--workloads=MDS,FOO", "unknown workload 'FOO'"},
+        {"--workloads=nope", "unknown workload 'nope'"},
+        {"--workloads=", "--workloads needs at least one workload"},
+        {"--workloads=MDS,,SHOT", "empty entry in 'MDS,,SHOT'"},
+        {"--workloads=MDS,", "empty entry in 'MDS,'"},
+        {"--workloads=MDS,MDS", "names 'MDS' more than once"},
+        // Duplicates are judged after the catalog spelling.
+        {"--workloads=MDS,mds", "names 'MDS' more than once"},
+        {"--workloads=svm_rfe,SVM-RFE", "names 'SVM-RFE' more than once"},
+    };
+    for (const auto& [arg, error] : cases) {
+        EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), error)
+            << arg;
+    }
+}
+
+TEST(BenchOptionsDeathTest, RepeatedFlagsAreFatal)
+{
+    const std::vector<std::string> cases[] = {
+        {"--jobs=2", "--jobs=3"},
+        {"--jobs=2", "--jobs=2"},
+        {"--quick", "--quick"},
+        {"--keep-going", "--keep-going"},
+        {"--workloads=MDS", "--workloads=SHOT"},
+        // Bare and valued spellings are one flag.
+        {"--journal", "--journal=/tmp/j.jsonl"},
+        {"--journal=/tmp/j.jsonl", "--journal"},
+    };
+    for (const std::vector<std::string>& args : cases) {
+        const std::string flag = args[1].substr(0, args[1].find('='));
+        EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(1),
+                    "option " + flag + " given more than once")
+            << args[0] << " " << args[1];
+    }
+}
+
+TEST(BenchOptionsDeathTest, QuickWithScaleIsFatalInEitherOrder)
+{
+    EXPECT_EXIT(parse({"--quick", "--scale=0.5"}),
+                ::testing::ExitedWithCode(1),
+                "--quick and --scale are mutually exclusive");
+    EXPECT_EXIT(parse({"--scale=0.5", "--quick"}),
+                ::testing::ExitedWithCode(1),
+                "--quick and --scale are mutually exclusive");
 }
 
 TEST(BenchOptions, SeedOutAndVerify)

@@ -14,10 +14,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,7 +28,9 @@
 #include "core/cosim.hh"
 #include "core/experiment.hh"
 #include "core/results.hh"
+#include "harness/sweep_cell.hh"
 #include "harness/sweep_runner.hh"
+#include "obs/json.hh"
 #include "obs/stats_registry.hh"
 #include "trace/fsb_capture.hh"
 #include "trace/fsb_replay.hh"
@@ -159,9 +164,10 @@ replayOnce(const LiveCapture& live, unsigned emu_threads,
     params.emulationThreads = emu_threads;
     CoSimulation cosim(params);
 
+    FsbStreamReader reader;
+    reader.openBuffer(live.stream);
     ReplayResult details;
-    RunResult result = cosim.replayBuffer(live.stream, "memory:loop",
-                                          &details);
+    RunResult result = cosim.replay(reader, "memory:loop", &details);
     EXPECT_EQ(details.txns, live.txns);
     EXPECT_EQ(details.digest, live.digest);
     if (out_result)
@@ -230,8 +236,10 @@ TEST(FsbReplay, FileRoundTripIsIdenticalToBufferReplay)
     params.platform = smallCmp(cores);
     params.emulators = sweepConfigs();
     CoSimulation cosim(params);
+    FsbStreamReader reader;
+    ASSERT_TRUE(reader.openFile(path));
     ReplayResult details;
-    RunResult result = cosim.replayFile(path, &details);
+    RunResult result = cosim.replay(reader, "file:" + path, &details);
     EXPECT_EQ(result.replayedFrom, "file:" + path);
     EXPECT_EQ(details.digest, live.digest);
     EXPECT_EQ(fingerprintOf(cosim, cores), live.fingerprint);
@@ -250,7 +258,9 @@ TEST(FsbReplay, RigIsReusableAfterReplay)
     params.emulators = sweepConfigs();
     CoSimulation cosim(params);
 
-    cosim.replayBuffer(live.stream, "memory:loop");
+    FsbStreamReader first_reader;
+    first_reader.openBuffer(live.stream);
+    cosim.replay(first_reader, "memory:loop");
     Fingerprint first = fingerprintOf(cosim, cores);
 
     test::LoopWorkload wl(16 * KiB, 4, true);
@@ -259,7 +269,9 @@ TEST(FsbReplay, RigIsReusableAfterReplay)
     cosim.run(wl, cfg);
     EXPECT_EQ(fingerprintOf(cosim, cores), live.fingerprint);
 
-    cosim.replayBuffer(live.stream, "memory:loop");
+    FsbStreamReader second_reader;
+    second_reader.openBuffer(live.stream);
+    cosim.replay(second_reader, "memory:loop");
     EXPECT_EQ(fingerprintOf(cosim, cores), first);
     EXPECT_EQ(first, live.fingerprint);
 }
@@ -272,11 +284,21 @@ TEST(FsbReplay, CorruptStreamReportsErrorThroughDriver)
     (*corrupt)[corrupt->size() - 1] ^= 0xff; // trailer digest byte
 
     FrontSideBus bus;
+    FsbStreamReader reader;
+    reader.openBuffer(corrupt);
     ReplayDriver driver;
-    ReplayResult rr = driver.replayBuffer(corrupt, bus);
+    ReplayResult rr = driver.replay(reader, bus);
     EXPECT_FALSE(rr.ok);
     EXPECT_NE(rr.error.find("digest mismatch"), std::string::npos)
         << rr.error;
+
+    // A reader that was never opened delivers nothing and says so.
+    FsbStreamReader unopened;
+    ReplayResult none = driver.replay(unopened, bus);
+    EXPECT_FALSE(none.ok);
+    EXPECT_EQ(none.txns, 0u);
+    EXPECT_NE(none.error.find("never opened"), std::string::npos)
+        << none.error;
 }
 
 TEST(FsbReplay, CoSimulationRefusesCorruptStream)
@@ -287,11 +309,16 @@ TEST(FsbReplay, CoSimulationRefusesCorruptStream)
     params.platform = smallCmp(2);
     params.emulators = {llc(8 * KiB)};
     CoSimulation cosim(params);
+    FsbStreamReader reader;
+    EXPECT_FALSE(reader.openFile("/nonexistent/stream.fsb"));
     try {
-        cosim.replayFile("/nonexistent/stream.fsb");
-        FAIL() << "replayFile must throw on an unreadable stream";
+        cosim.replay(reader, "file:/nonexistent/stream.fsb");
+        FAIL() << "replay must throw on an unreadable stream";
     } catch (const std::runtime_error& e) {
-        EXPECT_NE(std::string(e.what()).find("cannot replay FSB stream"),
+        // The error names the source and the reader's open failure.
+        EXPECT_NE(std::string(e.what()).find(
+                      "cannot replay FSB stream (file:/nonexistent/"
+                      "stream.fsb): cannot open FSB stream file"),
                   std::string::npos)
             << e.what();
     }
@@ -303,7 +330,8 @@ FigureData
 runSweep(CellMode cells, unsigned jobs, unsigned emu_threads,
          const std::string& capture_base = "",
          const std::string& replay_base = "",
-         const std::string& digest_file = "")
+         const std::string& digest_file = "",
+         const std::string& manifest_file = "")
 {
     BenchOptions opts;
     opts.scale = 0.02;
@@ -314,6 +342,7 @@ runSweep(CellMode cells, unsigned jobs, unsigned emu_threads,
     opts.captureBase = capture_base;
     opts.replayBase = replay_base;
     opts.digestFile = digest_file;
+    opts.manifestFile = manifest_file;
 
     PlatformParams platform = presets::cmpPlatform("tiny", 2);
     return SweepRunner(opts).runLineSizeFigure("FigReplayTest", platform);
@@ -380,6 +409,195 @@ TEST(SweepCellModes, CaptureThenFileReplayMatchesLive)
     std::remove(digest_replay.c_str());
 }
 
+/** Every "group.stat" key of the global registry but the host
+ * profile's, sorted. */
+std::vector<std::string>
+statKeys()
+{
+    std::vector<std::string> keys;
+    std::istringstream csv(obs::StatsRegistry::global().dumpCsv());
+    std::string line;
+    std::getline(csv, line); // header
+    while (std::getline(csv, line)) {
+        const std::string key = line.substr(0, line.find(','));
+        if (key.rfind("host.", 0) != 0)
+            keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+}
+
+SweepFigure
+planFigure(const BenchOptions& opts)
+{
+    std::vector<std::string> ticks;
+    for (std::uint32_t line : presets::lineSizeSweep())
+        ticks.push_back(formatSize(line));
+    return {opts, presets::cmpPlatform("tiny", 2),
+            presets::lineSizeSweepEmulators(), ticks};
+}
+
+TEST(SweepCellModes, ReplayPlansACaptureAndABroadcastCellPerWorkload)
+{
+    BenchOptions opts;
+    opts.workloads = {"PLSA", "MDS"};
+    opts.cells = CellMode::Replay;
+    const SweepPlan plan = planSweep(planFigure(opts));
+
+    ASSERT_EQ(plan.cells.size(), 4u);
+    ASSERT_EQ(plan.chains.size(), 2u);
+    for (std::size_t w = 0; w < 2; ++w) {
+        const SweepPlan::Chain& chain = plan.chains[w];
+        ASSERT_EQ(chain.size(), 2u);
+        const SweepCell& capture = plan.cells[chain[0]];
+        const SweepCell& replay = plan.cells[chain[1]];
+        EXPECT_EQ(capture.label, opts.workloads[w] + "/capture");
+        EXPECT_EQ(capture.workload, w);
+        EXPECT_EQ(capture.source, StreamSource::Guest);
+        EXPECT_EQ(capture.group, EmulatorGroup::None);
+        EXPECT_TRUE(capture.capture);
+        EXPECT_TRUE(capture.phase1);
+        EXPECT_EQ(replay.label, opts.workloads[w] + "/replay");
+        EXPECT_EQ(replay.workload, w);
+        EXPECT_EQ(replay.source, StreamSource::Capture);
+        EXPECT_EQ(replay.group, EmulatorGroup::All);
+        EXPECT_FALSE(replay.phase1);
+    }
+}
+
+TEST(SweepCellModes, FileReplayPlansCombinedCells)
+{
+    BenchOptions opts;
+    opts.workloads = {"PLSA", "MDS"};
+    opts.replayBase = "streams/fig7";
+    BenchOptions replay_opts = opts;
+    replay_opts.cells = CellMode::Replay;
+    const SweepPlan combined = planSweep(planFigure(opts));
+    const SweepPlan replay = planSweep(planFigure(replay_opts));
+
+    ASSERT_EQ(replay.cells.size(), 2u);
+    ASSERT_EQ(replay.cells.size(), combined.cells.size());
+    EXPECT_EQ(replay.chains, combined.chains);
+    for (std::size_t i = 0; i < replay.cells.size(); ++i) {
+        const SweepCell& a = replay.cells[i];
+        const SweepCell& b = combined.cells[i];
+        EXPECT_EQ(a.label, opts.workloads[i]);
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.source, StreamSource::Capture);
+        EXPECT_EQ(a.source, b.source);
+        EXPECT_EQ(a.group, EmulatorGroup::All);
+        EXPECT_EQ(a.group, b.group);
+        EXPECT_EQ(a.digest, b.digest);
+        EXPECT_EQ(a.phase1, b.phase1);
+    }
+}
+
+TEST(SweepCellModes, ReplayDecodesEachStreamOnce)
+{
+    const std::string manifest = testing::TempDir() + "replay_once.json";
+    runSweep(CellMode::Replay, 1, 0, "", "", "", manifest);
+    std::ifstream in(manifest);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    obs::json::Value root;
+    std::string error;
+    ASSERT_TRUE(obs::json::parse(text, root, &error)) << error;
+    const obs::json::Value* stream = root.find("stream");
+    ASSERT_NE(stream, nullptr);
+    const obs::json::Value* capture = stream->find("capture");
+    const obs::json::Value* replay = stream->find("replay");
+    ASSERT_NE(capture, nullptr);
+    ASSERT_NE(replay, nullptr);
+    EXPECT_GT(capture->find("txns")->num, 0.0);
+    EXPECT_EQ(replay->find("txns")->num, capture->find("txns")->num);
+    EXPECT_EQ(replay->find("bytes")->num, capture->find("bytes")->num);
+    // One chain for the one workload, every config on one rig.
+    EXPECT_EQ(root.find("host")->find("jobs")->num, 1.0);
+    std::remove(manifest.c_str());
+}
+
+TEST(SweepCellModes, FileReplayCellsMatchCombinedFileReplay)
+{
+    const std::string base = testing::TempDir() + "replay_cells_test";
+    const std::string digest_combined =
+        testing::TempDir() + "replay_cells_combined.digest";
+    const std::string digest_replay =
+        testing::TempDir() + "replay_cells_replay.digest";
+    runSweep(CellMode::Combined, 1, 0, base);
+
+    obs::StatsRegistry& registry = obs::StatsRegistry::global();
+    registry.clear();
+    FigureData combined =
+        runSweep(CellMode::Combined, 1, 0, "", base, digest_combined);
+    const std::vector<std::string> combined_keys = statKeys();
+    registry.clear();
+    FigureData replay =
+        runSweep(CellMode::Replay, 1, 0, "", base, digest_replay);
+    const std::vector<std::string> replay_keys = statKeys();
+    registry.clear();
+
+    expectSameFigure(combined, replay);
+    EXPECT_FALSE(combined_keys.empty());
+    EXPECT_EQ(replay_keys, combined_keys);
+    DigestManifest a, b;
+    std::string error;
+    ASSERT_TRUE(DigestManifest::load(digest_combined, a, &error)) << error;
+    ASSERT_TRUE(DigestManifest::load(digest_replay, b, &error)) << error;
+    std::string report;
+    EXPECT_TRUE(DigestManifest::compare(a, b, report)) << report;
+    ASSERT_EQ(b.entries.size(), 1u);
+
+    std::remove((base + ".PLSA.fsb").c_str());
+    std::remove(digest_combined.c_str());
+    std::remove(digest_replay.c_str());
+}
+
+TEST(SweepCellModes, BadReplayFileFailsOnlyItsCell)
+{
+    // Each replay cell reads its own file when it runs, so a corrupt or
+    // missing one fails that workload alone under --keep-going.
+    const std::string base = testing::TempDir() + "replay_bad_file_test";
+    const std::string fimi = base + ".FIMI.fsb";
+    const PlatformParams platform = presets::cmpPlatform("tiny", 2);
+    BenchOptions opts;
+    opts.scale = 0.02;
+    opts.workloads = {"PLSA", "FIMI"};
+    opts.outDir = testing::TempDir() + "replay_bad_file_out";
+    ensureOutputDir(opts.outDir); // the failed cells' postmortem
+    opts.captureBase = base;
+    FigureData live =
+        SweepRunner(opts).runLineSizeFigure("FigBadLive", platform);
+
+    opts.captureBase.clear();
+    opts.replayBase = base;
+    opts.cells = CellMode::Replay;
+    opts.keepGoing = true;
+    std::vector<char> bytes;
+    {
+        std::ifstream in(fimi, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_FALSE(bytes.empty());
+    bytes.back() ^= 0x5a; // trailer digest byte
+    {
+        std::ofstream out(fimi, std::ios::binary | std::ios::trunc);
+        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    for (const char* damage : {"corrupt", "missing"}) {
+        FigureData fig =
+            SweepRunner(opts).runLineSizeFigure("FigBadReplay", platform);
+        EXPECT_EQ(fig.status("FIMI"), "failed") << damage;
+        EXPECT_TRUE(fig.series("FIMI").empty()) << damage;
+        EXPECT_EQ(fig.status("PLSA"), "ok") << damage;
+        EXPECT_EQ(fig.series("PLSA"), live.series("PLSA")) << damage;
+        std::remove(fimi.c_str());
+    }
+    std::remove((base + ".PLSA.fsb").c_str());
+    std::remove((opts.outDir + "/postmortem.json").c_str());
+    std::remove(opts.outDir.c_str());
+}
+
 TEST(SweepCellModes, PerCellStatsAreNamespaced)
 {
     obs::StatsRegistry& registry = obs::StatsRegistry::global();
@@ -390,10 +608,18 @@ TEST(SweepCellModes, PerCellStatsAreNamespaced)
 
     registry.clear();
     runSweep(CellMode::Replay, 2, 0);
-    // Replay mode: a capture namespace plus one per configuration tick.
+    // Replay mode: a capture namespace plus one broadcast replay cell
+    // holding every configuration's emulator.
     EXPECT_NE(registry.find("cell/PLSA/capture/fsb"), nullptr);
-    EXPECT_NE(registry.find("cell/PLSA/64B/dragonhead0"), nullptr);
-    EXPECT_NE(registry.find("cell/PLSA/4KB/dragonhead0"), nullptr);
+    EXPECT_EQ(registry.find("cell/PLSA/capture/dragonhead0"), nullptr);
+    EXPECT_NE(registry.find("cell/PLSA/replay/fsb"), nullptr);
+    for (int i = 0; i < 7; ++i) {
+        const std::string group =
+            "cell/PLSA/replay/dragonhead" + std::to_string(i);
+        EXPECT_NE(registry.find(group), nullptr) << group;
+    }
+    EXPECT_EQ(registry.find("cell/PLSA/replay/dragonhead7"), nullptr);
+    EXPECT_EQ(registry.find("cell/PLSA/64B/dragonhead0"), nullptr);
     // The aggregate replay counters are published too.
     ASSERT_NE(registry.find("replay"), nullptr);
     registry.clear();
