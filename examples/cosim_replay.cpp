@@ -15,20 +15,13 @@
  *   check-golden <golden> <fresh>  compare digest manifests; explains
  *                                  how to regenerate on mismatch
  *   update-golden <golden> <fresh> install a fresh manifest as golden
- *   compare-mips <fresh> <base>    compare BENCH_mips.json files
- *                                  (serial, parallel and sampled-replay
- *                                  throughput); exit 3 when sim MIPS
- *                                  regressed > threshold (default 15%)
  *
- * Exit codes: 0 success, 1 mismatch/corruption, 2 usage, 3 performance
- * regression (compare-mips only).
+ * Exit codes: 0 success, 1 mismatch/corruption, 2 usage.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,7 +29,6 @@
 #include "base/str.hh"
 #include "base/units.hh"
 #include "core/experiment.hh"
-#include "obs/json.hh"
 #include "trace/fsb_capture.hh"
 #include "trace/fsb_replay.hh"
 
@@ -58,10 +50,7 @@ usage()
         "  check-golden <golden.digest> <fresh.digest>\n"
         "                                  gate fresh digests against golden\n"
         "  update-golden <golden.digest> <fresh.digest>\n"
-        "                                  install fresh digests as golden\n"
-        "  compare-mips <fresh.json> <baseline.json> [--max-regress=<frac>]\n"
-        "                                  gate BENCH_mips.json throughput\n"
-        "                                  (default threshold 0.15)\n");
+        "                                  install fresh digests as golden\n");
     return 2;
 }
 
@@ -271,84 +260,6 @@ cmdUpdateGolden(const std::string& golden_path,
     return 0;
 }
 
-/** Pull "<section>.sim_mips" out of a BENCH_mips.json document. */
-bool
-benchMips(const obs::json::Value& doc, const char* section, double& out)
-{
-    const obs::json::Value* s = doc.find(section);
-    if (s == nullptr)
-        return false;
-    const obs::json::Value* v = s->find("sim_mips");
-    if (v == nullptr || !v->isNumber())
-        return false;
-    out = v->num;
-    return true;
-}
-
-bool
-loadJson(const std::string& path, obs::json::Value& doc)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-        return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    std::string error;
-    if (!obs::json::parse(buf.str(), doc, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-        return false;
-    }
-    return true;
-}
-
-int
-cmdCompareMips(const std::vector<std::string>& args)
-{
-    std::string fresh_path, base_path;
-    double max_regress = 0.15;
-    for (const std::string& arg : args) {
-        if (startsWith(arg, "--max-regress=")) {
-            max_regress = std::strtod(arg.c_str() + 14, nullptr);
-        } else if (!startsWith(arg, "--") && fresh_path.empty()) {
-            fresh_path = arg;
-        } else if (!startsWith(arg, "--") && base_path.empty()) {
-            base_path = arg;
-        } else {
-            return usage();
-        }
-    }
-    if (fresh_path.empty() || base_path.empty())
-        return usage();
-
-    obs::json::Value fresh, base;
-    if (!loadJson(fresh_path, fresh) || !loadJson(base_path, base))
-        return 1;
-
-    int rc = 0;
-    for (const char* section : {"serial", "parallel", "sampled"}) {
-        double f = 0.0, b = 0.0;
-        if (!benchMips(fresh, section, f) ||
-            !benchMips(base, section, b) || b <= 0.0) {
-            std::printf("%-8s (no comparable sim_mips)\n", section);
-            continue;
-        }
-        double change = (f - b) / b;
-        std::printf("%-8s %8.1f MIPS vs baseline %8.1f  (%+.1f%%)\n",
-                    section, f, b, 100.0 * change);
-        if (change < -max_regress) {
-            std::fprintf(stderr,
-                         "%s sim MIPS regressed %.1f%% against %s "
-                         "(threshold %.0f%%)\n",
-                         section, -100.0 * change, base_path.c_str(),
-                         100.0 * max_regress);
-            rc = 3;
-        }
-    }
-    return rc;
-}
-
 } // namespace
 
 int
@@ -371,7 +282,5 @@ main(int argc, char** argv)
         return cmdCheckGolden(args[0], args[1]);
     if (cmd == "update-golden" && args.size() == 2)
         return cmdUpdateGolden(args[0], args[1]);
-    if (cmd == "compare-mips" && args.size() >= 2)
-        return cmdCompareMips(args);
     return usage();
 }

@@ -2,11 +2,11 @@
  * @file
  * One process-wide monotonic host clock origin.
  *
- * Telemetry producers scattered across threads (trace sessions, the
- * host profiler's gauge samples, heartbeats, the flight recorder) all
- * need timestamps that compare against each other. Before this header
- * each subsystem captured its own steady_clock origin, so host spans
- * and control-block tracks could skew after a reset(). hostClockNowUs()
+ * Telemetry producers scattered across threads (trace sessions,
+ * heartbeats, the flight recorder) all need timestamps that compare
+ * against each other. Before this header each subsystem captured its
+ * own steady_clock origin, so host spans and control-block tracks
+ * could skew after a reset(). hostClockNowUs()
  * fixes the origin once, at first use, and never moves it: every
  * subsystem that stamps host time derives it from here, so timestamps
  * from different threads and different telemetry layers live on one

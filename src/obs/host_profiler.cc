@@ -1,6 +1,5 @@
 #include "obs/host_profiler.hh"
 
-#include "base/host_clock.hh"
 #include "base/str.hh"
 
 namespace cosim {
@@ -50,25 +49,9 @@ HostProfiler::accumulate(const std::string& name, double seconds)
 void
 HostProfiler::addSimulated(std::uint64_t insts, double seconds)
 {
-    // Stamp before taking the lock: the stamp is the feed time, not
-    // the time the (possibly contended) lock was granted.
-    std::uint64_t t_us = hostClockNowUs();
     LockGuard lock(mutex_);
     simInsts_ += insts;
     simSeconds_ += seconds;
-    if (seconds > 0.0) {
-        mipsSamples_.push_back(MipsSample{t_us, mipsOf(insts, seconds)});
-        if (mipsSamples_.size() > kMaxMipsSamples)
-            mipsSamples_.pop_front();
-    }
-}
-
-std::vector<HostProfiler::MipsSample>
-HostProfiler::mipsSamples() const
-{
-    LockGuard lock(mutex_);
-    return std::vector<MipsSample>(mipsSamples_.begin(),
-                                   mipsSamples_.end());
 }
 
 void
@@ -204,10 +187,6 @@ HostProfiler::reset()
 {
     LockGuard lock(mutex_);
     phases_.clear();
-    // Clearing the ring does not move the clock: samples fed after a
-    // reset still carry process-origin timestamps, so they compare
-    // correctly against trace spans recorded before it.
-    mipsSamples_.clear();
     simInsts_ = 0;
     simSeconds_ = 0.0;
     emuThreads_ = 0;

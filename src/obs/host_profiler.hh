@@ -5,9 +5,10 @@
  * The paper's headline claim is simulation speed (30-50 MIPS); making the
  * reproduction fast requires measuring the simulator itself, not just
  * the simulated machine. The profiler accumulates named wall-clock phase
- * timers (setup / run / report, per workload) plus a simulated-MIPS gauge
- * fed by the platform after every run -- the same measure
- * bench/microbench_mips.cc derives, but available in every binary.
+ * timers (setup / run / report, per workload) plus the simulated
+ * instructions and seconds the platform feeds it after every run, from
+ * which the "host" stats group and run.json derive one simulated-MIPS
+ * figure per process.
  */
 
 #ifndef COSIM_OBS_HOST_PROFILER_HH
@@ -15,7 +16,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,36 +39,14 @@ class HostProfiler
         std::uint64_t calls = 0;
     };
 
-    /**
-     * One timestamped MIPS gauge sample: the speed of a single
-     * addSimulated() slice, stamped with the process-wide monotonic
-     * clock (base/host_clock.hh). Worker threads feed the gauge
-     * concurrently; stamping with the shared origin keeps these
-     * samples on the same time axis as TraceSession host spans and
-     * heartbeats -- including across reset(), which clears the ring
-     * but never moves the clock.
-     */
-    struct MipsSample
-    {
-        std::uint64_t tUs = 0;
-        double mips = 0.0;
-    };
-
     /** The process-wide profiler. */
     static HostProfiler& global();
 
     /** Add @p seconds of wall-clock to phase @p name. */
     void accumulate(const std::string& name, double seconds);
 
-    /** Feed the MIPS gauge: @p insts simulated in @p seconds. */
+    /** Record @p insts simulated in @p seconds of host time. */
     void addSimulated(std::uint64_t insts, double seconds);
-
-    /**
-     * The most recent MIPS gauge samples (up to kMaxMipsSamples), in
-     * chronological order. Timestamps are strictly non-decreasing,
-     * even across reset().
-     */
-    std::vector<MipsSample> mipsSamples() const;
 
     /**
      * Record that @p n host threads emulated Dragonheads this process.
@@ -94,7 +72,7 @@ class HostProfiler
     std::uint64_t simulatedInsts() const;
     double simulatedSeconds() const;
 
-    /** Simulated MIPS over everything fed to the gauge so far. */
+    /** Simulated MIPS over everything addSimulated() recorded so far. */
     double simulatedMips() const;
 
     /** Human-readable per-phase report. */
@@ -109,9 +87,6 @@ class HostProfiler
 
     void reset();
 
-    /** Ring capacity of the MIPS gauge sample history. */
-    static constexpr std::size_t kMaxMipsSamples = 256;
-
   private:
     PhaseTotal& phase(const std::string& name) REQUIRES(mutex_);
 
@@ -119,7 +94,6 @@ class HostProfiler
     // the profiler concurrently.
     mutable Mutex mutex_;
     std::vector<PhaseTotal> phases_ GUARDED_BY(mutex_);
-    std::deque<MipsSample> mipsSamples_ GUARDED_BY(mutex_);
     std::uint64_t simInsts_ GUARDED_BY(mutex_) = 0;
     double simSeconds_ GUARDED_BY(mutex_) = 0.0;
     unsigned emuThreads_ GUARDED_BY(mutex_) = 0;

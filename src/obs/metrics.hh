@@ -33,9 +33,8 @@
  * right fidelity for "did the tail move?" questions.
  *
  * The registry is OFF by default: with no --metrics/--progress flag
- * every record path is one relaxed load and a predictable branch, so
- * artifacts stay bit-identical and MIPS stays within noise of a build
- * without telemetry (bench/microbench_mips.cc guards this).
+ * every record path is one relaxed load and a predictable branch, and
+ * artifacts stay bit-identical.
  *
  * Exports: renderOpenMetrics() emits OpenMetrics text (dots become
  * underscores, a "cosim_" prefix is added, `# EOF` terminates);

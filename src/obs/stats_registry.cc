@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
 
 #include "base/atomic_file.hh"
 #include "base/logging.hh"
@@ -19,35 +18,22 @@ StatsRegistry::global()
     return instance;
 }
 
-StatsRegistry::Shard&
-StatsRegistry::shardFor(const std::string& name)
-{
-    return shards_[std::hash<std::string>{}(name) % kShards];
-}
-
-const StatsRegistry::Shard&
-StatsRegistry::shardFor(const std::string& name) const
-{
-    return shards_[std::hash<std::string>{}(name) % kShards];
-}
-
 stats::Group&
 StatsRegistry::add(stats::Group group)
 {
-    Shard& shard = shardFor(group.name());
-    LockGuard lock(shard.mutex);
-    for (Entry& e : shard.groups) {
-        if (e.group.name() == group.name()) {
-            // Replacement keeps its original sequence number, so
-            // per-run re-registration is idempotent in dump order too.
-            e.group = std::move(group);
-            return e.group;
-        }
+    LockGuard lock(mutex_);
+    auto it = groups_.find(group.name());
+    if (it != groups_.end()) {
+        // Replacement keeps its original sequence number, so per-run
+        // re-registration is idempotent in dump order too.
+        it->second.group = std::move(group);
+        return it->second.group;
     }
-    shard.groups.push_back(
-        Entry{nextOrder_.fetch_add(1, std::memory_order_relaxed),
-              std::move(group)});
-    return shard.groups.back().group;
+    std::string name = group.name();
+    it = groups_.emplace(std::move(name),
+                         Entry{nextOrder_++, std::move(group)})
+             .first;
+    return it->second.group;
 }
 
 stats::Group&
@@ -61,16 +47,16 @@ StatsRegistry::addSnapshotOf(const StatsRegistry& src,
                              const std::string& prefix,
                              const std::string& from)
 {
-    // Freeze outside our own locks: evaluating src's formulas may take
+    // Freeze outside our own lock: evaluating src's formulas may take
     // arbitrary time, and src may be *this. The sort keeps the
     // destination's relative order equal to src's.
     std::vector<FrozenGroup> frozen = src.collectAll();
     for (const FrozenGroup& fg : frozen) {
         if (fg.name.compare(0, from.size(), from) != 0)
             continue;
-        // Build the whole frozen copy before add() takes a shard lock:
+        // Build the whole frozen copy before add() takes the lock:
         // parallel cells snapshotting at once then only contend for the
-        // final push, not for each formula allocation.
+        // final insert, not for each formula allocation.
         stats::Group copy(prefix + fg.name.substr(from.size()));
         copy.reserve(0, fg.stats.size());
         for (const auto& [stat_name, value] : fg.stats)
@@ -82,55 +68,43 @@ StatsRegistry::addSnapshotOf(const StatsRegistry& src,
 void
 StatsRegistry::clear()
 {
-    for (Shard& shard : shards_) {
-        LockGuard lock(shard.mutex);
-        shard.groups.clear();
-    }
+    LockGuard lock(mutex_);
+    groups_.clear();
 }
 
 std::size_t
 StatsRegistry::removePrefix(const std::string& prefix)
 {
+    LockGuard lock(mutex_);
+    // Names sharing a prefix sort contiguously from the prefix itself.
+    auto first = groups_.lower_bound(prefix);
+    auto last = first;
     std::size_t removed = 0;
-    for (Shard& shard : shards_) {
-        LockGuard lock(shard.mutex);
-        for (auto it = shard.groups.begin(); it != shard.groups.end();) {
-            if (it->group.name().compare(0, prefix.size(), prefix) == 0) {
-                it = shard.groups.erase(it);
-                ++removed;
-            } else {
-                ++it;
-            }
-        }
+    while (last != groups_.end() &&
+           last->first.compare(0, prefix.size(), prefix) == 0) {
+        ++last;
+        ++removed;
     }
+    groups_.erase(first, last);
     return removed;
 }
 
 std::size_t
 StatsRegistry::size() const
 {
-    std::size_t n = 0;
-    for (const Shard& shard : shards_) {
-        LockGuard lock(shard.mutex);
-        n += shard.groups.size();
-    }
-    return n;
+    LockGuard lock(mutex_);
+    return groups_.size();
 }
 
 std::vector<StatsRegistry::FrozenGroup>
 StatsRegistry::collectAll() const
 {
     std::vector<FrozenGroup> out;
-    out.reserve(size());
-    for (const Shard& shard : shards_) {
-        LockGuard lock(shard.mutex);
-        for (const Entry& e : shard.groups) {
-            FrozenGroup fg;
-            fg.order = e.order;
-            fg.name = e.group.name();
-            fg.stats = e.group.collect();
-            out.push_back(std::move(fg));
-        }
+    {
+        LockGuard lock(mutex_);
+        out.reserve(groups_.size());
+        for (const auto& [name, e] : groups_)
+            out.push_back(FrozenGroup{e.order, name, e.group.collect()});
     }
     std::sort(out.begin(), out.end(),
               [](const FrozenGroup& a, const FrozenGroup& b) {
@@ -142,15 +116,15 @@ StatsRegistry::collectAll() const
 std::vector<std::string>
 StatsRegistry::groupNames() const
 {
-    std::vector<std::string> out;
     std::vector<std::pair<std::uint64_t, std::string>> named;
-    named.reserve(size());
-    for (const Shard& shard : shards_) {
-        LockGuard lock(shard.mutex);
-        for (const Entry& e : shard.groups)
-            named.emplace_back(e.order, e.group.name());
+    {
+        LockGuard lock(mutex_);
+        named.reserve(groups_.size());
+        for (const auto& [name, e] : groups_)
+            named.emplace_back(e.order, name);
     }
     std::sort(named.begin(), named.end());
+    std::vector<std::string> out;
     out.reserve(named.size());
     for (auto& [order, name] : named)
         out.push_back(std::move(name));
@@ -160,13 +134,9 @@ StatsRegistry::groupNames() const
 const stats::Group*
 StatsRegistry::find(const std::string& name) const
 {
-    const Shard& shard = shardFor(name);
-    LockGuard lock(shard.mutex);
-    for (const Entry& e : shard.groups) {
-        if (e.group.name() == name)
-            return &e.group;
-    }
-    return nullptr;
+    LockGuard lock(mutex_);
+    auto it = groups_.find(name);
+    return it == groups_.end() ? nullptr : &it->second.group;
 }
 
 std::string

@@ -22,21 +22,17 @@
  * can register concurrently; the *formulas themselves* still read
  * component state unlocked, so dump only while the components are quiet.
  *
- * Locking is striped: groups spread across 16 shards by a hash of
- * their name, so a --jobs=N sweep whose cells snapshot hundreds of
- * per-cell namespaces concurrently contends on different mutexes
- * instead of serializing on one (bench/microbench_mips.cc measures
- * the registration path). Every group carries a global registration
- * sequence number and all dumps sort by it, so output order is
- * exactly the registration order the single-mutex registry produced.
+ * Groups are kept by name, so a cell's "cell/<workload>/..." namespace
+ * is one contiguous range. Every group also carries its registration
+ * sequence number and all dumps sort by it: output order is
+ * registration order, and a replaced group keeps its place.
  */
 
 #ifndef COSIM_OBS_STATS_REGISTRY_HH
 #define COSIM_OBS_STATS_REGISTRY_HH
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,23 +111,9 @@ class StatsRegistry
   private:
     struct Entry
     {
-        std::uint64_t order; ///< global registration sequence
+        std::uint64_t order; ///< registration sequence
         stats::Group group;
     };
-
-    /** One lock stripe; see the file comment. */
-    struct Shard
-    {
-        mutable Mutex mutex;
-        // Deque: references returned by add() stay valid as entries
-        // are added to the shard.
-        std::deque<Entry> groups GUARDED_BY(mutex);
-    };
-
-    static constexpr std::size_t kShards = 16;
-
-    Shard& shardFor(const std::string& name);
-    const Shard& shardFor(const std::string& name) const;
 
     /** One group's stats frozen to values, for order-sorted dumps. */
     struct FrozenGroup
@@ -141,11 +123,14 @@ class StatsRegistry
         std::vector<std::pair<std::string, double>> stats;
     };
 
-    /** Evaluate every group (per-shard locking), registration-sorted. */
+    /** Evaluate every group, registration-sorted. */
     std::vector<FrozenGroup> collectAll() const;
 
-    Shard shards_[kShards];
-    std::atomic<std::uint64_t> nextOrder_{0};
+    mutable Mutex mutex_;
+    // A node-based map: references returned by add() stay valid while
+    // other groups are added and removed.
+    std::map<std::string, Entry> groups_ GUARDED_BY(mutex_);
+    std::uint64_t nextOrder_ GUARDED_BY(mutex_) = 0;
 };
 
 } // namespace obs

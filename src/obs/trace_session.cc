@@ -25,7 +25,7 @@ TraceSession::start()
     // The host-time origin is deliberately NOT captured here: it is
     // the process-wide one from base/host_clock.hh, pinned at first
     // use. Re-capturing per start() is what used to skew host spans
-    // against control-block tracks and profiler gauges after a reset.
+    // against control-block tracks after a reset.
     active_.store(true, std::memory_order_release);
 }
 

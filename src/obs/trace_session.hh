@@ -80,8 +80,8 @@ class TraceSession
      * Host-clock timestamp: microseconds since the process-wide
      * monotonic origin (base/host_clock.hh). The origin never moves,
      * so spans recorded before and after a stop()/start() restart stay
-     * on one axis, comparable with heartbeat, flight-recorder, and
-     * HostProfiler gauge timestamps.
+     * on one axis, comparable with heartbeat and flight-recorder
+     * timestamps.
      */
     double hostNowUs() const;
 

@@ -12,9 +12,8 @@ StridePrefetcher::StridePrefetcher(const StridePrefetcherParams& params)
 }
 
 void
-StridePrefetcher::observe(Addr addr, bool was_miss, std::vector<Addr>& out)
+StridePrefetcher::observe(Addr addr, std::vector<Addr>& out)
 {
-    (void)was_miss; // trains on the full stream it is shown
     ++stats_.observed;
 
     std::uint64_t region = addr >> params_.regionBits;

@@ -2,6 +2,12 @@
  * @file
  * Region-keyed stride prefetcher.
  *
+ * The Unisys Xeon machine of Section 4.4 had a stride-based hardware
+ * prefetcher that could be switched off; this model reproduces that
+ * study. It watches the stream of accesses arriving at the level it
+ * protects (here, the L1-miss stream feeding the L2) and proposes line
+ * addresses to bring in.
+ *
  * Without program counters (the co-simulation sees only addresses on the
  * bus, just as Dragonhead did), streams are identified by the memory
  * region they walk: accesses are grouped by their 4 KB-aligned region,
@@ -14,9 +20,22 @@
 #ifndef COSIM_PREFETCH_STRIDE_PREFETCHER_HH
 #define COSIM_PREFETCH_STRIDE_PREFETCHER_HH
 
-#include "prefetch/prefetcher.hh"
+#include <cstdint>
+#include <vector>
+
+#include "base/types.hh"
 
 namespace cosim {
+
+/** Prefetcher activity counters. */
+struct PrefetcherStats
+{
+    std::uint64_t observed = 0;   ///< accesses shown to the prefetcher
+    std::uint64_t trained = 0;    ///< observations that confirmed a stride
+    std::uint64_t issued = 0;     ///< prefetch candidates produced
+
+    void reset() { *this = PrefetcherStats(); }
+};
 
 /** Tuning knobs of the stride prefetcher. */
 struct StridePrefetcherParams
@@ -34,17 +53,27 @@ struct StridePrefetcherParams
 };
 
 /** See file comment. */
-class StridePrefetcher : public Prefetcher
+class StridePrefetcher
 {
   public:
     explicit StridePrefetcher(
         const StridePrefetcherParams& params = StridePrefetcherParams());
 
-    void observe(Addr addr, bool was_miss, std::vector<Addr>& out) override;
-    const char* name() const override { return "stride"; }
-    void reset() override;
+    /**
+     * Show the prefetcher one access and collect its prefetch proposals
+     * (absolute byte addresses; the consumer line-aligns them).
+     *
+     * @param addr access address
+     * @param out proposals are appended here (not cleared)
+     */
+    void observe(Addr addr, std::vector<Addr>& out);
+
+    /** Forget all training state. */
+    void reset();
 
     const StridePrefetcherParams& params() const { return params_; }
+    const PrefetcherStats& stats() const { return stats_; }
+    void resetStats() { stats_.reset(); }
 
   private:
     struct Entry
@@ -57,6 +86,7 @@ class StridePrefetcher : public Prefetcher
 
     StridePrefetcherParams params_;
     std::vector<Entry> table_;
+    PrefetcherStats stats_;
 };
 
 } // namespace cosim

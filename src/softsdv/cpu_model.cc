@@ -69,13 +69,13 @@ CpuModel::handleBeyond(Addr fetch_line, bool l1_was_write)
 }
 
 void
-CpuModel::issuePrefetches(Addr trigger, bool was_beyond)
+CpuModel::issuePrefetches(Addr trigger)
 {
     if (!prefetcher_)
         return;
 
     pfProposals_.clear();
-    prefetcher_->observe(trigger, was_beyond, pfProposals_);
+    prefetcher_->observe(trigger, pfProposals_);
     if (pfProposals_.empty())
         return;
 
@@ -180,7 +180,7 @@ CpuModel::dataAccess(Addr addr, std::uint32_t size, bool write,
         // The prefetcher watches the stream entering the L2 (the L1 miss
         // stream), as the Xeon's L2 stride prefetcher did.
         if (r.servicedBy != ServiceLevel::L1)
-            issuePrefetches(cur, r.servicedBy == ServiceLevel::Beyond);
+            issuePrefetches(cur);
 
         cur += chunk;
         remaining -= chunk;

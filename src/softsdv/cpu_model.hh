@@ -130,7 +130,6 @@ class CpuModel
     const PrivateHierarchy& caches() const { return caches_; }
 
     const CpuPrefetchStats& prefetchStats() const { return pfStats_; }
-    const Prefetcher* prefetcher() const { return prefetcher_.get(); }
 
     /** Register instruction/cycle/prefetch counters into @p group. */
     void addStats(stats::Group& group) const;
@@ -140,7 +139,7 @@ class CpuModel
 
   private:
     void handleBeyond(Addr fetch_line, bool l1_was_write);
-    void issuePrefetches(Addr trigger, bool was_beyond);
+    void issuePrefetches(Addr trigger);
 
     CoreId id_;
     CpuParams params_;

@@ -9,6 +9,9 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "base/units.hh"
 #include "core/cosim.hh"
@@ -159,6 +162,110 @@ TEST(StatsRegistry, CsvDump)
     std::string csv = registry.dumpCsv();
     EXPECT_NE(csv.find("stat,value\n"), std::string::npos);
     EXPECT_NE(csv.find("dex.rounds,12"), std::string::npos);
+}
+
+void
+addValued(obs::StatsRegistry& registry, const std::string& name, double v)
+{
+    registry.makeGroup(name).add("v", [v] { return v; });
+}
+
+TEST(StatsRegistry, DumpsInRegistrationOrderAndReplacementKeepsItsPlace)
+{
+    // Registration order differs from sort order on purpose.
+    obs::StatsRegistry registry;
+    addValued(registry, "b", 1.0);
+    addValued(registry, "a", 2.0);
+    addValued(registry, "c", 3.0);
+    addValued(registry, "b", 4.0);
+
+    EXPECT_EQ(registry.size(), 3u);
+    EXPECT_EQ(registry.groupNames(),
+              (std::vector<std::string>{"b", "a", "c"}));
+    EXPECT_EQ(registry.dumpText(), "b.v 4\na.v 2\nc.v 3\n");
+    EXPECT_EQ(registry.dumpCsv(), "stat,value\nb.v,4\na.v,2\nc.v,3\n");
+    EXPECT_EQ(registry.dumpJson(),
+              "{\n  \"b\": {\n    \"v\": 4\n  },"
+              "\n  \"a\": {\n    \"v\": 2\n  },"
+              "\n  \"c\": {\n    \"v\": 3\n  }\n}\n");
+
+    // A registry can snapshot itself; the copies follow in source order.
+    registry.addSnapshotOf(registry, "copy/");
+    EXPECT_EQ(registry.groupNames(),
+              (std::vector<std::string>{"b", "a", "c", "copy/b", "copy/a",
+                                        "copy/c"}));
+    ASSERT_NE(registry.find("copy/b"), nullptr);
+    EXPECT_EQ(registry.find("copy/b")->collect().at(0).second, 4.0);
+}
+
+TEST(StatsRegistry, RemovePrefixRemovesExactlyThatNamespace)
+{
+    obs::StatsRegistry registry;
+    addValued(registry, "cell/x/a", 1.0);
+    addValued(registry, "cell/xy/a", 2.0);
+    addValued(registry, "cell/x", 3.0);
+    addValued(registry, "cell/x/b/c", 4.0);
+    addValued(registry, "other", 5.0);
+
+    EXPECT_EQ(registry.removePrefix("cell/x/"), 2u);
+    EXPECT_EQ(registry.groupNames(),
+              (std::vector<std::string>{"cell/xy/a", "cell/x", "other"}));
+    EXPECT_EQ(registry.find("cell/x/a"), nullptr);
+    EXPECT_EQ(registry.removePrefix("cell/x/"), 0u);
+    EXPECT_EQ(registry.size(), 3u);
+}
+
+TEST(StatsRegistry, ConcurrentAddsKeepEachThreadsOrder)
+{
+    constexpr unsigned kThreads = 8;
+    constexpr unsigned kGroups = 200;
+    obs::StatsRegistry registry;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&registry, t] {
+            const std::string prefix = "t" + std::to_string(t) + "/";
+            for (unsigned i = 0; i < kGroups; ++i) {
+                addValued(registry, prefix + "g" + std::to_string(i), i);
+                // Re-add an earlier group: it must keep its place.
+                if (i % 10 == 9) {
+                    addValued(registry,
+                              prefix + "g" + std::to_string(i - 5),
+                              1000.0 + i);
+                }
+            }
+        });
+    }
+    for (std::thread& th : threads)
+        th.join();
+
+    EXPECT_EQ(registry.size(), kThreads * kGroups);
+    const std::string text = registry.dumpText();
+    for (unsigned t = 0; t < kThreads; ++t) {
+        const std::string prefix = "t" + std::to_string(t) + "/";
+        std::vector<std::string> names;
+        for (const std::string& name : registry.groupNames()) {
+            if (name.compare(0, prefix.size(), prefix) == 0)
+                names.push_back(name);
+        }
+        std::vector<std::string> expected;
+        std::string expected_lines;
+        for (unsigned i = 0; i < kGroups; ++i) {
+            expected.push_back(prefix + "g" + std::to_string(i));
+            const unsigned v = i % 10 == 4 ? 1005 + i : i;
+            expected_lines += prefix + "g" + std::to_string(i) + ".v " +
+                              std::to_string(v) + "\n";
+        }
+        EXPECT_EQ(names, expected) << prefix;
+
+        std::string lines;
+        std::size_t at = 0;
+        while ((at = text.find(prefix, at)) != std::string::npos) {
+            const std::size_t end = text.find('\n', at) + 1;
+            lines += text.substr(at, end - at);
+            at = end;
+        }
+        EXPECT_EQ(lines, expected_lines) << prefix;
+    }
 }
 
 // --------------------------------------------------------- trace session
@@ -378,45 +485,6 @@ TEST(HostProfiler, ScopeMeasuresWallClock)
     }
     EXPECT_EQ(prof.calls("busy"), 1u);
     EXPECT_GE(prof.seconds("busy"), 0.0);
-}
-
-TEST(HostProfiler, MipsSampleTimestampsStayMonotoneAcrossReset)
-{
-    obs::HostProfiler prof;
-    prof.addSimulated(1'000'000, 0.5);
-    std::vector<obs::HostProfiler::MipsSample> before =
-        prof.mipsSamples();
-    ASSERT_EQ(before.size(), 1u);
-    EXPECT_DOUBLE_EQ(before[0].mips, 2.0);
-
-    // reset() clears the ring but must not move the clock origin:
-    // samples fed afterwards still compare against pre-reset telemetry.
-    prof.reset();
-    EXPECT_TRUE(prof.mipsSamples().empty());
-    prof.addSimulated(2'000'000, 0.5);
-    std::vector<obs::HostProfiler::MipsSample> after =
-        prof.mipsSamples();
-    ASSERT_EQ(after.size(), 1u);
-    EXPECT_DOUBLE_EQ(after[0].mips, 4.0);
-    EXPECT_GE(after[0].tUs, before[0].tUs);
-}
-
-TEST(HostProfiler, MipsSampleRingKeepsTheNewestSamples)
-{
-    obs::HostProfiler prof;
-    for (std::size_t i = 0; i < obs::HostProfiler::kMaxMipsSamples + 10;
-         ++i) {
-        prof.addSimulated(i * 1'000'000, 1.0);
-    }
-    // Only the newest kMaxMipsSamples survive, in feed order.
-    std::vector<obs::HostProfiler::MipsSample> samples =
-        prof.mipsSamples();
-    ASSERT_EQ(samples.size(), obs::HostProfiler::kMaxMipsSamples);
-    EXPECT_DOUBLE_EQ(samples.back().mips,
-                     static_cast<double>(
-                         obs::HostProfiler::kMaxMipsSamples + 9));
-    for (std::size_t i = 1; i < samples.size(); ++i)
-        EXPECT_GE(samples[i].tUs, samples[i - 1].tUs);
 }
 
 TEST_F(TraceSessionTest, HostTimestampsDoNotRezeroAcrossRestart)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the stride and stream prefetchers.
+ * Tests for the stride prefetcher.
  */
 
 #include <gtest/gtest.h>
@@ -8,17 +8,16 @@
 #include <vector>
 
 #include "prefetch/stride_prefetcher.hh"
-#include "prefetch/stream_prefetcher.hh"
 
 namespace cosim {
 namespace {
 
 std::vector<Addr>
-feed(Prefetcher& pf, const std::vector<Addr>& addrs, bool miss = true)
+feed(StridePrefetcher& pf, const std::vector<Addr>& addrs)
 {
     std::vector<Addr> out;
     for (Addr a : addrs)
-        pf.observe(a, miss, out);
+        pf.observe(a, out);
     return out;
 }
 
@@ -77,11 +76,11 @@ TEST(StridePrefetcher, RegionChangeRetrains)
     auto out = feed(pf, {0x1000, 0x1040, 0x1080}); // trained in region 1
     out.clear();
     // Jump to a new region: first two accesses must not prefetch.
-    pf.observe(0x9000, true, out);
-    pf.observe(0x9040, true, out);
+    pf.observe(0x9000, out);
+    pf.observe(0x9040, out);
     EXPECT_TRUE(out.empty());
-    pf.observe(0x9080, true, out);
-    pf.observe(0x90c0, true, out);
+    pf.observe(0x9080, out);
+    pf.observe(0x90c0, out);
     EXPECT_FALSE(out.empty());
 }
 
@@ -111,57 +110,8 @@ TEST(StridePrefetcher, ResetForgetsTraining)
     feed(pf, {0x1000, 0x1040, 0x1080});
     pf.reset();
     std::vector<Addr> out;
-    pf.observe(0x10c0, true, out);
+    pf.observe(0x10c0, out);
     EXPECT_TRUE(out.empty()); // must retrain after reset
-}
-
-TEST(StreamPrefetcher, AscendingMissStream)
-{
-    StreamPrefetcherParams p;
-    p.depth = 2;
-    StreamPrefetcher pf(p);
-    std::vector<Addr> out;
-    pf.observe(0x1000, true, out);
-    pf.observe(0x1040, true, out); // direction set, no issue yet
-    EXPECT_TRUE(out.empty());
-    pf.observe(0x1080, true, out); // confirmed ascending
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0], 0x10c0u);
-    EXPECT_EQ(out[1], 0x1100u);
-}
-
-TEST(StreamPrefetcher, DescendingMissStream)
-{
-    StreamPrefetcher pf;
-    std::vector<Addr> out;
-    pf.observe(0x2100, true, out);
-    pf.observe(0x20c0, true, out);
-    pf.observe(0x2080, true, out);
-    ASSERT_FALSE(out.empty());
-    EXPECT_EQ(out.front(), 0x2040u);
-}
-
-TEST(StreamPrefetcher, HitsDoNotTrigger)
-{
-    StreamPrefetcher pf;
-    std::vector<Addr> out;
-    for (Addr a = 0x1000; a < 0x2000; a += 64)
-        pf.observe(a, false, out);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(StreamPrefetcher, DirectionFlipSuppressesOneRound)
-{
-    StreamPrefetcher pf;
-    std::vector<Addr> out;
-    pf.observe(0x1000, true, out);
-    pf.observe(0x1040, true, out);
-    pf.observe(0x1080, true, out); // ascending confirmed
-    out.clear();
-    pf.observe(0x1040, true, out); // flip: no issue
-    EXPECT_TRUE(out.empty());
-    pf.observe(0x1000, true, out); // descending confirmed
-    EXPECT_FALSE(out.empty());
 }
 
 } // namespace

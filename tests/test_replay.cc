@@ -34,6 +34,7 @@
 #include "obs/stats_registry.hh"
 #include "trace/fsb_capture.hh"
 #include "trace/fsb_replay.hh"
+#include "trace/phase_cluster.hh"
 #include "test_util.hh"
 
 namespace cosim {
@@ -274,6 +275,48 @@ TEST(FsbReplay, RigIsReusableAfterReplay)
     cosim.replay(second_reader, "memory:loop");
     EXPECT_EQ(fingerprintOf(cosim, cores), first);
     EXPECT_EQ(first, live.fingerprint);
+}
+
+TEST(FsbReplay, SampledReplayIsDeterministic)
+{
+    // Two sampled replays of one capture, each through a fresh rig,
+    // must leave every emulator in the same state.
+    LiveCapture live = runLiveWithCapture(0);
+
+    const unsigned cores = 4;
+    CoSimParams params;
+    params.platform = smallCmp(cores);
+    params.emulators = sweepConfigs();
+    // Short CB windows give the small loop enough of them to sample.
+    for (DragonheadParams& dh : params.emulators)
+        dh.cb.samplePeriodUs = 2;
+
+    SamplingPlan plan;
+    {
+        CoSimulation cosim(params);
+        FsbStreamReader reader;
+        reader.openBuffer(live.stream);
+        cosim.replay(reader, "memory:loop");
+        PhaseClusterParams pc;
+        pc.warmupWindows = 2;
+        plan = clusterPhases(cosim.emulator(0).samples(), "loop", pc);
+        plan.samplePeriodUs =
+            static_cast<double>(params.emulators[0].cb.samplePeriodUs);
+        plan.coreFreqGhz = params.emulators[0].cb.coreFreqGhz;
+    }
+    ASSERT_FALSE(plan.intervals.empty());
+    ASSERT_LT(plan.coverage(), 1.0);
+
+    std::vector<Fingerprint> passes;
+    for (int pass = 0; pass < 2; ++pass) {
+        CoSimulation cosim(params);
+        FsbStreamReader reader;
+        reader.openBuffer(live.stream);
+        cosim.replaySampled(reader, "memory:loop", plan);
+        passes.push_back(fingerprintOf(cosim, cores));
+    }
+    ASSERT_FALSE(passes[0].counters.empty());
+    EXPECT_EQ(passes[1], passes[0]);
 }
 
 TEST(FsbReplay, CorruptStreamReportsErrorThroughDriver)

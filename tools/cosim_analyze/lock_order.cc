@@ -188,7 +188,7 @@ struct Extractor
 
         if (t.isIdent("class") || t.isIdent("struct")) {
             // Name is the last identifier of the head chain
-            // (`struct StatsRegistry::Shard` -> Shard). An enum class
+            // (`struct Registry::Shard` -> Shard). An enum class
             // is not a scope we care about, but pushing its name is
             // harmless (it holds no mutexes or functions).
             std::size_t j = i + 1;
