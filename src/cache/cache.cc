@@ -27,19 +27,27 @@ CacheStats::operator+=(const CacheStats& o)
 void
 CacheStats::addStats(stats::Group& group) const
 {
-    const CacheStats* s = this;
-    group.add("accesses", [s] { return double(s->accesses); });
-    group.add("reads", [s] { return double(s->reads); });
-    group.add("writes", [s] { return double(s->writes); });
-    group.add("misses", [s] { return double(s->misses); });
-    group.add("read_misses", [s] { return double(s->readMisses); });
-    group.add("write_misses", [s] { return double(s->writeMisses); });
-    group.add("evictions", [s] { return double(s->evictions); });
-    group.add("writebacks", [s] { return double(s->writebacks); });
-    group.add("prefetch_fills", [s] { return double(s->prefetchFills); });
+    addStats(group, [s = this] { return *s; });
+}
+
+void
+CacheStats::addStats(stats::Group& group,
+                     const std::function<CacheStats()>& read)
+{
+    group.add("accesses", [read] { return double(read().accesses); });
+    group.add("reads", [read] { return double(read().reads); });
+    group.add("writes", [read] { return double(read().writes); });
+    group.add("misses", [read] { return double(read().misses); });
+    group.add("read_misses", [read] { return double(read().readMisses); });
+    group.add("write_misses",
+              [read] { return double(read().writeMisses); });
+    group.add("evictions", [read] { return double(read().evictions); });
+    group.add("writebacks", [read] { return double(read().writebacks); });
+    group.add("prefetch_fills",
+              [read] { return double(read().prefetchFills); });
     group.add("useful_prefetches",
-              [s] { return double(s->usefulPrefetches); });
-    group.add("miss_rate", [s] { return s->missRate(); });
+              [read] { return double(read().usefulPrefetches); });
+    group.add("miss_rate", [read] { return read().missRate(); });
 }
 
 Cache::Cache(const CacheParams& params) : params_(params)
@@ -78,20 +86,25 @@ Cache::Cache(const CacheParams& params) : params_(params)
 }
 
 void
+Cache::tagOutOfRange(Addr addr, std::uint64_t tag) const
+{
+    fatal("%s: address %#llx is out of range: its tag %#llx is wider "
+          "than the %u bits of a cache entry",
+          params_.name.c_str(), static_cast<unsigned long long>(addr),
+          static_cast<unsigned long long>(tag), tagBits);
+}
+
+void
 Cache::locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const
 {
     const Addr line = addr >> lineBits_;
     set = static_cast<std::uint32_t>(line & setMask_);
     tag = line >> setBits_;
-    fatal_if(tag > maxTag,
-             "%s: address %#llx is out of range: its tag %#llx is wider "
-             "than the %u bits of a cache entry",
-             params_.name.c_str(), static_cast<unsigned long long>(addr),
-             static_cast<unsigned long long>(tag), tagBits);
+    checkTag(addr, tag);
 }
 
-// install() and accessLine() are inlined into access(), so an LLC access
-// from Dragonhead is one call.
+// install() and accessLine() are inlined into access(), so a demand
+// access is one call.
 [[gnu::always_inline]] inline void
 Cache::install(std::uint32_t set, std::uint64_t tag, Entry flags,
                Outcome& outcome)
@@ -172,19 +185,6 @@ Cache::access(Addr addr, bool write)
     std::uint32_t set;
     std::uint64_t tag;
     locate(addr, set, tag);
-    return accessLine(set, tag, write);
-}
-
-Cache::Outcome
-Cache::accessSet(std::uint32_t set, std::uint64_t tag, bool write)
-{
-    panic_if(set >= sets_, "%s: set %u of %u", params_.name.c_str(), set,
-             sets_);
-    fatal_if(tag > maxTag,
-             "%s: tag %#llx of set %u is wider than the %u bits of a "
-             "cache entry",
-             params_.name.c_str(), static_cast<unsigned long long>(tag),
-             set, tagBits);
     return accessLine(set, tag, write);
 }
 

@@ -12,6 +12,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -75,6 +76,10 @@ struct CacheStats
      * @p group; the group must not outlive them.
      */
     void addStats(stats::Group& group) const;
+
+    /** Register the counters @p read returns at each evaluation. */
+    static void addStats(stats::Group& group,
+                         const std::function<CacheStats()>& read);
 };
 
 /**
@@ -120,12 +125,57 @@ class Cache
     Outcome access(Addr addr, bool write);
 
     /**
-     * Demand access to the line with @p tag in @p set, for a caller
-     * that divides the sets itself (Dragonhead's per-core partitions).
-     * A victim's address is rebuilt as if its tag and set came from
-     * access(). fatal() if @p tag is wider than tagBits.
+     * LRU steps for a caller that indexes the sets and keeps the
+     * counters itself (LlcStack): none of them touches stats(), and
+     * every one requires LRU replacement. @{
      */
-    Outcome accessSet(std::uint32_t set, std::uint64_t tag, bool write);
+
+    /** fatal() unless @p tag, of address @p addr, fits an entry. */
+    void
+    checkTag(Addr addr, std::uint64_t tag) const
+    {
+        if (tag > maxTag) [[unlikely]]
+            tagOutOfRange(addr, tag);
+    }
+
+    /** The way of @p set holding the line with @p tag, or -1. */
+    int
+    findLine(std::uint32_t set, std::uint64_t tag) const
+    {
+        return findWay(setEntries(set), params_.assoc, keyOf(tag));
+    }
+
+    /** Move hit way @p way of @p set to the front; a write dirties it. */
+    void
+    promoteHit(std::uint32_t set, int way, bool write)
+    {
+        Entry* ways = setEntries(set);
+        ways[way] |= write ? entryDirty : 0;
+        promote(ways, way);
+    }
+
+    /** The valid and dirty bits of an evicted entry. */
+    struct Victim
+    {
+        bool valid;
+        bool dirty;
+    };
+
+    /**
+     * Install the line with @p tag, known to miss, at the front of
+     * @p set (dirty on a write), and evict the set's last entry.
+     */
+    Victim
+    installMiss(std::uint32_t set, std::uint64_t tag, bool write)
+    {
+        Entry* ways = setEntries(set);
+        const Entry victim = ways[params_.assoc - 1];
+        shiftBack(ways, params_.assoc);
+        ways[0] = keyOf(tag) | (write ? entryDirty : 0);
+        return {(victim & entryValid) != 0, (victim & entryDirty) != 0};
+    }
+
+    /** @} */
 
     /**
      * Inlined fast path for the dominant case: a plain hit (valid line,
@@ -303,6 +353,8 @@ class Cache
 
     /** Set and range-checked tag of @p addr (fatal if too wide). */
     void locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const;
+
+    [[noreturn]] void tagOutOfRange(Addr addr, std::uint64_t tag) const;
 
     Outcome accessLine(std::uint32_t set, std::uint64_t tag, bool write);
 

@@ -23,7 +23,7 @@ CoSimulation::CoSimulation(const CoSimParams& params)
              "(set CpuParams::emitFsbTraffic)");
 
     // Every rig batches its bus: snoopers take whole chunks (the bank
-    // ships them to its workers, a Dragonhead emulates them in
+    // ships them to its workers, an LLC stack emulates them in
     // observeBatch) instead of a virtual call per transaction.
     const std::size_t chunk = params.fsbBatchTxns > 0 ? params.fsbBatchTxns
                                                       : kDefaultBatchTxns;
@@ -41,10 +41,9 @@ CoSimulation::CoSimulation(const CoSimParams& params)
         return;
     }
 
-    for (const DragonheadParams& dh : params.emulators) {
-        emulators_.push_back(std::make_unique<Dragonhead>(dh));
-        platform_.fsb().attach(emulators_.back().get());
-    }
+    stacks_ = std::make_unique<DragonheadStacks>(params.emulators);
+    for (unsigned s = 0; s < stacks_->nStacks(); ++s)
+        platform_.fsb().attach(&stacks_->stack(s));
 }
 
 CoSimulation::~CoSimulation()
@@ -55,17 +54,14 @@ CoSimulation::~CoSimulation()
         return;
     }
     platform_.fsb().flush();
-    for (auto& dh : emulators_)
-        platform_.fsb().detach(dh.get());
+    for (unsigned s = 0; s < stacks_->nStacks(); ++s)
+        platform_.fsb().detach(&stacks_->stack(s));
 }
 
 RunResult
 CoSimulation::run(Workload& workload, const WorkloadConfig& cfg)
 {
-    if (bank_)
-        bank_->reset();
-    for (auto& dh : emulators_)
-        dh->reset();
+    resetEmulators();
 
     RunResult result = platform_.run(workload, cfg);
 
@@ -86,12 +82,20 @@ CoSimulation::run(Workload& workload, const WorkloadConfig& cfg)
 }
 
 void
+CoSimulation::resetEmulators()
+{
+    if (bank_) {
+        bank_->reset();
+        return;
+    }
+    for (unsigned s = 0; s < stacks_->nStacks(); ++s)
+        stacks_->stack(s).reset();
+}
+
+void
 CoSimulation::prepareReplay()
 {
-    if (bank_)
-        bank_->reset();
-    for (auto& dh : emulators_)
-        dh->reset();
+    resetEmulators();
     platform_.fsb().resetStats();
 }
 
@@ -171,8 +175,7 @@ CoSimulation::emulator(unsigned i) const
 {
     if (bank_)
         return bank_->emulator(i);
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return *emulators_[i];
+    return stacks_->board(i);
 }
 
 void

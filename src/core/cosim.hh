@@ -7,14 +7,16 @@
  * time-slices virtual cores while one *or several* Dragonhead instances
  * snoop the FSB. Because the emulation is passive, attaching several
  * emulators with different LLC configurations evaluates a whole design
- * sweep in a single workload execution.
+ * sweep in a single workload execution. Configurations that differ only
+ * in LLC capacity are grouped into one LlcStack, which emulates them in
+ * one pass; emulator(i) is configuration i's view either way.
  *
  * Two emulation modes:
  *
- *  - *Serial* (emulationThreads == 0, the default): every emulator is
+ *  - *Serial* (emulationThreads == 0, the default): every stack is
  *    attached to the bus directly and emulates each delivered chunk
  *    inline on the workload's host thread.
- *  - *Parallel* (emulationThreads > 0): the emulators live in an
+ *  - *Parallel* (emulationThreads > 0): the stacks live in an
  *    AsyncEmulatorBank whose worker threads emulate the chunks while
  *    the workload keeps executing -- the software analogue of the FPGA
  *    emulating concurrently with the host CPUs. Results are
@@ -48,7 +50,7 @@ struct CoSimParams
 
     /**
      * Host threads emulating Dragonheads; 0 = serial inline emulation.
-     * More threads than emulators is clamped (a worker per emulator).
+     * More threads than LLC stacks is clamped (a worker per stack).
      */
     unsigned emulationThreads = 0;
 
@@ -127,8 +129,7 @@ class CoSimulation
 
     unsigned nEmulators() const
     {
-        return bank_ ? bank_->nEmulators()
-                     : static_cast<unsigned>(emulators_.size());
+        return bank_ ? bank_->nEmulators() : stacks_->nBoards();
     }
 
     /** Host worker threads emulating; 0 in serial mode. */
@@ -163,6 +164,8 @@ class CoSimulation
     void setHeartbeat(obs::HeartbeatSlot* slot);
 
   private:
+    /** Return every emulator to power-on state. */
+    void resetEmulators();
     /** Reset emulators and bus counters before a replay pass. */
     void prepareReplay();
     /** Drain workers and assemble a replay-mode RunResult. */
@@ -171,8 +174,8 @@ class CoSimulation
                            ReplayResult* details);
 
     VirtualPlatform platform_;
-    /** Serial mode: directly attached emulators. */
-    std::vector<std::unique_ptr<Dragonhead>> emulators_;
+    /** Serial mode: the emulators' stacks, attached directly. */
+    std::unique_ptr<DragonheadStacks> stacks_;
     /** Parallel mode: emulators owned by the worker bank. */
     std::unique_ptr<AsyncEmulatorBank> bank_;
 };

@@ -9,29 +9,27 @@
 namespace cosim {
 
 AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
-    : params_(params)
+    : params_(params), boards_(params.emulators)
 {
-    fatal_if(params_.emulators.empty(),
+    fatal_if(boards_.nBoards() == 0,
              "emulator bank needs at least one Dragonhead");
     if (params_.chunkTxns == 0)
         params_.chunkTxns = 1;
     if (params_.queueChunks == 0)
         params_.queueChunks = 1;
 
-    const auto n_emus = static_cast<unsigned>(params_.emulators.size());
-    unsigned n_threads = params_.nThreads == 0 ? n_emus : params_.nThreads;
-    // More workers than emulators would just idle.
-    if (n_threads > n_emus)
-        n_threads = n_emus;
+    const unsigned n_stacks = boards_.nStacks();
+    unsigned n_threads =
+        params_.nThreads == 0 ? n_stacks : params_.nThreads;
+    // More workers than stacks would just idle.
+    if (n_threads > n_stacks)
+        n_threads = n_stacks;
 
-    emulators_.reserve(n_emus);
-    for (const DragonheadParams& p : params_.emulators)
-        emulators_.push_back(std::make_unique<Dragonhead>(p));
     {
         // No worker exists yet, but the analysis (rightly) has no way
         // to know that; the uncontended lock documents and proves it.
         LockGuard lock(syncMutex_);
-        stats_.resize(n_emus);
+        stats_.resize(n_stacks);
         chunksDone_.resize(n_threads, 0);
         workerFailed_.resize(n_threads, 0);
         failedChunks_.resize(n_threads);
@@ -41,8 +39,8 @@ AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
     workers_.reserve(n_threads);
     for (unsigned w = 0; w < n_threads; ++w)
         workers_.push_back(std::make_unique<Worker>(params_.queueChunks));
-    for (unsigned i = 0; i < n_emus; ++i)
-        workers_[i % n_threads]->emulators.push_back(i);
+    for (unsigned s = 0; s < n_stacks; ++s)
+        workers_[s % n_threads]->stacks.push_back(s);
 
     pending_.reserve(params_.chunkTxns);
 
@@ -137,15 +135,12 @@ AsyncEmulatorBank::emulateInline(unsigned w, const Chunk& chunk)
 {
     Worker& worker = *workers_[w];
     const std::vector<BusTransaction>& txns = *chunk;
-    for (unsigned idx : worker.emulators) {
-        Dragonhead& emu = *emulators_[idx];
-        for (const BusTransaction& txn : txns)
-            emu.observe(txn);
-    }
+    for (unsigned s : worker.stacks)
+        boards_.stack(s).observeBatch(txns.data(), txns.size());
     LockGuard lock(syncMutex_);
-    for (unsigned idx : worker.emulators) {
-        ++stats_[idx].batches;
-        stats_[idx].txns += txns.size();
+    for (unsigned s : worker.stacks) {
+        ++stats_[s].batches;
+        stats_[s].txns += txns.size();
     }
 }
 
@@ -174,8 +169,8 @@ AsyncEmulatorBank::takeOverWorker(unsigned w)
         what = workerErrorText_;
     }
     warn("emulation worker %u died (%s); degrading its %zu "
-         "emulator(s) to serial emulation on the workload thread",
-         w, what.c_str(), worker.emulators.size());
+         "LLC stack(s) to serial emulation on the workload thread",
+         w, what.c_str(), worker.stacks.size());
     if (failed) {
         // The worker died before touching this chunk, so re-running it
         // here keeps results bit-identical to serial snooping.
@@ -243,8 +238,8 @@ AsyncEmulatorBank::reset()
     sync();
     // Workers are parked in pop() after a sync, so emulator state is
     // exclusively ours here; the counters keep their lock discipline.
-    for (auto& emu : emulators_)
-        emu->reset();
+    for (unsigned s = 0; s < boards_.nStacks(); ++s)
+        boards_.stack(s).reset();
     {
         LockGuard lock(syncMutex_);
         for (auto& s : stats_)
@@ -254,18 +249,10 @@ AsyncEmulatorBank::reset()
         worker->queue.resetPeak();
 }
 
-Dragonhead&
-AsyncEmulatorBank::emulator(unsigned i)
-{
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return *emulators_[i];
-}
-
 const Dragonhead&
 AsyncEmulatorBank::emulator(unsigned i) const
 {
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return *emulators_[i];
+    return boards_.board(i);
 }
 
 EmulatorWorkerStats
@@ -274,16 +261,17 @@ AsyncEmulatorBank::emulatorStats(unsigned i) const
     // Returned by value under the lock: handing out a reference into
     // stats_ would escape the capability (exactly the pattern
     // -Wthread-safety exists to reject).
+    panic_if(i >= nEmulators(), "emulator index %u out of range", i);
     LockGuard lock(syncMutex_);
-    panic_if(i >= stats_.size(), "emulator index %u out of range", i);
-    return stats_[i];
+    return stats_[boards_.stackOf(i)];
 }
 
 std::size_t
 AsyncEmulatorBank::queuePeak(unsigned i) const
 {
-    panic_if(i >= emulators_.size(), "emulator index %u out of range", i);
-    return workers_[i % workers_.size()]->queue.peakDepth();
+    panic_if(i >= nEmulators(), "emulator index %u out of range", i);
+    return workers_[boards_.stackOf(i) % workers_.size()]
+        ->queue.peakDepth();
 }
 
 unsigned
@@ -319,17 +307,14 @@ AsyncEmulatorBank::workerLoop(unsigned w)
             COSIM_FAULT_POINT("emu.worker.crash");
             const std::vector<BusTransaction>& txns = *chunk;
             touched = true;
-            for (unsigned idx : worker.emulators) {
-                Dragonhead& emu = *emulators_[idx];
-                for (const BusTransaction& txn : txns)
-                    emu.observe(txn);
-            }
             const std::size_t n_txns = txns.size();
+            for (unsigned s : worker.stacks)
+                boards_.stack(s).observeBatch(txns.data(), n_txns);
             {
                 LockGuard lock(syncMutex_);
-                for (unsigned idx : worker.emulators) {
-                    ++stats_[idx].batches;
-                    stats_[idx].txns += n_txns;
+                for (unsigned s : worker.stacks) {
+                    ++stats_[s].batches;
+                    stats_[s].txns += n_txns;
                 }
                 ++chunksDone_[w];
             }

@@ -8,14 +8,17 @@
  * one host thread that runs the workload. The AsyncEmulatorBank restores
  * the overlap: it attaches to the front-side bus as a single snooper,
  * accumulates transactions into fixed-size chunks, and ships each chunk
- * through a bounded SPSC queue to worker threads that own the Dragonhead
- * instances. Emulation is passive and the emulators share no state, so
- * every emulator still sees the complete transaction sequence in issue
- * order -- results are bit-identical to serial snooping (a test suite
- * enforces this), only the host wall-clock changes.
+ * through a bounded SPSC queue to worker threads that own the emulators'
+ * LLC stacks (configurations that differ only in capacity share one
+ * stack; see dragonhead/llc_stack.hh). Emulation is passive and the
+ * stacks share no state, so every stack still sees the complete
+ * transaction sequence in issue order -- results are bit-identical to
+ * serial snooping (a test suite enforces this), only the host wall-clock
+ * changes.
  *
- * With more emulators than workers, emulator i is pinned to worker
- * i % nThreads; a worker runs its emulators sequentially per chunk.
+ * Workers are pinned to stacks, not configurations: there are
+ * min(nThreads, stacks) of them, stack s runs on worker s % nThreads,
+ * and a worker runs its stacks sequentially per chunk.
  * Backpressure: bounded queues block the producing (workload) thread when
  * a worker falls behind, capping buffered history.
  *
@@ -59,7 +62,7 @@ struct EmulatorBankParams
     /** One passive emulator per entry. */
     std::vector<DragonheadParams> emulators;
 
-    /** Worker threads; 0 = one per emulator. */
+    /** Worker threads; 0 = one per LLC stack. Clamped to the stacks. */
     unsigned nThreads = 0;
 
     /** Transactions per delivery chunk. */
@@ -75,7 +78,7 @@ struct EmulatorBankParams
     bool degradeToSerial = false;
 };
 
-/** Per-emulator delivery counters (read after sync()). */
+/** Per-stack delivery counters (read after sync()). */
 struct EmulatorWorkerStats
 {
     std::uint64_t batches = 0; ///< chunks emulated
@@ -111,21 +114,17 @@ class AsyncEmulatorBank : public BusSnooper
     /** sync(), then return every emulator to power-on state. */
     void reset();
 
-    unsigned nEmulators() const
-    {
-        return static_cast<unsigned>(emulators_.size());
-    }
+    unsigned nEmulators() const { return boards_.nBoards(); }
 
     unsigned nThreads() const
     {
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** Emulator access; call sync() first for settled results. */
-    Dragonhead& emulator(unsigned i);
+    /** Config @p i's view; call sync() first for settled results. */
     const Dragonhead& emulator(unsigned i) const;
 
-    /** Delivery counters of emulator @p i (settled after sync()). */
+    /** Delivery counters of emulator @p i's stack (after sync()). */
     EmulatorWorkerStats emulatorStats(unsigned i) const;
 
     /** Queue-depth high-water of the worker owning emulator @p i. */
@@ -161,7 +160,7 @@ class AsyncEmulatorBank : public BusSnooper
         explicit Worker(std::size_t queue_chunks) : queue(queue_chunks) {}
 
         SpscQueue<Chunk> queue;
-        std::vector<unsigned> emulators; ///< indices into emulators_
+        std::vector<unsigned> stacks; ///< indices into boards_' stacks
         /** Chunks pushed; written and read by the producer thread only. */
         std::uint64_t chunksPushed = 0;
         std::thread thread;
@@ -170,7 +169,7 @@ class AsyncEmulatorBank : public BusSnooper
     void publishPending();
     void workerLoop(unsigned w);
 
-    /** Run @p chunk through worker @p w's emulators on this thread. */
+    /** Run @p chunk through worker @p w's stacks on this thread. */
     void emulateInline(unsigned w, const Chunk& chunk);
 
     /**
@@ -180,16 +179,16 @@ class AsyncEmulatorBank : public BusSnooper
      */
     void handleDeadWorker(unsigned w, const Chunk& chunk);
 
-    /** Degrade worker @p w: adopt its emulators onto this thread. */
+    /** Degrade worker @p w: adopt its stacks onto this thread. */
     void takeOverWorker(unsigned w);
 
     /** True once every live worker drained all chunks pushed to it. */
     bool drained() const REQUIRES(syncMutex_);
 
     EmulatorBankParams params_;
-    std::vector<std::unique_ptr<Dragonhead>> emulators_;
+    DragonheadStacks boards_;
     std::vector<std::unique_ptr<Worker>> workers_;
-    /** Per-emulator delivery counters, written by the owning workers. */
+    /** Per-stack delivery counters, written by the owning workers. */
     std::vector<EmulatorWorkerStats> stats_ GUARDED_BY(syncMutex_);
     /** chunksDone_[w]: chunks fully emulated by worker w. (Lives here,
      * not in Worker, so the analysis can tie it to syncMutex_.) */

@@ -29,25 +29,19 @@ ControlBlock::traceSample(const Sample& s) const
 }
 
 void
-ControlBlock::pollCounters(std::uint64_t& accesses,
-                           std::uint64_t& misses) const
-{
-    accesses = llc_ != nullptr ? llc_->accesses : 0;
-    misses = llc_ != nullptr ? llc_->misses : 0;
-}
-
-void
-ControlBlock::onMessage(const msg::Message& m)
+ControlBlock::onMessage(const msg::Message& m, std::uint64_t accesses,
+                        std::uint64_t misses)
 {
     switch (m.type) {
       case msg::Type::StartEmulation:
         // Window accounting restarts at the emulation window boundary.
         windowCycleMark_ = totalCycles_;
         windowInstMark_ = totalInsts_;
-        pollCounters(windowAccessMark_, windowMissMark_);
+        windowAccessMark_ = accesses;
+        windowMissMark_ = misses;
         break;
       case msg::Type::StopEmulation:
-        flushWindow();
+        flushWindow(accesses, misses);
         break;
       case msg::Type::SetCoreId:
         break;
@@ -64,35 +58,27 @@ ControlBlock::onMessage(const msg::Message& m)
             windowCycleMark_ += cyclesPerWindow_;
             ++windowsClosed_;
 
-            std::uint64_t acc = 0;
-            std::uint64_t mis = 0;
-            pollCounters(acc, mis);
-
             Sample s;
             s.timeUs = static_cast<double>(windowsClosed_) *
                        static_cast<double>(params_.samplePeriodUs);
             s.cycles = cyclesPerWindow_;
             s.insts = totalInsts_ - windowInstMark_;
-            s.accesses = acc - windowAccessMark_;
-            s.misses = mis - windowMissMark_;
+            s.accesses = accesses - windowAccessMark_;
+            s.misses = misses - windowMissMark_;
             traceSample(s);
             samples_.push_back(s);
 
             windowInstMark_ = totalInsts_;
-            windowAccessMark_ = acc;
-            windowMissMark_ = mis;
+            windowAccessMark_ = accesses;
+            windowMissMark_ = misses;
         }
         break;
     }
 }
 
 void
-ControlBlock::flushWindow()
+ControlBlock::flushWindow(std::uint64_t acc, std::uint64_t mis)
 {
-    std::uint64_t acc = 0;
-    std::uint64_t mis = 0;
-    pollCounters(acc, mis);
-
     Cycles partial = totalCycles_ - windowCycleMark_;
     InstCount insts = totalInsts_ - windowInstMark_;
     std::uint64_t accesses = acc - windowAccessMark_;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "base/types.hh"
-#include "cache/cache.hh"
 #include "dragonhead/fsb_messages.hh"
 
 namespace cosim {
@@ -67,13 +66,12 @@ class ControlBlock
     explicit ControlBlock(const ControlBlockParams& params);
 
     /**
-     * Tell the CB whose access/miss counts to poll: the emulated LLC's
-     * (all CC slices together). Unattached, every poll reads zero.
+     * Feed a consumed message (forwarded by the AF). @p accesses and
+     * @p misses are the emulated LLC's counts (all CC slices together)
+     * as of this message, which a window boundary polls.
      */
-    void attachCounters(const CacheStats* llc) { llc_ = llc; }
-
-    /** Feed a consumed message (forwarded by the AF). */
-    void onMessage(const msg::Message& m);
+    void onMessage(const msg::Message& m, std::uint64_t accesses = 0,
+                   std::uint64_t misses = 0);
 
     /** Totals within the emulation window. @{ */
     InstCount totalInsts() const { return totalInsts_; }
@@ -83,24 +81,19 @@ class ControlBlock
     /** The 500 us sample series collected so far. */
     const std::vector<Sample>& samples() const { return samples_; }
 
-    /**
-     * Flush the currently accumulating partial window into the series
-     * (called on StopEmulation; may leave a short final sample).
-     */
-    void flushWindow();
-
     void reset();
 
   private:
-    /** Current (accesses, misses) of the attached counters. */
-    void pollCounters(std::uint64_t& accesses,
-                      std::uint64_t& misses) const;
+    /**
+     * Flush the currently accumulating partial window into the series
+     * (on StopEmulation; may leave a short final sample).
+     */
+    void flushWindow(std::uint64_t acc, std::uint64_t mis);
 
     /** Publish a just-closed window to an active trace session. */
     void traceSample(const Sample& s) const;
 
     ControlBlockParams params_;
-    const CacheStats* llc_ = nullptr;
 
     InstCount totalInsts_ = 0;
     Cycles totalCycles_ = 0;

@@ -20,6 +20,7 @@
 #include "base/str.hh"
 #include "base/thread_pool.hh"
 #include "base/units.hh"
+#include "dragonhead/llc_stack.hh"
 #include "harness/cell_isolation.hh"
 #include "harness/sweep_cell.hh"
 #include "harness/sweep_journal.hh"
@@ -596,11 +597,18 @@ SweepRunner::runFigure(const std::string& figure_id,
     manifest.journalPath = opts_.journalFile;
     manifest.resumed = !opts_.resumeFrom.empty();
     // Host parallelism as the scheduler applies it: jobs clamp to the
-    // number of chains, emulation threads to the largest emulator group.
+    // number of chains, emulation threads to the most LLC stacks one rig
+    // emulates (a bank runs a worker per stack).
+    const std::vector<unsigned> stack_of = planStacks(fig.emulators);
+    const std::size_t all_stacks =
+        stack_of.empty()
+            ? 0
+            : std::size_t{1} +
+                  *std::max_element(stack_of.begin(), stack_of.end());
     std::size_t group = 0;
     for (const SweepCell& cell : plan.cells) {
         group = std::max<std::size_t>(
-            group, cell.group == EmulatorGroup::All    ? fig.emulators.size()
+            group, cell.group == EmulatorGroup::All    ? all_stacks
                    : cell.group == EmulatorGroup::None ? 0
                                                        : 1);
     }

@@ -316,6 +316,15 @@ llc(std::uint64_t size)
     return dh;
 }
 
+/** A config that stacks with no llc(), so the bank runs two workers. */
+DragonheadParams
+llc128(std::uint64_t size)
+{
+    DragonheadParams dh = llc(size);
+    dh.llc.lineSize = 128;
+    return dh;
+}
+
 /** Per-emulator counters of @p cosim, bit-exact. */
 std::vector<std::uint64_t>
 countersOf(const CoSimulation& cosim)
@@ -349,11 +358,12 @@ TEST(FaultInjection, WorkerCrashSurfacesOneCleanErrorAtSync)
     ScopedFaultPlan plan("emu.worker.crash:nth=1");
 
     EmulatorBankParams params;
-    params.emulators = {llc(8 * KiB), llc(64 * KiB)};
+    params.emulators = {llc(8 * KiB), llc(64 * KiB), llc128(64 * KiB)};
     params.nThreads = 2;
     params.chunkTxns = 64;
     params.queueChunks = 2; // tiny: the producer WILL hit a full queue
     AsyncEmulatorBank bank(params);
+    ASSERT_EQ(bank.nThreads(), 2u);
 
     // Push far more chunks than the dead worker's queue holds: without
     // poisoning, the producer would deadlock right here.
@@ -376,7 +386,8 @@ TEST(FaultInjection, DegradeToSerialStaysBitIdentical)
     auto run = [](unsigned emu_threads, bool degrade) {
         CoSimParams params;
         params.platform = smallCmp(2);
-        params.emulators = {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB)};
+        params.emulators = {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB),
+                            llc128(64 * KiB)};
         params.emulationThreads = emu_threads;
         params.fsbBatchTxns = 256;
         params.degradeToSerial = degrade;
@@ -397,7 +408,8 @@ TEST(FaultInjection, DegradeToSerialStaysBitIdentical)
         ScopedFaultPlan plan("emu.worker.crash:nth=1");
         CoSimParams params;
         params.platform = smallCmp(2);
-        params.emulators = {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB)};
+        params.emulators = {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB),
+                            llc128(64 * KiB)};
         params.emulationThreads = 2;
         params.fsbBatchTxns = 256;
         params.degradeToSerial = true;

@@ -5,9 +5,10 @@
  * ReferenceLlc is a deliberately naive cache: one std::list per set,
  * tags compared node by node, no packing and no SIMD. The optimized
  * Cache must agree with it access by access on seeded random streams,
- * and a whole Dragonhead must agree with a reference board built from
- * it (one reference cache per CC slice, as the physical board was
- * organized) on the bus streams of every fig4 workload.
+ * and every configuration of an LLC stack must agree with a reference
+ * board built from it (one reference cache per CC slice, as the
+ * physical board was organized) on seeded random bus streams and on the
+ * bus streams of every fig4 workload.
  */
 
 #include <gtest/gtest.h>
@@ -433,6 +434,91 @@ expectBoardMatches(const Dragonhead& dh, const ReferenceBoard& ref,
     }
 }
 
+/** A board of @p size, 4-way, 64 B lines, 4 slices, 1 GHz CB. */
+DragonheadParams
+smallBoard(std::uint64_t size, LlcPartitioning partitioning)
+{
+    DragonheadParams p;
+    p.llc = {"llc" + formatSize(size), size, 64, 4, ReplPolicy::LRU};
+    p.nSlices = 4;
+    p.partitioning = partitioning;
+    p.cb.coreFreqGhz = 1.0;
+    return p;
+}
+
+TEST(LlcOracle, StackMatchesReferenceOnRandomStreams)
+{
+    // Per organization, one stack whose chain has a 2x gap, a 16x gap
+    // and two equal sizes, listed out of order; and a FIFO board, which
+    // stacks with nothing and goes through Cache::access.
+    std::vector<DragonheadParams> configs;
+    for (LlcPartitioning part :
+         {LlcPartitioning::Interleaved, LlcPartitioning::PerCore})
+        for (std::uint64_t size : {8 * KiB, 4 * KiB, 128 * KiB, 128 * KiB})
+            configs.push_back(smallBoard(size, part));
+    for (LlcPartitioning part :
+         {LlcPartitioning::Interleaved, LlcPartitioning::PerCore}) {
+        configs.push_back(smallBoard(8 * KiB, part));
+        configs.back().llc.repl = ReplPolicy::FIFO;
+    }
+    DragonheadStacks stacks(configs);
+    ASSERT_EQ(stacks.nStacks(), 4u);
+
+    FrontSideBus bus;
+    bus.setBatchCapacity(256);
+    for (unsigned s = 0; s < stacks.nStacks(); ++s)
+        bus.attach(&stacks.stack(s));
+    std::vector<std::unique_ptr<ReferenceBoard>> refs;
+    for (const DragonheadParams& p : configs) {
+        refs.push_back(std::make_unique<ReferenceBoard>(p));
+        bus.attach(refs.back().get());
+    }
+
+    // Three times the largest capacity, so lines conflict, get evicted
+    // dirty and come back; messages switch cores and close CB windows.
+    const unsigned cores = 8;
+    const std::uint64_t span = 3 * 128 * KiB;
+    Rng rng(2024);
+    bus.issue(msg::encode(msg::Type::StartEmulation, 0));
+    for (int i = 0; i < 60000; ++i) {
+        const std::uint64_t op = rng.nextBounded(1000);
+        if (op < 8) {
+            bus.issue(msg::encode(msg::Type::SetCoreId,
+                                  rng.nextBounded(cores)));
+        } else if (op < 12) {
+            bus.issue(msg::encode(msg::Type::InstRetired,
+                                  rng.nextBounded(20000)));
+        } else if (op < 16) {
+            bus.issue(msg::encode(msg::Type::CyclesCompleted,
+                                  rng.nextBounded(300000)));
+        } else {
+            BusTransaction txn;
+            txn.addr = 0x1000'0000 + rng.nextBounded(span);
+            txn.size = 64;
+            txn.kind = rng.nextBool(0.3) ? TxnKind::WriteLine
+                                         : TxnKind::ReadLine;
+            bus.issue(txn);
+        }
+    }
+    bus.issue(msg::encode(msg::Type::StopEmulation, 0));
+    bus.flush();
+
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        ASSERT_GT(refs[i]->accesses_, 0u);
+        ASSERT_GT(refs[i]->misses_, 0u);
+        ASSERT_GT(refs[i]->samples_.size(), 1u);
+        std::uint64_t writebacks = 0;
+        for (const CacheStats& slice : refs[i]->slices_)
+            writebacks += slice.writebacks;
+        ASSERT_GT(writebacks, 0u);
+        expectBoardMatches(stacks.board(static_cast<unsigned>(i)),
+                           *refs[i], cores);
+    }
+    // The 16x gap is a real one: the largest level misses less.
+    EXPECT_LT(refs[2]->misses_, refs[0]->misses_);
+}
+
 class Fig4Streams : public ::testing::TestWithParam<std::string>
 {};
 
@@ -445,6 +531,19 @@ TEST_P(Fig4Streams, DragonheadMatchesReferenceBoard)
     std::vector<DragonheadParams> configs = boards(4 * MiB, 16, cores);
     for (const DragonheadParams& p : boards(256 * KiB, 8, cores))
         configs.push_back(p);
+    // Chains the rig emulates as LLC stacks: fig4's whole sweep; a
+    // 16-way chain with 2x and 4x gaps that evicts and writes back at
+    // --quick; and per-core partitions of 1 and 4 MB.
+    for (const DragonheadParams& p : presets::llcSizeSweepEmulators())
+        configs.push_back(p);
+    for (std::uint64_t size : {256 * KiB, 512 * KiB, 2 * MiB, 8 * MiB})
+        configs.push_back(presets::llcConfig(size, 64));
+    for (std::uint64_t size : {1 * MiB, 4 * MiB}) {
+        DragonheadParams p = presets::llcConfig(size, 64);
+        p.nSlices = cores;
+        p.partitioning = LlcPartitioning::PerCore;
+        configs.push_back(p);
+    }
 
     CoSimParams params;
     params.platform = platform;

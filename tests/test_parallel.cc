@@ -53,11 +53,24 @@ llc(std::uint64_t size)
     return dh;
 }
 
-/** The 3-config sweep every determinism case emulates. */
+/** A config that stacks with no llc(): its lines are 128 B. */
+DragonheadParams
+llc128(std::uint64_t size)
+{
+    DragonheadParams dh = llc(size);
+    dh.llc.lineSize = 128;
+    return dh;
+}
+
+/**
+ * The sweep every determinism case emulates: three sizes, which form
+ * one LLC stack, and a 128 B-line config, which forms a second, so
+ * several bank workers run.
+ */
 std::vector<DragonheadParams>
 sweepConfigs()
 {
-    return {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB)};
+    return {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB), llc128(64 * KiB)};
 }
 
 /**
@@ -116,9 +129,10 @@ runOnce(unsigned emu_threads, std::size_t chunk_txns, bool shared_array)
     cfg.nThreads = cores;
     RunResult r = cosim.run(wl, cfg);
     EXPECT_TRUE(r.verified);
-    EXPECT_EQ(cosim.nEmulators(), 3u);
+    EXPECT_EQ(cosim.nEmulators(), 4u);
+    // Workers are min(requested, stacks), and the sweep has 2 stacks.
     EXPECT_EQ(cosim.emulationThreads(),
-              emu_threads == 0 ? 0u : std::min(emu_threads, 3u));
+              emu_threads == 0 ? 0u : std::min(emu_threads, 2u));
     // Chunk size 1 is the per-transaction reference: nothing batched.
     if (chunk_txns == 1)
         EXPECT_EQ(cosim.platform().fsb().batchCount(), 0u);
@@ -181,7 +195,7 @@ TEST(ParallelEmulation, BankReportsDeliveryStats)
 
     const AsyncEmulatorBank* bank = cosim.bank();
     ASSERT_NE(bank, nullptr);
-    EXPECT_EQ(bank->nEmulators(), 3u);
+    EXPECT_EQ(bank->nEmulators(), 4u);
     EXPECT_EQ(bank->nThreads(), 2u);
 
     const std::uint64_t fsb_txns =
@@ -203,7 +217,7 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
     obs::StatsRegistry registry;
     CoSimParams params;
     params.platform = smallCmp(2);
-    params.emulators = {llc(8 * KiB), llc(64 * KiB)};
+    params.emulators = {llc(8 * KiB), llc(64 * KiB), llc128(64 * KiB)};
     params.emulationThreads = 2;
     params.fsbBatchTxns = 64;
     CoSimulation cosim(params);
@@ -231,6 +245,41 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
     EXPECT_TRUE(saw_batches);
     EXPECT_TRUE(saw_peak);
     EXPECT_GE(obs::HostProfiler::global().emulationThreads(), 2u);
+}
+
+TEST(ParallelEmulation, MixedListKeepsListOrderAcrossStacks)
+{
+    // fig4's seven sizes form one stack and a 128 B-line config a
+    // second; emulator(i) must still be config i, serial or banked.
+    std::vector<DragonheadParams> configs = presets::llcSizeSweepEmulators();
+    configs.insert(configs.begin() + 3, presets::llcConfig(32 * MiB, 128));
+    const unsigned cores = 4;
+    auto run = [&](unsigned emu_threads) {
+        CoSimParams params;
+        params.platform = smallCmp(cores);
+        params.emulators = configs;
+        params.emulationThreads = emu_threads;
+        params.fsbBatchTxns = 256;
+        CoSimulation cosim(params);
+        test::LoopWorkload wl(16 * KiB, 4);
+        WorkloadConfig cfg;
+        cfg.nThreads = cores;
+        EXPECT_TRUE(cosim.run(wl, cfg).verified);
+        EXPECT_EQ(cosim.nEmulators(), 8u);
+        EXPECT_EQ(cosim.emulationThreads(), emu_threads == 0 ? 0u : 2u);
+        for (unsigned i = 0; i < configs.size(); ++i) {
+            const CacheParams& got = cosim.emulator(i).params().llc;
+            EXPECT_EQ(got.name, configs[i].llc.name) << i;
+            EXPECT_EQ(got.size, configs[i].llc.size) << i;
+            EXPECT_EQ(got.lineSize, configs[i].llc.lineSize) << i;
+            EXPECT_EQ(got.assoc, configs[i].llc.assoc) << i;
+            EXPECT_EQ(got.repl, configs[i].llc.repl) << i;
+        }
+        return fingerprintOf(cosim, cores);
+    };
+    const Fingerprint serial = run(0);
+    ASSERT_FALSE(serial.samples.empty());
+    EXPECT_EQ(run(2), serial);
 }
 
 TEST(FsbBatch, ChunksPreserveIssueOrderAndFlushOnCapacity)

@@ -111,6 +111,36 @@ TEST_F(ParamValidation, DragonheadRejectsIndivisibleSlices)
     EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
 }
 
+TEST_F(ParamValidation, StackChecksTheSmallestCapacitysTag)
+{
+    // 2^48 fits a 256 MB level's tag but not a 4 MB level's: the stack
+    // must refuse it even though its search starts at 256 MB.
+    DragonheadParams small;
+    small.llc = {"llc4MB", 4 * MiB, 64, 16, ReplPolicy::LRU};
+    DragonheadParams large = small;
+    large.llc = {"llc256MB", 256 * MiB, 64, 16, ReplPolicy::LRU};
+    LlcStack stack({large, small});
+    stack.observe(msg::encode(msg::Type::StartEmulation, 0));
+    BusTransaction txn;
+    txn.addr = Addr{1} << 48;
+    txn.size = 64;
+    txn.kind = TxnKind::ReadLine;
+    EXPECT_THROW(stack.observe(txn), std::runtime_error);
+}
+
+TEST_F(ParamValidation, StackViewRefusesToSnoopOrReset)
+{
+    // A view only reads its stack; the stack's owner snoops and resets.
+    DragonheadParams p;
+    p.llc = {"llc", 64 * KiB, 64, 4, ReplPolicy::LRU};
+    LlcStack stack({p});
+    Dragonhead view(stack, 0);
+    EXPECT_THROW(view.observe(msg::encode(msg::Type::StartEmulation, 0)),
+                 std::runtime_error);
+    EXPECT_THROW(view.reset(), std::runtime_error);
+    EXPECT_THROW(Dragonhead(stack, 1), std::runtime_error);
+}
+
 TEST_F(ParamValidation, MessagePayloadMustFit40Bits)
 {
     EXPECT_THROW(msg::encodeAddr(msg::Type::InstRetired,
