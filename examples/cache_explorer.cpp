@@ -1,13 +1,12 @@
 /**
  * @file
  * Cache design-space explorer: run any workload on any CMP scale against
- * a custom set of LLC configurations, all emulated simultaneously from
- * one execution.
+ * a custom set of LRU LLC configurations, all emulated simultaneously
+ * from one execution.
  *
  * Usage:
  *   cache_explorer [--workload=FIMI] [--cores=8] [--scale=0.2]
- *                  [--line=64] [--assoc=16] [--repl=lru]
- *                  [--sizes=4MB,16MB,64MB]
+ *                  [--line=64] [--assoc=16] [--sizes=4MB,16MB,64MB]
  */
 
 #include <cstdio>
@@ -30,7 +29,6 @@ main(int argc, char** argv)
     double scale = 0.2;
     std::uint32_t line = 64;
     std::uint32_t assoc = 16;
-    ReplPolicy repl = ReplPolicy::LRU;
     std::vector<std::uint64_t> sizes = {4 * MiB, 16 * MiB, 64 * MiB};
 
     for (int i = 1; i < argc; ++i) {
@@ -45,8 +43,6 @@ main(int argc, char** argv)
             line = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 7));
         else if (startsWith(arg, "--assoc="))
             assoc = static_cast<std::uint32_t>(std::atoi(arg.c_str() + 8));
-        else if (startsWith(arg, "--repl="))
-            repl = parseReplPolicy(arg.substr(7));
         else if (startsWith(arg, "--sizes=")) {
             sizes.clear();
             for (const std::string& s : split(arg.substr(8), ','))
@@ -62,7 +58,6 @@ main(int argc, char** argv)
     for (std::uint64_t size : sizes) {
         DragonheadParams dh = presets::llcConfig(size, line);
         dh.llc.assoc = assoc;
-        dh.llc.repl = repl;
         params.emulators.push_back(dh);
     }
     CoSimulation cosim(params);
@@ -73,9 +68,9 @@ main(int argc, char** argv)
     cfg.scale = scale;
 
     std::printf("running %s on %u cores (scale %.3g), %zu LLC configs, "
-                "%u-way %s, %uB lines...\n",
+                "%u-way lru, %uB lines...\n",
                 workload->name().c_str(), cores, scale, sizes.size(),
-                assoc, toString(repl), line);
+                assoc, line);
     RunResult r = cosim.run(*workload, cfg);
 
     TableWriter table("LLC design points -- one execution, emulated "

@@ -21,8 +21,7 @@
  * A consumer that dies (worker thread caught an exception) calls
  * poison(): this wakes and permanently fails the producer-side wait in
  * push(), so a dead worker can never deadlock the workload thread
- * against a full queue. The producer then reclaims undelivered items
- * with drainNow() if it wants to process them elsewhere.
+ * against a full queue.
  */
 
 #ifndef COSIM_BASE_SPSC_QUEUE_HH
@@ -31,7 +30,6 @@
 #include <cstddef>
 #include <deque>
 #include <utility>
-#include <vector>
 
 #include "base/annotations.hh"
 #include "base/mutex.hh"
@@ -121,23 +119,6 @@ class SpscQueue
     {
         LockGuard lock(mutex_);
         return poisoned_;
-    }
-
-    /**
-     * Move out everything still queued (poisoned or not). Used by the
-     * producer to reclaim undelivered items after observing poison.
-     */
-    std::vector<T>
-    drainNow()
-    {
-        LockGuard lock(mutex_);
-        std::vector<T> out;
-        out.reserve(items_.size());
-        while (!items_.empty()) {
-            out.push_back(std::move(items_.front()));
-            items_.pop_front();
-        }
-        return out;
     }
 
     std::size_t

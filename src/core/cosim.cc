@@ -33,7 +33,6 @@ CoSimulation::CoSimulation(const CoSimParams& params)
         bp.emulators = params.emulators;
         bp.nThreads = params.emulationThreads;
         bp.chunkTxns = chunk;
-        bp.degradeToSerial = params.degradeToSerial;
         bank_ = std::make_unique<AsyncEmulatorBank>(bp);
         platform_.fsb().attach(bank_.get());
         obs::HostProfiler::global().noteEmulationThreads(
@@ -153,14 +152,12 @@ CoSimulation::replaySampled(FsbStreamReader& reader,
                             const std::string& source,
                             const SamplingPlan& plan,
                             SampledReplayStats* sstats,
-                            ReplayResult* details, bool warming,
-                            unsigned warm_stride)
+                            ReplayResult* details)
 {
     prepareReplay();
     SampledReplayDriver driver;
     auto t0 = std::chrono::steady_clock::now();
-    ReplayResult rr = driver.replay(reader, plan, platform_.fsb(), sstats,
-                                    warming, warm_stride);
+    ReplayResult rr = driver.replay(reader, plan, platform_.fsb(), sstats);
     // The driver never reads the host clock (interval selection must
     // stay a pure function of the stream); the pass is timed here.
     rr.seconds = std::chrono::duration<double>(

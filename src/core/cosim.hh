@@ -61,13 +61,6 @@ struct CoSimParams
      * dispatch; 1 restores per-transaction delivery.
      */
     std::size_t fsbBatchTxns = 0;
-
-    /**
-     * Parallel mode: when an emulation worker dies, fall back to
-     * serial emulation of its emulators on the workload thread
-     * instead of failing the run (EmulatorBankParams::degradeToSerial).
-     */
-    bool degradeToSerial = false;
 };
 
 /** See file comment. */
@@ -110,22 +103,19 @@ class CoSimulation
     /**
      * Sampled replay: deliver only @p plan's representative intervals
      * (plus warm-up) through the emulators in detail, functionally
-     * warming (or, with @p warming false, fast-forwarding past) the
-     * rest (trace/sampled_replay.hh). Message transactions are always
+     * warming them with a diluted share of the rest
+     * (trace/sampled_replay.hh). Message transactions are always
      * delivered, so CB totals and the sample-window clock stay exact;
      * the caller reconstructs whole-run metrics from the emulator's
      * per-window samples and the plan weights. Stream and error
      * contract match replay(); `replayedFrom` is "sampled:<source>".
      * @p sstats (optional) receives the delivery-gate counters.
-     * @p warm_stride dilutes warming to every Nth fast-forwarded data
-     * transaction (trace/sampled_replay.hh).
      */
     RunResult replaySampled(FsbStreamReader& reader,
                             const std::string& source,
                             const SamplingPlan& plan,
                             SampledReplayStats* sstats = nullptr,
-                            ReplayResult* details = nullptr,
-                            bool warming = true, unsigned warm_stride = 1);
+                            ReplayResult* details = nullptr);
 
     unsigned nEmulators() const
     {

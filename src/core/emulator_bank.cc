@@ -1,9 +1,10 @@
 #include "core/emulator_bank.hh"
 
+#include <string>
+
 #include "base/fault.hh"
 #include "base/flight_recorder.hh"
 #include "base/logging.hh"
-#include "obs/host_profiler.hh"
 #include "obs/metrics.hh"
 
 namespace cosim {
@@ -32,9 +33,7 @@ AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
         stats_.resize(n_stacks);
         chunksDone_.resize(n_threads, 0);
         workerFailed_.resize(n_threads, 0);
-        failedChunks_.resize(n_threads);
     }
-    degraded_.resize(n_threads, 0);
 
     workers_.reserve(n_threads);
     for (unsigned w = 0; w < n_threads; ++w)
@@ -101,96 +100,35 @@ AsyncEmulatorBank::publishPending()
                          chunk->size());
     obs::HeartbeatSlot* beat =
         heartbeat_.load(std::memory_order_relaxed);
-    for (unsigned w = 0; w < workers_.size(); ++w) {
-        Worker& worker = *workers_[w];
-        if (degraded_[w]) {
-            emulateInline(w, chunk);
-            continue;
-        }
-        // A false return means the worker poisoned its queue (died);
-        // the poison-aware wait is what keeps a full queue from
+    for (auto& worker : workers_) {
+        // A false return means the worker poisoned its queue (died):
+        // the chunk is dropped for it, and the recorded exception
+        // surfaces at the next sync(), which fails the run. The
+        // poison-aware wait is what keeps a full queue from
         // deadlocking this thread against a dead consumer.
-        if (worker.queue.push(chunk)) {
-            ++worker.chunksPushed;
-            if (beat != nullptr || obs::metrics::enabled()) {
-                const std::uint64_t depth = worker.queue.size();
-                if (beat != nullptr)
-                    beat->noteQueueDepth(depth);
-                if (obs::metrics::enabled()) {
-                    static const obs::metrics::Histogram queue_depth =
-                        obs::metrics::histogram(
-                            "emu.queue_depth",
-                            "SPSC chunk-queue depth after push");
-                    queue_depth.record(depth);
-                }
+        if (!worker->queue.push(chunk))
+            continue;
+        ++worker->chunksPushed;
+        if (beat != nullptr || obs::metrics::enabled()) {
+            const std::uint64_t depth = worker->queue.size();
+            if (beat != nullptr)
+                beat->noteQueueDepth(depth);
+            if (obs::metrics::enabled()) {
+                static const obs::metrics::Histogram queue_depth =
+                    obs::metrics::histogram(
+                        "emu.queue_depth",
+                        "SPSC chunk-queue depth after push");
+                queue_depth.record(depth);
             }
-        } else {
-            handleDeadWorker(w, chunk);
         }
     }
-}
-
-void
-AsyncEmulatorBank::emulateInline(unsigned w, const Chunk& chunk)
-{
-    Worker& worker = *workers_[w];
-    const std::vector<BusTransaction>& txns = *chunk;
-    for (unsigned s : worker.stacks)
-        boards_.stack(s).observeBatch(txns.data(), txns.size());
-    LockGuard lock(syncMutex_);
-    for (unsigned s : worker.stacks) {
-        ++stats_[s].batches;
-        stats_[s].txns += txns.size();
-    }
-}
-
-void
-AsyncEmulatorBank::handleDeadWorker(unsigned w, const Chunk& chunk)
-{
-    if (!params_.degradeToSerial) {
-        // Drop the chunk for this worker; the recorded exception
-        // surfaces at the next sync(), which is what fails the run.
-        return;
-    }
-    takeOverWorker(w);
-    emulateInline(w, chunk);
-}
-
-void
-AsyncEmulatorBank::takeOverWorker(unsigned w)
-{
-    Worker& worker = *workers_[w];
-    Chunk failed;
-    std::string what;
-    {
-        LockGuard lock(syncMutex_);
-        failed = failedChunks_[w];
-        failedChunks_[w] = nullptr;
-        what = workerErrorText_;
-    }
-    warn("emulation worker %u died (%s); degrading its %zu "
-         "LLC stack(s) to serial emulation on the workload thread",
-         w, what.c_str(), worker.stacks.size());
-    if (failed) {
-        // The worker died before touching this chunk, so re-running it
-        // here keeps results bit-identical to serial snooping.
-        emulateInline(w, failed);
-    } else {
-        warn("worker %u died mid-chunk; its emulators may have "
-             "partially observed a chunk (results tainted)", w);
-    }
-    for (Chunk& c : worker.queue.drainNow())
-        emulateInline(w, c);
-    degraded_[w] = 1;
-    obs::HostProfiler::global().noteDegradedToSerial(1);
 }
 
 bool
 AsyncEmulatorBank::drained() const
 {
     for (std::size_t w = 0; w < workers_.size(); ++w) {
-        // A dead worker never catches up; its chunks were either
-        // dropped (error path) or emulated inline (degrade path).
+        // A dead worker never catches up; its chunks were dropped.
         if (workerFailed_[w])
             continue;
         // chunksPushed is producer-private; sync() runs on the producer.
@@ -211,25 +149,8 @@ AsyncEmulatorBank::sync()
             syncCv_.wait(lock);
         err = workerError_;
     }
-    if (!err)
-        return;
-    if (params_.degradeToSerial) {
-        // Adopt any failed worker the producer has not pushed to since
-        // the death (sync() may be the first to observe it).
-        for (unsigned w = 0; w < workers_.size(); ++w) {
-            bool dead = false;
-            {
-                LockGuard lock(syncMutex_);
-                dead = workerFailed_[w] != 0;
-            }
-            if (dead && !degraded_[w]) {
-                takeOverWorker(w);
-                degraded_[w] = 1;
-            }
-        }
-        return;
-    }
-    std::rethrow_exception(err);
+    if (err)
+        std::rethrow_exception(err);
 }
 
 void
@@ -284,15 +205,6 @@ AsyncEmulatorBank::failedWorkers() const
     return n;
 }
 
-unsigned
-AsyncEmulatorBank::degradedWorkers() const
-{
-    unsigned n = 0;
-    for (unsigned char degraded : degraded_)
-        n += degraded != 0;
-    return n;
-}
-
 void
 AsyncEmulatorBank::workerLoop(unsigned w)
 {
@@ -300,13 +212,9 @@ AsyncEmulatorBank::workerLoop(unsigned w)
     Worker& worker = *workers_[w];
     Chunk chunk;
     while (worker.queue.pop(chunk)) {
-        // Set once emulator state may have changed: a chunk that died
-        // before this point is clean and can be re-run elsewhere.
-        bool touched = false;
         try {
             COSIM_FAULT_POINT("emu.worker.crash");
             const std::vector<BusTransaction>& txns = *chunk;
-            touched = true;
             const std::size_t n_txns = txns.size();
             for (unsigned s : worker.stacks)
                 boards_.stack(s).observeBatch(txns.data(), n_txns);
@@ -327,22 +235,11 @@ AsyncEmulatorBank::workerLoop(unsigned w)
             chunk.reset();
             syncCv_.notifyAll();
         } catch (...) {
-            const std::exception_ptr err = std::current_exception();
-            std::string what = "unknown exception";
-            try {
-                std::rethrow_exception(err);
-            } catch (const std::exception& e) {
-                what = e.what();
-            } catch (...) {
-            }
             {
                 LockGuard lock(syncMutex_);
-                if (!workerError_) {
-                    workerError_ = err;
-                    workerErrorText_ = what;
-                }
+                if (!workerError_)
+                    workerError_ = std::current_exception();
                 workerFailed_[w] = 1;
-                failedChunks_[w] = touched ? nullptr : chunk;
             }
             FlightRecorder::note(FrKind::WorkerDied, "emu.worker", w);
             // Unblock a producer waiting on a full queue and a sync()

@@ -26,14 +26,8 @@
  * "emu.worker.crash" fault, see base/fault.hh) records the exception,
  * poisons its queue so the producer can never deadlock against it, and
  * exits. The error surfaces as one clean exception from the next
- * sync()/reset() on the workload thread -- never std::terminate. With
- * EmulatorBankParams::degradeToSerial set, the bank instead adopts the
- * dead worker's emulators onto the workload thread (counted in the
- * host.degraded_to_serial stat) and the run continues; results stay
- * bit-identical to serial snooping when the failure happened at a chunk
- * boundary (always true for the injected crash site), and the bank
- * warns when a mid-chunk death may have tainted the dead worker's
- * emulators.
+ * sync()/reset() on the workload thread -- never std::terminate -- and
+ * fails the run.
  */
 
 #ifndef COSIM_CORE_EMULATOR_BANK_HH
@@ -43,7 +37,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -70,12 +63,6 @@ struct EmulatorBankParams
 
     /** Chunks in flight per worker before the producer blocks. */
     std::size_t queueChunks = 64;
-
-    /**
-     * When a worker dies, re-run its emulators serially on the
-     * workload thread instead of failing the run at sync().
-     */
-    bool degradeToSerial = false;
 };
 
 /** Per-stack delivery counters (read after sync()). */
@@ -106,8 +93,8 @@ class AsyncEmulatorBank : public BusSnooper
      * drained its queue. Emulator results are only meaningful afterwards.
      *
      * @throws whatever a worker thread threw, rethrown here on the
-     * workload thread (unless degradeToSerial absorbed the failure).
-     * The bank stays poisoned: every later sync() rethrows too.
+     * workload thread. The bank stays poisoned: every later sync()
+     * rethrows too.
      */
     void sync();
 
@@ -132,12 +119,6 @@ class AsyncEmulatorBank : public BusSnooper
 
     /** Workers that died (exception escaped the worker loop). */
     unsigned failedWorkers() const;
-
-    /**
-     * Dead workers whose emulators now run on the workload thread.
-     * Producer-thread-only, like observe().
-     */
-    unsigned degradedWorkers() const;
 
     /**
      * Publish liveness into @p slot: the producer reports SPSC queue
@@ -169,19 +150,6 @@ class AsyncEmulatorBank : public BusSnooper
     void publishPending();
     void workerLoop(unsigned w);
 
-    /** Run @p chunk through worker @p w's stacks on this thread. */
-    void emulateInline(unsigned w, const Chunk& chunk);
-
-    /**
-     * Producer-side response to a dead worker w: degrade it (reclaim
-     * its failed + queued chunks, emulate inline from now on) when
-     * degradeToSerial is set; otherwise leave the error for sync().
-     */
-    void handleDeadWorker(unsigned w, const Chunk& chunk);
-
-    /** Degrade worker @p w: adopt its stacks onto this thread. */
-    void takeOverWorker(unsigned w);
-
     /** True once every live worker drained all chunks pushed to it. */
     bool drained() const REQUIRES(syncMutex_);
 
@@ -194,19 +162,10 @@ class AsyncEmulatorBank : public BusSnooper
      * not in Worker, so the analysis can tie it to syncMutex_.) */
     std::vector<std::uint64_t> chunksDone_ GUARDED_BY(syncMutex_);
     /** First worker exception; never cleared, so the bank stays
-     * poisoned in non-degrade mode. */
+     * poisoned. */
     std::exception_ptr workerError_ GUARDED_BY(syncMutex_);
-    /** Rendered workerError_ message, for the degrade-path warning. */
-    std::string workerErrorText_ GUARDED_BY(syncMutex_);
     /** workerFailed_[w]: worker w's thread exited on an exception. */
     std::vector<unsigned char> workerFailed_ GUARDED_BY(syncMutex_);
-    /** failedChunks_[w]: the chunk worker w held when it died, iff it
-     * died *before* emulating any of it (clean chunk boundary); null
-     * for a mid-chunk death, where re-running would double-count. */
-    std::vector<Chunk> failedChunks_ GUARDED_BY(syncMutex_);
-    /** degraded_[w]: producer emulates worker w's chunks inline.
-     * Producer-thread-only, like pending_. */
-    std::vector<unsigned char> degraded_;
     /** Producer-thread-only staging buffer (observe/observeBatch and
      * sync/reset are called from the one snooping thread). */
     std::vector<BusTransaction> pending_;

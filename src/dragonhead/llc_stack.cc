@@ -24,10 +24,14 @@ labeledCb(const DragonheadParams& params)
     return cb;
 }
 
-/** fatal() unless the slice count divides the LLC. */
+/** fatal() unless the board is LRU and the slice count divides it. */
 void
-checkSliceable(const DragonheadParams& params)
+checkBoard(const DragonheadParams& params)
 {
+    fatal_if(params.llc.repl != ReplPolicy::LRU,
+             "%s: the emulated LLC is LRU, as Dragonhead's was; '%s' "
+             "replacement is not supported",
+             params.llc.name.c_str(), toString(params.llc.repl));
     fatal_if(params.nSlices == 0, "Dragonhead needs at least one CC");
     fatal_if(!isPowerOf2(params.nSlices),
              "slice count %u must be a power of two", params.nSlices);
@@ -57,14 +61,13 @@ LlcStack::LlcStack(const std::vector<DragonheadParams>& configs)
     panic_if(configs_.empty(), "an LLC stack needs a configuration");
     const DragonheadParams& first = configs_.front();
     for (const DragonheadParams& p : configs_) {
-        checkSliceable(p);
+        checkBoard(p);
         panic_if(configs_.size() > 1 && !stacks(first, p),
                  "%s does not stack with %s", p.llc.name.c_str(),
                  first.llc.name.c_str());
     }
     nSlices_ = first.nSlices;
     perCore_ = first.partitioning == LlcPartitioning::PerCore;
-    lru_ = first.llc.repl == ReplPolicy::LRU;
 
     // One level per distinct capacity, smallest first.
     std::vector<std::uint64_t> sizes;
@@ -99,8 +102,7 @@ LlcStack::LlcStack(const std::vector<DragonheadParams>& configs)
 bool
 LlcStack::stacks(const DragonheadParams& a, const DragonheadParams& b)
 {
-    return a.llc.repl == ReplPolicy::LRU && b.llc.repl == ReplPolicy::LRU &&
-           a.llc.lineSize == b.llc.lineSize && a.llc.assoc == b.llc.assoc &&
+    return a.llc.lineSize == b.llc.lineSize && a.llc.assoc == b.llc.assoc &&
            a.nSlices == b.nSlices && a.partitioning == b.partitioning &&
            a.cb.samplePeriodUs == b.cb.samplePeriodUs &&
            a.cb.coreFreqGhz == b.cb.coreFreqGhz &&
@@ -109,7 +111,7 @@ LlcStack::stacks(const DragonheadParams& a, const DragonheadParams& b)
 
 template <bool PerCore>
 [[gnu::always_inline]] inline unsigned
-LlcStack::accessLru(Addr addr, unsigned slice, bool write)
+LlcStack::access(Addr addr, unsigned slice, bool write)
 {
     const Addr line = addr >> lineBits_;
     std::uint32_t set;
@@ -139,26 +141,6 @@ LlcStack::accessLru(Addr addr, unsigned slice, bool write)
     return hit;
 }
 
-unsigned
-LlcStack::accessAlone(Addr addr, unsigned slice, bool write)
-{
-    Level& level = levels_.front();
-    if (perCore_) {
-        // Cache::access indexes the whole cache: hand it the address
-        // whose set is the partition's and whose tag is the line's.
-        std::uint32_t set;
-        std::uint64_t tag;
-        locate<true>(level, addr >> lineBits_, slice, set, tag);
-        level.cache.checkTag(addr, tag);
-        const unsigned set_bits = floorLog2(level.cache.params().sets());
-        addr = ((tag << set_bits) | set) << lineBits_;
-    }
-    const Cache::Outcome out = level.cache.access(addr, write);
-    evictions_[slice] += out.evicted;
-    writebacks_[slice] += out.evictedDirty;
-    return out.hit ? 0 : 1;
-}
-
 [[gnu::always_inline]] inline void
 LlcStack::emulate(const BusTransaction& txn)
 {
@@ -183,9 +165,8 @@ LlcStack::emulate(const BusTransaction& txn)
         perCore_ ? static_cast<unsigned>(core) % nSlices_
                  : static_cast<unsigned>((txn.addr >> lineBits_) &
                                          (nSlices_ - 1));
-    const unsigned hit = !lru_     ? accessAlone(txn.addr, slice, write)
-                         : perCore_ ? accessLru<true>(txn.addr, slice, write)
-                                    : accessLru<false>(txn.addr, slice, write);
+    const unsigned hit = perCore_ ? access<true>(txn.addr, slice, write)
+                                  : access<false>(txn.addr, slice, write);
     ++sliceHits_[(slice * 2 + write) * nHitLevels_ + hit];
     ++coreHits_[static_cast<std::size_t>(core) * nHitLevels_ + hit];
 }

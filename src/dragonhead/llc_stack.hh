@@ -22,8 +22,8 @@
  * control block, fed every message in stream order with its level's
  * totals as of that message.
  *
- * A board with any other replacement policy has no inclusion property:
- * it forms a stack of one whose level goes through Cache::access.
+ * The emulated LLC is LRU, as Dragonhead's was: a stack refuses any
+ * other replacement policy, which has no inclusion property.
  */
 
 #ifndef COSIM_DRAGONHEAD_LLC_STACK_HH
@@ -104,8 +104,8 @@ class LlcStack : public BusSnooper
   public:
     /**
      * Emulate @p configs, in list order, as one stack. Every entry must
-     * stack with the first (stacks()); fatal() on a geometry no board
-     * can take.
+     * stack with the first (stacks()); fatal() on a non-LRU policy or
+     * a geometry no board can take.
      */
     explicit LlcStack(const std::vector<DragonheadParams>& configs);
 
@@ -114,8 +114,8 @@ class LlcStack : public BusSnooper
     LlcStack& operator=(const LlcStack&) = delete;
 
     /**
-     * True iff @p a and @p b may share a stack: both LRU, differing
-     * only in llc.size and llc.name (which sets the CB trace label).
+     * True iff @p a and @p b may share a stack: they differ only in
+     * llc.size and llc.name (which sets the CB trace label).
      */
     static bool stacks(const DragonheadParams& a, const DragonheadParams& b);
 
@@ -179,8 +179,7 @@ class LlcStack : public BusSnooper
      * partitioning is a template argument so the per-level loops do
      * not test it. */
     template <bool PerCore>
-    unsigned accessLru(Addr addr, unsigned slice, bool write);
-    unsigned accessAlone(Addr addr, unsigned slice, bool write);
+    unsigned access(Addr addr, unsigned slice, bool write);
 
     /** Feed a consumed message to every config's CB. */
     void onMessage(const msg::Message& m);
@@ -203,7 +202,6 @@ class LlcStack : public BusSnooper
     unsigned nSlices_ = 0;
     unsigned lineBits_ = 0;
     bool perCore_ = false;
-    bool lru_ = false;
     /** Hit levels 0..levels_.size(), the last meaning "no level". */
     unsigned nHitLevels_ = 0;
 

@@ -52,9 +52,6 @@ namespace {
 /** Cap on --retry-cells, so the attempt count (retries + 1) is small. */
 constexpr unsigned kMaxRetryCells = 1000;
 
-/** Cap on --sample-period-us: 1000 simulated seconds per CB window. */
-constexpr std::uint64_t kMaxSamplePeriodUs = 1000000000;
-
 /**
  * The value of "--flag=<n>" as an integer in [lo, hi]. The value must
  * be plain decimal digits, consumed whole: no sign, no blanks, no
@@ -131,7 +128,10 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "%s\n\n"
                 "options:\n"
                 "  --scale=<f>      input scale factor (default 1.0)\n"
-                "  --quick          shorthand for --scale=0.05\n"
+                "  --quick          --scale=0.05 with 50 us CB sample "
+                "windows, the only way to get them\n"
+                "                   (same CSV as --scale=0.05, finer "
+                "run.json series)\n"
                 "  --seed=<n>       data generation seed (default 42)\n"
                 "  --workloads=a,b  run a subset of the workloads\n"
                 "  --out=<dir>      CSV output directory (default "
@@ -158,17 +158,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "<base>.<workload>.plan.json (with --cells=sampled)\n"
                 "  --plan-out=<base> write generated sampling plans to "
                 "<base>.<workload>.plan.json\n"
-                "  --warmup-windows=<n> warm-up windows per "
-                "representative interval in generated plans "
-                "(default 2)\n"
-                "  --no-warming     drop fast-forwarded spans' data "
-                "instead of functionally warming the LLC\n"
-                "  --warm-stride=<n> deliver every nth fast-forwarded "
-                "data transaction when warming (default 4)\n"
-                "  --sample-period-us=<n> CB sample window in "
-                "microseconds (default: preset 500, --quick 50)\n"
-                "  --max-phases=<n> cap phases in generated sampling "
-                "plans (default 0 = auto-scale)\n"
                 "  --capture=<base> record each workload's FSB stream "
                 "to <base>.<workload>.fsb\n"
                 "  --replay=<base>  replay recorded streams instead of "
@@ -183,8 +172,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "times (default 0, at most 1000)\n"
                 "  --cell-timeout=<s> mark a cell failed after s "
                 "wall-clock seconds (default off)\n"
-                "  --degrade-serial adopt a dead emulation worker's "
-                "Dragonheads onto the workload thread\n"
                 "  --progress       live per-cell progress view on "
                 "stderr\n"
                 "  --progress-file=<f> machine-readable progress stream "
@@ -278,17 +265,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.planOutBase = arg.substr(11);
             fatal_if(opts.planOutBase.empty(),
                      "--plan-out needs a file path");
-        } else if (startsWith(arg, "--warmup-windows=")) {
-            opts.warmupWindows = unsignedFlag(arg);
-        } else if (arg == "--no-warming") {
-            opts.sampledWarming = false;
-        } else if (startsWith(arg, "--warm-stride=")) {
-            // 1 delivers every fast-forwarded transaction.
-            opts.warmStride = unsignedFlag(arg, 1);
-        } else if (startsWith(arg, "--sample-period-us=")) {
-            opts.samplePeriodUs = integerFlag(arg, 1, kMaxSamplePeriodUs);
-        } else if (startsWith(arg, "--max-phases=")) {
-            opts.maxPhases = unsignedFlag(arg);
         } else if (startsWith(arg, "--digest=")) {
             opts.digestFile = arg.substr(9);
             fatal_if(opts.digestFile.empty(), "--digest needs a file path");
@@ -301,8 +277,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.retryCells = unsignedFlag(arg, 0, kMaxRetryCells);
         } else if (startsWith(arg, "--cell-timeout=")) {
             opts.cellTimeout = positiveFlag(arg);
-        } else if (arg == "--degrade-serial") {
-            opts.degradeSerial = true;
         } else if (arg == "--progress") {
             opts.progress = true;
         } else if (startsWith(arg, "--progress-file=")) {
@@ -343,7 +317,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
     const bool quick = given.count("--quick") != 0;
     fatal_if(quick && given.count("--scale") != 0,
              "--quick and --scale are mutually exclusive (--quick means "
-             "--scale=0.05)");
+             "--scale=0.05 with 50 us CB sample windows, which no other "
+             "flag sets)");
     if (opts.workloads.empty())
         opts.workloads = workloadNames();
     if (opts.manifestFile.empty())
@@ -352,7 +327,7 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
     // collapses into a handful of CB windows and a sampling plan ends
     // up covering nearly all of them. A finer window restores enough
     // geometry for phase clustering to find fast-forwardable spans.
-    if (quick && given.count("--sample-period-us") == 0)
+    if (quick)
         opts.samplePeriodUs = 50;
     fatal_if(!opts.captureBase.empty() && !opts.replayBase.empty(),
              "--capture and --replay are mutually exclusive (a replay "

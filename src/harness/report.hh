@@ -80,29 +80,11 @@ struct BenchOptions
     /** Write the per-workload sampling plans generated from this run's
      * CB sample series to "<base>.<workload>.plan.json". */
     std::string planOutBase;
-    /** Warm-up windows replayed (stats discarded) before each
-     * representative interval when generating plans. */
-    std::uint64_t warmupWindows = 2;
-    /** Functionally warm the fast-forwarded spans (deliver their data
-     * to the LLC without measuring it). Off trades cold-start bias in
-     * the representative windows for a lighter replay pass. */
-    bool sampledWarming = true;
-    /** Warming dilution: deliver every Nth fast-forwarded data
-     * transaction (1 = all of them). The detailed warm-up windows
-     * ahead of each representative interval repair most of the
-     * replacement-order drift, so moderate strides cut the dominant
-     * cost of a warmed pass at little accuracy cost. */
-    unsigned warmStride = 4;
     /** Override every emulator's CB sample window, in microseconds
-     * (0 = keep the preset's 500 us). --quick defaults this to 50 so
+     * (0 = keep the preset's 500 us). Only --quick sets it, to 50, so
      * its ~20x-shorter runs still decompose into enough windows for
      * phase clustering to find fast-forwardable spans. */
     std::uint64_t samplePeriodUs = 0;
-    /** Upper bound on phases (representative intervals) in generated
-     * plans; 0 = auto, scaling as ~sqrt of the profiled series length
-     * (clamped to [6, 24]) so finer sample windows get proportionally
-     * more representatives and per-phase homogeneity holds. */
-    unsigned maxPhases = 0;
     /** @} */
 
     /** @name Robustness / fault injection @{ */
@@ -116,8 +98,6 @@ struct BenchOptions
     double cellTimeout = 0.0;
     /** Armed fault plan spec ("site:nth=K,..."); empty = none. */
     std::string faults;
-    /** Degrade dead emulation workers to serial instead of failing. */
-    bool degradeSerial = false;
     /** @} */
 
     /** @name Live telemetry @{ */
@@ -168,7 +148,9 @@ std::string fsbStreamPath(const std::string& base,
 /**
  * Parse the common flags:
  *   --scale=<f>      input scale factor
- *   --quick          shorthand for --scale=0.05
+ *   --quick          --scale=0.05 with 50 us CB sample windows, the
+ *                    only way to get them (same CSV as --scale=0.05,
+ *                    finer run.json series)
  *   --seed=<n>       data-generation seed
  *   --workloads=a,b  comma-separated subset
  *   --out=<dir>      output directory for CSVs
@@ -182,23 +164,11 @@ std::string fsbStreamPath(const std::string& base,
  *                    (requires --cells=sampled)
  *   --plan-out=<base> write generated sampling plans to
  *                    <base>.<workload>.plan.json
- *   --warmup-windows=<n> warm-up windows per representative interval
- *                    in generated plans (default 2)
- *   --no-warming     drop fast-forwarded spans' data instead of
- *                    functionally warming the LLC with it
- *   --warm-stride=<n> deliver every nth fast-forwarded data
- *                    transaction when warming (default 4; 1 = all)
- *   --sample-period-us=<n> CB sample window in microseconds (default:
- *                    the preset's 500, or 50 under --quick)
- *   --max-phases=<n> cap phases in generated sampling plans (default
- *                    0 = auto-scale with the series length)
  *   --faults=<spec>  arm a fault plan (site:nth=K / site:p=X, comma-
  *                    separated; see base/fault.hh)
  *   --keep-going     finish the sweep despite failed cells
  *   --retry-cells=<n> retry a failed cell up to n times (n <= 1000)
  *   --cell-timeout=<s> mark cells failed after s wall-clock seconds
- *   --degrade-serial adopt dead emulation workers onto the workload
- *                    thread instead of failing the run
  *   --progress       live per-cell progress view on stderr
  *   --progress-file=<f> machine-readable progress stream (JSONL)
  *   --metrics=<f>    dump telemetry histograms/counters (OpenMetrics)

@@ -239,18 +239,17 @@ makePlan(const std::vector<Sample>& samples, const std::string& name,
 {
     PhaseClusterParams pc;
     pc.seed = opts.seed;
-    pc.warmupWindows = opts.warmupWindows;
-    if (opts.maxPhases != 0) {
-        pc.maxPhases = opts.maxPhases;
-    } else {
-        // Auto-scale the phase cap as ~sqrt of the series length: a
-        // fine sample period decomposes the run into many more windows,
-        // and a fixed cap would lump heterogeneous windows into one
-        // phase whose single representative misestimates the mean.
-        const double n = static_cast<double>(samples.size());
-        pc.maxPhases = static_cast<unsigned>(std::clamp(
-            std::sqrt(n) + 0.5, 6.0, 24.0));
-    }
+    // Two detailed warm-up windows ahead of each representative
+    // interval repair what the diluted functional warming leaves of
+    // the replacement order.
+    pc.warmupWindows = 2;
+    // Scale the phase cap as ~sqrt of the series length: a fine sample
+    // period decomposes the run into many more windows, and a fixed cap
+    // would lump heterogeneous windows into one phase whose single
+    // representative misestimates the mean.
+    const double n = static_cast<double>(samples.size());
+    pc.maxPhases = static_cast<unsigned>(
+        std::clamp(std::sqrt(n) + 0.5, 6.0, 24.0));
     // The replay gate recomputes windows from the plan, so its window
     // geometry must match the CB configuration that sampled the series.
     SamplingPlan plan = clusterPhases(samples, name, pc);
@@ -398,7 +397,6 @@ RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
             break;
         }
         params.emulationThreads = fig.opts.emuThreads;
-        params.degradeToSerial = fig.opts.degradeSerial;
 
         // Close any preceding silence honestly before the build starts;
         // the construction interval itself emits no heartbeats, is
@@ -485,8 +483,7 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
         if (cell.source == StreamSource::Sampled) {
             SampledReplayStats sstats;
             result = rig.replaySampled(reader, ws.source, ws.plan, &sstats,
-                                       &details, opts.sampledWarming,
-                                       opts.warmStride);
+                                       &details);
             countSampled(sstats);
         } else {
             result = rig.replay(reader, ws.source, &details);

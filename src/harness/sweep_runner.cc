@@ -41,20 +41,30 @@ namespace {
 /**
  * Fingerprint of everything that determines what a sweep's cells
  * compute, so --resume refuses to mix two different sweeps' journals.
- * Host-side knobs (--jobs, timeouts, telemetry) are deliberately
- * excluded: they change how cells are scheduled, not what they
- * produce, and a resume routinely runs with different ones.
+ * That includes every configuration as emulated, CB window included:
+ * --quick retimes it without changing the scale. Host-side knobs
+ * (--jobs, timeouts, telemetry) are deliberately excluded: they change
+ * how cells are scheduled, not what they produce, and a resume
+ * routinely runs with different ones.
  */
 std::uint64_t
-sweepConfigDigest(const std::string& figure_id,
-                  const PlatformParams& platform, const BenchOptions& opts,
-                  const std::vector<std::string>& ticks)
+sweepConfigDigest(const std::string& figure_id, const SweepFigure& fig)
 {
+    const BenchOptions& opts = fig.opts;
     std::string key = figure_id;
     key += '|';
-    key += platform.name;
+    key += fig.platform.name;
     key += '|';
-    key += std::to_string(platform.nCores);
+    key += std::to_string(fig.platform.nCores);
+    for (const DragonheadParams& emu : fig.emulators) {
+        key += strFormat(
+            "|%llu,%u,%u,%u,%u,%llu,",
+            static_cast<unsigned long long>(emu.llc.size), emu.llc.lineSize,
+            emu.llc.assoc, emu.nSlices,
+            static_cast<unsigned>(emu.partitioning),
+            static_cast<unsigned long long>(emu.cb.samplePeriodUs));
+        key += obs::json::number(emu.cb.coreFreqGhz);
+    }
     key += '|';
     key += obs::json::number(opts.scale);
     key += '|';
@@ -69,7 +79,7 @@ sweepConfigDigest(const std::string& figure_id,
         key += '|';
         key += w;
     }
-    for (const std::string& t : ticks) {
+    for (const std::string& t : fig.ticks) {
         key += '|';
         key += t;
     }
@@ -472,9 +482,9 @@ SweepRunner::runFigure(const std::string& figure_id,
                        const std::vector<DragonheadParams>& emulators_in,
                        const std::vector<std::string>& ticks)
 {
-    // --sample-period-us: retime every configuration's CB window. The
-    // override applies to profiling and sampled replay alike, so plan
-    // windows keep aligning with the CB sample series they index.
+    // --quick: retime every configuration's CB window. The override
+    // applies to profiling and sampled replay alike, so plan windows
+    // keep aligning with the CB sample series they index.
     std::vector<DragonheadParams> emulators = emulators_in;
     if (opts_.samplePeriodUs != 0) {
         for (DragonheadParams& emu : emulators)
@@ -527,7 +537,7 @@ SweepRunner::runFigure(const std::string& figure_id,
     SweepLedger ledger;
     if (!opts_.journalFile.empty()) {
         const std::uint64_t config_digest =
-            sweepConfigDigest(figure_id, platform, opts_, ticks);
+            sweepConfigDigest(figure_id, fig);
         ensureOutputDir(opts_.outDir + "/cells");
         std::uint64_t next_seq = 0;
         const bool resuming = !opts_.resumeFrom.empty();

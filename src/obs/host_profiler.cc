@@ -69,20 +69,6 @@ HostProfiler::emulationThreads() const
     return emuThreads_;
 }
 
-void
-HostProfiler::noteDegradedToSerial(unsigned n)
-{
-    LockGuard lock(mutex_);
-    degradedToSerial_ += n;
-}
-
-unsigned
-HostProfiler::degradedToSerial() const
-{
-    LockGuard lock(mutex_);
-    return degradedToSerial_;
-}
-
 double
 HostProfiler::seconds(const std::string& name) const
 {
@@ -145,10 +131,6 @@ HostProfiler::report() const
     }
     if (emuThreads_ > 0)
         out += strFormat("  emulation threads        %9u\n", emuThreads_);
-    if (degradedToSerial_ > 0) {
-        out += strFormat("  degraded to serial       %9u worker(s)\n",
-                         degradedToSerial_);
-    }
     if (simSeconds_ > 0.0) {
         out += strFormat("  simulated %.1fM insts in %.3fs -> %.1f MIPS\n",
                          static_cast<double>(simInsts_) / 1e6, simSeconds_,
@@ -172,13 +154,10 @@ HostProfiler::statsGroup(const std::string& name) const
     std::uint64_t insts = simInsts_;
     double mips = mipsOf(simInsts_, simSeconds_);
     unsigned emu_threads = emuThreads_;
-    unsigned degraded = degradedToSerial_;
     g.add("sim_insts", [insts] { return static_cast<double>(insts); });
     g.add("sim_mips", [mips] { return mips; });
     g.add("emulation_threads",
           [emu_threads] { return static_cast<double>(emu_threads); });
-    g.add("degraded_to_serial",
-          [degraded] { return static_cast<double>(degraded); });
     return g;
 }
 
@@ -190,7 +169,6 @@ HostProfiler::reset()
     simInsts_ = 0;
     simSeconds_ = 0.0;
     emuThreads_ = 0;
-    degradedToSerial_ = 0;
 }
 
 } // namespace obs

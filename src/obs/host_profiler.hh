@@ -55,14 +55,6 @@ class HostProfiler
     void noteEmulationThreads(unsigned n);
     unsigned emulationThreads() const;
 
-    /**
-     * Record @p n dead emulation workers whose emulators degraded to
-     * serial emulation on the workload thread. Accumulates; exported
-     * as the "degraded_to_serial" stat.
-     */
-    void noteDegradedToSerial(unsigned n);
-    unsigned degradedToSerial() const;
-
     double seconds(const std::string& name) const;
     std::uint64_t calls(const std::string& name) const;
 
@@ -97,7 +89,6 @@ class HostProfiler
     std::uint64_t simInsts_ GUARDED_BY(mutex_) = 0;
     double simSeconds_ GUARDED_BY(mutex_) = 0.0;
     unsigned emuThreads_ GUARDED_BY(mutex_) = 0;
-    unsigned degradedToSerial_ GUARDED_BY(mutex_) = 0;
 };
 
 /** RAII wall-clock timer accumulating into a HostProfiler phase. */

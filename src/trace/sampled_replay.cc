@@ -112,6 +112,10 @@ class Gate
     bool delivering_ = false;
 };
 
+/** Warming dilution: every Nth repeat-line fast-forwarded data
+ * transaction is issued. */
+constexpr std::uint64_t kWarmStride = 4;
+
 /** Reuse-filter geometry: a direct-mapped table of recently seen line
  * tags, sized past the largest swept LLC's line count so a resident
  * working set fits. 64 B lines are the finest any sweep configuration
@@ -133,8 +137,7 @@ seenSlot(std::uint64_t line)
 ReplayResult
 SampledReplayDriver::replay(FsbStreamReader& reader,
                             const SamplingPlan& plan, FrontSideBus& bus,
-                            SampledReplayStats* stats, bool warming,
-                            unsigned warm_stride)
+                            SampledReplayStats* stats)
 {
     ReplayResult result;
     SampledReplayStats local;
@@ -151,11 +154,9 @@ SampledReplayDriver::replay(FsbStreamReader& reader,
     // warm-up windows ahead of each interval repair. The tick counter
     // and filter are plain functions of the stream, so the pass stays
     // deterministic across chunk boundaries.
-    const std::uint64_t stride = warm_stride > 1 ? warm_stride : 1;
     std::uint64_t warm_tick = 0;
-    std::vector<std::uint64_t> seen;
-    if (warming && stride > 1)
-        seen.assign(std::size_t{1} << kSeenSlotBits, kNoLine);
+    std::vector<std::uint64_t> seen(std::size_t{1} << kSeenSlotBits,
+                                    kNoLine);
 
     std::vector<BusTransaction> chunk;
     while (reader.nextChunk(chunk)) {
@@ -170,16 +171,11 @@ SampledReplayDriver::replay(FsbStreamReader& reader,
                 bus.issue(txn);
                 ++s.dataDelivered;
             } else {
-                bool issue = warming;
-                if (warming && stride > 1) {
-                    std::uint64_t& tag = seen[seenSlot(txn.addr >> 6)];
-                    if (tag != txn.addr >> 6) {
-                        tag = txn.addr >> 6;
-                    } else {
-                        issue = warm_tick++ % stride == 0;
-                    }
-                }
-                if (issue) {
+                const std::uint64_t line = txn.addr >> 6;
+                std::uint64_t& tag = seen[seenSlot(line)];
+                const bool repeat = tag == line;
+                tag = line;
+                if (!repeat || warm_tick++ % kWarmStride == 0) {
                     // Functional warming: the LLC state keeps tracking
                     // the full run; the delta lands in an unread window.
                     bus.issue(txn);

@@ -16,26 +16,24 @@
  * the whole pass is a function of the stream and the plan alone -- no
  * wall-clock anywhere (cosim_analyze's interval-wallclock rule).
  *
- * Data outside the delivery windows is *functionally warmed* by
- * default: still fed through the bus so the emulated LLC's tag and
- * replacement state track the full run, but attributed to windows the
- * estimator never reads. SMARTS-style always-on warming is what makes
- * the representative deltas trustworthy -- a line whose last use fell
- * in a fast-forwarded span would otherwise phantom-miss in a later
- * measured window (reuse distances in the LLC routinely span many 500
- * us windows). Passing warming=false drops those transactions instead,
- * trading that cold-start bias for a lighter pass.
+ * Data outside the delivery windows is *functionally warmed*: still
+ * fed through the bus so the emulated LLC's tag and replacement state
+ * track the full run, but attributed to windows the estimator never
+ * reads. SMARTS-style always-on warming is what makes the
+ * representative deltas trustworthy -- a line whose last use fell in a
+ * fast-forwarded span would otherwise phantom-miss in a later measured
+ * window (reuse distances in the LLC routinely span many 500 us
+ * windows).
  *
- * Warming can also be *diluted*: with warm_stride = N, fast-forwarded
- * data transactions whose 64 B line a novelty filter has seen recently
- * are thinned to every Nth, while first-touch lines are always issued
- * -- the LLC keeps every distinct line of the span, so dilution cannot
- * starve a reuse-heavy working set into phantom misses; it only
- * coarsens replacement order, which the detailed warm-up windows ahead
- * of each interval repair before any sample the estimator reads. The
- * filter and stride counter are plain functions of the stream, part of
- * the pass's deterministic state: same stream + plan + stride => same
- * delivery.
+ * Warming is *diluted*: fast-forwarded data transactions whose 64 B
+ * line a novelty filter has seen recently are thinned to every 4th,
+ * while first-touch lines are always issued -- the LLC keeps every
+ * distinct line of the span, so dilution cannot starve a reuse-heavy
+ * working set into phantom misses; it only coarsens replacement order,
+ * which the detailed warm-up windows ahead of each interval repair
+ * before any sample the estimator reads. The filter and stride counter
+ * are plain functions of the stream, part of the pass's deterministic
+ * state: same stream + plan => same delivery.
  *
  * Because every window still closes, the emulator's sample series keeps
  * one entry per window: fast-forwarded windows' deltas land in samples
@@ -62,11 +60,10 @@ struct SampledReplayStats
     /** Data transactions delivered inside warm-up/detail windows. */
     std::uint64_t dataDelivered = 0;
     /** Data transactions delivered warm-only (outside the detail
-     * windows, with warming on; they update LLC state but land in
-     * samples the estimator never reads). */
+     * windows; they update LLC state but land in samples the estimator
+     * never reads). */
     std::uint64_t dataWarmed = 0;
-    /** Data transactions dropped entirely (warming off, or diluted
-     * out by warm_stride > 1). */
+    /** Fast-forwarded data transactions the warming dilution dropped. */
     std::uint64_t dataSkipped = 0;
     /** Message transactions (always delivered). */
     std::uint64_t messages = 0;
@@ -88,16 +85,11 @@ class SampledReplayDriver
      * exactly as in ReplayDriver::replay (error in the result,
      * already-decoded windows delivered); the result's `seconds` is
      * left 0 for the caller to fill -- this translation unit
-     * deliberately never reads the host clock. @p warming selects
-     * functional warming of the fast-forwarded spans (see the file
-     * comment); leave it on unless measuring the cold-start bias
-     * itself. @p warm_stride dilutes that warming to every Nth
-     * fast-forwarded data transaction (0 and 1 both mean every one).
+     * deliberately never reads the host clock.
      */
     ReplayResult replay(FsbStreamReader& reader, const SamplingPlan& plan,
                         FrontSideBus& bus,
-                        SampledReplayStats* stats = nullptr,
-                        bool warming = true, unsigned warm_stride = 1);
+                        SampledReplayStats* stats = nullptr);
 };
 
 } // namespace cosim

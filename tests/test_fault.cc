@@ -26,16 +26,13 @@
 #include "base/fault.hh"
 #include "base/spsc_queue.hh"
 #include "base/units.hh"
-#include "core/cosim.hh"
 #include "core/emulator_bank.hh"
 #include "core/experiment.hh"
 #include "core/results.hh"
 #include "harness/sweep_runner.hh"
-#include "obs/host_profiler.hh"
 #include "obs/run_manifest.hh"
 #include "obs/stats_registry.hh"
 #include "trace/fsb_capture.hh"
-#include "test_util.hh"
 
 namespace cosim {
 namespace {
@@ -273,39 +270,10 @@ TEST(SpscQueuePoison, PopFailsOncePoisoned)
     EXPECT_FALSE(q.pop(out));
 }
 
-TEST(SpscQueuePoison, DrainNowReclaimsUndeliveredItems)
-{
-    SpscQueue<int> q(4);
-    EXPECT_TRUE(q.push(7));
-    EXPECT_TRUE(q.push(8));
-    q.poison();
-    std::vector<int> left = q.drainNow();
-    ASSERT_EQ(left.size(), 2u);
-    EXPECT_EQ(left[0], 7);
-    EXPECT_EQ(left[1], 8);
-    EXPECT_EQ(q.size(), 0u);
-}
-
 // ---------------------------------------------------------------------
 // Worker-failure containment and sweep-cell isolation. (Suite name
 // FaultInjection* is matched by the TSan and fault-injection CI jobs.)
 // ---------------------------------------------------------------------
-
-PlatformParams
-smallCmp(unsigned cores)
-{
-    PlatformParams p;
-    p.name = "testCMP";
-    p.nCores = cores;
-    p.cpu.baseCpi = 1.0;
-    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2, ReplPolicy::LRU};
-    p.cpu.caches.hasL2 = false;
-    p.cpu.useDramLatency = false;
-    p.cpu.beyondLatency = 50;
-    p.cpu.emitFsbTraffic = true;
-    p.dex.quantumInsts = 2000;
-    return p;
-}
 
 DragonheadParams
 llc(std::uint64_t size)
@@ -323,21 +291,6 @@ llc128(std::uint64_t size)
     DragonheadParams dh = llc(size);
     dh.llc.lineSize = 128;
     return dh;
-}
-
-/** Per-emulator counters of @p cosim, bit-exact. */
-std::vector<std::uint64_t>
-countersOf(const CoSimulation& cosim)
-{
-    std::vector<std::uint64_t> out;
-    for (unsigned e = 0; e < cosim.nEmulators(); ++e) {
-        LlcResults r = cosim.emulator(e).results();
-        out.push_back(r.accesses);
-        out.push_back(r.misses);
-        out.push_back(r.insts);
-        out.push_back(r.cycles);
-    }
-    return out;
 }
 
 std::vector<BusTransaction>
@@ -379,55 +332,6 @@ TEST(FaultInjection, WorkerCrashSurfacesOneCleanErrorAtSync)
     EXPECT_EQ(bank.failedWorkers(), 1u);
     // The bank stays poisoned: the error is not silently forgotten.
     EXPECT_THROW(bank.sync(), FaultInjected);
-}
-
-TEST(FaultInjection, DegradeToSerialStaysBitIdentical)
-{
-    auto run = [](unsigned emu_threads, bool degrade) {
-        CoSimParams params;
-        params.platform = smallCmp(2);
-        params.emulators = {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB),
-                            llc128(64 * KiB)};
-        params.emulationThreads = emu_threads;
-        params.fsbBatchTxns = 256;
-        params.degradeToSerial = degrade;
-        CoSimulation cosim(params);
-        test::LoopWorkload wl(16 * KiB, 4);
-        WorkloadConfig cfg;
-        cfg.nThreads = 2;
-        RunResult r = cosim.run(wl, cfg);
-        EXPECT_TRUE(r.verified);
-        return countersOf(cosim);
-    };
-
-    const std::vector<std::uint64_t> serial = run(0, false);
-    ASSERT_FALSE(serial.empty());
-
-    std::vector<std::uint64_t> degraded;
-    {
-        ScopedFaultPlan plan("emu.worker.crash:nth=1");
-        CoSimParams params;
-        params.platform = smallCmp(2);
-        params.emulators = {llc(8 * KiB), llc(64 * KiB), llc(256 * KiB),
-                            llc128(64 * KiB)};
-        params.emulationThreads = 2;
-        params.fsbBatchTxns = 256;
-        params.degradeToSerial = true;
-        CoSimulation cosim(params);
-        test::LoopWorkload wl(16 * KiB, 4);
-        WorkloadConfig cfg;
-        cfg.nThreads = 2;
-        RunResult r = cosim.run(wl, cfg);
-        EXPECT_TRUE(r.verified);
-        ASSERT_NE(cosim.bank(), nullptr);
-        EXPECT_GE(cosim.bank()->failedWorkers(), 1u);
-        EXPECT_GE(cosim.bank()->degradedWorkers(), 1u);
-        degraded = countersOf(cosim);
-    }
-    // The injected crash fires at a chunk boundary, so the adopted
-    // emulators replay the exact same transaction sequence.
-    EXPECT_EQ(degraded, serial);
-    EXPECT_GE(obs::HostProfiler::global().degradedToSerial(), 1u);
 }
 
 /** The miniature two-workload sweep the isolation tests run. */

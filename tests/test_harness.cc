@@ -46,7 +46,15 @@ TEST(BenchOptions, Defaults)
 TEST(BenchOptions, ScaleAndQuick)
 {
     EXPECT_DOUBLE_EQ(parse({"--scale=0.25"}).scale, 0.25);
-    EXPECT_DOUBLE_EQ(parse({"--quick"}).scale, 0.05);
+    // --quick is --scale=0.05 plus 50 us CB windows, which no other
+    // flag sets: the same scale alone keeps the preset's window.
+    const BenchOptions quick = parse({"--quick"});
+    EXPECT_DOUBLE_EQ(quick.scale, 0.05);
+    EXPECT_EQ(quick.samplePeriodUs, 50u);
+    const BenchOptions scaled = parse({"--scale=0.05"});
+    EXPECT_DOUBLE_EQ(scaled.scale, 0.05);
+    EXPECT_EQ(scaled.samplePeriodUs, 0u);
+    EXPECT_EQ(parse({}).samplePeriodUs, 0u);
 }
 
 TEST(BenchOptions, WorkloadSubset)
@@ -127,17 +135,15 @@ TEST(BenchOptions, SeedOutAndVerify)
 TEST(BenchOptions, RobustnessFlags)
 {
     BenchOptions o = parse({"--keep-going", "--retry-cells=2",
-                            "--cell-timeout=1.5", "--degrade-serial"});
+                            "--cell-timeout=1.5"});
     EXPECT_TRUE(o.keepGoing);
     EXPECT_EQ(o.retryCells, 2u);
     EXPECT_DOUBLE_EQ(o.cellTimeout, 1.5);
-    EXPECT_TRUE(o.degradeSerial);
 
     BenchOptions d = parse({});
     EXPECT_FALSE(d.keepGoing);
     EXPECT_EQ(d.retryCells, 0u);
     EXPECT_DOUBLE_EQ(d.cellTimeout, 0.0);
-    EXPECT_FALSE(d.degradeSerial);
     EXPECT_TRUE(d.faults.empty());
 }
 
@@ -149,9 +155,6 @@ TEST(BenchOptions, NumericFlagsTakeTheirWholeRange)
     EXPECT_EQ(parse({"--jobs=1"}).jobs, 1u);
     EXPECT_EQ(parse({"--emu-threads=0"}).emuThreads, 0u);
     EXPECT_EQ(parse({"--retry-cells=1000"}).retryCells, 1000u);
-    EXPECT_EQ(parse({"--max-phases=4294967295"}).maxPhases, 4294967295u);
-    EXPECT_EQ(parse({"--sample-period-us=1000000000"}).samplePeriodUs,
-              1000000000u);
     EXPECT_DOUBLE_EQ(parse({"--scale=1e-3"}).scale, 1e-3);
     EXPECT_DOUBLE_EQ(parse({"--cell-timeout=0.25"}).cellTimeout, 0.25);
 }
@@ -164,10 +167,6 @@ TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
         {"--seed", "18446744073709551616"},
         {"--jobs", "4294967296"},
         {"--emu-threads", "4294967296"},
-        {"--warmup-windows", "4294967296"},
-        {"--warm-stride", "4294967296"},
-        {"--sample-period-us", "18446744073709551616"},
-        {"--max-phases", "4294967296"},
         {"--retry-cells", "4294967296"},
         {"--cell-timeout", "1e999"},
         {"--heartbeat-fd", "2147483648"},
@@ -188,18 +187,22 @@ TEST(BenchOptionsDeathTest, OutOfRangeValuesAreFatal)
 {
     for (const char* arg :
          {"--scale=0", "--scale=nan", "--scale= 1", "--seed=+7",
-          "--jobs=0", "--warm-stride=0", "--sample-period-us=0",
-          "--sample-period-us=1000000001", "--retry-cells=1001",
-          "--cell-timeout=inf"}) {
+          "--jobs=0", "--retry-cells=1001", "--cell-timeout=inf"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), "bad --")
             << arg;
     }
 }
 
-TEST(BenchOptionsDeathTest, DexThreadsIsAnUnknownOption)
+TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknownOptions)
 {
-    EXPECT_EXIT(parse({"--dex-threads=2"}), ::testing::ExitedWithCode(1),
-                "unknown option '--dex-threads=2'");
+    for (const char* arg :
+         {"--dex-threads=2", "--degrade-serial", "--warmup-windows=2",
+          "--no-warming", "--warm-stride=2", "--sample-period-us=50",
+          "--max-phases=8"}) {
+        EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
+                    std::string("unknown option '") + arg + "'")
+            << arg;
+    }
 }
 
 TEST(BenchOptions, FaultsFlagArmsThePlanWithTheRunSeed)
@@ -340,6 +343,39 @@ TEST(SweepRunner, SampledCellRetryRebuildsTheSamplingRecord)
     // The profile pass succeeded (hit 1 did not fire), so the error
     // baseline must be present too.
     EXPECT_NE(sampling->find("error"), nullptr);
+}
+
+TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)
+{
+    // --quick and --scale=0.05 run the same inputs but sample the CB
+    // every 50 and 500 us, so their run.json series differ: a journal
+    // of one must not resume the other.
+    const std::string dir = ::testing::TempDir() + "cosim_resume_window";
+    ensureOutputDir(dir);
+    const PlatformParams platform = presets::cmpPlatform("tiny", 2);
+    const auto run = [&](std::vector<std::string> args) {
+        args.push_back("--workloads=PLSA");
+        args.push_back("--out=" + dir);
+        SweepRunner runner(parse(args));
+        return runner.runCacheSizeFigure("FigResume", platform);
+    };
+    run({"--quick", "--journal"});
+    const std::string resume = "--resume=" + dir + "/sweep.journal.jsonl";
+    EXPECT_EXIT(run({"--scale=0.05", resume}), ::testing::ExitedWithCode(1),
+                "records a different sweep configuration");
+
+    // The same flags resume, skipping the finished cell.
+    run({"--quick", resume});
+    std::ifstream in(dir + "/run.json");
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    obs::json::Value doc;
+    std::string error;
+    ASSERT_TRUE(obs::json::parse(text, doc, &error)) << error;
+    const obs::json::Value* resumed = doc.find("resume");
+    ASSERT_NE(resumed, nullptr);
+    EXPECT_EQ(resumed->find("skipped")->num, 1.0);
+    obs::StatsRegistry::global().clear();
 }
 
 TEST(CellArtifact, RenderParseRenderIsByteIdentical)

@@ -449,20 +449,14 @@ smallBoard(std::uint64_t size, LlcPartitioning partitioning)
 TEST(LlcOracle, StackMatchesReferenceOnRandomStreams)
 {
     // Per organization, one stack whose chain has a 2x gap, a 16x gap
-    // and two equal sizes, listed out of order; and a FIFO board, which
-    // stacks with nothing and goes through Cache::access.
+    // and two equal sizes, listed out of order.
     std::vector<DragonheadParams> configs;
     for (LlcPartitioning part :
          {LlcPartitioning::Interleaved, LlcPartitioning::PerCore})
         for (std::uint64_t size : {8 * KiB, 4 * KiB, 128 * KiB, 128 * KiB})
             configs.push_back(smallBoard(size, part));
-    for (LlcPartitioning part :
-         {LlcPartitioning::Interleaved, LlcPartitioning::PerCore}) {
-        configs.push_back(smallBoard(8 * KiB, part));
-        configs.back().llc.repl = ReplPolicy::FIFO;
-    }
     DragonheadStacks stacks(configs);
-    ASSERT_EQ(stacks.nStacks(), 4u);
+    ASSERT_EQ(stacks.nStacks(), 2u);
 
     FrontSideBus bus;
     bus.setBatchCapacity(256);

@@ -111,6 +111,25 @@ TEST_F(ParamValidation, DragonheadRejectsIndivisibleSlices)
     EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
 }
 
+TEST_F(ParamValidation, NonLruLlcIsRefused)
+{
+    // The emulated LLC is LRU, as Dragonhead's was: any other policy
+    // exits before a board exists, naming the policy.
+    for (ReplPolicy repl : {ReplPolicy::FIFO, ReplPolicy::Random,
+                            ReplPolicy::TreePLRU, ReplPolicy::NRU}) {
+        DragonheadParams p;
+        p.llc.repl = repl;
+        EXPECT_EXIT(
+            {
+                setLogHandler(prev_);
+                Dragonhead dh(p);
+            },
+            ::testing::ExitedWithCode(1),
+            std::string("'") + toString(repl) + "' replacement")
+            << toString(repl);
+    }
+}
+
 TEST_F(ParamValidation, StackChecksTheSmallestCapacitysTag)
 {
     // 2^48 fits a 256 MB level's tag but not a 4 MB level's: the stack
