@@ -807,12 +807,9 @@ inspectJournal(const char* path)
             stateOf(cell_name) = "planned";
         } else if (ev == "running") {
             const Value* attempt = rec.find("attempt");
-            const Value* pid = rec.find("pid");
             if (cell_name.empty() || attempt == nullptr ||
-                !attempt->isNumber() || attempt->num < 1 ||
-                pid == nullptr || !pid->isNumber() || pid->num < 0) {
-                complain(lineno, "running needs cell, attempt >= 1 and "
-                                 "pid >= 0 (0 = in-process)");
+                !attempt->isNumber() || attempt->num < 1) {
+                complain(lineno, "running needs cell and attempt >= 1");
                 continue;
             }
             std::string& state = stateOf(cell_name);
@@ -834,14 +831,8 @@ inspectJournal(const char* path)
                             journalU64(rec, "digest", &u64);
             } else {
                 const Value* error = rec.find("error");
-                const Value* kind = rec.find("exit_kind");
-                const Value* code = rec.find("exit_code");
                 fields_ok =
-                    fields_ok && error != nullptr && error->isString() &&
-                    kind != nullptr && kind->isString() &&
-                    (kind->str == "error" || kind->str == "exit" ||
-                     kind->str == "signal" || kind->str == "timeout") &&
-                    code != nullptr && code->isNumber();
+                    fields_ok && error != nullptr && error->isString();
             }
             if (!fields_ok) {
                 complain(lineno, ev == "done"
@@ -849,8 +840,7 @@ inspectJournal(const char* path)
                                        "attempts, artifact, bytes, "
                                        "digest)"
                                      : "incomplete failed record (cell, "
-                                       "attempts, error, exit_kind, "
-                                       "exit_code)");
+                                       "attempts, error)");
                 continue;
             }
             std::string& state = stateOf(cell_name);

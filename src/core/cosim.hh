@@ -146,10 +146,9 @@ class CoSimulation
     VirtualPlatform& platform() { return platform_; }
 
     /**
-     * Publish liveness/progress into @p slot: the DEX scheduler beats
-     * per quantum, the platform pulses across setup boundaries, and
-     * (in parallel mode) the bank reports queue depth and worker
-     * activity. Set before run()/replay; nullptr disables.
+     * Publish progress into @p slot: the DEX scheduler beats per
+     * quantum, and (in parallel mode) the bank reports queue depth.
+     * Set before run()/replay; nullptr disables.
      */
     void setHeartbeat(obs::HeartbeatSlot* slot);
 

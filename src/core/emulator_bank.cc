@@ -228,10 +228,6 @@ AsyncEmulatorBank::workerLoop(unsigned w)
             }
             FlightRecorder::note(FrKind::ChunkEmulated, "emu.worker",
                                  n_txns, w);
-            obs::HeartbeatSlot* beat =
-                heartbeat_.load(std::memory_order_relaxed);
-            if (beat != nullptr)
-                beat->pulse();
             chunk.reset();
             syncCv_.notifyAll();
         } catch (...) {

@@ -121,10 +121,9 @@ class AsyncEmulatorBank : public BusSnooper
     unsigned failedWorkers() const;
 
     /**
-     * Publish liveness into @p slot: the producer reports SPSC queue
-     * depth as chunks are queued, workers pulse after each emulated
-     * chunk. Call only while the bank is quiescent (no run in flight);
-     * nullptr disables.
+     * Publish into @p slot: the producer reports SPSC queue depth as
+     * chunks are queued. Call only while the bank is quiescent (no run
+     * in flight); nullptr disables.
      */
     void
     setHeartbeat(obs::HeartbeatSlot* slot)
@@ -170,7 +169,7 @@ class AsyncEmulatorBank : public BusSnooper
      * sync/reset are called from the one snooping thread). */
     std::vector<BusTransaction> pending_;
 
-    /** Heartbeat target; read by producer and workers (relaxed). */
+    /** Heartbeat target; read by the producer (relaxed). */
     std::atomic<obs::HeartbeatSlot*> heartbeat_{nullptr};
 
     mutable Mutex syncMutex_;

@@ -110,11 +110,6 @@ BenchOptions
 parseBenchArgs(int argc, char** argv, const std::string& bench_description)
 {
     BenchOptions opts;
-    // Keep the exact argv around: --isolate-cells re-executes this
-    // binary per cell (base/subprocess.hh) with a filtered copy.
-    opts.selfArgv.reserve(static_cast<std::size_t>(argc));
-    for (int i = 0; i < argc; ++i)
-        opts.selfArgv.push_back(argv[i]);
     // Every flag given, by name ("--journal" and "--journal=<f>" are
     // one flag): a repeat is refused rather than resolved by order.
     std::set<std::string> given;
@@ -170,20 +165,18 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "cells (recorded with status \"failed\")\n"
                 "  --retry-cells=<n> retry a failed cell up to n extra "
                 "times (default 0, at most 1000)\n"
-                "  --cell-timeout=<s> mark a cell failed after s "
-                "wall-clock seconds (default off)\n"
                 "  --progress       live per-cell progress view on "
                 "stderr\n"
                 "  --progress-file=<f> machine-readable progress stream "
                 "(JSON lines)\n"
                 "  --metrics=<f>    dump telemetry histograms/counters "
                 "(OpenMetrics text)\n"
-                "  --isolate-cells  run each sweep cell in its own "
-                "forked process (crash containment)\n"
                 "  --journal[=<f>]  write-ahead journal of cell state "
                 "transitions (default <out>/sweep.journal.jsonl)\n"
                 "  --resume=<f>     resume an interrupted sweep from "
-                "its journal, skipping verified cells\n",
+                "its journal, skipping verified cells\n"
+                "                   (appends to that journal; not "
+                "with --journal)\n",
                 bench_description.c_str());
             std::exit(0);
         } else if (startsWith(arg, "--scale=")) {
@@ -275,8 +268,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.keepGoing = true;
         } else if (startsWith(arg, "--retry-cells=")) {
             opts.retryCells = unsignedFlag(arg, 0, kMaxRetryCells);
-        } else if (startsWith(arg, "--cell-timeout=")) {
-            opts.cellTimeout = positiveFlag(arg);
         } else if (arg == "--progress") {
             opts.progress = true;
         } else if (startsWith(arg, "--progress-file=")) {
@@ -287,8 +278,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.metricsFile = arg.substr(10);
             fatal_if(opts.metricsFile.empty(),
                      "--metrics needs a file path");
-        } else if (arg == "--isolate-cells") {
-            opts.isolateCells = true;
         } else if (arg == "--journal") {
             opts.journalFile = "-"; // placeholder: default after --out
         } else if (startsWith(arg, "--journal=")) {
@@ -299,17 +288,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.resumeFrom = arg.substr(9);
             fatal_if(opts.resumeFrom.empty(),
                      "--resume needs a journal path");
-        } else if (startsWith(arg, "--run-cell=")) {
-            // Internal: --isolate-cells child re-entry.
-            opts.runCell = arg.substr(11);
-            fatal_if(opts.runCell.empty(), "--run-cell needs a label");
-        } else if (startsWith(arg, "--cell-result=")) {
-            opts.cellResultFile = arg.substr(14);
-        } else if (startsWith(arg, "--heartbeat-fd=")) {
-            opts.heartbeatFd =
-                static_cast<int>(unsignedFlag(arg, 0, INT_MAX));
-        } else if (startsWith(arg, "--self-destruct=")) {
-            opts.selfDestruct = arg.substr(16);
         } else {
             fatal("unknown option '%s' (try --help)", arg.c_str());
         }
@@ -340,34 +318,30 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
     fatal_if(!opts.planBase.empty() && !opts.planOutBase.empty(),
              "--plan and --plan-out are mutually exclusive (a loaded "
              "plan is not regenerated)");
-    // Crash-safe sweep plumbing. A child (--run-cell) never isolates,
-    // journals, or resumes itself -- the parent owns all of that.
-    if (!opts.runCell.empty()) {
-        opts.isolateCells = false;
-        opts.journalFile.clear();
-        opts.resumeFrom.clear();
-    }
+    // Crash-safe sweep plumbing. A resume appends to the journal it
+    // resumes: writing another one would start mid-sequence, without
+    // the sweep_plan record a later resume needs.
+    fatal_if(!opts.resumeFrom.empty() && given.count("--journal") != 0,
+             "--resume and --journal are mutually exclusive (--resume "
+             "appends to the journal it resumes)");
     if (opts.journalFile == "-")
         opts.journalFile = opts.outDir + "/sweep.journal.jsonl";
-    if (!opts.resumeFrom.empty() && opts.journalFile.empty())
+    if (!opts.resumeFrom.empty())
         opts.journalFile = opts.resumeFrom;
-    if (opts.isolateCells && opts.journalFile.empty())
-        opts.journalFile = opts.outDir + "/sweep.journal.jsonl";
-    if (opts.isolateCells || !opts.journalFile.empty()) {
-        // Isolation and resume both need every cell to be
-        // reconstructable from disk (a self-contained child process /
-        // a skipped re-run). Replay and sampled cells qualify only
-        // when their streams and plans come from files; an in-memory
-        // capture phase cannot cross a process boundary.
+    if (!opts.journalFile.empty()) {
+        // Resume needs every journaled cell to be reconstructable from
+        // disk. Replay and sampled cells qualify only when their
+        // streams and plans come from files; an in-memory capture
+        // phase is gone once the process is.
         fatal_if(opts.cells == CellMode::Replay &&
                      opts.replayBase.empty(),
-                 "--isolate-cells/--journal with --cells=replay "
-                 "requires --replay=<base> (file-backed streams)");
+                 "--journal with --cells=replay requires "
+                 "--replay=<base> (file-backed streams)");
         fatal_if(opts.cells == CellMode::Sampled &&
                      (opts.replayBase.empty() || opts.planBase.empty()),
-                 "--isolate-cells/--journal with --cells=sampled "
-                 "requires --replay=<base> and --plan=<base> "
-                 "(file-backed streams and plans)");
+                 "--journal with --cells=sampled requires "
+                 "--replay=<base> and --plan=<base> (file-backed "
+                 "streams and plans)");
     }
     if (!opts.faults.empty()) {
         // Arm here so every bench binary gets fault injection without
@@ -429,8 +403,6 @@ printBanner(const std::string& title, const BenchOptions& opts)
     if (!opts.faults.empty())
         std::printf("faults=%s (seed %llu)\n", opts.faults.c_str(),
                     static_cast<unsigned long long>(opts.seed));
-    if (opts.isolateCells)
-        std::printf("isolate-cells=on\n");
     if (!opts.journalFile.empty())
         std::printf("journal=%s%s\n", opts.journalFile.c_str(),
                     opts.resumeFrom.empty() ? "" : " (resuming)");

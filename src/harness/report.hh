@@ -93,9 +93,6 @@ struct BenchOptions
     bool keepGoing = false;
     /** Re-run a failed cell up to this many extra times. */
     unsigned retryCells = 0;
-    /** Mark a cell failed when it exceeds this many wall-clock
-     * seconds (0 = no watchdog). */
-    double cellTimeout = 0.0;
     /** Armed fault plan spec ("site:nth=K,..."); empty = none. */
     std::string faults;
     /** @} */
@@ -110,30 +107,13 @@ struct BenchOptions
     /** @} */
 
     /** @name Crash-safe sweeps (harness/sweep_journal.hh) @{ */
-    /** Run every sweep cell in its own forked child process. */
-    bool isolateCells = false;
-    /** Write-ahead journal path; --isolate-cells and --resume default
-     * it to "<outDir>/sweep.journal.jsonl" / the resumed journal. */
+    /** Write-ahead journal path; bare --journal means
+     * "<outDir>/sweep.journal.jsonl", and --resume sets it to the
+     * journal it resumes. */
     std::string journalFile;
     /** Resume an interrupted sweep from this journal: cells whose done
      * records' artifact digests verify are loaded, the rest re-run. */
     std::string resumeFrom;
-    /** argv this process was started with, for --isolate-cells
-     * self-re-execution (captured by parseBenchArgs). */
-    std::vector<std::string> selfArgv;
-    /** @} */
-
-    /** @name Internal: --run-cell child re-entry (not user-facing) @{ */
-    /** Run exactly this cell, write cellResultFile, and exit. */
-    std::string runCell;
-    /** Where the child serializes its CellOutput. */
-    std::string cellResultFile;
-    /** Inherited heartbeat-pipe write fd (-1 = none). */
-    int heartbeatFd = -1;
-    /** Injected self-destruct: "segv" or "stall:<seconds>" (the parent
-     * translates cell.proc.* fault sites into this, so sweep-wide nth
-     * counting stays with the parent's injector). */
-    std::string selfDestruct;
     /** @} */
 };
 
@@ -168,20 +148,20 @@ std::string fsbStreamPath(const std::string& base,
  *                    separated; see base/fault.hh)
  *   --keep-going     finish the sweep despite failed cells
  *   --retry-cells=<n> retry a failed cell up to n times (n <= 1000)
- *   --cell-timeout=<s> mark cells failed after s wall-clock seconds
  *   --progress       live per-cell progress view on stderr
  *   --progress-file=<f> machine-readable progress stream (JSONL)
  *   --metrics=<f>    dump telemetry histograms/counters (OpenMetrics)
- *   --isolate-cells  run each sweep cell in its own forked process
  *   --journal[=<f>]  write-ahead journal of cell state transitions
- *   --resume=<f>     resume an interrupted sweep from its journal
+ *   --resume=<f>     resume an interrupted sweep from its journal,
+ *                    appending to that journal
  *   --help           print usage (and exit 0)
  * Unknown flags are fatal, and so are a flag given twice (--journal
- * and --journal=<f> are one flag), --quick with --scale, a numeric
- * value that does not parse whole or lies outside its flag's range,
- * and an unknown, empty or repeated --workloads entry; the error names
- * the flag or entry. A --faults plan is parsed, seeded with the
- * run seed, and armed in the global FaultInjector before returning.
+ * and --journal=<f> are one flag), --quick with --scale, --resume with
+ * --journal, a numeric value that does not parse whole or lies outside
+ * its flag's range, and an unknown, empty or repeated --workloads
+ * entry; the error names the flag or entry. A --faults plan is parsed,
+ * seeded with the run seed, and armed in the global FaultInjector
+ * before returning.
  * Any of the telemetry flags enables the (otherwise zero-cost) metrics
  * registry for the whole run.
  */

@@ -398,11 +398,6 @@ RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
         }
         params.emulationThreads = fig.opts.emuThreads;
 
-        // Close any preceding silence honestly before the build starts;
-        // the construction interval itself emits no heartbeats, is
-        // timed here, and must not read as watchdog silence.
-        if (beat != nullptr)
-            beat->pulse();
         const std::uint64_t t0 = hostClockNowUs();
         rig_ = std::make_unique<CoSimulation>(params);
         if (obs::metrics::enabled()) {
@@ -412,8 +407,6 @@ RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
                     "per-cell rig construction wall milliseconds");
             setup_ms.record((hostClockNowUs() - t0) / 1000);
         }
-        if (beat != nullptr)
-            beat->watch().skipGap();
         group_ = cell.group;
         config_ = cell.config;
     }

@@ -1,13 +1,16 @@
 #include "harness/sweep_journal.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "base/fault.hh"
 #include "base/host_clock.hh"
 #include "base/logging.hh"
 #include "obs/json.hh"
+#include "obs/stats_registry.hh"
 
 namespace cosim {
 namespace {
@@ -46,6 +49,46 @@ fieldStr(const obs::json::Value& rec, const char* key, std::string* out)
     return true;
 }
 
+/** Slurp @p path. @return false when it cannot be read. */
+bool
+readWholeFile(const std::string& path, std::string* out)
+{
+    std::ifstream in(path, std::ios_base::binary);
+    if (!in.is_open())
+        return false;
+    std::ostringstream body;
+    body << in.rdbuf();
+    if (in.bad())
+        return false;
+    *out = body.str();
+    return true;
+}
+
+/** A JSON array of numbers, each exact through json::number. */
+std::string
+numbers(std::initializer_list<double> values)
+{
+    std::string out = "[";
+    for (double v : values) {
+        if (out.size() > 1)
+            out += ",";
+        out += obs::json::number(v);
+    }
+    return out + "]";
+}
+
+double
+at(const obs::json::Value* arr, std::size_t i)
+{
+    return arr != nullptr && i < arr->arr.size() ? arr->arr[i].num : 0.0;
+}
+
+std::uint64_t
+u64At(const obs::json::Value* arr, std::size_t i)
+{
+    return static_cast<std::uint64_t>(at(arr, i));
+}
+
 } // namespace
 
 std::uint64_t
@@ -64,14 +107,9 @@ bool
 digestFileFnv(const std::string& path, std::uint64_t* digest,
               std::uint64_t* bytes)
 {
-    std::ifstream in(path, std::ios_base::binary);
-    if (!in.is_open())
+    std::string text;
+    if (!readWholeFile(path, &text))
         return false;
-    std::ostringstream body;
-    body << in.rdbuf();
-    if (in.bad())
-        return false;
-    const std::string text = body.str();
     *digest = fnv1a64(text.data(), text.size());
     *bytes = text.size();
     return true;
@@ -125,12 +163,10 @@ SweepJournal::cellPlanned(const std::string& cell)
 }
 
 void
-SweepJournal::cellRunning(const std::string& cell, unsigned attempt,
-                          int pid)
+SweepJournal::cellRunning(const std::string& cell, unsigned attempt)
 {
     append("running", "\"cell\":" + obs::json::quote(cell) +
-                          ",\"attempt\":" + std::to_string(attempt) +
-                          ",\"pid\":" + std::to_string(pid));
+                          ",\"attempt\":" + std::to_string(attempt));
 }
 
 void
@@ -147,14 +183,11 @@ SweepJournal::cellDone(const std::string& cell, unsigned attempts,
 
 void
 SweepJournal::cellFailed(const std::string& cell, unsigned attempts,
-                         const std::string& error,
-                         const JournalExit& how)
+                         const std::string& error)
 {
     append("failed", "\"cell\":" + obs::json::quote(cell) +
                          ",\"attempts\":" + std::to_string(attempts) +
-                         ",\"error\":" + obs::json::quote(error) +
-                         ",\"exit_kind\":" + obs::json::quote(how.kind) +
-                         ",\"exit_code\":" + std::to_string(how.code));
+                         ",\"error\":" + obs::json::quote(error));
 }
 
 void
@@ -198,15 +231,12 @@ bool
 JournalState::load(const std::string& path, JournalState* out,
                    std::string* error)
 {
-    std::ifstream in(path, std::ios_base::binary);
-    if (!in.is_open()) {
+    std::string text;
+    if (!readWholeFile(path, &text)) {
         if (error != nullptr)
             *error = "cannot open '" + path + "'";
         return false;
     }
-    std::ostringstream body;
-    body << in.rdbuf();
-    const std::string text = body.str();
 
     auto fail = [&](std::size_t lineno, const std::string& why) {
         if (error != nullptr) {
@@ -276,9 +306,6 @@ JournalState::load(const std::string& path, JournalState* out,
                 std::uint64_t v = 0;
                 fieldU64(rec, "attempt", &v);
                 cell.attempts = static_cast<unsigned>(v);
-                v = 0;
-                fieldU64(rec, "pid", &v);
-                cell.pid = static_cast<int>(v);
             } else if (event == "done") {
                 cell.state = "done";
                 std::uint64_t v = 0;
@@ -311,6 +338,163 @@ JournalState::load(const std::string& path, JournalState* out,
         return false;
     }
     return true;
+}
+
+std::string
+cellArtifactPath(const BenchOptions& opts, const std::string& label)
+{
+    // One flat directory: per-config labels ("PLSA/64MB") flatten.
+    std::string file = label;
+    std::replace(file.begin(), file.end(), '/', '_');
+    return opts.outDir + "/cells/" + file + ".cell.json";
+}
+
+std::string
+renderCellArtifact(const CellOutput& cell, const std::string& stats_prefix)
+{
+    // Every value must round-trip exactly: json::number is exact for
+    // doubles (and integers below 2^53); the one value that cannot
+    // survive a JSON double -- the 64-bit stream digest -- rides as a
+    // decimal string.
+    using obs::json::number;
+    std::string out = "{\"schema\":" + obs::json::quote(kCellResultSchema) +
+                      ",\n\"workload\":" + cell.mw.toJson() +
+                      ",\n\"failed\":" + (cell.failed ? "true" : "false") +
+                      ",\"guest_executions\":" +
+                      std::to_string(cell.guestExecutions);
+    out += ",\n\"points\":[";
+    for (std::size_t i = 0; i < cell.points.size(); ++i) {
+        const SweepPoint& p = cell.points[i];
+        out += (i ? "," : "") +
+               numbers({double(p.nCores), double(p.llcSize),
+                        double(p.lineSize), double(p.llcAccesses),
+                        double(p.llcMisses), double(p.insts)});
+    }
+    out += "]";
+    if (cell.hasDigest) {
+        out += ",\n\"digest\":[" + std::to_string(cell.streamTxns) +
+               ",\"" + std::to_string(cell.streamDigest) + "\"]";
+    }
+    out += ",\n\"capture\":" +
+           numbers({double(cell.captureTxns), double(cell.captureBytes),
+                    cell.captureSeconds}) +
+           ",\"replay\":" +
+           numbers({double(cell.replayTxns), double(cell.replayBytes),
+                    cell.replaySeconds});
+    out += ",\n\"cb_samples\":[";
+    for (std::size_t i = 0; i < cell.cbSamples.size(); ++i) {
+        const Sample& s = cell.cbSamples[i];
+        out += (i ? "," : "") +
+               numbers({s.timeUs, double(s.insts), double(s.cycles),
+                        double(s.accesses), double(s.misses)});
+    }
+    // The cell's frozen stats namespaces, so a resumed run's stats
+    // dump matches an uninterrupted run's exactly.
+    obs::StatsRegistry stats;
+    stats.addSnapshotOf(obs::StatsRegistry::global(), stats_prefix,
+                        stats_prefix);
+    return out + "],\n\"stats\":" + stats.dumpJson() + "}\n";
+}
+
+bool
+parseCellArtifact(const std::string& text, CellOutput* out,
+                  std::string* error)
+{
+    obs::json::Value root;
+    if (!obs::json::parse(text, root, error))
+        return false;
+    const obs::json::Value* schema = root.find("schema");
+    if (schema == nullptr || schema->str != kCellResultSchema) {
+        *error = "unexpected schema";
+        return false;
+    }
+    CellOutput cell;
+    const obs::json::Value* w = root.find("workload");
+    if (w == nullptr || !obs::ManifestWorkload::fromJson(*w, &cell.mw)) {
+        *error = "missing workload object";
+        return false;
+    }
+    const obs::json::Value* failed = root.find("failed");
+    cell.failed = failed != nullptr && failed->boolean;
+    if (const obs::json::Value* g = root.find("guest_executions"))
+        cell.guestExecutions = static_cast<std::uint64_t>(g->num);
+    if (const obs::json::Value* pts = root.find("points")) {
+        for (const obs::json::Value& pv : pts->arr) {
+            SweepPoint p;
+            p.workload = cell.mw.name;
+            p.nCores = static_cast<unsigned>(u64At(&pv, 0));
+            p.llcSize = u64At(&pv, 1);
+            p.lineSize = static_cast<std::uint32_t>(u64At(&pv, 2));
+            p.llcAccesses = u64At(&pv, 3);
+            p.llcMisses = u64At(&pv, 4);
+            p.insts = u64At(&pv, 5);
+            cell.points.push_back(std::move(p));
+        }
+    }
+    if (const obs::json::Value* d = root.find("digest")) {
+        cell.hasDigest = true;
+        cell.streamTxns = u64At(d, 0);
+        if (d->arr.size() > 1)
+            cell.streamDigest =
+                std::strtoull(d->arr[1].str.c_str(), nullptr, 10);
+    }
+    const obs::json::Value* cap = root.find("capture");
+    cell.captureTxns = u64At(cap, 0);
+    cell.captureBytes = u64At(cap, 1);
+    cell.captureSeconds = at(cap, 2);
+    const obs::json::Value* rep = root.find("replay");
+    cell.replayTxns = u64At(rep, 0);
+    cell.replayBytes = u64At(rep, 1);
+    cell.replaySeconds = at(rep, 2);
+    if (const obs::json::Value* cb = root.find("cb_samples")) {
+        for (const obs::json::Value& sv : cb->arr) {
+            Sample s;
+            s.timeUs = at(&sv, 0);
+            s.insts = u64At(&sv, 1);
+            s.cycles = u64At(&sv, 2);
+            s.accesses = u64At(&sv, 3);
+            s.misses = u64At(&sv, 4);
+            cell.cbSamples.push_back(s);
+        }
+    }
+    // Re-register the frozen stats namespaces -- the same shape an
+    // in-process cell's snapshot leaves behind.
+    if (const obs::json::Value* groups = root.find("stats")) {
+        for (const auto& g : groups->obj) {
+            stats::Group group(g.first);
+            group.reserve(0, g.second.obj.size());
+            for (const auto& stat : g.second.obj) {
+                const double value = stat.second.num;
+                group.add(stat.first, [value] { return value; });
+            }
+            obs::StatsRegistry::global().add(std::move(group));
+        }
+    }
+    *out = std::move(cell);
+    return true;
+}
+
+std::map<std::string, CellOutput>
+loadResumedCells(const JournalState& js)
+{
+    std::map<std::string, CellOutput> cells;
+    for (const auto& [label, jc] : js.cells) {
+        if (jc.state != "done" && jc.state != "skipped")
+            continue;
+        std::string text;
+        CellOutput cell;
+        std::string error;
+        if (!readWholeFile(jc.artifact, &text) ||
+            text.size() != jc.artifactBytes ||
+            fnv1a64(text.data(), text.size()) != jc.artifactDigest ||
+            !parseCellArtifact(text, &cell, &error)) {
+            warn("resume: artifact for cell '%s' does not verify; "
+                 "re-running it", label.c_str());
+            continue;
+        }
+        cells.emplace(label, std::move(cell));
+    }
+    return cells;
 }
 
 } // namespace cosim

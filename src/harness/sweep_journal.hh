@@ -1,6 +1,7 @@
 /**
  * @file
- * Write-ahead journal for crash-safe sweeps (`cosim-journal/1`).
+ * Write-ahead journal for crash-safe sweeps (`cosim-journal/1`), and
+ * the cell artifact --resume loads instead of re-running a cell.
  *
  * A sweep that runs for hours must survive being killed: the journal
  * records every cell state transition *before* the runner acts on it,
@@ -15,9 +16,9 @@
  *
  *   sweep_plan   schema, figure, config_digest, cells   (first record)
  *   planned      cell
- *   running      cell, attempt, pid      (pid 0 = in-process cell)
+ *   running      cell, attempt
  *   done         cell, attempts, artifact, bytes, digest
- *   failed       cell, attempts, error, exit_kind, exit_code
+ *   failed       cell, attempts, error
  *   resume       skipped, rerun          (appended by --resume)
  *   resume_skip  cell
  *   sweep_done   ok, failed
@@ -28,6 +29,12 @@
  * sweeps can never be mixed. `digest` is FNV-1a64 over the cell's
  * result-artifact bytes, serialized as a decimal *string* (a 64-bit
  * value does not survive a JSON double round-trip).
+ *
+ * A done cell's result is a `cosim-cell-result/2` artifact: the run
+ * manifest's workload entry, the figure points and stream bookkeeping,
+ * the CB samples, and the stats registry's JSON dump of the cell's
+ * "cell/<label>/" groups. --resume re-hashes it against the journaled
+ * digest and loads it in place of the cell.
  *
  * Failure discipline mirrors the progress stream: the journal protects
  * the sweep, so it must never kill it. A write failure (including the
@@ -42,6 +49,7 @@
 #define COSIM_HARNESS_SWEEP_JOURNAL_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,6 +57,7 @@
 #include "base/annotations.hh"
 #include "base/atomic_file.hh"
 #include "base/mutex.hh"
+#include "harness/sweep_cell.hh"
 
 namespace cosim {
 
@@ -60,13 +69,6 @@ std::uint64_t fnv1a64(const void* data, std::size_t n);
 /** FNV-1a64 + size of a file's bytes. @return false when unreadable. */
 bool digestFileFnv(const std::string& path, std::uint64_t* digest,
                    std::uint64_t* bytes);
-
-/** How a failed cell ended, for the journal's `failed` record. */
-struct JournalExit
-{
-    std::string kind = "error"; ///< "error"|"exit"|"signal"|"timeout"
-    int code = 0;               ///< exit code or signal number
-};
 
 /** Appender side; see file comment. Thread-safe. */
 class SweepJournal
@@ -88,14 +90,13 @@ class SweepJournal
                    std::uint64_t config_digest, std::size_t cells)
         EXCLUDES(mutex_);
     void cellPlanned(const std::string& cell) EXCLUDES(mutex_);
-    void cellRunning(const std::string& cell, unsigned attempt, int pid)
+    void cellRunning(const std::string& cell, unsigned attempt)
         EXCLUDES(mutex_);
     void cellDone(const std::string& cell, unsigned attempts,
                   const std::string& artifact, std::uint64_t bytes,
                   std::uint64_t digest) EXCLUDES(mutex_);
     void cellFailed(const std::string& cell, unsigned attempts,
-                    const std::string& error, const JournalExit& how)
-        EXCLUDES(mutex_);
+                    const std::string& error) EXCLUDES(mutex_);
     void resumed(std::size_t skipped, std::size_t rerun)
         EXCLUDES(mutex_);
     void resumeSkip(const std::string& cell) EXCLUDES(mutex_);
@@ -121,7 +122,6 @@ struct JournalCell
 {
     std::string state; ///< "planned"|"running"|"done"|"failed"|"skipped"
     unsigned attempts = 0;
-    int pid = 0;
     std::string artifact;
     std::uint64_t artifactBytes = 0;
     std::uint64_t artifactDigest = 0;
@@ -152,6 +152,28 @@ struct JournalState
     static bool load(const std::string& path, JournalState* out,
                      std::string* error);
 };
+
+/** Artifact schema identifier (bump on incompatible change). */
+inline constexpr const char* kCellResultSchema = "cosim-cell-result/2";
+
+/** "<outDir>/cells/<label>.cell.json", slashes flattened to '_'. */
+std::string cellArtifactPath(const BenchOptions& opts,
+                             const std::string& label);
+
+/** Serialize @p cell plus the global registry's @p stats_prefix groups.
+ * Round-trips exactly through parseCellArtifact(). */
+std::string renderCellArtifact(const CellOutput& cell,
+                               const std::string& stats_prefix);
+
+/** Parse an artifact into @p out and re-register its stats groups as
+ * frozen groups in the global registry. */
+bool parseCellArtifact(const std::string& text, CellOutput* out,
+                       std::string* error);
+
+/** --resume: the journal's done/skipped cells whose artifacts still
+ * digest to the journaled fingerprint and parse, by label. Anything
+ * less (deleted artifact, torn write) is left out, so the cell re-runs. */
+std::map<std::string, CellOutput> loadResumedCells(const JournalState& js);
 
 } // namespace cosim
 

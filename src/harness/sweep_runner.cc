@@ -4,12 +4,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
-#include <stdexcept>
-#include <thread>
 
 #include <unistd.h>
 
@@ -21,7 +20,6 @@
 #include "base/thread_pool.hh"
 #include "base/units.hh"
 #include "dragonhead/llc_stack.hh"
-#include "harness/cell_isolation.hh"
 #include "harness/sweep_cell.hh"
 #include "harness/sweep_journal.hh"
 #include "obs/host_profiler.hh"
@@ -43,7 +41,7 @@ namespace {
  * compute, so --resume refuses to mix two different sweeps' journals.
  * That includes every configuration as emulated, CB window included:
  * --quick retimes it without changing the scale. Host-side knobs
- * (--jobs, timeouts, telemetry) are deliberately excluded: they change
+ * (--jobs, retries, telemetry) are deliberately excluded: they change
  * how cells are scheduled, not what they produce, and a resume
  * routinely runs with different ones.
  */
@@ -99,21 +97,12 @@ struct SweepLedger
 };
 
 /**
- * Run one sweep cell behind the failure-isolation boundary:
+ * Run one sweep cell in this process, behind the failure boundary:
  *
  *  - retries: @p attempt runs up to opts.retryCells + 1 times; the
  *    attempt number is passed in so the rig slot rebuilds on retry
- *  - fault points: "cell.throw" (throws FaultInjected) and "cell.hang"
- *    (naps past the watchdog) fire here, inside the guarded window
- *  - watchdog: with --cell-timeout, an attempt is marked failed when
- *    its heartbeat was *silent* longer than the budget (so a slow but
- *    beating cell is never killed while a wedged one still is); when
- *    no heartbeat exists -- telemetry off, or a path that never beats,
- *    like a serial replay -- the budget bounds total wall time as
- *    before. The check is cooperative (post-hoc), matching the repo's
- *    no-detached-threads rule: a cell stuck in a non-returning syscall
- *    still needs an external kill, but every in-simulator stall is
- *    caught on completion
+ *  - fault point: "cell.throw" (throws FaultInjected) fires here,
+ *    inside the guarded window
  *  - telemetry: cell lifecycle events flow into @p progress (when
  *    non-null, with @p cell_idx addressing this cell's row), the
  *    flight recorder gets attempt markers, and every failed attempt
@@ -126,17 +115,12 @@ struct SweepLedger
  * Success after a retry reports status "retried"; exhausted attempts
  * report a CellOutput with failed=true and the last error recorded.
  *
- * Crash safety (harness/sweep_journal.hh) layers on top:
- *
- *  - with --isolate-cells, each attempt runs in a forked child via
- *    runIsolatedCell, so a crash or wedge takes down the child only;
- *    a process death surfaces here as CellProcessError and rides the
- *    same retry loop, with the decoded signal and the child's stderr
- *    tail landing in the postmortem
- *  - with a ledger journal, every state transition is journaled
- *    (planned / running / done / failed) and a successful cell's
- *    result is persisted as a digest-fingerprinted artifact that
- *    --resume verifies and loads instead of re-running the cell
+ * Crash safety (harness/sweep_journal.hh) layers on top: with a
+ * ledger journal, every state transition is journaled (planned /
+ * running / done / failed) and a successful cell's result is persisted
+ * as a digest-fingerprinted artifact that --resume verifies and loads
+ * instead of re-running the cell. A SIGKILLed sweep loses only the
+ * cells it had not journaled done.
  */
 CellOutput
 runGuardedCell(const std::string& label, const std::string& stats_prefix,
@@ -175,7 +159,6 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
     const unsigned max_attempts = opts.retryCells + 1;
     std::string last_error;
     double last_secs = 0.0;
-    JournalExit last_exit;
     for (unsigned a = 1; a <= max_attempts; ++a) {
         obs::setPostmortemContext(label, a);
         FlightRecorder::setThreadLabel("cell/" + label);
@@ -185,44 +168,13 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
             progress->cellStarted(cell_idx, a);
         const auto t0 = std::chrono::steady_clock::now();
         try {
-            // Isolated attempts journal their own running record from
-            // onSpawn, with the real pid.
-            if (!opts.isolateCells && ledger.journal != nullptr)
-                ledger.journal->cellRunning(label, a, 0);
+            if (ledger.journal != nullptr)
+                ledger.journal->cellRunning(label, a);
             COSIM_FAULT_POINT("cell.throw");
-            if (faultPending("cell.hang")) {
-                const double nap = opts.cellTimeout > 0.0
-                    ? opts.cellTimeout * 1.5
-                    : 0.25;
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(nap));
-            }
-            CellOutput cell = opts.isolateCells
-                ? runIsolatedCell(label, opts, progress, cell_idx, slot,
-                                  ledger.journal, a)
-                : attempt(a, slot);
+            CellOutput cell = attempt(a, slot);
             const double secs = std::chrono::duration<double>(
                                     std::chrono::steady_clock::now() - t0)
                                     .count();
-            // Isolated cells already had the real watchdog: silence
-            // past the budget means the child was SIGKILLed and never
-            // reaches here.
-            if (opts.cellTimeout > 0.0 && !opts.isolateCells) {
-                if (slot != nullptr && slot->watch().beats() > 0) {
-                    const double gap =
-                        static_cast<double>(slot->watch().maxGapUs()) /
-                        1e6;
-                    if (gap > opts.cellTimeout) {
-                        throw std::runtime_error(strFormat(
-                            "cell exceeded --cell-timeout (silent for "
-                            "%.2fs > %.2fs)", gap, opts.cellTimeout));
-                    }
-                } else if (secs > opts.cellTimeout) {
-                    throw std::runtime_error(strFormat(
-                        "cell exceeded --cell-timeout (%.2fs > %.2fs)",
-                        secs, opts.cellTimeout));
-                }
-            }
             cell.mw.status = a > 1 ? "retried" : "ok";
             cell.mw.attempts = a;
             if (ledger.journal != nullptr) {
@@ -280,24 +232,6 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
             last_error = e.what();
             warn("sweep cell %s failed (attempt %u/%u): %s",
                  label.c_str(), a, max_attempts, e.what());
-            const auto* proc = dynamic_cast<const CellProcessError*>(&e);
-            last_exit = JournalExit{};
-            if (proc != nullptr) {
-                switch (proc->result.end) {
-                case SubprocessResult::End::Exited:
-                    last_exit.kind = "exit";
-                    last_exit.code = proc->result.exitCode;
-                    break;
-                case SubprocessResult::End::Signaled:
-                    last_exit.kind = "signal";
-                    last_exit.code = proc->result.termSignal;
-                    break;
-                case SubprocessResult::End::TimedOut:
-                    last_exit.kind = "timeout";
-                    last_exit.code = proc->result.termSignal;
-                    break;
-                }
-            }
             if (progress != nullptr) {
                 const auto* injected =
                     dynamic_cast<const FaultInjected*>(&e);
@@ -309,24 +243,15 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
                     progress->cellRetried(cell_idx, a + 1, last_error);
             }
             obs::PostmortemInfo pm;
-            pm.reason = proc != nullptr &&
-                        proc->result.end != SubprocessResult::End::Exited
-                ? "cell_killed"
-                : "cell_failed";
+            pm.reason = "cell_failed";
             pm.cell = label;
             pm.attempt = a;
             pm.error = last_error;
-            if (proc != nullptr) {
-                pm.signalName = proc->result.signalName;
-                pm.stderrTail = proc->result.stderrTail;
-            }
             obs::writePostmortem(opts.outDir + "/postmortem.json", pm);
         }
     }
-    if (ledger.journal != nullptr) {
-        ledger.journal->cellFailed(label, max_attempts, last_error,
-                                   last_exit);
-    }
+    if (ledger.journal != nullptr)
+        ledger.journal->cellFailed(label, max_attempts, last_error);
     if (progress != nullptr)
         progress->cellFinished(cell_idx, false, last_secs, last_error);
     if (obs::metrics::enabled()) {
@@ -417,10 +342,9 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
                 progress->cellFinished(i, false, 0.0, out.mw.error);
         } else {
             // Phase-1 outputs live in memory (stream buffer, plan,
-            // error reference) and cannot cross a process boundary or
-            // be reloaded on resume, so those cells never journal --
-            // parseBenchArgs keeps phase 1 off entirely under
-            // --isolate-cells / --journal by requiring file-backed
+            // error reference) and cannot be reloaded on resume, so
+            // those cells never journal -- parseBenchArgs keeps phase 1
+            // off entirely under --journal by requiring file-backed
             // inputs.
             out = runGuardedCell(
                 cell.label, "cell/" + cell.label + "/", opts,
@@ -493,12 +417,6 @@ SweepRunner::runFigure(const std::string& figure_id,
     const SweepFigure fig{opts_, platform, std::move(emulators), ticks};
     const SweepPlan plan = planSweep(fig);
 
-    // --run-cell child re-entry: the child plans the same sweep, runs
-    // exactly the cell its label names, and exits -- it never reaches
-    // the sweep machinery below.
-    if (!opts_.runCell.empty())
-        runCellChild(fig, plan);
-
     FigureData figure(figure_id, "cache configuration", ticks);
 
     obs::TraceSession& trace = obs::TraceSession::global();
@@ -556,12 +474,10 @@ SweepRunner::runFigure(const std::string& figure_id,
             // Repair a torn tail before appending: the fragment of the
             // interrupted final record must not concatenate with the
             // first record this run writes.
-            if (opts_.journalFile == opts_.resumeFrom &&
-                ::truncate(opts_.resumeFrom.c_str(),
-                           static_cast<off_t>(js.validBytes)) != 0) {
-                fatal("resume: cannot repair journal tail '%s'",
-                      opts_.resumeFrom.c_str());
-            }
+            fatal_if(::truncate(opts_.resumeFrom.c_str(),
+                                static_cast<off_t>(js.validBytes)) != 0,
+                     "resume: cannot repair journal tail '%s'",
+                     opts_.resumeFrom.c_str());
             resumed_cells = loadResumedCells(js);
             next_seq = js.nextSeq;
         }
@@ -603,7 +519,6 @@ SweepRunner::runFigure(const std::string& figure_id,
     manifest.seedSource = opts_.seedSource;
     manifest.configTicks = ticks;
     manifest.cellMode = toString(opts_.cells);
-    manifest.isolatedCells = opts_.isolateCells;
     manifest.journalPath = opts_.journalFile;
     manifest.resumed = !opts_.resumeFrom.empty();
     // Host parallelism as the scheduler applies it: jobs clamp to the

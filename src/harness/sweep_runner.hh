@@ -10,12 +10,12 @@
  *
  *  - harness/sweep_cell: the cell plan, the one cell body, and the rig
  *    lifetime rule;
- *  - harness/cell_isolation: --isolate-cells children and the cell
- *    artifact they (and the journal) leave behind;
- *  - harness/sweep_journal: the write-ahead journal --resume reads;
- *  - this file: the scheduler (retries, watchdog, one chain of cells
- *    per workload across --jobs threads) and the figure assembly (CSV
- *    rows, run.json, --stats, --digest, --plan-out).
+ *  - harness/sweep_journal: the write-ahead journal and the cell
+ *    artifacts --resume reads;
+ *  - this file: the scheduler (retries, one chain of cells per
+ *    workload across --jobs threads, every cell in this process) and
+ *    the figure assembly (CSV rows, run.json, --stats, --digest,
+ *    --plan-out).
  *
  * Orthogonally, --capture records each workload's bus stream to disk,
  * --replay feeds recorded streams back instead of executing the guest,

@@ -103,8 +103,6 @@ renderPostmortem(const PostmortemInfo& info)
     out += "  \"cell\": " + json::quote(info.cell) + ",\n";
     out += "  \"attempt\": " + std::to_string(info.attempt) + ",\n";
     out += "  \"error\": " + json::quote(info.error) + ",\n";
-    out += "  \"signal\": " + json::quote(info.signalName) + ",\n";
-    out += "  \"stderr_tail\": " + json::quote(info.stderrTail) + ",\n";
     out += "  \"fault_sites\": " + renderFaultSites() + ",\n";
     out += "  \"threads\": " + renderThreads() + "\n";
     out += "}\n";

@@ -2,19 +2,17 @@
  * @file
  * postmortem.json: an explained failure next to run.json.
  *
- * Whenever a sweep cell fails, times out, or a fatal() fires, the
- * harness calls writePostmortem() to drop a machine-readable corpse
- * beside the run artifacts:
+ * Whenever a sweep cell fails or a fatal() fires, the harness calls
+ * writePostmortem() to drop a machine-readable corpse beside the run
+ * artifacts:
  *
  *   {
  *     "schema": "cosim-postmortem/1",
  *     "t_us": <host clock>,
- *     "reason": "cell_failed" | "cell_killed" | "fatal",
+ *     "reason": "cell_failed" | "fatal",
  *     "cell": "<label>",          // empty outside cell context
  *     "attempt": <n>,
  *     "error": "<message>",
- *     "signal": "SIGSEGV",        // empty unless a child was killed
- *     "stderr_tail": "...",       // dead child's captured stderr
  *     "fault_sites": [{"site","hits","fired","armed"}, ...],
  *     "threads": [{"label", "events": [...]}, ...]
  *   }
@@ -30,7 +28,7 @@
  * --keep-going) overwrite: the file describes the most recent failure.
  *
  * installFatalPostmortem() arms a base/logging.hh fatal hook so even
- * failures that bypass cell isolation (an artifact writer calling
+ * failures outside the guarded cell (an artifact writer calling
  * fatal(), e.g. under io.write.fail) leave a postmortem behind.
  */
 
@@ -45,16 +43,10 @@ namespace obs {
 /** What failed; everything may be empty except @p reason. */
 struct PostmortemInfo
 {
-    std::string reason; ///< "cell_failed", "cell_killed", "fatal", ...
+    std::string reason; ///< "cell_failed" or "fatal"
     std::string cell;   ///< failing cell label, when in cell context
     unsigned attempt = 0;
     std::string error;  ///< the exception / fatal message
-    /** Decoded signal that killed an isolated cell's child process
-     * ("SIGSEGV"; "SIGKILL" for the silence watchdog); empty for
-     * in-process failures. */
-    std::string signalName;
-    /** Captured tail of the dead child's stderr. */
-    std::string stderrTail;
 };
 
 /** Render the postmortem JSON body (exposed for tests). */

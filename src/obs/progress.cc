@@ -3,46 +3,13 @@
 #include <chrono>
 #include <iostream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
+#include "base/host_clock.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "obs/json.hh"
 
 namespace cosim {
 namespace obs {
-
-void
-HeartbeatSlot::bindPipe(int fd, std::uint64_t min_interval_us)
-{
-    ::fcntl(fd, F_SETFL, O_NONBLOCK);
-    pipeIntervalUs_.store(min_interval_us, std::memory_order_relaxed);
-    lastPipeUs_.store(0, std::memory_order_relaxed);
-    pipeFd_.store(fd, std::memory_order_relaxed);
-}
-
-void
-HeartbeatSlot::maybePipe(std::uint64_t now_us)
-{
-    const int fd = pipeFd_.load(std::memory_order_relaxed);
-    if (fd < 0)
-        return;
-    std::uint64_t last = lastPipeUs_.load(std::memory_order_relaxed);
-    if (now_us - last <
-        pipeIntervalUs_.load(std::memory_order_relaxed)) {
-        return;
-    }
-    // CAS claims this interval; losers skip the write, so concurrent
-    // beaters emit at most one byte per interval between them.
-    if (!lastPipeUs_.compare_exchange_strong(last, now_us,
-                                             std::memory_order_relaxed)) {
-        return;
-    }
-    const char byte = 1;
-    ssize_t rc = ::write(fd, &byte, 1); // non-blocking: a full pipe drops it
-    (void)rc;
-}
 
 ProgressStream::ProgressStream(const std::string& path) : file_(path) {}
 
@@ -108,37 +75,12 @@ SweepProgress::enqueue(const std::string& event,
 void
 SweepProgress::cellStarted(std::size_t idx, unsigned attempt)
 {
-    {
-        LockGuard lock(mutex_);
-        CellEntry& cell = cells_[idx];
-        cell.state.store(CellState::Running, std::memory_order_relaxed);
-        cell.slot.watch().beginAttempt();
-        enqueueLocked("cell_start",
-                      "\"cell\":" + json::quote(cell.label) +
-                          ",\"attempt\":" + std::to_string(attempt));
-    }
-}
-
-void
-SweepProgress::cellSpawned(std::size_t idx, int pid)
-{
     LockGuard lock(mutex_);
     CellEntry& cell = cells_[idx];
-    enqueueLocked("cell_spawn",
+    cell.state.store(CellState::Running, std::memory_order_relaxed);
+    enqueueLocked("cell_start",
                   "\"cell\":" + json::quote(cell.label) +
-                      ",\"pid\":" + std::to_string(pid));
-}
-
-void
-SweepProgress::cellKilled(std::size_t idx, int pid,
-                          const std::string& reason)
-{
-    LockGuard lock(mutex_);
-    CellEntry& cell = cells_[idx];
-    enqueueLocked("cell_kill",
-                  "\"cell\":" + json::quote(cell.label) +
-                      ",\"pid\":" + std::to_string(pid) +
-                      ",\"reason\":" + json::quote(reason));
+                      ",\"attempt\":" + std::to_string(attempt));
 }
 
 void

@@ -5,11 +5,10 @@
  * A multi-hour sweep must be observable while it runs and diagnosable
  * after it is killed. Three cooperating pieces:
  *
- *  - CellWatch / HeartbeatSlot: the producer side. Simulation threads
- *    publish liveness with relaxed atomic stores only -- the DEX
- *    scheduler beats once per time slice (every 50k-instruction
- *    quantum), the emulator bank publishes queue depth, the platform
- *    beats across setup/run boundaries. No locks, no I/O, no
+ *  - HeartbeatSlot: the producer side. Simulation threads publish
+ *    progress with relaxed atomic stores only -- the DEX scheduler
+ *    beats once per time slice (every 50k-instruction quantum), the
+ *    emulator bank publishes queue depth. No locks, no I/O, no
  *    allocation on any workload thread; acceptance for --progress is
  *    that it adds *no blocking I/O* to workload threads.
  *
@@ -33,19 +32,12 @@
  * Event vocabulary (all carry "seq" and "t_us"):
  *   sweep_start  figure, cells
  *   cell_start   cell, attempt
- *   cell_spawn   cell, pid          (--isolate-cells child forked)
  *   heartbeat    cell, quanta, insts, sim_ms, mips, queue_peak
  *   cell_retry   cell, attempt, error
- *   cell_kill    cell, pid, reason  (child shot by signal/watchdog)
  *   fault        cell, site, hit
  *   resume_skip  cell               (--resume verified + skipped it)
  *   cell_finish  cell, status ("ok"|"failed"), wall_s [, error]
  *   sweep_finish ok, failed
- *
- * CellWatch additionally powers --cell-timeout: the watchdog question
- * changes from "did the cell take too long?" to "has the cell been
- * *silent* too long?", so a slow but heartbeating cell is never
- * killed while a wedged one still is (see harness/sweep_runner.cc).
  */
 
 #ifndef COSIM_OBS_PROGRESS_HH
@@ -61,7 +53,6 @@
 
 #include "base/annotations.hh"
 #include "base/atomic_file.hh"
-#include "base/host_clock.hh"
 #include "base/mutex.hh"
 
 namespace cosim {
@@ -78,79 +69,8 @@ atomicMax(std::atomic<std::uint64_t>& a, std::uint64_t v)
 }
 
 /**
- * Liveness watchdog for one cell attempt: tracks the largest gap
- * between consecutive beats. Timestamps are explicit parameters
- * (defaulting to the shared host clock) so the gap logic is unit
- * testable without sleeping.
- */
-class CellWatch
-{
-  public:
-    /** Reset for a fresh attempt; the attempt start counts as a beat. */
-    void
-    beginAttempt(std::uint64_t now_us = hostClockNowUs())
-    {
-        maxGapUs_.store(0, std::memory_order_relaxed);
-        lastBeatUs_.store(now_us, std::memory_order_relaxed);
-        beats_.store(0, std::memory_order_relaxed);
-    }
-
-    void
-    beat(std::uint64_t now_us = hostClockNowUs())
-    {
-        std::uint64_t prev =
-            lastBeatUs_.exchange(now_us, std::memory_order_relaxed);
-        if (now_us > prev)
-            atomicMax(maxGapUs_, now_us - prev);
-        beats_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-    /**
-     * Forget the still-open gap: move the last-beat watermark to
-     * @p now_us without recording the silence since the previous
-     * beat. Callers use this to exclude a setup phase whose wall
-     * time is accounted for elsewhere (per-cell rig construction,
-     * timed by sweep.cell_setup_ms) from the liveness measurement;
-     * gaps closed before the phase began stay recorded.
-     */
-    void
-    skipGap(std::uint64_t now_us = hostClockNowUs())
-    {
-        lastBeatUs_.store(now_us, std::memory_order_relaxed);
-    }
-
-    /**
-     * Largest silence so far, including the still-open gap from the
-     * last beat to @p now_us. This is what --cell-timeout compares
-     * against: a cell that keeps beating keeps this small no matter
-     * how long it runs in total.
-     */
-    std::uint64_t
-    maxGapUs(std::uint64_t now_us = hostClockNowUs()) const
-    {
-        std::uint64_t last = lastBeatUs_.load(std::memory_order_relaxed);
-        std::uint64_t open = now_us > last ? now_us - last : 0;
-        std::uint64_t closed =
-            maxGapUs_.load(std::memory_order_relaxed);
-        return open > closed ? open : closed;
-    }
-
-    std::uint64_t
-    beats() const
-    {
-        return beats_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> lastBeatUs_{0};
-    std::atomic<std::uint64_t> maxGapUs_{0};
-    std::atomic<std::uint64_t> beats_{0};
-};
-
-/**
- * What one running cell publishes: progress counters plus the
- * watchdog. All stores relaxed; the sampler and the timeout check are
- * the only readers.
+ * What one running cell publishes: progress counters. All stores
+ * relaxed; the sampler is the only reader.
  */
 class HeartbeatSlot
 {
@@ -158,35 +78,12 @@ class HeartbeatSlot
     /** One simulation quantum finished: @p insts instructions covering
      * @p sim_ns of simulated time. */
     void
-    beat(std::uint64_t insts, std::uint64_t sim_ns,
-         std::uint64_t now_us = hostClockNowUs())
+    beat(std::uint64_t insts, std::uint64_t sim_ns)
     {
         quanta_.fetch_add(1, std::memory_order_relaxed);
         insts_.fetch_add(insts, std::memory_order_relaxed);
         simNs_.fetch_add(sim_ns, std::memory_order_relaxed);
-        watch_.beat(now_us);
-        if (pipeFd_.load(std::memory_order_relaxed) >= 0)
-            maybePipe(now_us);
     }
-
-    /** Liveness-only beat (setup phases, drain barriers). */
-    void
-    pulse(std::uint64_t now_us = hostClockNowUs())
-    {
-        watch_.beat(now_us);
-        if (pipeFd_.load(std::memory_order_relaxed) >= 0)
-            maybePipe(now_us);
-    }
-
-    /**
-     * Forward beats as rate-limited one-byte writes into pipe @p fd
-     * (an isolated cell publishing liveness to its parent; see
-     * base/subprocess.hh). The fd is made non-blocking: a full pipe
-     * drops the beat rather than stalling a simulation thread, which
-     * keeps the no-blocking-I/O guarantee. At most one write per
-     * @p min_interval_us.
-     */
-    void bindPipe(int fd, std::uint64_t min_interval_us = 100000);
 
     /** Emulator-bank SPSC depth observed after a chunk was queued. */
     void
@@ -219,22 +116,11 @@ class HeartbeatSlot
         return queuePeak_.load(std::memory_order_relaxed);
     }
 
-    CellWatch& watch() { return watch_; }
-    const CellWatch& watch() const { return watch_; }
-
   private:
-    /** Slow path of the pipe forwarding; out of line to keep OS
-     * headers out of this header. */
-    void maybePipe(std::uint64_t now_us);
-
     std::atomic<std::uint64_t> quanta_{0};
     std::atomic<std::uint64_t> insts_{0};
     std::atomic<std::uint64_t> simNs_{0};
     std::atomic<std::uint64_t> queuePeak_{0};
-    std::atomic<int> pipeFd_{-1};
-    std::atomic<std::uint64_t> pipeIntervalUs_{0};
-    std::atomic<std::uint64_t> lastPipeUs_{0};
-    CellWatch watch_;
 };
 
 /** JSONL event appender; see the file comment for the line shape. */
@@ -292,13 +178,8 @@ class SweepProgress
     HeartbeatSlot* slot(std::size_t idx) EXCLUDES(mutex_);
 
     void cellStarted(std::size_t idx, unsigned attempt) EXCLUDES(mutex_);
-    /** An --isolate-cells child was forked for this cell. */
-    void cellSpawned(std::size_t idx, int pid) EXCLUDES(mutex_);
     void cellRetried(std::size_t idx, unsigned attempt,
                      const std::string& error) EXCLUDES(mutex_);
-    /** The child was shot (crash signal or silence watchdog). */
-    void cellKilled(std::size_t idx, int pid, const std::string& reason)
-        EXCLUDES(mutex_);
     void cellFault(std::size_t idx, const std::string& site,
                    std::uint64_t hit) EXCLUDES(mutex_);
     /** --resume verified this cell's artifact and skipped re-running

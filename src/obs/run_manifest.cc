@@ -177,8 +177,6 @@ RunManifest::toJson() const
     out += "  \"host\": {\"sim_mips\": " + json::number(hostSimMips) +
            ", \"jobs\": " + json::number(hostJobs) +
            ", \"emulation_threads\": " + json::number(emulationThreads) +
-           ", \"isolated_cells\": " +
-           (isolatedCells ? "true" : "false") +
            ", \"wall_seconds\": " + json::number(wallSeconds) +
            ", \"speedup\": " + json::number(hostSpeedup) +
            ", \"phases\": [";

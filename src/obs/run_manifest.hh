@@ -162,9 +162,7 @@ struct RunManifest
     double replaySeconds = 0.0;
     /** @} */
 
-    /** @name Crash-safe sweep record (--isolate-cells / --resume) @{ */
-    /** Cells ran in forked child processes. */
-    bool isolatedCells = false;
+    /** @name Crash-safe sweep record (--journal / --resume) @{ */
     /** This run resumed an interrupted sweep from its journal. */
     bool resumed = false;
     /** Cells whose journaled artifacts verified and were not re-run. */

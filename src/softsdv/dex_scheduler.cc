@@ -92,8 +92,8 @@ DexScheduler::run(std::vector<CoreSlot>& slots)
 
             if (heartbeat_ != nullptr) {
                 // One beat per quantum: relaxed stores only, so the
-                // watchdog and the progress sampler see liveness
-                // without the scheduler ever blocking.
+                // progress sampler sees it without the scheduler ever
+                // blocking.
                 heartbeat_->beat(
                     inst_delta,
                     static_cast<std::uint64_t>(

@@ -87,7 +87,7 @@ class DexScheduler
     void addStats(stats::Group& group) const;
 
     /**
-     * Publish liveness/progress into @p slot: one beat per completed
+     * Publish progress into @p slot: one beat per completed
      * slice (every quantum, so a healthy run beats every few
      * milliseconds of host time). nullptr (the default) disables --
      * the per-slice cost is then a single pointer test.

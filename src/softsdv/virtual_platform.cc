@@ -116,15 +116,11 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
         cpu->reset();
 
     // Input generation happens outside the emulation window.
-    if (heartbeat_ != nullptr)
-        heartbeat_->pulse();
     {
         TRACE_SPAN("platform", "workload.setUp");
         obs::ProfileScope prof("setup");
         workload.setUp(cfg, allocator_);
     }
-    if (heartbeat_ != nullptr)
-        heartbeat_->pulse();
 
     std::vector<std::unique_ptr<ThreadTask>> tasks;
     tasks.reserve(cfg.nThreads);
@@ -188,8 +184,6 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
 
     result.verified = workload.verify();
     workload.tearDown();
-    if (heartbeat_ != nullptr)
-        heartbeat_->pulse();
 
     // Feed the host-side gauge: every run contributes to the process-
     // wide simulated-MIPS measure regardless of which harness ran it.

@@ -128,10 +128,8 @@ class VirtualPlatform
     void registerStats(obs::StatsRegistry& registry) const;
 
     /**
-     * Publish liveness/progress into @p slot for subsequent run()
-     * calls: the scheduler beats per quantum, and the platform itself
-     * pulses across the setup/run boundaries so long workload setUp()
-     * phases also count as liveness. nullptr disables.
+     * Publish progress into @p slot for subsequent run() calls: the
+     * scheduler beats per quantum. nullptr disables.
      */
     void setHeartbeat(obs::HeartbeatSlot* slot) { heartbeat_ = slot; }
 

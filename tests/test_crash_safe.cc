@@ -1,26 +1,29 @@
 /**
  * @file
  * End-to-end crash-safety tests against the real fig4 binary (path
- * injected as COSIM_FIG4_BIN): process isolation must not change a
- * byte of the figure CSV, a crashing cell must not damage its
- * siblings, and a SIGKILLed sweep must resume to byte-identical
- * results re-running only its unfinished cells. These are the same
- * properties the CI chaos job gates; here they run at tiny scale.
+ * injected as COSIM_FIG4_BIN): a cell result isolated from the process
+ * that computed it -- written to its artifact by a journaled sweep and
+ * loaded by a resume -- reproduces the in-process figure CSV byte for
+ * byte, in every cell mode; and a SIGKILLed sweep resumes to
+ * byte-identical results re-running only its unfinished cells. These
+ * are the same properties the CI crash-safety job gates; here they run
+ * at tiny scale.
  */
 
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
+#include <fcntl.h>
 #include <fstream>
 #include <string>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
 
-#include "base/subprocess.hh"
 #include "harness/sweep_journal.hh"
 #include "obs/json.hh"
 
@@ -47,69 +50,83 @@ readFile(const std::string& path)
     return body;
 }
 
-/** Run the fig4 bench to completion with the given extra flags. */
-SubprocessResult
-runFig4(const std::string& out_dir, std::vector<std::string> extra)
+/** How one bench process ended. */
+struct BenchRun
 {
-    SubprocessOptions opts;
-    opts.argv = {COSIM_FIG4_BIN, kScale, kWorkloads,
-                 "--out=" + out_dir};
+    int status = -1;   ///< wait status
+    long maxRssKb = 0; ///< peak RSS
+    std::string log;   ///< its stdout and stderr
+
+    bool ok() const { return WIFEXITED(status) && WEXITSTATUS(status) == 0; }
+};
+
+/** Start the fig4 bench on @p out_dir with @p extra flags, its output
+ * going to "<out_dir>/bench.log". @return the child's pid. */
+pid_t
+spawnFig4(const std::string& out_dir, std::vector<std::string> extra)
+{
+    std::vector<std::string> argv = {COSIM_FIG4_BIN, kScale, kWorkloads,
+                                     "--out=" + out_dir};
     for (std::string& arg : extra)
-        opts.argv.push_back(std::move(arg));
-    return runSubprocess(opts);
+        argv.push_back(std::move(arg));
+    std::vector<char*> cargv;
+    for (std::string& arg : argv)
+        cargv.push_back(arg.data());
+    cargv.push_back(nullptr);
+    const std::string log = out_dir + "/bench.log";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        const int fd =
+            ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+        if (fd >= 0) {
+            ::dup2(fd, STDOUT_FILENO);
+            ::dup2(fd, STDERR_FILENO);
+        }
+        ::execv(cargv[0], cargv.data());
+        ::_exit(127);
+    }
+    return pid;
 }
 
-/** The baseline CSV (no isolation, no faults), computed per out dir. */
+/** Reap @p pid, started by spawnFig4() on @p out_dir. */
+BenchRun
+waitFig4(pid_t pid, const std::string& out_dir)
+{
+    BenchRun run;
+    struct rusage usage{};
+    if (pid > 0 && ::wait4(pid, &run.status, 0, &usage) == pid)
+        run.maxRssKb = usage.ru_maxrss;
+    run.log = readFile(out_dir + "/bench.log");
+    return run;
+}
+
+/** Run the fig4 bench to completion with the given extra flags. */
+BenchRun
+runFig4(const std::string& out_dir, std::vector<std::string> extra)
+{
+    return waitFig4(spawnFig4(out_dir, std::move(extra)), out_dir);
+}
+
+/** The CSV of a plain run (no journal, no faults) of @p mode. */
 std::string
-baselineCsv(const std::string& name)
+plainCsv(const std::string& name, const std::vector<std::string>& mode)
 {
     const std::string dir = scratchDir(name);
-    SubprocessResult r = runFig4(dir, {});
-    EXPECT_TRUE(r.ok()) << r.describe() << "\n" << r.stderrTail;
+    BenchRun r = runFig4(dir, mode);
+    EXPECT_TRUE(r.ok()) << r.log;
     return readFile(dir + "/fig4_scmp.csv");
 }
 
-TEST(CrashSafe, IsolatedSweepMatchesInProcessByteForByte)
+/** run.json's resume block of the run that wrote @p dir. */
+obs::json::Value
+resumeBlock(const std::string& dir)
 {
-    const std::string base = baselineCsv("crash_safe_base_a");
-    ASSERT_FALSE(base.empty());
-
-    const std::string dir = scratchDir("crash_safe_iso");
-    SubprocessResult r = runFig4(dir, {"--isolate-cells"});
-    ASSERT_TRUE(r.ok()) << r.describe() << "\n" << r.stderrTail;
-    EXPECT_EQ(readFile(dir + "/fig4_scmp.csv"), base);
-
-    // The journal records a clean sweep: every cell done, none stale.
-    JournalState state;
+    obs::json::Value doc;
     std::string error;
-    ASSERT_TRUE(JournalState::load(dir + "/sweep.journal.jsonl",
-                                   &state, &error))
+    EXPECT_TRUE(obs::json::parse(readFile(dir + "/run.json"), doc, &error))
         << error;
-    ASSERT_EQ(state.cells.size(), 2u);
-    for (const auto& cell : state.cells)
-        EXPECT_EQ(cell.second.state, "done") << cell.first;
-}
-
-/**
- * Run one --cells mode in process and under --isolate-cells: the child
- * runs the same planned cell on the same body, so the CSVs must match
- * byte for byte.
- */
-void
-expectIsolatedMatchesInProcess(const std::string& name,
-                               const std::vector<std::string>& mode)
-{
-    const std::string in_dir = scratchDir(name + "_inproc");
-    SubprocessResult in = runFig4(in_dir, mode);
-    ASSERT_TRUE(in.ok()) << in.describe() << "\n" << in.stderrTail;
-    std::vector<std::string> isolated = mode;
-    isolated.push_back("--isolate-cells");
-    const std::string iso_dir = scratchDir(name + "_iso");
-    SubprocessResult iso = runFig4(iso_dir, isolated);
-    ASSERT_TRUE(iso.ok()) << iso.describe() << "\n" << iso.stderrTail;
-    const std::string csv = readFile(in_dir + "/fig4_scmp.csv");
-    ASSERT_FALSE(csv.empty());
-    EXPECT_EQ(readFile(iso_dir + "/fig4_scmp.csv"), csv);
+    const obs::json::Value* resume = doc.find("resume");
+    return resume != nullptr ? *resume : obs::json::Value{};
 }
 
 /** Record the streams and sampling plans file-backed modes replay;
@@ -118,10 +135,62 @@ std::string
 recordInputs(const std::string& name)
 {
     const std::string dir = scratchDir(name);
-    SubprocessResult r = runFig4(dir, {"--capture=" + dir + "/s",
-                                       "--plan-out=" + dir + "/s"});
-    EXPECT_TRUE(r.ok()) << r.describe() << "\n" << r.stderrTail;
+    BenchRun r = runFig4(dir, {"--capture=" + dir + "/s",
+                               "--plan-out=" + dir + "/s"});
+    EXPECT_TRUE(r.ok()) << r.log;
     return dir + "/s";
+}
+
+/**
+ * Run one --cells mode in process, then journal it and resume the
+ * journal in a second process into the same output directory. The
+ * resume re-runs nothing: every planned cell's result crosses the
+ * process boundary through its artifact, and the figure assembled
+ * from those artifacts must equal the in-process run's byte for byte.
+ * That carries each mode's CellOutput -- combined's, exec's per-config
+ * cells, file-backed replay, sampled's estimates -- through the
+ * artifact round trip.
+ */
+void
+expectIsolatedMatchesInProcess(const std::string& name,
+                               const std::vector<std::string>& mode)
+{
+    const std::string plain = plainCsv(name + "_inproc", mode);
+    ASSERT_FALSE(plain.empty());
+
+    const std::string dir = scratchDir(name + "_iso");
+    const std::string journal = dir + "/sweep.journal.jsonl";
+    std::vector<std::string> flags = mode;
+    flags.push_back("--journal");
+    BenchRun first = runFig4(dir, flags);
+    ASSERT_TRUE(first.ok()) << first.log;
+    EXPECT_EQ(readFile(dir + "/fig4_scmp.csv"), plain);
+    JournalState done;
+    std::string error;
+    ASSERT_TRUE(JournalState::load(journal, &done, &error)) << error;
+    ASSERT_GE(done.cells.size(), 2u);
+    for (const auto& cell : done.cells)
+        EXPECT_EQ(cell.second.state, "done") << cell.first;
+
+    flags = mode;
+    flags.push_back("--resume=" + journal);
+    BenchRun resumed = runFig4(dir, flags);
+    ASSERT_TRUE(resumed.ok()) << resumed.log;
+    EXPECT_EQ(readFile(dir + "/fig4_scmp.csv"), plain);
+    const obs::json::Value resume = resumeBlock(dir);
+    ASSERT_NE(resume.find("skipped"), nullptr);
+    EXPECT_EQ(resume.find("skipped")->num,
+              static_cast<double>(done.cells.size()));
+
+    JournalState after;
+    ASSERT_TRUE(JournalState::load(journal, &after, &error)) << error;
+    for (const auto& cell : after.cells)
+        EXPECT_EQ(cell.second.state, "skipped") << cell.first;
+}
+
+TEST(CrashSafe, IsolatedSweepMatchesInProcessByteForByte)
+{
+    expectIsolatedMatchesInProcess("crash_safe_combined", {});
 }
 
 TEST(CrashSafe, IsolatedExecMatchesInProcess)
@@ -149,82 +218,27 @@ TEST(CrashSafe, KeepGoingHoldsOneRigAtATime)
     // Containing a failing cell must not cost memory: a serial sweep
     // keeps at most one rig alive whatever its failure policy, so
     // --keep-going peaks where the plain run does.
-    SubprocessResult plain = runFig4(scratchDir("crash_safe_rss_plain"), {});
-    ASSERT_TRUE(plain.ok()) << plain.describe() << "\n" << plain.stderrTail;
-    SubprocessResult keep =
+    BenchRun plain = runFig4(scratchDir("crash_safe_rss_plain"), {});
+    ASSERT_TRUE(plain.ok()) << plain.log;
+    BenchRun keep =
         runFig4(scratchDir("crash_safe_rss_keep"), {"--keep-going"});
-    ASSERT_TRUE(keep.ok()) << keep.describe() << "\n" << keep.stderrTail;
+    ASSERT_TRUE(keep.ok()) << keep.log;
     EXPECT_LE(keep.maxRssKb, plain.maxRssKb * 5 / 4)
         << "plain " << plain.maxRssKb << " KB";
 }
 
-TEST(CrashSafe, CrashedCellLeavesSiblingRowsByteIdentical)
-{
-    const std::string base = baselineCsv("crash_safe_base_b");
-    const std::string dir = scratchDir("crash_safe_crash");
-    SubprocessResult r =
-        runFig4(dir, {"--isolate-cells", "--keep-going",
-                      "--faults=cell.proc.crash:nth=1"});
-    // --keep-going finishes the sweep despite the crashed cell.
-    ASSERT_TRUE(r.ok()) << r.describe() << "\n" << r.stderrTail;
-
-    // Row-by-row: the crashed cell (PLSA, the first spawn) reports
-    // failed; every other row is byte-identical to the fault-free run.
-    std::istringstream got(readFile(dir + "/fig4_scmp.csv"));
-    std::istringstream want(base);
-    std::string got_line;
-    std::string want_line;
-    std::size_t rows = 0;
-    while (std::getline(want, want_line)) {
-        ASSERT_TRUE(std::getline(got, got_line));
-        if (want_line.compare(0, 5, "PLSA,") == 0) {
-            EXPECT_NE(got_line.find("failed"), std::string::npos)
-                << got_line;
-        } else {
-            EXPECT_EQ(got_line, want_line);
-        }
-        ++rows;
-    }
-    EXPECT_FALSE(std::getline(got, got_line)); // no extra rows
-    EXPECT_GE(rows, 3u);                       // header + 2 workloads
-
-    JournalState state;
-    std::string error;
-    ASSERT_TRUE(JournalState::load(dir + "/sweep.journal.jsonl",
-                                   &state, &error))
-        << error;
-    const JournalCell* plsa = state.find("PLSA");
-    ASSERT_NE(plsa, nullptr);
-    EXPECT_EQ(plsa->state, "failed");
-    EXPECT_NE(plsa->error.find("SIGSEGV"), std::string::npos)
-        << plsa->error;
-    const JournalCell* snp = state.find("SNP");
-    ASSERT_NE(snp, nullptr);
-    EXPECT_EQ(snp->state, "done");
-}
-
 TEST(CrashSafe, SigkilledSweepResumesByteIdentical)
 {
-    const std::string base = baselineCsv("crash_safe_base_c");
+    const std::string base = plainCsv("crash_safe_base_c", {});
     const std::string dir = scratchDir("crash_safe_resume");
     const std::string journal = dir + "/sweep.journal.jsonl";
     std::remove(journal.c_str());
 
     // Start the sweep, wait for the first cell's durable "done"
-    // record, then SIGKILL the whole sweep parent -- the worst
-    // interruption point short of a power cut.
-    std::vector<std::string> argv = {COSIM_FIG4_BIN, kScale, kWorkloads,
-                                     "--out=" + dir, "--isolate-cells"};
-    std::vector<char*> cargv;
-    for (std::string& arg : argv)
-        cargv.push_back(arg.data());
-    cargv.push_back(nullptr);
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        ::execv(cargv[0], cargv.data());
-        ::_exit(127);
-    }
+    // record, then SIGKILL it -- the worst interruption point short
+    // of a power cut.
+    const pid_t pid = spawnFig4(dir, {"--journal"});
+    ASSERT_GT(pid, 0);
     bool saw_done = false;
     for (int i = 0; i < 3000 && !saw_done; ++i) {
         saw_done = readFile(journal).find("\"event\":\"done\"") !=
@@ -233,8 +247,7 @@ TEST(CrashSafe, SigkilledSweepResumesByteIdentical)
             ::usleep(10 * 1000);
     }
     ::kill(pid, SIGKILL);
-    int status = 0;
-    ::waitpid(pid, &status, 0);
+    waitFig4(pid, dir);
     ASSERT_TRUE(saw_done) << "sweep never journaled a done cell";
 
     // The interrupted journal must already load cleanly, with the
@@ -243,24 +256,18 @@ TEST(CrashSafe, SigkilledSweepResumesByteIdentical)
     std::string error;
     ASSERT_TRUE(JournalState::load(journal, &before, &error)) << error;
 
-    SubprocessResult r =
-        runFig4(dir, {"--isolate-cells", "--resume=" + journal});
-    ASSERT_TRUE(r.ok()) << r.describe() << "\n" << r.stderrTail;
+    BenchRun r = runFig4(dir, {"--resume=" + journal});
+    ASSERT_TRUE(r.ok()) << r.log;
 
     // Byte-identical figure, and the manifest records the resume.
     EXPECT_EQ(readFile(dir + "/fig4_scmp.csv"), base);
-    obs::json::Value doc;
-    ASSERT_TRUE(obs::json::parse(readFile(dir + "/run.json"), doc,
-                                 &error))
-        << error;
-    const obs::json::Value* resume = doc.find("resume");
-    ASSERT_NE(resume, nullptr);
-    EXPECT_TRUE(resume->find("resumed")->boolean);
-    EXPECT_GE(resume->find("skipped")->num, 1.0);
+    const obs::json::Value resume = resumeBlock(dir);
+    ASSERT_NE(resume.find("resumed"), nullptr);
+    EXPECT_TRUE(resume.find("resumed")->boolean);
+    EXPECT_GE(resume.find("skipped")->num, 1.0);
 
     // The healed journal: dense numbering across the gap, every cell
-    // finished (done or verified-skipped), nothing left running, and
-    // no stray atomic-write temporaries anywhere in the out dir.
+    // finished (done or verified-skipped), nothing left running.
     JournalState after;
     ASSERT_TRUE(JournalState::load(journal, &after, &error)) << error;
     EXPECT_GT(after.nextSeq, before.nextSeq);

@@ -3,7 +3,7 @@
  * Robustness suite: deterministic fault injection (base/fault.hh),
  * atomic artifact writes (base/atomic_file.hh), SPSC queue poisoning,
  * worker-failure containment in the AsyncEmulatorBank, and sweep-cell
- * isolation (--keep-going / --retry-cells / --cell-timeout).
+ * containment (--keep-going / --retry-cells).
  *
  * The invariants under test: an injected failure never hangs the run,
  * never half-writes an artifact, surfaces exactly one clean error, and
@@ -395,19 +395,6 @@ TEST(FaultInjection, RetriedCellMatchesTheBaseline)
     EXPECT_EQ(retried.status("FIMI"), "ok");
     EXPECT_EQ(retried.series("PLSA"), baseline.series("PLSA"));
     EXPECT_EQ(retried.series("FIMI"), baseline.series("FIMI"));
-}
-
-TEST(FaultInjection, CellTimeoutMarksTheCellFailed)
-{
-    BenchOptions opts = sweepOpts();
-    opts.workloads = {"PLSA"};
-    opts.keepGoing = true;
-    opts.cellTimeout = 0.05;
-    ScopedFaultPlan plan("cell.hang:nth=1");
-    FigureData fig = SweepRunner(opts).runCacheSizeFigure(
-        "FigHang", presets::cmpPlatform("tiny", 2));
-    EXPECT_EQ(fig.status("PLSA"), "failed");
-    EXPECT_TRUE(fig.series("PLSA").empty());
 }
 
 TEST(FaultInjection, InjectedWriteFaultFailsTheCaptureCleanly)

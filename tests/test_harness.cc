@@ -12,8 +12,8 @@
 
 #include "base/fault.hh"
 #include "base/units.hh"
-#include "harness/cell_isolation.hh"
 #include "harness/report.hh"
+#include "harness/sweep_journal.hh"
 #include "harness/sweep_runner.hh"
 #include "obs/json.hh"
 #include "obs/stats_registry.hh"
@@ -134,16 +134,13 @@ TEST(BenchOptions, SeedOutAndVerify)
 
 TEST(BenchOptions, RobustnessFlags)
 {
-    BenchOptions o = parse({"--keep-going", "--retry-cells=2",
-                            "--cell-timeout=1.5"});
+    BenchOptions o = parse({"--keep-going", "--retry-cells=2"});
     EXPECT_TRUE(o.keepGoing);
     EXPECT_EQ(o.retryCells, 2u);
-    EXPECT_DOUBLE_EQ(o.cellTimeout, 1.5);
 
     BenchOptions d = parse({});
     EXPECT_FALSE(d.keepGoing);
     EXPECT_EQ(d.retryCells, 0u);
-    EXPECT_DOUBLE_EQ(d.cellTimeout, 0.0);
     EXPECT_TRUE(d.faults.empty());
 }
 
@@ -156,7 +153,6 @@ TEST(BenchOptions, NumericFlagsTakeTheirWholeRange)
     EXPECT_EQ(parse({"--emu-threads=0"}).emuThreads, 0u);
     EXPECT_EQ(parse({"--retry-cells=1000"}).retryCells, 1000u);
     EXPECT_DOUBLE_EQ(parse({"--scale=1e-3"}).scale, 1e-3);
-    EXPECT_DOUBLE_EQ(parse({"--cell-timeout=0.25"}).cellTimeout, 0.25);
 }
 
 TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
@@ -168,8 +164,6 @@ TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
         {"--jobs", "4294967296"},
         {"--emu-threads", "4294967296"},
         {"--retry-cells", "4294967296"},
-        {"--cell-timeout", "1e999"},
-        {"--heartbeat-fd", "2147483648"},
     };
     for (const auto& [flag, overflow] : flags) {
         for (const std::string& value :
@@ -187,7 +181,7 @@ TEST(BenchOptionsDeathTest, OutOfRangeValuesAreFatal)
 {
     for (const char* arg :
          {"--scale=0", "--scale=nan", "--scale= 1", "--seed=+7",
-          "--jobs=0", "--retry-cells=1001", "--cell-timeout=inf"}) {
+          "--jobs=0", "--retry-cells=1001"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), "bad --")
             << arg;
     }
@@ -198,11 +192,32 @@ TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknownOptions)
     for (const char* arg :
          {"--dex-threads=2", "--degrade-serial", "--warmup-windows=2",
           "--no-warming", "--warm-stride=2", "--sample-period-us=50",
-          "--max-phases=8"}) {
+          "--max-phases=8", "--isolate-cells", "--cell-timeout=2",
+          "--run-cell=PLSA", "--cell-result=/tmp/c.json",
+          "--heartbeat-fd=3", "--self-destruct=segv"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
                     std::string("unknown option '") + arg + "'")
             << arg;
     }
+}
+
+TEST(BenchOptionsDeathTest, ResumeWithJournalIsFatal)
+{
+    // A resume appends to the journal it resumes; a second journal
+    // would start mid-sequence with no sweep_plan record, unreadable
+    // by the next resume. Bare and valued --journal are both refused.
+    const std::vector<std::string> cases[] = {
+        {"--resume=/tmp/j.jsonl", "--journal=/tmp/k.jsonl"},
+        {"--journal", "--resume=/tmp/j.jsonl"},
+    };
+    for (const std::vector<std::string>& args : cases) {
+        EXPECT_EXIT(parse(args), ::testing::ExitedWithCode(1),
+                    "--resume and --journal are mutually exclusive")
+            << args[0] << " " << args[1];
+    }
+    // Alone, --resume journals into the file it resumes.
+    EXPECT_EQ(parse({"--resume=/tmp/j.jsonl"}).journalFile,
+              "/tmp/j.jsonl");
 }
 
 TEST(BenchOptions, FaultsFlagArmsThePlanWithTheRunSeed)
@@ -380,10 +395,10 @@ TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)
 
 TEST(CellArtifact, RenderParseRenderIsByteIdentical)
 {
-    // The artifact is both the isolation wire format and the journal's
-    // durable result, so every field must survive a round trip: the
-    // manifest entry with its sampling block, the points, the 64-bit
-    // stream digest, the CB samples, and the cell's stats groups.
+    // The artifact is the journal's durable result, which --resume
+    // loads in place of the cell, so every field must survive a round
+    // trip: the manifest entry with its sampling block, the points, the
+    // 64-bit stream digest, the CB samples, and the cell's stats groups.
     CellOutput cell;
     cell.mw.name = "PLSA";
     cell.mw.totalInsts = 123456789;

@@ -95,14 +95,11 @@ TEST(SweepJournal, RoundTripsEveryRecordKind)
         SweepJournal j(path);
         j.sweepPlan("fig4", 0xfeedfacefeedfaceull, 2);
         j.cellPlanned("PLSA");
-        j.cellRunning("PLSA", 1, 1234);
+        j.cellRunning("PLSA", 1);
         j.cellDone("PLSA", 1, "/tmp/PLSA.cell.json", 123, digest);
         j.cellPlanned("SNP");
-        j.cellRunning("SNP", 1, 0);
-        JournalExit how;
-        how.kind = "signal";
-        how.code = 11;
-        j.cellFailed("SNP", 2, "killed by SIGSEGV", how);
+        j.cellRunning("SNP", 1);
+        j.cellFailed("SNP", 2, "injected fault at cell.throw");
         j.sweepDone(1, 1);
         EXPECT_TRUE(j.healthy());
     }
@@ -129,7 +126,7 @@ TEST(SweepJournal, RoundTripsEveryRecordKind)
     ASSERT_NE(snp, nullptr);
     EXPECT_EQ(snp->state, "failed");
     EXPECT_EQ(snp->attempts, 2u);
-    EXPECT_EQ(snp->error, "killed by SIGSEGV");
+    EXPECT_EQ(snp->error, "injected fault at cell.throw");
     EXPECT_EQ(state.find("absent"), nullptr);
     std::remove(path.c_str());
 }
@@ -141,7 +138,7 @@ TEST(SweepJournal, ResumeContinuesDenseNumberingAcrossTheGap)
         SweepJournal j(path);
         j.sweepPlan("fig4", 7, 2);
         j.cellPlanned("PLSA");
-        j.cellRunning("PLSA", 1, 41);
+        j.cellRunning("PLSA", 1);
     }
     JournalState before;
     ASSERT_TRUE(JournalState::load(path, &before, nullptr));
@@ -170,7 +167,7 @@ TEST(SweepJournal, ResumeSkipPreservesTheDoneArtifactFields)
         SweepJournal j(path);
         j.sweepPlan("fig4", 7, 1);
         j.cellPlanned("PLSA");
-        j.cellRunning("PLSA", 1, 41);
+        j.cellRunning("PLSA", 1);
         j.cellDone("PLSA", 1, "/tmp/a.json", 9, 0xffffffffffffffffull);
         j.resumeSkip("PLSA");
     }
@@ -281,7 +278,7 @@ TEST(SweepJournal, InjectedWriteFailureDegradesWithoutThrowing)
         EXPECT_TRUE(j.healthy());
         j.cellPlanned("PLSA");     // hit 2: fires, journal shuts off
         EXPECT_FALSE(j.healthy());
-        j.cellRunning("PLSA", 1, 0); // silently dropped, no throw
+        j.cellRunning("PLSA", 1);  // silently dropped, no throw
         EXPECT_FALSE(j.healthy());
     }
 
