@@ -18,12 +18,6 @@ splitmix64(std::uint64_t& x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -34,44 +28,12 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64(x);
 }
 
-std::uint64_t
-Rng::next()
-{
-    std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    panic_if(bound == 0, "nextBounded(0) is undefined");
-    // Lemire's multiply-shift bounded generation (slightly biased for huge
-    // bounds, irrelevant for synthetic workload data).
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
-}
-
 std::int64_t
 Rng::nextRange(std::int64_t lo, std::int64_t hi)
 {
     panic_if(lo > hi, "nextRange with lo > hi");
     std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
     return lo + static_cast<std::int64_t>(nextBounded(span));
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -117,12 +79,6 @@ Rng::nextZipf(std::uint64_t n, double s)
     if (rank >= n)
         rank = n - 1;
     return rank;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 } // namespace cosim

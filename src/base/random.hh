@@ -17,6 +17,8 @@
 
 #include <cstdint>
 
+#include "base/logging.hh"
+
 namespace cosim {
 
 /**
@@ -31,16 +33,42 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound) using rejection-free scaling. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        panic_if(bound == 0, "nextBounded(0) is undefined");
+        // Lemire's multiply-shift bounded generation (slightly biased for
+        // huge bounds, irrelevant for synthetic workload data).
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::int64_t nextRange(std::int64_t lo, std::int64_t hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Gaussian sample via Box-Muller. */
     double nextGaussian(double mean = 0.0, double stddev = 1.0);
@@ -53,12 +81,18 @@ class Rng
     std::uint64_t nextZipf(std::uint64_t n, double s);
 
     /** Bernoulli draw with probability @p p. */
-    bool nextBool(double p = 0.5);
+    bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
     /** The seed this generator was constructed from. */
     std::uint64_t seed() const { return seed_; }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t seed_;
     std::uint64_t s_[4];
     bool haveSpareGauss_ = false;

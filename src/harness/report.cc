@@ -83,11 +83,11 @@ unsignedFlag(const std::string& arg, unsigned lo = 0,
 }
 
 /**
- * The value of "--flag=<x>" as a positive finite number, consumed
- * whole. Anything else is fatal, naming the flag.
+ * The value of "--flag=<x>" as a number in (0, 1], consumed whole.
+ * Anything else is fatal, naming the flag.
  */
 double
-positiveFlag(const std::string& arg)
+fractionFlag(const std::string& arg)
 {
     const std::size_t eq = arg.find('=');
     const std::string flag = arg.substr(0, eq);
@@ -98,8 +98,8 @@ positiveFlag(const std::string& arg)
     fatal_if(*value == '\0' ||
                  std::isspace(static_cast<unsigned char>(*value)) ||
                  *end != '\0' || errno == ERANGE || !std::isfinite(v) ||
-                 v <= 0.0,
-             "bad %s value '%s' (expected a positive number)",
+                 v <= 0.0 || v > 1.0,
+             "bad %s value '%s' (expected a number in (0, 1])",
              flag.c_str(), value);
     return v;
 }
@@ -122,7 +122,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             std::printf(
                 "%s\n\n"
                 "options:\n"
-                "  --scale=<f>      input scale factor (default 1.0)\n"
+                "  --scale=<f>      input scale factor in (0, 1] "
+                "(default 1.0)\n"
                 "  --quick          --scale=0.05 with 50 us CB sample "
                 "windows, the only way to get them\n"
                 "                   (same CSV as --scale=0.05, finer "
@@ -180,7 +181,7 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 bench_description.c_str());
             std::exit(0);
         } else if (startsWith(arg, "--scale=")) {
-            opts.scale = positiveFlag(arg);
+            opts.scale = fractionFlag(arg);
         } else if (arg == "--quick") {
             opts.scale = 0.05;
         } else if (startsWith(arg, "--seed=")) {

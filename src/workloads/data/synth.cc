@@ -15,16 +15,30 @@ genotypeChain(std::size_t n_vars, std::size_t n_samples, double dependence,
     fatal_if(n_vars == 0 || n_samples == 0, "empty genotype matrix");
     std::vector<std::uint8_t> geno(n_vars * n_samples);
 
-    // Generate sample-by-sample down the chain, storing variable-major.
-    for (std::size_t s = 0; s < n_samples; ++s) {
-        std::uint8_t prev = static_cast<std::uint8_t>(rng.nextBounded(3));
-        geno[s] = prev;
-        for (std::size_t v = 1; v < n_vars; ++v) {
-            std::uint8_t g = rng.nextBool(dependence)
-                ? prev
-                : static_cast<std::uint8_t>(rng.nextBounded(3));
-            geno[v * n_samples + s] = g;
-            prev = g;
+    // The chain runs sample by sample down the variables, but the matrix
+    // is variable-major, so one sample's bytes land n_samples apart.
+    // Generate a tile of samples sample-major, then copy each variable's
+    // run of the tile out contiguously.
+    constexpr std::size_t tile = 64;
+    std::vector<std::uint8_t> buf(tile * n_vars);
+    for (std::size_t s0 = 0; s0 < n_samples; s0 += tile) {
+        const std::size_t width = std::min(tile, n_samples - s0);
+        for (std::size_t t = 0; t < width; ++t) {
+            std::uint8_t* chain = &buf[t * n_vars];
+            std::uint8_t prev = static_cast<std::uint8_t>(rng.nextBounded(3));
+            chain[0] = prev;
+            for (std::size_t v = 1; v < n_vars; ++v) {
+                std::uint8_t g = rng.nextBool(dependence)
+                    ? prev
+                    : static_cast<std::uint8_t>(rng.nextBounded(3));
+                chain[v] = g;
+                prev = g;
+            }
+        }
+        for (std::size_t v = 0; v < n_vars; ++v) {
+            std::uint8_t* run = &geno[v * n_samples + s0];
+            for (std::size_t t = 0; t < width; ++t)
+                run[t] = buf[t * n_vars + v];
         }
     }
     return geno;
@@ -130,49 +144,6 @@ transactions(const TransactionParams& params, Rng& rng,
         items_out.insert(items_out.end(), txn.begin(), txn.end());
         offsets_out.push_back(
             static_cast<std::uint32_t>(items_out.size()));
-    }
-}
-
-void
-similarityCsr(std::size_t n_rows, std::size_t nnz_per_row, Rng& rng,
-              std::vector<std::uint32_t>& row_ptr_out,
-              std::vector<std::uint32_t>& col_out,
-              std::vector<float>& val_out)
-{
-    fatal_if(n_rows == 0 || nnz_per_row == 0, "empty similarity matrix");
-
-    row_ptr_out.assign(n_rows + 1, 0);
-    col_out.clear();
-    val_out.clear();
-    col_out.reserve(n_rows * nnz_per_row);
-    val_out.reserve(n_rows * nnz_per_row);
-
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        // Ascending columns spread evenly across the corpus (with a
-        // per-row rotation): text similarity links a sentence to
-        // sentences everywhere in the document set. Exactly nnz_per_row
-        // entries per row keeps the compressed layout constant-stride,
-        // the access property Section 4.3 calls out for MDS.
-        std::size_t offset =
-            (r * 2654435761ull + rng.nextBounded(97)) % n_rows;
-        for (std::size_t k = 0; k < nnz_per_row; ++k) {
-            std::size_t col = (offset + k * n_rows / nnz_per_row) % n_rows;
-            col_out.push_back(static_cast<std::uint32_t>(col));
-            val_out.push_back(
-                static_cast<float>(0.05 + 0.95 * rng.nextDouble()));
-        }
-        row_ptr_out[r + 1] = static_cast<std::uint32_t>(col_out.size());
-    }
-
-    // Row-normalize so power iteration is stable (stochastic-ish matrix).
-    for (std::size_t r = 0; r < n_rows; ++r) {
-        double sum = 0.0;
-        for (std::uint32_t i = row_ptr_out[r]; i < row_ptr_out[r + 1]; ++i)
-            sum += val_out[i];
-        if (sum <= 0.0)
-            continue;
-        for (std::uint32_t i = row_ptr_out[r]; i < row_ptr_out[r + 1]; ++i)
-            val_out[i] = static_cast<float>(val_out[i] / sum);
     }
 }
 

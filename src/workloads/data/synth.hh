@@ -82,16 +82,6 @@ void transactions(const TransactionParams& params, Rng& rng,
                   std::vector<std::uint32_t>& offsets_out,
                   std::vector<std::uint16_t>& items_out);
 
-/**
- * CSR sentence-similarity matrix for MDS: @p n_rows sentences, @p
- * nnz_per_row similar sentences each (band-limited random columns,
- * ascending), float weights in (0, 1).
- */
-void similarityCsr(std::size_t n_rows, std::size_t nnz_per_row, Rng& rng,
-                   std::vector<std::uint32_t>& row_ptr_out,
-                   std::vector<std::uint32_t>& col_out,
-                   std::vector<float>& val_out);
-
 } // namespace synth
 } // namespace cosim
 

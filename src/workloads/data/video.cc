@@ -165,5 +165,58 @@ FrameSynthesizer::pixel(unsigned f, unsigned x, unsigned y) const
            (static_cast<Pixel>(b) << 16);
 }
 
+void
+FrameSynthesizer::row(unsigned f, unsigned y, Pixel* out) const
+{
+    const unsigned width = params_.width;
+    const std::uint64_t ss = shotSeed(shotIndex(f));
+
+    const double field_frac = playfieldFraction(plannedView(f));
+    const unsigned field_top = static_cast<unsigned>(
+        static_cast<double>(params_.height) * (1.0 - field_frac));
+    if (y >= field_top) {
+        // pixel() mixes ss ^ (y << 32 | x); x fits in the low word.
+        const std::uint64_t row_seed =
+            ss ^ (static_cast<std::uint64_t>(y) << 32);
+        for (unsigned x = 0; x < width; ++x) {
+            std::uint32_t n = mix(row_seed ^ x);
+            std::uint8_t g = static_cast<std::uint8_t>(150 + (n & 63));
+            std::uint8_t r = static_cast<std::uint8_t>(30 + (n >> 8 & 31));
+            std::uint8_t b = static_cast<std::uint8_t>(30 + (n >> 16 & 31));
+            out[x] = static_cast<Pixel>(r) | (static_cast<Pixel>(g) << 8) |
+                     (static_cast<Pixel>(b) << 16);
+        }
+        return;
+    }
+
+    const std::uint32_t pal = mix(ss);
+    const std::uint8_t base_r = static_cast<std::uint8_t>(pal);
+    const std::uint8_t base_b = static_cast<std::uint8_t>(pal >> 16);
+    const unsigned drift = (f % params_.shotLength) * 3;
+    const std::uint8_t row_b = static_cast<std::uint8_t>(
+        64 + (base_b % 160) + (y * 31 / params_.height));
+
+    const int blob_x =
+        static_cast<int>((mix(ss ^ 0x1234) % width + f * 7) % width);
+    const int blob_y = static_cast<int>(
+        (mix(ss ^ 0x5678) % (field_top > 0 ? field_top : 1)));
+    const int dy = static_cast<int>(y) - blob_y;
+
+    for (unsigned x = 0; x < width; ++x) {
+        std::uint8_t r = static_cast<std::uint8_t>(
+            64 + (base_r % 160) + ((x + drift) * 31 / width));
+        std::uint8_t b = row_b;
+        std::uint8_t g = static_cast<std::uint8_t>(std::min(r, b) / 2);
+        int dx = static_cast<int>(x) - blob_x;
+        if (dx * dx + dy * dy < 400) {
+            r = static_cast<std::uint8_t>(std::min(255, r + 90));
+            g = static_cast<std::uint8_t>(std::min(255, g + 90));
+            b = static_cast<std::uint8_t>(std::min(255, b + 90));
+        }
+        out[x] = static_cast<Pixel>(r) | (static_cast<Pixel>(g) << 8) |
+                 (static_cast<Pixel>(b) << 16);
+    }
+}
+
 } // namespace synth
 } // namespace cosim

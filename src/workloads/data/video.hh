@@ -6,8 +6,9 @@
  * The SHOT and VIEWTYPE workloads consumed 10-minute 720x576 MPEG-2
  * clips. The synthesizer plays the decoder's role: pixel(f, x, y) is a
  * pure function, so any thread can "decode" any frame of its segment
- * into its private frame buffer, and the planted ground truth (cut
- * positions, per-frame view type) lets verify() check the mining result.
+ * into its private frame buffer (row() decodes a whole row of it), and
+ * the planted ground truth (cut positions, per-frame view type) lets
+ * verify() check the mining result.
  *
  * Frames within a shot share a palette and drift slowly (global motion +
  * a moving blob); a new shot re-seeds the palette, which makes both the
@@ -74,6 +75,13 @@ class FrameSynthesizer
 
     /** Deterministic pixel value of frame @p f at (@p x, @p y). */
     Pixel pixel(unsigned f, unsigned x, unsigned y) const;
+
+    /**
+     * Row @p y of frame @p f into @p out[0, width): pixel(f, x, y) for
+     * every x, with the shot, palette, playfield and blob terms worked
+     * out once for the row rather than once per pixel.
+     */
+    void row(unsigned f, unsigned y, Pixel* out) const;
 
     /** Index of the shot containing frame @p f. */
     unsigned shotIndex(unsigned f) const { return f / params_.shotLength; }

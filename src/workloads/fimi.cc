@@ -91,10 +91,8 @@ FimiWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     std::vector<std::uint16_t> items;
     synth::transactions(params_.txn, rng, offsets, items);
 
-    offsets_.init(alloc, "fimi.offsets", offsets.size());
-    offsets_.hostData() = std::move(offsets);
-    items_.init(alloc, "fimi.items", items.size());
-    items_.hostData() = std::move(items);
+    offsets_.init(alloc, "fimi.offsets", std::move(offsets));
+    items_.init(alloc, "fimi.items", std::move(items));
 
     counts_.init(alloc, "fimi.item-counts", params_.txn.nItems);
 

@@ -4,8 +4,6 @@
 #include <cmath>
 
 #include "base/logging.hh"
-#include "base/random.hh"
-#include "workloads/data/synth.hh"
 
 namespace cosim {
 
@@ -71,18 +69,13 @@ MdsWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     nThreads_ = cfg.nThreads;
 
     Rng rng(cfg.seed * 0x3d5a11ull + 23);
-    std::vector<std::uint32_t> row_ptr;
-    std::vector<std::uint32_t> col;
-    std::vector<float> val;
-    synth::similarityCsr(params_.nSentences, params_.nnzPerRow, rng,
-                         row_ptr, col, val);
+    entries_.init(alloc, "mds.matrix",
+                  similarityMatrix(params_.nSentences, params_.nnzPerRow,
+                                   rng));
 
-    entries_.init(alloc, "mds.matrix", col.size());
-    for (std::size_t i = 0; i < col.size(); ++i)
-        entries_.host(i) = packEntry(col[i], val[i]);
-
-    rowPtr_.init(alloc, "mds.rowptr", row_ptr.size());
-    rowPtr_.hostData() = std::move(row_ptr);
+    rowPtr_.init(alloc, "mds.rowptr", params_.nSentences + 1);
+    for (std::size_t r = 0; r <= params_.nSentences; ++r)
+        rowPtr_.host(r) = static_cast<std::uint32_t>(r * params_.nnzPerRow);
 
     rank_.init(alloc, "mds.rank", params_.nSentences);
     rankNext_.init(alloc, "mds.rank-next", params_.nSentences);
@@ -102,6 +95,57 @@ MdsWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
 
     barrier_.init(nThreads_);
     barrier_.setOnRelease([this] { advancePhase(); });
+}
+
+std::vector<std::uint64_t>
+MdsWorkload::similarityMatrix(std::size_t n_rows, std::size_t nnz_per_row,
+                              Rng& rng)
+{
+    fatal_if(n_rows == 0 || nnz_per_row == 0, "empty similarity matrix");
+
+    // One pass, a row at a time, appended to the matrix rather than
+    // written over a zero-filled one: beside the matrix, set-up holds
+    // only one row's raw weights.
+    std::vector<std::uint64_t> matrix;
+    matrix.reserve(n_rows * nnz_per_row);
+    std::vector<float> weights(nnz_per_row);
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        // Ascending columns spread evenly across the corpus (with a
+        // per-row rotation): text similarity links a sentence to
+        // sentences everywhere in the document set. Exactly nnz_per_row
+        // entries per row keeps the compressed layout constant-stride,
+        // the access property Section 4.3 calls out for MDS.
+        std::size_t offset =
+            (r * 2654435761ull + rng.nextBounded(97)) % n_rows;
+        double sum = 0.0;
+        for (float& w : weights) {
+            w = static_cast<float>(0.05 + 0.95 * rng.nextDouble());
+            sum += w;
+        }
+        // Entry k's column is (offset + k * n_rows / nnz_per_row) %
+        // n_rows. The quotient q and remainder rem of k * n_rows step
+        // with k instead of being divided out per entry; offset and q
+        // are both below n_rows, so one subtraction wraps the column.
+        std::size_t q = 0;
+        std::size_t rem = 0;
+        // Row-normalize so power iteration is stable (stochastic-ish
+        // matrix). Every weight is at least 0.05, so sum > 0.
+        for (std::size_t k = 0; k < nnz_per_row; ++k) {
+            std::size_t col = offset + q;
+            if (col >= n_rows)
+                col -= n_rows;
+            matrix.push_back(
+                packEntry(static_cast<std::uint32_t>(col),
+                          static_cast<float>(weights[k] / sum)));
+            q += n_rows / nnz_per_row;
+            rem += n_rows % nnz_per_row;
+            if (rem >= nnz_per_row) {
+                rem -= nnz_per_row;
+                ++q;
+            }
+        }
+    }
+    return matrix;
 }
 
 void

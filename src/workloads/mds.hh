@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/random.hh"
 #include "softsdv/guest.hh"
 #include "workloads/sim_array.hh"
 #include "workloads/thread_sync.hh"
@@ -74,8 +75,14 @@ class MdsWorkload : public Workload
     /** Host-side reference power iteration (verify and tests). */
     std::vector<float> referenceRank() const;
 
-  private:
-    friend class MdsTask;
+    /**
+     * The packed CSR sentence-similarity matrix: @p n_rows sentences,
+     * @p nnz_per_row similar sentences each (band-limited columns,
+     * ascending from a per-row rotation), row-normalized weights drawn
+     * from @p rng. Row r's entries start at r x @p nnz_per_row.
+     */
+    static std::vector<std::uint64_t>
+    similarityMatrix(std::size_t n_rows, std::size_t nnz_per_row, Rng& rng);
 
     /** A packed CSR entry: column in the low 32 bits, weight above. */
     static std::uint64_t
@@ -100,6 +107,9 @@ class MdsWorkload : public Workload
         __builtin_memcpy(&w, &wb, 4);
         return w;
     }
+
+  private:
+    friend class MdsTask;
 
     void advancePhase();
 

@@ -326,10 +326,8 @@ PlsaWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     synth::alignmentPair(params_.seqLen, params_.seqLen, params_.commonLen,
                          params_.seqLen / 4, params_.seqLen / 2, rng, a, b);
 
-    a_.init(alloc, "plsa.seqA", a.size());
-    a_.hostData() = std::move(a);
-    b_.init(alloc, "plsa.seqB", b.size());
-    b_.hostData() = std::move(b);
+    a_.init(alloc, "plsa.seqA", std::move(a));
+    b_.init(alloc, "plsa.seqB", std::move(b));
 
     boundary_.init(alloc, "plsa.boundary", nThreads_, params_.seqLen);
     checkpoint_.init(alloc, "plsa.checkpoint",

@@ -252,8 +252,7 @@ RsearchWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     fatal_if(planted_.size() < (totalWindows() + 1) / 2,
              "RSEARCH: database too small for the scanned windows");
 
-    db_.init(alloc, "rsearch.database", db.size());
-    db_.hostData() = std::move(db);
+    db_.init(alloc, "rsearch.database", std::move(db));
 
     buffers_.resize(nThreads_);
     for (unsigned t = 0; t < nThreads_; ++t) {

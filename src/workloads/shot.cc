@@ -106,9 +106,9 @@ class ShotTask : public ThreadTask
                 have_prev
                     ? prevBuf().readBlock(ctx, row_ * v.width, v.width)
                     : nullptr;
+            wl_.synth_->row(frame_, static_cast<unsigned>(row_), out);
             for (unsigned x = 0; x < v.width; ++x) {
-                synth::Pixel px = wl_.synth_->pixel(frame_, x, row_);
-                out[x] = px;
+                synth::Pixel px = out[x];
                 unsigned r, g, b;
                 histBins(px, r, g, b);
                 ++hist_[r];

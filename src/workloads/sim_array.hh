@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/logging.hh"
@@ -38,8 +39,18 @@ class SimArray
     void
     init(SimAllocator& alloc, const std::string& name, std::size_t n)
     {
-        data_.assign(n, T{});
-        base_ = alloc.allocate(name, n * sizeof(T), 64);
+        init(alloc, name, std::vector<T>(n));
+    }
+
+    /**
+     * Adopt generated @p data as the host array, sized by it, so set-up
+     * writes each input once instead of zero-filling a copy of it.
+     */
+    void
+    init(SimAllocator& alloc, const std::string& name, std::vector<T> data)
+    {
+        data_ = std::move(data);
+        base_ = alloc.allocate(name, data_.size() * sizeof(T), 64);
     }
 
     bool initialized() const { return base_ != 0; }
@@ -114,9 +125,20 @@ class SimMatrix
     init(SimAllocator& alloc, const std::string& name, std::size_t rows,
          std::size_t cols)
     {
+        init(alloc, name, rows, cols, std::vector<T>(rows * cols));
+    }
+
+    /** Adopt row-major @p data, which must hold @p rows x @p cols. */
+    void
+    init(SimAllocator& alloc, const std::string& name, std::size_t rows,
+         std::size_t cols, std::vector<T> data)
+    {
+        panic_if(data.size() != rows * cols,
+                 "SimMatrix %s: %zu elements for %zu x %zu", name.c_str(),
+                 data.size(), rows, cols);
         rows_ = rows;
         cols_ = cols;
-        flat_.init(alloc, name, rows * cols);
+        flat_.init(alloc, name, std::move(data));
     }
 
     std::size_t rows() const { return rows_; }

@@ -91,11 +91,9 @@ SnpWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     seed_ = cfg.seed;
 
     Rng rng(cfg.seed * 0x51ab1e5eedull + 1);
-    std::vector<std::uint8_t> data = synth::genotypeChain(
-        params_.nVars, params_.nSamples, params_.dependence, rng);
-
-    geno_.init(alloc, "snp.genotype", data.size());
-    geno_.hostData() = std::move(data);
+    geno_.init(alloc, "snp.genotype",
+               synth::genotypeChain(params_.nVars, params_.nSamples,
+                                    params_.dependence, rng));
 
     scoreCache_.init(alloc, "snp.score-cache", params_.nVars,
                      params_.hotVars);

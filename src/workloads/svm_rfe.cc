@@ -100,8 +100,8 @@ SvmRfeWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
         params_.nSamples, params_.nGenes, params_.nInformative,
         params_.shift, rng, labels_);
 
-    x_.init(alloc, "svm.expression", params_.nSamples, params_.nGenes);
-    x_.flat().hostData() = std::move(data);
+    x_.init(alloc, "svm.expression", params_.nSamples, params_.nGenes,
+            std::move(data));
 
     kernel_.init(alloc, "svm.kernel", params_.nSamples, params_.nSamples);
     alpha_.init(alloc, "svm.alpha", params_.nSamples);

@@ -101,8 +101,7 @@ class ViewtypeTask : public ThreadTask
         for (; row_ < end; ++row_) {
             synth::Pixel* out =
                 buf.frame.writeBlock(ctx, row_ * v.width, v.width);
-            for (unsigned x = 0; x < v.width; ++x)
-                out[x] = wl_.synth_->pixel(f, x, row_);
+            wl_.synth_->row(f, static_cast<unsigned>(row_), out);
             ctx.compute(v.width);
         }
         nextStageIfDone(1);

@@ -153,6 +153,7 @@ TEST(BenchOptions, NumericFlagsTakeTheirWholeRange)
     EXPECT_EQ(parse({"--emu-threads=0"}).emuThreads, 0u);
     EXPECT_EQ(parse({"--retry-cells=1000"}).retryCells, 1000u);
     EXPECT_DOUBLE_EQ(parse({"--scale=1e-3"}).scale, 1e-3);
+    EXPECT_DOUBLE_EQ(parse({"--scale=1"}).scale, 1.0);
 }
 
 TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
@@ -180,8 +181,9 @@ TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
 TEST(BenchOptionsDeathTest, OutOfRangeValuesAreFatal)
 {
     for (const char* arg :
-         {"--scale=0", "--scale=nan", "--scale= 1", "--seed=+7",
-          "--jobs=0", "--retry-cells=1001"}) {
+         {"--scale=0", "--scale=nan", "--scale= 1", "--scale=2",
+          "--scale=1.0000001", "--seed=+7", "--jobs=0",
+          "--retry-cells=1001"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), "bad --")
             << arg;
     }

@@ -117,6 +117,32 @@ TEST_F(SimArrayTest, MatrixRowMajorAddressing)
     EXPECT_FLOAT_EQ(row[3], 1.5f);
 }
 
+TEST_F(SimArrayTest, AdoptedDataSizesTheRegion)
+{
+    SimArray<std::uint16_t> a;
+    a.init(alloc_, "adopted", std::vector<std::uint16_t>{5, 6, 7});
+    EXPECT_EQ(a.size(), 3u);
+    EXPECT_EQ(a.host(2), 7u);
+    const SimRegion* r = alloc_.findRegion(a.base());
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r->size, 3 * sizeof(std::uint16_t));
+
+    SimMatrix<float> m;
+    m.init(alloc_, "adopted.matrix", 2, 3, std::vector<float>(6, 0.5f));
+    EXPECT_EQ(m.rows(), 2u);
+    EXPECT_EQ(m.cols(), 3u);
+    EXPECT_FLOAT_EQ(m.host(1, 2), 0.5f);
+    EXPECT_EQ(alloc_.findRegion(m.base())->size, 6 * sizeof(float));
+}
+
+TEST(SimMatrixDeathTest, AdoptedDataMustMatchTheShape)
+{
+    SimAllocator alloc;
+    SimMatrix<float> m;
+    EXPECT_DEATH(m.init(alloc, "m", 2, 3, std::vector<float>(5)),
+                 "5 elements for 2 x 3");
+}
+
 TEST_F(SimArrayTest, AllocatorRegionNamesSurvive)
 {
     SimArray<int> a;

@@ -11,9 +11,68 @@
 
 #include "workloads/data/synth.hh"
 #include "workloads/data/video.hh"
+#include "workloads/mds.hh"
+#include "workloads/shot.hh"
 
 namespace cosim {
 namespace {
+
+/** The sample-by-sample strided genotype loop the tiled one replaced. */
+std::vector<std::uint8_t>
+stridedGenotypeChain(std::size_t n_vars, std::size_t n_samples,
+                     double dependence, Rng& rng)
+{
+    std::vector<std::uint8_t> geno(n_vars * n_samples);
+    for (std::size_t s = 0; s < n_samples; ++s) {
+        std::uint8_t prev = static_cast<std::uint8_t>(rng.nextBounded(3));
+        geno[s] = prev;
+        for (std::size_t v = 1; v < n_vars; ++v) {
+            std::uint8_t g = rng.nextBool(dependence)
+                ? prev
+                : static_cast<std::uint8_t>(rng.nextBounded(3));
+            geno[v * n_samples + s] = g;
+            prev = g;
+        }
+    }
+    return geno;
+}
+
+/**
+ * MDS's matrix as three passes built it: generate columns and weights
+ * for every row, row-normalize in a second sweep, then pack.
+ */
+std::vector<std::uint64_t>
+threePassSimilarityMatrix(std::size_t n_rows, std::size_t nnz_per_row,
+                          Rng& rng)
+{
+    std::vector<std::uint32_t> row_ptr(n_rows + 1, 0);
+    std::vector<std::uint32_t> col;
+    std::vector<float> val;
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        std::size_t offset =
+            (r * 2654435761ull + rng.nextBounded(97)) % n_rows;
+        for (std::size_t k = 0; k < nnz_per_row; ++k) {
+            std::size_t c = (offset + k * n_rows / nnz_per_row) % n_rows;
+            col.push_back(static_cast<std::uint32_t>(c));
+            val.push_back(
+                static_cast<float>(0.05 + 0.95 * rng.nextDouble()));
+        }
+        row_ptr[r + 1] = static_cast<std::uint32_t>(col.size());
+    }
+    for (std::size_t r = 0; r < n_rows; ++r) {
+        double sum = 0.0;
+        for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
+            sum += val[i];
+        if (sum <= 0.0)
+            continue;
+        for (std::uint32_t i = row_ptr[r]; i < row_ptr[r + 1]; ++i)
+            val[i] = static_cast<float>(val[i] / sum);
+    }
+    std::vector<std::uint64_t> packed(col.size());
+    for (std::size_t i = 0; i < col.size(); ++i)
+        packed[i] = MdsWorkload::packEntry(col[i], val[i]);
+    return packed;
+}
 
 TEST(GenotypeChain, ShapeAndValues)
 {
@@ -46,6 +105,23 @@ TEST(GenotypeChain, Deterministic)
     Rng b(7);
     EXPECT_EQ(synth::genotypeChain(4, 100, 0.5, a),
               synth::genotypeChain(4, 100, 0.5, b));
+}
+
+TEST(GenotypeChain, TiledMatchesStridedLoop)
+{
+    // Sample counts below, at, past and far past the 64-sample tile,
+    // so a short last tile is covered.
+    for (std::size_t n_vars : {1u, 512u}) {
+        for (std::size_t n_samples : {1u, 63u, 65u, 1000u}) {
+            Rng tiled(n_vars * 7919 + n_samples);
+            Rng strided(n_vars * 7919 + n_samples);
+            EXPECT_EQ(synth::genotypeChain(n_vars, n_samples, 0.9, tiled),
+                      stridedGenotypeChain(n_vars, n_samples, 0.9, strided))
+                << n_vars << " x " << n_samples;
+            EXPECT_EQ(tiled.next(), strided.next())
+                << n_vars << " x " << n_samples;
+        }
+    }
 }
 
 TEST(GeneExpression, InformativeGenesSeparateClasses)
@@ -133,21 +209,35 @@ TEST(Transactions, SortedDedupedAndSkewed)
 TEST(SimilarityCsr, RowStructureAndNormalization)
 {
     Rng rng(8);
-    std::vector<std::uint32_t> row_ptr;
-    std::vector<std::uint32_t> col;
-    std::vector<float> val;
-    synth::similarityCsr(64, 256, rng, row_ptr, col, val);
+    auto matrix = MdsWorkload::similarityMatrix(64, 256, rng);
 
-    ASSERT_EQ(row_ptr.size(), 65u);
-    EXPECT_EQ(row_ptr.back(), 64u * 256u);
+    ASSERT_EQ(matrix.size(), 64u * 256u);
     for (std::size_t r = 0; r < 64; ++r) {
         double sum = 0.0;
-        for (std::uint32_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-            ASSERT_LT(col[k], 64u);
-            ASSERT_GT(val[k], 0.0f);
-            sum += val[k];
+        for (std::size_t k = r * 256; k < (r + 1) * 256; ++k) {
+            ASSERT_LT(MdsWorkload::entryCol(matrix[k]), 64u);
+            ASSERT_GT(MdsWorkload::entryWeight(matrix[k]), 0.0f);
+            sum += MdsWorkload::entryWeight(matrix[k]);
         }
         EXPECT_NEAR(sum, 1.0, 1e-4); // row-stochastic
+    }
+}
+
+TEST(SimilarityCsr, OnePassMatchesThreePasses)
+{
+    // More entries than rows (as at full scale), fewer, and a row count
+    // that is not a power of two.
+    const std::pair<std::size_t, std::size_t> shapes[] = {
+        {64, 256}, {2048, 64}, {1000, 96}};
+    for (const auto& [n_rows, nnz] : shapes) {
+        Rng one(n_rows + nnz);
+        Rng three(n_rows + nnz);
+        auto matrix = MdsWorkload::similarityMatrix(n_rows, nnz, one);
+        EXPECT_TRUE(matrix == threePassSimilarityMatrix(n_rows, nnz, three))
+            << n_rows << " x " << nnz;
+        // The draws that follow the matrix (query affinities) see the
+        // same generator state.
+        EXPECT_EQ(one.next(), three.next()) << n_rows << " x " << nnz;
     }
 }
 
@@ -162,6 +252,32 @@ TEST(Video, PixelFunctionIsPure)
         for (unsigned y = 0; y < 48; y += 7)
             for (unsigned x = 0; x < 64; x += 5)
                 EXPECT_EQ(a.pixel(f, x, y), b.pixel(f, x, y));
+}
+
+TEST(Video, RowMatchesPixel)
+{
+    // Full-scale 720x576, CIF and QCIF frames, as ShotParams::scaled
+    // picks them; every frame walks all four view types, so rows on
+    // both sides of the playfield edge and through the blob are covered.
+    for (double scale : {1.0, 0.5, 0.05}) {
+        const synth::VideoParams vp = ShotParams::scaled(scale).video;
+        synth::FrameSynthesizer s(vp, 42);
+        std::vector<synth::Pixel> row(vp.width);
+        std::vector<synth::Pixel> pixels(vp.width);
+        for (unsigned f = 0; f < vp.nFrames; ++f) {
+            for (unsigned y = 0; y < vp.height; ++y) {
+                s.row(f, y, row.data());
+                for (unsigned x = 0; x < vp.width; ++x)
+                    pixels[x] = s.pixel(f, x, y);
+                auto bad = std::mismatch(row.begin(), row.end(),
+                                         pixels.begin());
+                ASSERT_TRUE(bad.first == row.end())
+                    << vp.width << "x" << vp.height << " frame " << f
+                    << " at (" << bad.first - row.begin() << ", " << y
+                    << ")";
+            }
+        }
+    }
 }
 
 TEST(Video, ShotIndexAndCuts)

@@ -149,6 +149,42 @@ INSTANTIATE_TEST_SUITE_P(
         return n;
     });
 
+// ----------------------------------------------------------- scale grid
+
+/** One workload at one --scale, run at every grid seed and core count. */
+class ScaleGrid
+    : public ::testing::TestWithParam<std::tuple<std::string, double>>
+{};
+
+TEST_P(ScaleGrid, RunsAndVerifiesAtEverySeedAndCoreCount)
+{
+    const auto& [name, scale] = GetParam();
+    for (std::uint64_t seed : {1ull, 42ull}) {
+        for (unsigned cores : {1u, 8u}) {
+            RunResult r = runWorkload(name, cores, scale, seed);
+            EXPECT_TRUE(r.verified) << name << " at scale " << scale
+                                    << ", seed " << seed << ", " << cores
+                                    << " cores";
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ScaleGrid,
+    ::testing::Combine(::testing::Values("SNP", "SVM-RFE", "MDS", "SHOT",
+                                         "FIMI", "VIEWTYPE", "PLSA",
+                                         "RSEARCH"),
+                       ::testing::Values(0.01, 0.07, 0.15)),
+    [](const ::testing::TestParamInfo<std::tuple<std::string, double>>&
+           info) {
+        std::string n = std::get<0>(info.param) + "_scale" +
+                        strFormat("%.2f", std::get<1>(info.param));
+        for (char& c : n)
+            if (c == '-' || c == '.')
+                c = '_';
+        return n;
+    });
+
 // ----------------------------------------------------------------- SNP
 
 TEST(SnpWorkload, ChainEdgesScoreHigherThanRandomPairs)
