@@ -48,6 +48,7 @@ main(int argc, char** argv)
     BenchOptions opts = parseBenchArgs(
         argc, argv,
         "Figure 8: hardware-prefetch speedup, serial and 16 threads");
+    requireOnlyFlags(argc, argv, kSingleRunFlags);
     printBanner("Figure 8: Performance gain of hardware prefetch", opts);
     ensureOutputDir(opts.outDir);
 

@@ -50,6 +50,7 @@ main(int argc, char** argv)
     BenchOptions opts = parseBenchArgs(
         argc, argv,
         "DRAM-cache projection from the LCMP cache-size sweep");
+    requireOnlyFlags(argc, argv, kSingleRunFlags);
     printBanner("Projection: 128MB DRAM cache vs 8MB SRAM LLC (LCMP)",
                 opts);
     ensureOutputDir(opts.outDir);

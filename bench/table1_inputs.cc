@@ -18,6 +18,8 @@ main(int argc, char** argv)
 {
     BenchOptions opts = parseBenchArgs(
         argc, argv, "Table 1: workload inputs and substitutions");
+    // Sizes every workload's inputs and writes nothing.
+    requireOnlyFlags(argc, argv, {"--scale", "--quick", "--seed"});
     printBanner("Table 1: Input parameters and datasets", opts);
 
     TableWriter table("Table 1 (paper inputs vs. this reproduction)");

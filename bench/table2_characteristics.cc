@@ -50,6 +50,7 @@ main(int argc, char** argv)
     BenchOptions opts = parseBenchArgs(
         argc, argv,
         "Table 2: single-thread workload characteristics (P4-like core)");
+    requireOnlyFlags(argc, argv, kSingleRunFlags);
     printBanner("Table 2: Workload characteristics", opts);
     ensureOutputDir(opts.outDir);
 

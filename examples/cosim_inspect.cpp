@@ -8,16 +8,11 @@
  * humans: a summary header, a per-workload table, and a sparkline of
  * each workload's MPKI series.
  *
- * The telemetry subcommands validate the live-observability artifacts
- * (CI runs them against faulted sweeps; see DESIGN.md "Telemetry"):
+ * The other subcommands validate the artifacts a finished or failed
+ * sweep leaves behind (CI runs them against faulted and resumed
+ * sweeps; see DESIGN.md "Post-mortem"):
  *
  *   cosim_inspect <run.json>              pretty-print a run manifest
- *   cosim_inspect progress <file.jsonl>   heartbeat/progress stream:
- *                                         every line parses, seq is
- *                                         dense from 0, required fields
- *   cosim_inspect metrics <file.om>       OpenMetrics export: sample
- *                                         shapes, cumulative histogram
- *                                         buckets, trailing # EOF
  *   cosim_inspect postmortem <file.json>  crash flight record: schema,
  *                                         fault sites, thread events
  *   cosim_inspect plan <file.plan.json>   sampling plan: cosim-plan/1
@@ -47,7 +42,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -145,194 +139,6 @@ splitLines(const std::string& text)
     if (!cur.empty())
         lines.push_back(cur);
     return lines;
-}
-
-/**
- * Validate a heartbeat/progress stream (obs/progress.hh): every line
- * is one JSON object carrying seq/t_us/event, seq densely numbered
- * from 0, t_us never moving backwards. Prints an event census.
- */
-int
-inspectProgress(const char* path)
-{
-    bool ok = false;
-    const std::string text = readAll(path, &ok);
-    if (!ok)
-        return 1;
-
-    int bad = 0;
-    double prev_t = -1.0;
-    std::size_t expected_seq = 0;
-    std::map<std::string, int> census;
-    const std::vector<std::string> lines = splitLines(text);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        if (lines[i].empty())
-            continue;
-        Value ev;
-        std::string error;
-        if (!obs::json::parse(lines[i], ev, &error)) {
-            std::fprintf(stderr, "%s:%zu: bad JSON: %s\n", path, i + 1,
-                         error.c_str());
-            ++bad;
-            continue;
-        }
-        const Value* seq = ev.find("seq");
-        const Value* t_us = ev.find("t_us");
-        const Value* event = ev.find("event");
-        if (seq == nullptr || !seq->isNumber() || t_us == nullptr ||
-            !t_us->isNumber() || event == nullptr ||
-            !event->isString()) {
-            std::fprintf(stderr,
-                         "%s:%zu: missing seq/t_us/event fields\n",
-                         path, i + 1);
-            ++bad;
-            continue;
-        }
-        if (seq->num != static_cast<double>(expected_seq)) {
-            std::fprintf(stderr,
-                         "%s:%zu: seq %.0f, expected %zu (stream must "
-                         "be densely numbered from 0)\n",
-                         path, i + 1, seq->num, expected_seq);
-            ++bad;
-        }
-        ++expected_seq;
-        if (t_us->num < prev_t) {
-            std::fprintf(stderr,
-                         "%s:%zu: t_us %.0f moved backwards\n", path,
-                         i + 1, t_us->num);
-            ++bad;
-        }
-        prev_t = t_us->num;
-        ++census[event->str];
-    }
-
-    if (expected_seq == 0) {
-        std::fprintf(stderr, "%s: no events\n", path);
-        return 1;
-    }
-    std::printf("%s: %zu event(s)\n", path, expected_seq);
-    for (const auto& kv : census)
-        std::printf("  %-14s %d\n", kv.first.c_str(), kv.second);
-    return bad == 0 ? 0 : 1;
-}
-
-/**
- * Validate an OpenMetrics export (obs/metrics.hh renderOpenMetrics):
- * cosim_-prefixed sample names, histogram buckets cumulative with
- * _count equal to the +Inf bucket, and the mandatory trailing # EOF.
- */
-int
-inspectMetrics(const char* path)
-{
-    bool ok = false;
-    const std::string text = readAll(path, &ok);
-    if (!ok)
-        return 1;
-
-    int bad = 0;
-    int samples = 0;
-    bool saw_eof = false;
-    // Per histogram: last _bucket value (cumulativity) and the +Inf
-    // bucket value (must equal _count).
-    std::map<std::string, double> last_bucket;
-    std::map<std::string, double> inf_bucket;
-    const std::vector<std::string> lines = splitLines(text);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const std::string& line = lines[i];
-        if (line.empty())
-            continue;
-        if (saw_eof) {
-            std::fprintf(stderr, "%s:%zu: content after # EOF\n", path,
-                         i + 1);
-            ++bad;
-            break;
-        }
-        if (line[0] == '#') {
-            if (line == "# EOF")
-                saw_eof = true;
-            else if (line.rfind("# TYPE ", 0) != 0 &&
-                     line.rfind("# HELP ", 0) != 0 &&
-                     line.rfind("# UNIT ", 0) != 0) {
-                std::fprintf(stderr, "%s:%zu: unknown comment form\n",
-                             path, i + 1);
-                ++bad;
-            }
-            continue;
-        }
-        std::size_t name_end = line.find_first_of("{ ");
-        std::size_t sp = line.rfind(' ');
-        if (name_end == std::string::npos || sp == std::string::npos ||
-            sp == line.size() - 1) {
-            std::fprintf(stderr, "%s:%zu: malformed sample line\n",
-                         path, i + 1);
-            ++bad;
-            continue;
-        }
-        std::string name = line.substr(0, name_end);
-        if (name.rfind("cosim_", 0) != 0) {
-            std::fprintf(stderr,
-                         "%s:%zu: sample '%s' lacks the cosim_ "
-                         "prefix\n",
-                         path, i + 1, name.c_str());
-            ++bad;
-        }
-        double value = 0.0;
-        try {
-            value = std::stod(line.substr(sp + 1));
-        } catch (...) {
-            std::fprintf(stderr, "%s:%zu: non-numeric sample value\n",
-                         path, i + 1);
-            ++bad;
-            continue;
-        }
-        ++samples;
-
-        const std::string kBucket = "_bucket";
-        if (name.size() > kBucket.size() &&
-            name.compare(name.size() - kBucket.size(), kBucket.size(),
-                         kBucket) == 0) {
-            std::string base =
-                name.substr(0, name.size() - kBucket.size());
-            auto it = last_bucket.find(base);
-            if (it != last_bucket.end() && value < it->second) {
-                std::fprintf(stderr,
-                             "%s:%zu: histogram '%s' buckets are not "
-                             "cumulative\n",
-                             path, i + 1, base.c_str());
-                ++bad;
-            }
-            last_bucket[base] = value;
-            if (line.find("le=\"+Inf\"") != std::string::npos)
-                inf_bucket[base] = value;
-        }
-        const std::string kCount = "_count";
-        if (name.size() > kCount.size() &&
-            name.compare(name.size() - kCount.size(), kCount.size(),
-                         kCount) == 0) {
-            std::string base =
-                name.substr(0, name.size() - kCount.size());
-            auto inf = inf_bucket.find(base);
-            if (inf != inf_bucket.end() && inf->second != value) {
-                std::fprintf(stderr,
-                             "%s:%zu: histogram '%s' _count %.0f != "
-                             "+Inf bucket %.0f\n",
-                             path, i + 1, base.c_str(), value,
-                             inf->second);
-                ++bad;
-            }
-        }
-    }
-    if (!saw_eof) {
-        std::fprintf(stderr, "%s: missing trailing # EOF\n", path);
-        ++bad;
-    }
-    if (samples == 0) {
-        std::fprintf(stderr, "%s: no samples\n", path);
-        return 1;
-    }
-    std::printf("%s: %d sample(s), %zu histogram(s)\n", path, samples,
-                last_bucket.size());
-    return bad == 0 ? 0 : 1;
 }
 
 /**
@@ -1086,10 +892,6 @@ main(int argc, char** argv)
 {
     if (argc == 3) {
         const std::string cmd = argv[1];
-        if (cmd == "progress")
-            return inspectProgress(argv[2]);
-        if (cmd == "metrics")
-            return inspectMetrics(argv[2]);
         if (cmd == "postmortem")
             return inspectPostmortem(argv[2]);
         if (cmd == "plan")
@@ -1132,8 +934,6 @@ main(int argc, char** argv)
     if (argc != 2) {
         std::fprintf(stderr,
                      "usage: cosim_inspect <run.json>\n"
-                     "       cosim_inspect progress <file.jsonl>\n"
-                     "       cosim_inspect metrics <file.om>\n"
                      "       cosim_inspect postmortem <file.json>\n"
                      "       cosim_inspect plan <file.plan.json>\n"
                      "       cosim_inspect journal <sweep.journal."

@@ -77,23 +77,6 @@ writeFileAtomic(const std::string& path, const std::string& body,
     file.commit();
 }
 
-AppendFile::AppendFile(const std::string& path) : path_(path)
-{
-    out_.open(path_, std::ios_base::out | std::ios_base::trunc);
-    if (!out_.is_open())
-        throw IoError("cannot open '" + path_ + "' for appending");
-}
-
-bool
-AppendFile::appendLine(const std::string& line)
-{
-    if (!out_)
-        return false;
-    out_ << line << '\n';
-    out_.flush();
-    return static_cast<bool>(out_);
-}
-
 DurableAppendFile::DurableAppendFile(const std::string& path,
                                      bool truncate)
     : path_(path)

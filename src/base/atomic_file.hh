@@ -90,58 +90,14 @@ void writeFileAtomic(const std::string& path, const std::string& body,
                      bool binary = false);
 
 /**
- * Line-granular append stream for event logs (progress.jsonl).
- *
- * Atomic-rename is the wrong shape for a stream that must hit disk
- * *while the run is still going* -- the whole point is that a wedged
- * or killed sweep is diagnosable from the partial file. AppendFile is
- * the sanctioned discipline for that case: the file is created fresh
- * (truncated) on open, and every appendLine() writes exactly one
- * complete line and flushes it, so the file on disk is always a whole
- * number of well-formed lines; a crash can lose at most the line being
- * written, never interleave or truncate earlier ones.
- *
- * Diagnostics channel, deliberately best-effort past open: open
- * failures throw IoError (caller misconfiguration), but a write
- * failure mid-run only makes appendLine() return false -- a full disk
- * must not take down the simulation it is reporting on. Not
- * fault-instrumented ("io.write.fail" targets artifact writers).
- *
- * Not internally synchronized; callers serialize appendLine() calls
- * (obs/progress.hh holds its stream mutex across each append).
- */
-class AppendFile
-{
-  public:
-    /** Creates/truncates @p path. @throws IoError when it cannot. */
-    explicit AppendFile(const std::string& path);
-
-    AppendFile(const AppendFile&) = delete;
-    AppendFile& operator=(const AppendFile&) = delete;
-
-    /**
-     * Write @p line plus a trailing newline and flush. @return false
-     * once the stream has failed (and on every later call).
-     */
-    bool appendLine(const std::string& line);
-
-    const std::string& path() const { return path_; }
-
-  private:
-    std::string path_;
-    std::ofstream out_;
-};
-
-/**
  * Durable atomic-append stream: the write-ahead-journal discipline.
  *
- * AppendFile is the right shape for diagnostics (truncate on open,
- * buffered ofstream, lost on power cut); a *journal* that crash
- * recovery replays needs more: an existing file must be appendable
- * (resume), each record must reach the disk before the caller acts on
- * its success, and a record must never tear even when several
- * processes hold the file open. DurableAppendFile provides exactly
- * that:
+ * Atomic-rename is the wrong shape for a journal, which must reach the
+ * disk while the run is still going. A journal that crash recovery
+ * replays needs an existing file to be appendable (resume), each
+ * record to reach the disk before the caller acts on its success, and
+ * a record never to tear even when several processes hold the file
+ * open. DurableAppendFile provides exactly that:
  *
  *   - open(2) with O_APPEND: POSIX makes each write() land at the
  *     current end atomically, so one appendLine() is one contiguous
@@ -152,9 +108,9 @@ class AppendFile
  *   - fdatasync() before reporting success, so "appendLine() returned
  *     true" means "the record survives a power cut".
  *
- * Like AppendFile, write failures after open are reported by a false
- * return rather than an exception -- journal writers degrade to
- * journal-less operation instead of killing the sweep they protect.
+ * Write failures after open are reported by a false return rather
+ * than an exception -- journal writers degrade to journal-less
+ * operation instead of killing the sweep they protect.
  * harness/sweep_journal.cc layers the "journal.write.fail" fault site
  * on top; cosim_analyze's journal-atomic-append rule keeps journal
  * writers on this class.

@@ -2,8 +2,8 @@
  * @file
  * One process-wide monotonic host clock origin.
  *
- * Telemetry producers scattered across threads (trace sessions,
- * heartbeats, the flight recorder) all need timestamps that compare
+ * Telemetry producers scattered across threads (trace sessions, the
+ * flight recorder) all need timestamps that compare
  * against each other. Before this header each subsystem captured its
  * own steady_clock origin, so host spans and control-block tracks
  * could skew after a reset(). hostClockNowUs()

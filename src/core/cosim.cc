@@ -151,13 +151,12 @@ RunResult
 CoSimulation::replaySampled(FsbStreamReader& reader,
                             const std::string& source,
                             const SamplingPlan& plan,
-                            SampledReplayStats* sstats,
                             ReplayResult* details)
 {
     prepareReplay();
     SampledReplayDriver driver;
     auto t0 = std::chrono::steady_clock::now();
-    ReplayResult rr = driver.replay(reader, plan, platform_.fsb(), sstats);
+    ReplayResult rr = driver.replay(reader, plan, platform_.fsb());
     // The driver never reads the host clock (interval selection must
     // stay a pure function of the stream); the pass is timed here.
     rr.seconds = std::chrono::duration<double>(
@@ -192,14 +191,6 @@ CoSimulation::registerStats(obs::StatsRegistry& registry) const
             return double(bank->queuePeak(i));
         });
     }
-}
-
-void
-CoSimulation::setHeartbeat(obs::HeartbeatSlot* slot)
-{
-    platform_.setHeartbeat(slot);
-    if (bank_)
-        bank_->setHeartbeat(slot);
 }
 
 std::vector<double>

@@ -109,12 +109,10 @@ class CoSimulation
      * the caller reconstructs whole-run metrics from the emulator's
      * per-window samples and the plan weights. Stream and error
      * contract match replay(); `replayedFrom` is "sampled:<source>".
-     * @p sstats (optional) receives the delivery-gate counters.
      */
     RunResult replaySampled(FsbStreamReader& reader,
                             const std::string& source,
                             const SamplingPlan& plan,
-                            SampledReplayStats* sstats = nullptr,
                             ReplayResult* details = nullptr);
 
     unsigned nEmulators() const
@@ -144,13 +142,6 @@ class CoSimulation
     void registerStats(obs::StatsRegistry& registry) const;
 
     VirtualPlatform& platform() { return platform_; }
-
-    /**
-     * Publish progress into @p slot: the DEX scheduler beats per
-     * quantum, and (in parallel mode) the bank reports queue depth.
-     * Set before run()/replay; nullptr disables.
-     */
-    void setHeartbeat(obs::HeartbeatSlot* slot);
 
   private:
     /** Return every emulator to power-on state. */

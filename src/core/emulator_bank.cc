@@ -5,7 +5,6 @@
 #include "base/fault.hh"
 #include "base/flight_recorder.hh"
 #include "base/logging.hh"
-#include "obs/metrics.hh"
 
 namespace cosim {
 
@@ -90,16 +89,8 @@ AsyncEmulatorBank::publishPending()
         std::move(pending_));
     pending_ = {};
     pending_.reserve(params_.chunkTxns);
-    if (obs::metrics::enabled()) {
-        static const obs::metrics::Histogram chunk_txns =
-            obs::metrics::histogram("emu.chunk_txns",
-                                    "transactions per published chunk");
-        chunk_txns.record(chunk->size());
-    }
     FlightRecorder::note(FrKind::ChunkPublished, "emu.bank",
                          chunk->size());
-    obs::HeartbeatSlot* beat =
-        heartbeat_.load(std::memory_order_relaxed);
     for (auto& worker : workers_) {
         // A false return means the worker poisoned its queue (died):
         // the chunk is dropped for it, and the recorded exception
@@ -109,18 +100,6 @@ AsyncEmulatorBank::publishPending()
         if (!worker->queue.push(chunk))
             continue;
         ++worker->chunksPushed;
-        if (beat != nullptr || obs::metrics::enabled()) {
-            const std::uint64_t depth = worker->queue.size();
-            if (beat != nullptr)
-                beat->noteQueueDepth(depth);
-            if (obs::metrics::enabled()) {
-                static const obs::metrics::Histogram queue_depth =
-                    obs::metrics::histogram(
-                        "emu.queue_depth",
-                        "SPSC chunk-queue depth after push");
-                queue_depth.record(depth);
-            }
-        }
     }
 }
 

@@ -33,7 +33,6 @@
 #ifndef COSIM_CORE_EMULATOR_BANK_HH
 #define COSIM_CORE_EMULATOR_BANK_HH
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -45,7 +44,6 @@
 #include "base/spsc_queue.hh"
 #include "dragonhead/dragonhead.hh"
 #include "mem/fsb.hh"
-#include "obs/progress.hh"
 
 namespace cosim {
 
@@ -120,17 +118,6 @@ class AsyncEmulatorBank : public BusSnooper
     /** Workers that died (exception escaped the worker loop). */
     unsigned failedWorkers() const;
 
-    /**
-     * Publish into @p slot: the producer reports SPSC queue depth as
-     * chunks are queued. Call only while the bank is quiescent (no run
-     * in flight); nullptr disables.
-     */
-    void
-    setHeartbeat(obs::HeartbeatSlot* slot)
-    {
-        heartbeat_.store(slot, std::memory_order_release);
-    }
-
   private:
     /** One immutable chunk, shared by every worker's queue. */
     using Chunk = std::shared_ptr<const std::vector<BusTransaction>>;
@@ -168,9 +155,6 @@ class AsyncEmulatorBank : public BusSnooper
     /** Producer-thread-only staging buffer (observe/observeBatch and
      * sync/reset are called from the one snooping thread). */
     std::vector<BusTransaction> pending_;
-
-    /** Heartbeat target; read by the producer (relaxed). */
-    std::atomic<obs::HeartbeatSlot*> heartbeat_{nullptr};
 
     mutable Mutex syncMutex_;
     CondVar syncCv_;

@@ -8,13 +8,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
+#include <utility>
 #include <sys/stat.h>
 #include <sys/types.h>
 
 #include "base/fault.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "obs/metrics.hh"
 #include "workloads/workload_factory.hh"
 
 namespace cosim {
@@ -104,6 +104,37 @@ fractionFlag(const std::string& arg)
     return v;
 }
 
+/** @p path without trailing slashes ("/" stays "/"). */
+std::string
+stripTrailingSlashes(std::string path)
+{
+    while (path.size() > 1 && path.back() == '/')
+        path.pop_back();
+    return path;
+}
+
+/**
+ * fatal(), naming @p flag, unless the directory @p path writes into
+ * exists or is @p out_dir, which the bench creates before its first
+ * write. A missing directory would otherwise fail the write only after
+ * the whole sweep.
+ */
+void
+requireOutputDir(const char* flag, const std::string& path,
+                 const std::string& out_dir)
+{
+    const std::size_t slash = path.rfind('/');
+    if (slash == std::string::npos)
+        return; // the working directory
+    const std::string dir = stripTrailingSlashes(path.substr(0, slash + 1));
+    if (dir == stripTrailingSlashes(out_dir))
+        return;
+    struct stat st{};
+    fatal_if(stat(dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode),
+             "%s=%s: '%s' is not an existing directory", flag,
+             path.c_str(), dir.c_str());
+}
+
 } // namespace
 
 BenchOptions
@@ -166,12 +197,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "cells (recorded with status \"failed\")\n"
                 "  --retry-cells=<n> retry a failed cell up to n extra "
                 "times (default 0, at most 1000)\n"
-                "  --progress       live per-cell progress view on "
-                "stderr\n"
-                "  --progress-file=<f> machine-readable progress stream "
-                "(JSON lines)\n"
-                "  --metrics=<f>    dump telemetry histograms/counters "
-                "(OpenMetrics text)\n"
                 "  --journal[=<f>]  write-ahead journal of cell state "
                 "transitions (default <out>/sweep.journal.jsonl)\n"
                 "  --resume=<f>     resume an interrupted sweep from "
@@ -215,6 +240,7 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             }
         } else if (startsWith(arg, "--out=")) {
             opts.outDir = arg.substr(6);
+            fatal_if(opts.outDir.empty(), "--out needs a directory path");
         } else if (arg == "--no-verify") {
             opts.strictVerify = false;
         } else if (startsWith(arg, "--trace=")) {
@@ -269,16 +295,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             opts.keepGoing = true;
         } else if (startsWith(arg, "--retry-cells=")) {
             opts.retryCells = unsignedFlag(arg, 0, kMaxRetryCells);
-        } else if (arg == "--progress") {
-            opts.progress = true;
-        } else if (startsWith(arg, "--progress-file=")) {
-            opts.progressFile = arg.substr(16);
-            fatal_if(opts.progressFile.empty(),
-                     "--progress-file needs a file path");
-        } else if (startsWith(arg, "--metrics=")) {
-            opts.metricsFile = arg.substr(10);
-            fatal_if(opts.metricsFile.empty(),
-                     "--metrics needs a file path");
         } else if (arg == "--journal") {
             opts.journalFile = "-"; // placeholder: default after --out
         } else if (startsWith(arg, "--journal=")) {
@@ -344,6 +360,18 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                  "--replay=<base> and --plan=<base> (file-backed "
                  "streams and plans)");
     }
+    const std::pair<const char*, const std::string*> outputs[] = {
+        {"--stats", &opts.statsFile},
+        {"--trace", &opts.traceFile},
+        {"--digest", &opts.digestFile},
+        {"--manifest", &opts.manifestFile},
+        {"--plan-out", &opts.planOutBase},
+        {"--capture", &opts.captureBase},
+    };
+    for (const auto& [flag, path] : outputs) {
+        if (!path->empty())
+            requireOutputDir(flag, *path, opts.outDir);
+    }
     if (!opts.faults.empty()) {
         // Arm here so every bench binary gets fault injection without
         // per-main plumbing; the plan inherits the run seed so the
@@ -356,13 +384,28 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
         plan.seed = opts.seed;
         FaultInjector::global().arm(plan);
     }
-    // Telemetry is opt-in: the histogram record paths stay a single
-    // relaxed load when none of the three flags is given.
-    if (opts.progress || !opts.progressFile.empty() ||
-        !opts.metricsFile.empty()) {
-        obs::metrics::setEnabled(true);
-    }
     return opts;
+}
+
+const std::vector<std::string> kSingleRunFlags = {
+    "--scale", "--quick", "--seed", "--workloads", "--out", "--no-verify",
+    "--faults"};
+
+void
+requireOnlyFlags(int argc, char** argv,
+                 const std::vector<std::string>& reads)
+{
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        const std::string flag = arg.substr(0, arg.find('='));
+        if (std::find(reads.begin(), reads.end(), flag) != reads.end())
+            continue;
+        std::string known;
+        for (const std::string& r : reads)
+            known += (known.empty() ? "" : " ") + r;
+        fatal("option %s does not apply to this bench (it reads only "
+              "%s)", flag.c_str(), known.c_str());
+    }
 }
 
 void

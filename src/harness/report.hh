@@ -97,15 +97,6 @@ struct BenchOptions
     std::string faults;
     /** @} */
 
-    /** @name Live telemetry @{ */
-    /** Live one-line-per-cell progress view on stderr. */
-    bool progress = false;
-    /** Machine-readable progress stream (JSONL; empty = off). */
-    std::string progressFile;
-    /** OpenMetrics dump path for the metrics registry (empty = off). */
-    std::string metricsFile;
-    /** @} */
-
     /** @name Crash-safe sweeps (harness/sweep_journal.hh) @{ */
     /** Write-ahead journal path; bare --journal means
      * "<outDir>/sweep.journal.jsonl", and --resume sets it to the
@@ -126,8 +117,8 @@ std::string fsbStreamPath(const std::string& base,
                           const std::string& workload);
 
 /**
- * Parse the common flags:
- *   --scale=<f>      input scale factor
+ * Parse the common flags (what --help prints):
+ *   --scale=<f>      input scale factor in (0, 1]
  *   --quick          --scale=0.05 with 50 us CB sample windows, the
  *                    only way to get them (same CSV as --scale=0.05,
  *                    finer run.json series)
@@ -140,33 +131,52 @@ std::string fsbStreamPath(const std::string& base,
  *   --manifest=<f>   run manifest path (default <out>/run.json)
  *   --jobs=<n>       run up to n sweep cells on parallel host threads
  *   --emu-threads=<n> emulate Dragonheads on n worker threads per rig
+ *   --cells=<mode>   sweep cell decomposition: combined, exec, replay
+ *                    or sampled (see CellMode)
  *   --plan=<base>    load sampling plans from <base>.<workload>.plan.json
  *                    (requires --cells=sampled)
  *   --plan-out=<base> write generated sampling plans to
  *                    <base>.<workload>.plan.json
+ *   --capture=<base> record each workload's FSB stream to
+ *                    <base>.<workload>.fsb
+ *   --replay=<base>  replay recorded streams instead of executing the
+ *                    guest
+ *   --digest=<file>  write per-workload FSB stream digests
  *   --faults=<spec>  arm a fault plan (site:nth=K / site:p=X, comma-
  *                    separated; see base/fault.hh)
  *   --keep-going     finish the sweep despite failed cells
  *   --retry-cells=<n> retry a failed cell up to n times (n <= 1000)
- *   --progress       live per-cell progress view on stderr
- *   --progress-file=<f> machine-readable progress stream (JSONL)
- *   --metrics=<f>    dump telemetry histograms/counters (OpenMetrics)
  *   --journal[=<f>]  write-ahead journal of cell state transitions
  *   --resume=<f>     resume an interrupted sweep from its journal,
  *                    appending to that journal
  *   --help           print usage (and exit 0)
  * Unknown flags are fatal, and so are a flag given twice (--journal
  * and --journal=<f> are one flag), --quick with --scale, --resume with
- * --journal, a numeric value that does not parse whole or lies outside
- * its flag's range, and an unknown, empty or repeated --workloads
- * entry; the error names the flag or entry. A --faults plan is parsed,
- * seeded with the run seed, and armed in the global FaultInjector
- * before returning.
- * Any of the telemetry flags enables the (otherwise zero-cost) metrics
- * registry for the whole run.
+ * --journal, a path flag with an empty value, a numeric value that
+ * does not parse whole or lies outside its flag's range, an unknown,
+ * empty or repeated --workloads entry, and a --stats, --trace,
+ * --digest, --manifest, --plan-out or --capture path whose directory
+ * neither exists nor is --out (which the bench creates); the error
+ * names the flag or entry, and comes before any output. A --faults
+ * plan is parsed, seeded with the run seed, and armed in the global
+ * FaultInjector before returning.
  */
 BenchOptions parseBenchArgs(int argc, char** argv,
                             const std::string& bench_description);
+
+/**
+ * For a bench that reads only some of the common flags: fatal(),
+ * naming the flag, if @p argv gives any flag outside @p reads (spelled
+ * without "=<value>", e.g. "--scale"). --help needs no entry. Call it
+ * right after parseBenchArgs, before any output, so a flag the bench
+ * would ignore is refused instead of silently dropped.
+ */
+void requireOnlyFlags(int argc, char** argv,
+                      const std::vector<std::string>& reads);
+
+/** What a bench that runs each workload once, with no sweep, reads
+ * (fig8_prefetch, table2_characteristics, projection_dramcache). */
+extern const std::vector<std::string> kSingleRunFlags;
 
 /** Create @p dir if needed; fatal() if that fails. */
 void ensureOutputDir(const std::string& dir);

@@ -4,15 +4,11 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "base/host_clock.hh"
 #include "base/logging.hh"
 #include "obs/host_profiler.hh"
-#include "obs/metrics.hh"
-#include "obs/progress.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace_session.hh"
 #include "trace/fsb_capture.hh"
-#include "trace/sampled_replay.hh"
 #include "workloads/workload_factory.hh"
 
 namespace cosim {
@@ -156,32 +152,6 @@ collectSampled(const CoSimulation& rig, const WorkloadStream& ws,
                        smp.fullMpki * finsts);
         }
     }
-}
-
-void
-countSampled(const SampledReplayStats& s)
-{
-    if (!obs::metrics::enabled())
-        return;
-    static const obs::metrics::Counter cells = obs::metrics::counter(
-        "sweep.sampled_cells", "sampled replay cells completed");
-    static const obs::metrics::Counter delivered = obs::metrics::counter(
-        "sweep.sampled_txns_delivered",
-        "data transactions delivered inside detail windows");
-    static const obs::metrics::Counter warmed = obs::metrics::counter(
-        "sweep.sampled_txns_warmed",
-        "data transactions delivered warm-only outside detail windows");
-    static const obs::metrics::Counter skipped = obs::metrics::counter(
-        "sweep.sampled_txns_skipped",
-        "data transactions fast-forwarded past");
-    static const obs::metrics::Counter intervals = obs::metrics::counter(
-        "sweep.sampled_intervals",
-        "representative intervals reached by sampled replays");
-    cells.inc();
-    delivered.add(s.dataDelivered);
-    warmed.add(s.dataWarmed);
-    skipped.add(s.dataSkipped);
-    intervals.add(s.intervalsReached);
 }
 
 /** Load "<base>.<name>.plan.json"; throws on any failure. */
@@ -378,7 +348,7 @@ RigSlot::fits(const SweepCell& cell) const
 
 CoSimulation&
 RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
-                 unsigned attempt, obs::HeartbeatSlot* beat)
+                 unsigned attempt)
 {
     // A retry always rebuilds: the failed attempt may have poisoned the
     // rig (a dead emulation worker stays dead).
@@ -397,20 +367,10 @@ RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
             break;
         }
         params.emulationThreads = fig.opts.emuThreads;
-
-        const std::uint64_t t0 = hostClockNowUs();
         rig_ = std::make_unique<CoSimulation>(params);
-        if (obs::metrics::enabled()) {
-            static const obs::metrics::Histogram setup_ms =
-                obs::metrics::histogram(
-                    "sweep.cell_setup_ms",
-                    "per-cell rig construction wall milliseconds");
-            setup_ms.record((hostClockNowUs() - t0) / 1000);
-        }
         group_ = cell.group;
         config_ = cell.config;
     }
-    rig_->setHeartbeat(beat);
     return *rig_;
 }
 
@@ -474,10 +434,7 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
             reader.openFile(ws.path);
         ReplayResult details;
         if (cell.source == StreamSource::Sampled) {
-            SampledReplayStats sstats;
-            result = rig.replaySampled(reader, ws.source, ws.plan, &sstats,
-                                       &details);
-            countSampled(sstats);
+            result = rig.replaySampled(reader, ws.source, ws.plan, &details);
         } else {
             result = rig.replay(reader, ws.source, &details);
         }

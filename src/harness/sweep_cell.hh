@@ -43,10 +43,6 @@
 
 namespace cosim {
 
-namespace obs {
-class HeartbeatSlot;
-} // namespace obs
-
 /** Everything one sweep cell (or one workload's merged cells) produces. */
 struct CellOutput
 {
@@ -100,7 +96,7 @@ enum class EmulatorGroup : std::uint8_t
 /** One planned sweep cell. */
 struct SweepCell
 {
-    /** Progress/journal label; stats freeze under "cell/<label>/". */
+    /** Journal label; stats freeze under "cell/<label>/". */
     std::string label;
     /** Index into BenchOptions::workloads. */
     std::size_t workload = 0;
@@ -130,7 +126,7 @@ struct SweepFigure
 };
 
 /**
- * A figure's cells in progress-row order, and how to run them: chains
+ * A figure's cells in planning order, and how to run them: chains
  * run concurrently across --jobs host threads, each executing its cells
  * in order on one thread. A chain never reads another chain's output.
  */
@@ -189,10 +185,9 @@ WorkloadStream resolveStream(const SweepFigure& fig, std::size_t w);
 class RigSlot
 {
   public:
-    /** The rig for attempt @p attempt of @p cell, publishing into
-     * @p beat (which must outlive the rig). */
+    /** The rig for attempt @p attempt of @p cell. */
     CoSimulation& acquire(const SweepFigure& fig, const SweepCell& cell,
-                          unsigned attempt, obs::HeartbeatSlot* beat);
+                          unsigned attempt);
 
     /** The holding cell ended (@p ok = it succeeded); keep the rig only
      * for @p next, the cell a serial sweep runs next (null = none). */

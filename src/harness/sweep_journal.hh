@@ -36,8 +36,8 @@
  * "cell/<label>/" groups. --resume re-hashes it against the journaled
  * digest and loads it in place of the cell.
  *
- * Failure discipline mirrors the progress stream: the journal protects
- * the sweep, so it must never kill it. A write failure (including the
+ * Failure discipline: the journal protects the sweep, so it must never
+ * kill it. A write failure (including the
  * seeded "journal.write.fail" fault site) warns once and turns the
  * journal off; healthy() reports the degradation.
  *

@@ -24,9 +24,7 @@
 #include "harness/sweep_journal.hh"
 #include "obs/host_profiler.hh"
 #include "obs/json.hh"
-#include "obs/metrics.hh"
 #include "obs/postmortem.hh"
-#include "obs/progress.hh"
 #include "obs/run_manifest.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace_session.hh"
@@ -41,8 +39,8 @@ namespace {
  * compute, so --resume refuses to mix two different sweeps' journals.
  * That includes every configuration as emulated, CB window included:
  * --quick retimes it without changing the scale. Host-side knobs
- * (--jobs, retries, telemetry) are deliberately excluded: they change
- * how cells are scheduled, not what they produce, and a resume
+ * (--jobs, --emu-threads, retries) are deliberately excluded: they
+ * change how cells are scheduled, not what they produce, and a resume
  * routinely runs with different ones.
  */
 std::uint64_t
@@ -103,11 +101,10 @@ struct SweepLedger
  *    attempt number is passed in so the rig slot rebuilds on retry
  *  - fault point: "cell.throw" (throws FaultInjected) fires here,
  *    inside the guarded window
- *  - telemetry: cell lifecycle events flow into @p progress (when
- *    non-null, with @p cell_idx addressing this cell's row), the
- *    flight recorder gets attempt markers, and every failed attempt
- *    drops "<outDir>/postmortem.json" naming the cell and -- via the
- *    fault injector's site report -- what was injected
+ *  - post-mortem: the flight recorder gets attempt markers (with
+ *    @p cell_idx naming the cell), and every failed attempt drops
+ *    "<outDir>/postmortem.json" naming the cell and -- via the fault
+ *    injector's site report -- what was injected
  *  - stats hygiene: a failed attempt's @p stats_prefix namespace is
  *    dropped from the global registry, so run artifacts never carry a
  *    half-populated cell
@@ -125,9 +122,8 @@ struct SweepLedger
 CellOutput
 runGuardedCell(const std::string& label, const std::string& stats_prefix,
                const BenchOptions& opts, const SweepLedger& ledger,
-               obs::SweepProgress* progress, std::size_t cell_idx,
-               const std::function<CellOutput(unsigned,
-                                              obs::HeartbeatSlot*)>& attempt)
+               std::size_t cell_idx,
+               const std::function<CellOutput(unsigned)>& attempt)
 {
     // --resume: a journaled result that verified at load time replaces
     // the whole cell (its stats namespaces were re-registered then).
@@ -138,43 +134,24 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
                 ledger.journal->resumeSkip(label);
             if (ledger.skipped != nullptr)
                 ledger.skipped->fetch_add(1, std::memory_order_relaxed);
-            if (progress != nullptr)
-                progress->cellResumeSkipped(cell_idx);
-            if (obs::metrics::enabled()) {
-                static const obs::metrics::Counter resume_skipped =
-                    obs::metrics::counter(
-                        "sweep.resume_skipped",
-                        "cells loaded from a resumed journal instead "
-                        "of re-run");
-                resume_skipped.inc();
-            }
             return it->second;
         }
     }
     if (ledger.journal != nullptr)
         ledger.journal->cellPlanned(label);
 
-    obs::HeartbeatSlot* slot =
-        progress != nullptr ? progress->slot(cell_idx) : nullptr;
     const unsigned max_attempts = opts.retryCells + 1;
     std::string last_error;
-    double last_secs = 0.0;
     for (unsigned a = 1; a <= max_attempts; ++a) {
         obs::setPostmortemContext(label, a);
         FlightRecorder::setThreadLabel("cell/" + label);
         FlightRecorder::note(FrKind::CellAttempt, "sweep.cell", a,
                              cell_idx);
-        if (progress != nullptr)
-            progress->cellStarted(cell_idx, a);
-        const auto t0 = std::chrono::steady_clock::now();
         try {
             if (ledger.journal != nullptr)
                 ledger.journal->cellRunning(label, a);
             COSIM_FAULT_POINT("cell.throw");
-            CellOutput cell = attempt(a, slot);
-            const double secs = std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count();
+            CellOutput cell = attempt(a);
             cell.mw.status = a > 1 ? "retried" : "ok";
             cell.mw.attempts = a;
             if (ledger.journal != nullptr) {
@@ -204,44 +181,12 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
             }
             FlightRecorder::note(FrKind::CellDone, "sweep.cell", a,
                                  cell_idx);
-            if (progress != nullptr)
-                progress->cellFinished(cell_idx, true, secs, "");
-            if (obs::metrics::enabled()) {
-                static const obs::metrics::Histogram wall_ms =
-                    obs::metrics::histogram(
-                        "sweep.cell_wall_ms",
-                        "wall-clock of successful cell attempts (ms)");
-                static const obs::metrics::Counter cells_ok =
-                    obs::metrics::counter("sweep.cells_ok",
-                                          "cells that finished ok");
-                static const obs::metrics::Counter cells_retried =
-                    obs::metrics::counter(
-                        "sweep.cells_retried",
-                        "cells that finished after a retry");
-                wall_ms.record(static_cast<std::uint64_t>(secs * 1e3));
-                cells_ok.inc();
-                if (a > 1)
-                    cells_retried.inc();
-            }
             return cell;
         } catch (const std::exception& e) {
-            last_secs = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
             obs::StatsRegistry::global().removePrefix(stats_prefix);
             last_error = e.what();
             warn("sweep cell %s failed (attempt %u/%u): %s",
                  label.c_str(), a, max_attempts, e.what());
-            if (progress != nullptr) {
-                const auto* injected =
-                    dynamic_cast<const FaultInjected*>(&e);
-                if (injected != nullptr) {
-                    progress->cellFault(cell_idx, injected->site(),
-                                        injected->hit());
-                }
-                if (a < max_attempts)
-                    progress->cellRetried(cell_idx, a + 1, last_error);
-            }
             obs::PostmortemInfo pm;
             pm.reason = "cell_failed";
             pm.cell = label;
@@ -252,14 +197,6 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
     }
     if (ledger.journal != nullptr)
         ledger.journal->cellFailed(label, max_attempts, last_error);
-    if (progress != nullptr)
-        progress->cellFinished(cell_idx, false, last_secs, last_error);
-    if (obs::metrics::enabled()) {
-        static const obs::metrics::Counter cells_failed =
-            obs::metrics::counter("sweep.cells_failed",
-                                  "cells whose every attempt failed");
-        cells_failed.inc();
-    }
     CellOutput cell;
     cell.failed = true;
     cell.mw.name = label;
@@ -267,43 +204,6 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
     cell.mw.attempts = max_attempts;
     cell.mw.error = last_error;
     return cell;
-}
-
-/**
- * Emit one "sampled_skip" progress event per fast-forwarded window span
- * of @p plan (the complement of the merged warm-up + interval ranges),
- * so a live viewer can see what the sweep did *not* simulate.
- */
-void
-emitSkipEvents(obs::SweepProgress& progress, const std::string& name,
-               const SamplingPlan& plan)
-{
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-    for (const PlanInterval& iv : plan.intervals) {
-        const std::uint64_t lo =
-            iv.window -
-            std::min<std::uint64_t>(plan.warmupWindows, iv.window);
-        if (!ranges.empty() && lo <= ranges.back().second + 1)
-            ranges.back().second =
-                std::max(ranges.back().second, iv.window);
-        else
-            ranges.emplace_back(lo, iv.window);
-    }
-    std::uint64_t next = 0;
-    auto emit = [&](std::uint64_t from, std::uint64_t to) {
-        if (to <= from)
-            return;
-        progress.event("sampled_skip",
-                       "\"workload\":" + obs::json::quote(name) +
-                           ",\"from\":" + std::to_string(from) +
-                           ",\"to\":" + std::to_string(to - 1) +
-                           ",\"windows\":" + std::to_string(to - from));
-    };
-    for (const auto& r : ranges) {
-        emit(next, r.first);
-        next = r.second + 1;
-    }
-    emit(next, plan.totalWindows);
 }
 
 /**
@@ -316,8 +216,7 @@ emitSkipEvents(obs::SweepProgress& progress, const std::string& name,
  */
 std::vector<CellOutput>
 runPlan(const SweepFigure& fig, const SweepPlan& plan,
-        std::vector<WorkloadStream>& streams, const SweepLedger& ledger,
-        obs::SweepProgress* progress)
+        std::vector<WorkloadStream>& streams, const SweepLedger& ledger)
 {
     const BenchOptions& opts = fig.opts;
     std::vector<CellOutput> outs(plan.cells.size());
@@ -338,8 +237,6 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
                                 ? "profile failed: "
                                 : "capture failed: ") +
                            ws.base.mw.error;
-            if (progress != nullptr)
-                progress->cellFinished(i, false, 0.0, out.mw.error);
         } else {
             // Phase-1 outputs live in memory (stream buffer, plan,
             // error reference) and cannot be reloaded on resume, so
@@ -348,11 +245,10 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
             // inputs.
             out = runGuardedCell(
                 cell.label, "cell/" + cell.label + "/", opts,
-                cell.phase1 ? SweepLedger{} : ledger, progress, i,
-                [&](unsigned attempt, obs::HeartbeatSlot* beat) {
+                cell.phase1 ? SweepLedger{} : ledger, i,
+                [&](unsigned attempt) {
                     return runCellBody(
-                        fig, cell, slot.acquire(fig, cell, attempt, beat),
-                        ws);
+                        fig, cell, slot.acquire(fig, cell, attempt), ws);
                 });
         }
         if (cell.phase1)
@@ -431,21 +327,6 @@ SweepRunner::runFigure(const std::string& figure_id,
     // artifact writer -- a postmortem lands next to the run artifacts.
     obs::installFatalPostmortem(opts_.outDir + "/postmortem.json");
 
-    // Live telemetry: one row per planned cell, registered up front so
-    // the live view shows the whole sweep (pending cells included)
-    // from the first tick.
-    std::unique_ptr<obs::SweepProgress> progress;
-    if (opts_.progress || !opts_.progressFile.empty()) {
-        obs::SweepProgress::Options popts;
-        popts.tty = opts_.progress;
-        popts.file = opts_.progressFile;
-        try {
-            progress = std::make_unique<obs::SweepProgress>(popts);
-        } catch (const IoError& e) {
-            fatal("progress: %s", e.what());
-        }
-    }
-
     // Crash safety: the write-ahead journal, and -- when resuming --
     // the verified results of cells an interrupted sweep already
     // finished (see loadResumedCells).
@@ -501,15 +382,6 @@ SweepRunner::runFigure(const std::string& figure_id,
         ledger.skipped = &resume_skipped;
     }
 
-    if (progress != nullptr) {
-        for (const SweepCell& cell : plan.cells)
-            progress->addCell(cell.label);
-        progress->start();
-        progress->event("sweep_start",
-                        "\"figure\":" + obs::json::quote(figure_id) +
-                            ",\"cells\":" + std::to_string(total_cells));
-    }
-
     obs::RunManifest manifest;
     manifest.figureId = figure_id;
     manifest.platform = platform.name;
@@ -548,19 +420,7 @@ SweepRunner::runFigure(const std::string& figure_id,
     streams.reserve(n_w);
     for (std::size_t w = 0; w < n_w; ++w)
         streams.push_back(resolveStream(fig, w));
-    std::vector<CellOutput> outs =
-        runPlan(fig, plan, streams, ledger, progress.get());
-
-    // Narrate what the sampled sweep fast-forwarded past, one event
-    // per skipped window span (emitted here, after the cells, so the
-    // stream's ordering is deterministic).
-    if (opts_.cells == CellMode::Sampled && progress != nullptr) {
-        for (std::size_t w = 0; w < n_w; ++w) {
-            if (streams[w].hasPlan && !streams[w].base.failed)
-                emitSkipEvents(*progress, opts_.workloads[w],
-                               streams[w].plan);
-        }
-    }
+    std::vector<CellOutput> outs = runPlan(fig, plan, streams, ledger);
 
     // One figure row per workload, folded from its cells.
     std::vector<CellOutput> cells;
@@ -584,20 +444,11 @@ SweepRunner::runFigure(const std::string& figure_id,
                                       wall0)
             .count();
 
-    // Close the progress stream before printing the summary (and
-    // before a failed cell can fatal() past the destructors): the
-    // counts are workload rows, matching the summary below.
+    // The journal's counts are workload rows, matching the summary
+    // below.
     std::size_t n_ok = 0;
     for (const CellOutput& c : cells)
         n_ok += c.failed ? 0 : 1;
-    if (progress != nullptr) {
-        progress->event("sweep_finish",
-                        "\"ok\":" + std::to_string(n_ok) +
-                            ",\"failed\":" + std::to_string(n_w - n_ok));
-        progress->stop();
-        if (!opts_.progressFile.empty())
-            inform("progress: %s", opts_.progressFile.c_str());
-    }
     if (journal != nullptr)
         journal->sweepDone(n_ok, n_w - n_ok);
 
@@ -682,8 +533,8 @@ SweepRunner::runFigure(const std::string& figure_id,
 
     // --plan-out from a full-detail run: cluster every workload's CB
     // series into a sampling plan for later --cells=sampled sweeps.
-    // (Sampled mode writes its plans during the profiling phase
-    // instead, where generation is cell-isolated.)
+    // (Sampled mode writes its plans from its profile cells instead,
+    // behind the same failure boundary as any other cell.)
     if (!opts_.planOutBase.empty() &&
         opts_.cells != CellMode::Sampled && !fig.emulators.empty()) {
         for (const CellOutput& cell : cells) {
@@ -723,12 +574,6 @@ SweepRunner::runFigure(const std::string& figure_id,
     if (combined_plan && !last_ok.empty())
         registry.addSnapshotOf(registry, "", "cell/" + last_ok + "/");
     registry.add(obs::HostProfiler::global().statsGroup());
-    if (obs::metrics::enabled()) {
-        // Telemetry scalars (counter values, histogram count/sum/mean)
-        // ride the same dumpers as every other stats group.
-        registry.add(
-            obs::metrics::Registry::global().statsGroup("metrics"));
-    }
 
     if (manifest.captureTxns > 0) {
         stats::Group g("capture");
@@ -764,34 +609,26 @@ SweepRunner::runFigure(const std::string& figure_id,
         inform("digests: %s", opts_.digestFile.c_str());
     }
 
-    if (!opts_.metricsFile.empty()) {
-        try {
-            writeFileAtomic(opts_.metricsFile,
-                            obs::metrics::renderOpenMetrics(
-                                obs::metrics::Registry::global()
-                                    .snapshot()));
-        } catch (const IoError& e) {
-            fatal("metrics: %s", e.what());
-        }
-        inform("metrics: %s", opts_.metricsFile.c_str());
-    }
-
     const obs::HostProfiler& prof = obs::HostProfiler::global();
     for (const auto& p : prof.phases())
         manifest.hostPhases.push_back({p.name, p.seconds, p.calls});
     manifest.hostSimMips = prof.simulatedMips();
     manifest.resumeSkipped =
         resume_skipped.load(std::memory_order_relaxed);
-    if (!opts_.manifestFile.empty()) {
-        manifest.writeJson(opts_.manifestFile);
-        inform("manifest: %s", opts_.manifestFile.c_str());
-    }
 
     if (own_trace) {
         trace.stop();
         trace.writeJson(opts_.traceFile);
         inform("trace: %s (%zu events)", opts_.traceFile.c_str(),
                trace.eventCount());
+    }
+
+    // The manifest goes last: a failed write of any artifact above
+    // exits before it, so a run.json always describes a run whose
+    // artifacts all exist.
+    if (!opts_.manifestFile.empty()) {
+        manifest.writeJson(opts_.manifestFile);
+        inform("manifest: %s", opts_.manifestFile.c_str());
     }
     return figure;
 }

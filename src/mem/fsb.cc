@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "obs/metrics.hh"
 
 namespace cosim {
 
@@ -85,12 +84,6 @@ FrontSideBus::flush()
 {
     if (pending_.empty())
         return;
-    if (obs::metrics::enabled()) {
-        static const obs::metrics::Histogram batch_txns =
-            obs::metrics::histogram("fsb.batch_txns",
-                                    "transactions per delivered batch");
-        batch_txns.record(pending_.size());
-    }
     broadcasting_ = true;
     BusSnooper* const* snoopers = snoopers_.data();
     const std::size_t n = snoopers_.size();

@@ -80,7 +80,7 @@ struct ManifestWorkload
      * source the cell's emulator results were replayed from. */
     std::string replayedFrom;
 
-    /** @name Cell outcome (sweep isolation, see --keep-going) @{ */
+    /** @name Cell outcome (--keep-going, --retry-cells) @{ */
     /** "ok", "retried" (succeeded after retry), or "failed". */
     std::string status = "ok";
     /** Attempts spent on the cell (> 1 under --retry-cells). */

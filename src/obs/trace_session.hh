@@ -80,8 +80,7 @@ class TraceSession
      * Host-clock timestamp: microseconds since the process-wide
      * monotonic origin (base/host_clock.hh). The origin never moves,
      * so spans recorded before and after a stop()/start() restart stay
-     * on one axis, comparable with heartbeat and flight-recorder
-     * timestamps.
+     * on one axis, comparable with flight-recorder timestamps.
      */
     double hostNowUs() const;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "obs/metrics.hh"
 
 namespace cosim {
 
@@ -45,15 +44,6 @@ CpuModel::handleBeyond(Addr fetch_line, bool l1_was_write)
             dram_->addDemandTraffic(bus_line);
     }
     cyclesAcc_ += static_cast<double>(beyond_cycles);
-    if (obs::metrics::enabled()) {
-        // One relaxed load + branch when telemetry is off; the handle
-        // registers once per process.
-        static const obs::metrics::Histogram miss_latency =
-            obs::metrics::histogram(
-                "mem.miss_latency_cycles",
-                "beyond-LLC demand miss latency in core cycles");
-        miss_latency.record(beyond_cycles);
-    }
 
     if (fsb_ != nullptr && params_.emitFsbTraffic) {
         BusTransaction txn;

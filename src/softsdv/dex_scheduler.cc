@@ -90,17 +90,6 @@ DexScheduler::run(std::vector<CoreSlot>& slots)
                     static_cast<double>(inst_delta), true);
             }
 
-            if (heartbeat_ != nullptr) {
-                // One beat per quantum: relaxed stores only, so the
-                // progress sampler sees it without the scheduler ever
-                // blocking.
-                heartbeat_->beat(
-                    inst_delta,
-                    static_cast<std::uint64_t>(
-                        static_cast<double>(cycle_delta) /
-                        params_.coreFreqGhz));
-            }
-
             max_round_cycles = std::max(max_round_cycles, cycle_delta);
             ++slices_;
             if (!slot.done)

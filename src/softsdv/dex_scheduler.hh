@@ -24,7 +24,6 @@
 #include "base/stats.hh"
 #include "mem/dram.hh"
 #include "mem/fsb.hh"
-#include "obs/progress.hh"
 #include "softsdv/core_context.hh"
 #include "softsdv/guest.hh"
 
@@ -86,19 +85,10 @@ class DexScheduler
     /** Register scheduler activity counters into @p group. */
     void addStats(stats::Group& group) const;
 
-    /**
-     * Publish progress into @p slot: one beat per completed
-     * slice (every quantum, so a healthy run beats every few
-     * milliseconds of host time). nullptr (the default) disables --
-     * the per-slice cost is then a single pointer test.
-     */
-    void setHeartbeat(obs::HeartbeatSlot* slot) { heartbeat_ = slot; }
-
   private:
     DexParams params_;
     FrontSideBus* fsb_;
     DramModel* dram_;
-    obs::HeartbeatSlot* heartbeat_ = nullptr;
     std::uint64_t rounds_ = 0;
     std::uint64_t slices_ = 0;
 };

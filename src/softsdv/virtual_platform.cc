@@ -134,7 +134,6 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
     }
 
     DexScheduler scheduler(params_.dex, &fsb_, &dram_);
-    scheduler.setHeartbeat(heartbeat_);
 
     auto t0 = std::chrono::steady_clock::now();
     {

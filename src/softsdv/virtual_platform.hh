@@ -127,19 +127,12 @@ class VirtualPlatform
      */
     void registerStats(obs::StatsRegistry& registry) const;
 
-    /**
-     * Publish progress into @p slot for subsequent run() calls: the
-     * scheduler beats per quantum. nullptr disables.
-     */
-    void setHeartbeat(obs::HeartbeatSlot* slot) { heartbeat_ = slot; }
-
   private:
     PlatformParams params_;
     FrontSideBus fsb_;
     DramModel dram_;
     SimAllocator allocator_;
     std::vector<std::unique_ptr<CpuModel>> cpus_;
-    obs::HeartbeatSlot* heartbeat_ = nullptr;
 };
 
 } // namespace cosim

@@ -44,20 +44,14 @@ deliveryRanges(const SamplingPlan& plan)
 class Gate
 {
   public:
-    Gate(const SamplingPlan& plan, SampledReplayStats& stats)
-        : ranges_(deliveryRanges(plan)), stats_(stats)
+    explicit Gate(const SamplingPlan& plan)
+        : ranges_(deliveryRanges(plan))
     {
         cyclesPerWindow_ = static_cast<std::uint64_t>(
             plan.samplePeriodUs * 1000.0 * plan.coreFreqGhz);
         fatal_if(cyclesPerWindow_ == 0,
                  "sampling plan window shorter than a cycle");
-        for (const PlanInterval& iv : plan.intervals)
-            intervalWindows_.push_back(iv.window);
         refresh();
-        // Spans are counted on delivering -> fast-forward transitions;
-        // a run that *starts* fast-forwarded is the first span.
-        if (!delivering_)
-            ++stats_.skippedSpans;
     }
 
     /** Feed one decoded message; advances the window clock. */
@@ -76,39 +70,21 @@ class Gate
 
     bool delivering() const { return delivering_; }
 
-    std::uint64_t
-    windowsSeen() const
-    {
-        // Full windows closed, plus the partial tail if any cycles ran.
-        return window_ + (cycles_ % cyclesPerWindow_ != 0 ? 1 : 0);
-    }
-
   private:
     void
     refresh()
     {
         while (range_ < ranges_.size() && ranges_[range_].last < window_)
             ++range_;
-        const bool now = range_ < ranges_.size() &&
-                         window_ >= ranges_[range_].first;
-        if (!now && delivering_)
-            ++stats_.skippedSpans;
-        delivering_ = now;
-        while (interval_ < intervalWindows_.size() &&
-               intervalWindows_[interval_] <= window_) {
-            ++stats_.intervalsReached;
-            ++interval_;
-        }
+        delivering_ = range_ < ranges_.size() &&
+                      window_ >= ranges_[range_].first;
     }
 
     std::vector<DeliveryRange> ranges_;
-    std::vector<std::uint64_t> intervalWindows_;
-    SampledReplayStats& stats_;
     std::uint64_t cyclesPerWindow_ = 0;
     std::uint64_t cycles_ = 0;
     std::uint64_t window_ = 0;
     std::size_t range_ = 0;
-    std::size_t interval_ = 0;
     bool delivering_ = false;
 };
 
@@ -136,14 +112,10 @@ seenSlot(std::uint64_t line)
 
 ReplayResult
 SampledReplayDriver::replay(FsbStreamReader& reader,
-                            const SamplingPlan& plan, FrontSideBus& bus,
-                            SampledReplayStats* stats)
+                            const SamplingPlan& plan, FrontSideBus& bus)
 {
     ReplayResult result;
-    SampledReplayStats local;
-    SampledReplayStats& s = stats != nullptr ? *stats : local;
-    s = SampledReplayStats{};
-    Gate gate(plan, s);
+    Gate gate(plan);
 
     // Dilution: a line the novelty filter has not seen (first touch,
     // or re-touch after its slot was reclaimed) is always issued, so
@@ -163,13 +135,11 @@ SampledReplayDriver::replay(FsbStreamReader& reader,
         for (const BusTransaction& txn : chunk) {
             if (msg::isMessageAddr(txn.addr)) {
                 bus.issue(txn);
-                ++s.messages;
                 gate.onMessage(msg::decode(txn.addr));
                 continue;
             }
             if (gate.delivering()) {
                 bus.issue(txn);
-                ++s.dataDelivered;
             } else {
                 const std::uint64_t line = txn.addr >> 6;
                 std::uint64_t& tag = seen[seenSlot(line)];
@@ -179,9 +149,6 @@ SampledReplayDriver::replay(FsbStreamReader& reader,
                     // Functional warming: the LLC state keeps tracking
                     // the full run; the delta lands in an unread window.
                     bus.issue(txn);
-                    ++s.dataWarmed;
-                } else {
-                    ++s.dataSkipped;
                 }
             }
         }
@@ -190,7 +157,6 @@ SampledReplayDriver::replay(FsbStreamReader& reader,
     // A batched bus may hold a partial chunk, exactly as at the end of
     // a live run; snoopers must see the complete delivered stream.
     bus.flush();
-    s.windowsSeen = gate.windowsSeen();
 
     result.meta = reader.meta();
     result.txns = reader.txnsDecoded();

@@ -45,35 +45,12 @@
 #ifndef COSIM_TRACE_SAMPLED_REPLAY_HH
 #define COSIM_TRACE_SAMPLED_REPLAY_HH
 
-#include <cstdint>
-
 #include "trace/fsb_replay.hh"
 #include "trace/phase_cluster.hh"
 
 namespace cosim {
 
 class FrontSideBus;
-
-/** What the delivery gate did during one sampled pass. */
-struct SampledReplayStats
-{
-    /** Data transactions delivered inside warm-up/detail windows. */
-    std::uint64_t dataDelivered = 0;
-    /** Data transactions delivered warm-only (outside the detail
-     * windows; they update LLC state but land in samples the estimator
-     * never reads). */
-    std::uint64_t dataWarmed = 0;
-    /** Fast-forwarded data transactions the warming dilution dropped. */
-    std::uint64_t dataSkipped = 0;
-    /** Message transactions (always delivered). */
-    std::uint64_t messages = 0;
-    /** Plan intervals whose window the stream actually reached. */
-    std::uint64_t intervalsReached = 0;
-    /** Contiguous fast-forwarded (warmed or skipped) window spans. */
-    std::uint64_t skippedSpans = 0;
-    /** Windows the stream covered (full windows closed + the tail). */
-    std::uint64_t windowsSeen = 0;
-};
 
 /** See file comment. */
 class SampledReplayDriver
@@ -88,8 +65,7 @@ class SampledReplayDriver
      * deliberately never reads the host clock.
      */
     ReplayResult replay(FsbStreamReader& reader, const SamplingPlan& plan,
-                        FrontSideBus& bus,
-                        SampledReplayStats* stats = nullptr);
+                        FrontSideBus& bus);
 };
 
 } // namespace cosim

@@ -1,13 +1,11 @@
-#include "obs/metrics.hh"
+#include "base/fault.hh"
 
 namespace cosim {
 
 int
 secondUser()
 {
-    static auto& c = metrics::counter("dup.metric", "seeded duplicate");
-    c.inc();
-    return 0;
+    return faultPending("dup.site") ? 1 : 0;
 }
 
 } // namespace cosim

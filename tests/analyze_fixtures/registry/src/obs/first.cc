@@ -1,24 +1,22 @@
 /**
- * Seeded violations (with mem/second.cc and the manifests next door):
- *   - "dup.metric" is registered here AND in mem/second.cc
- *     (duplicate-metric);
+ * Seeded violations (with mem/second.cc and the manifest next door):
+ *   - "dup.site" is declared here AND in mem/second.cc
+ *     (duplicate-fault-site);
  *   - "not.in.registry" is a fault site missing from
  *     fault_sites.txt (unregistered-fault-site);
- *   - the manifests list "ghost.metric", which no code registers
+ *   - the manifest lists "ghost.site", which no code declares
  *     (stale-registry-entry).
  */
 
 #include "base/fault.hh"
-#include "obs/metrics.hh"
 
 namespace cosim {
 
 int
 firstUser()
 {
-    static auto& c = metrics::counter("dup.metric", "seeded duplicate");
+    COSIM_FAULT_POINT("dup.site");
     COSIM_FAULT_POINT("not.in.registry");
-    c.inc();
     return 0;
 }
 

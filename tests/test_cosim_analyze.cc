@@ -65,8 +65,7 @@ hasRule(const std::vector<std::string>& rules, const std::string& rule)
 /**
  * In-memory mirror of analyzeTree's stage two: per-file findings plus
  * every project pass, with optional analysis.allow content and
- * registry manifests ("metrics", "fault_sites", "stats_keys",
- * "schemas" keys).
+ * registry manifests ("fault_sites", "stats_keys", "schemas" keys).
  */
 std::vector<Finding>
 analyzeSet(const FileSet& fileset, const std::string& allow_content = "",
@@ -97,7 +96,6 @@ analyzeSet(const FileSet& fileset, const std::string& allow_content = "",
                              it == manifests.end() ? "" : it->second);
     };
     regs.faultSites = man("fault_sites", "fault_sites.txt");
-    regs.metrics = man("metrics", "metrics.txt");
     regs.statsKeys = man("stats_keys", "stats_keys.txt");
     regs.schemas = man("schemas", "schemas.txt");
     {
@@ -548,99 +546,6 @@ TEST(AnalyzeIntervalWallclock, TimingOutsideSelectionCodeIsFine)
 }
 
 // ---------------------------------------------------------------------
-// Metric-name rule (obs::metrics registrations).
-// ---------------------------------------------------------------------
-
-TEST(AnalyzeMetricName, WellFormedRegistrationsPass)
-{
-    EXPECT_TRUE(
-        rulesHit("src/mem/x.cc",
-                 "static const obs::metrics::Counter c =\n"
-                 "    obs::metrics::counter(\"fsb.batch_txns\",\n"
-                 "                          \"txns per batch\");\n"
-                 "static const obs::metrics::Histogram h =\n"
-                 "    obs::metrics::histogram(\n"
-                 "        \"mem.miss_latency_cycles\", \"miss lat\");\n")
-            .empty());
-}
-
-TEST(AnalyzeMetricName, MalformedNamesFlagged)
-{
-    for (const char* bad :
-         {"Bad.Name", "1starts.with.digit", "has-dash", "_lead"}) {
-        auto findings =
-            lint("src/core/x.cc",
-                 std::string("auto c = obs::metrics::counter(\"") + bad +
-                     "\", \"help\");\n");
-        ASSERT_EQ(findings.size(), 1u) << bad;
-        EXPECT_EQ(findings[0].rule, "metric-name") << bad;
-        EXPECT_NE(findings[0].message.find("[a-z][a-z0-9_.]*"),
-                  std::string::npos);
-    }
-}
-
-TEST(AnalyzeMetricName, NameOnTheLineAfterTheCallIsStillChecked)
-{
-    // Registration sites wrap: the literal often lands on the line
-    // after counter(/histogram(. The finding points at the literal.
-    auto findings = lint("src/harness/x.cc",
-                         "auto h = obs::metrics::histogram(\n"
-                         "    \"Sweep.Cell_Wall_Ms\", \"wall ms\");\n");
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "metric-name");
-    EXPECT_EQ(findings[0].line, 2);
-}
-
-TEST(AnalyzeMetricName, DuplicateRegistrationInOneFileFlagged)
-{
-    auto findings =
-        lint("src/mem/x.cc",
-             "auto a = obs::metrics::counter(\"bus.reads\", \"r\");\n"
-             "auto b = obs::metrics::counter(\"bus.reads\", \"r\");\n");
-    ASSERT_EQ(findings.size(), 1u);
-    EXPECT_EQ(findings[0].rule, "metric-name");
-    EXPECT_EQ(findings[0].line, 2);
-    EXPECT_NE(findings[0].message.find("more than once"),
-              std::string::npos);
-}
-
-TEST(AnalyzeMetricName, ComputedNamesAndDeclarationsIgnored)
-{
-    // Non-literal first args can't be checked statically; declarations
-    // of the registration API itself have a type, not a literal.
-    EXPECT_TRUE(
-        rulesHit("src/obs/x.hh",
-                 "#ifndef COSIM_OBS_X_HH\n"
-                 "#define COSIM_OBS_X_HH\n"
-                 "Counter counter(const std::string& name,\n"
-                 "                const std::string& help);\n"
-                 "#endif // COSIM_OBS_X_HH\n")
-            .empty());
-    EXPECT_TRUE(rulesHit("src/core/x.cc",
-                         "auto c = obs::metrics::counter(name(), h);\n")
-                    .empty());
-}
-
-TEST(AnalyzeMetricName, OnlySrcTreesAreChecked)
-{
-    // Tests register deliberately bad names in death tests.
-    EXPECT_TRUE(
-        rulesHit("tests/test_metrics.cc",
-                 "auto c = obs::metrics::counter(\"Bad.Name\", \"\");\n")
-            .empty());
-}
-
-TEST(AnalyzeMetricName, AllowSuppresses)
-{
-    EXPECT_TRUE(
-        rulesHit("src/core/x.cc",
-                 "// cosim-analyze: allow(metric-name)\n"
-                 "auto c = obs::metrics::counter(\"Legacy.Name\", "
-                 "\"h\");\n")
-            .empty());
-}
-
-// ---------------------------------------------------------------------
 // Mechanical rules.
 // ---------------------------------------------------------------------
 
@@ -921,7 +826,7 @@ corpus()
          {{"src/mem/instrumented.hh",
            "#ifndef COSIM_MEM_INSTRUMENTED_HH\n"
            "#define COSIM_MEM_INSTRUMENTED_HH\n"
-           "#include \"obs/metrics.hh\"\n"
+           "#include \"obs/trace_session.hh\"\n"
            "#include \"base/logging.hh\"\n"
            "#endif // COSIM_MEM_INSTRUMENTED_HH\n"}},
          "",
@@ -1031,26 +936,6 @@ corpus()
          {{"fault_sites", "Bad.Site\ngood.site\n"}}});
 
     cases.push_back(
-        {"unregistered-metric",
-         {{"src/mem/m.cc",
-           "auto c = obs::metrics::counter(\"mem.unlisted\", \"h\");\n"}},
-         {{"src/mem/m.cc",
-           "auto c = obs::metrics::counter(\"mem.listed\", \"h\");\n"}},
-         "",
-         {{"metrics", "mem.listed\n"}}});
-
-    cases.push_back(
-        {"duplicate-metric",
-         {{"src/mem/m1.cc",
-           "auto c = obs::metrics::counter(\"dup.metric\", \"h\");\n"},
-          {"src/core/m2.cc",
-           "auto c = obs::metrics::counter(\"dup.metric\", \"h\");\n"}},
-         {{"src/mem/m1.cc",
-           "auto c = obs::metrics::counter(\"dup.metric\", \"h\");\n"}},
-         "",
-         {{"metrics", "dup.metric\n"}}});
-
-    cases.push_back(
         {"unregistered-stat-key",
          {{"src/cache/s.cc",
            "void f(stats::Group& g) { g.add(\"unlisted_key\"); }\n"}},
@@ -1080,13 +965,11 @@ corpus()
 
     cases.push_back(
         {"stale-registry-entry",
-         {{"src/mem/m.cc",
-           "auto c = obs::metrics::counter(\"mem.live\", \"h\");\n"}},
-         {{"src/mem/m.cc",
-           "auto c = obs::metrics::counter(\"mem.live\", \"h\");\n"}},
+         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"mem.live\"); }\n"}},
+         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"mem.live\"); }\n"}},
          "",
-         {{"metrics", "mem.live\nmem.ghost\n"}},
-         {{"metrics", "mem.live\n"}}});
+         {{"fault_sites", "mem.live\nmem.ghost\n"}},
+         {{"fault_sites", "mem.live\n"}}});
 
     cases.push_back(
         {"allowlist-hygiene",
@@ -1240,7 +1123,7 @@ TEST(AnalyzeIncludeGraph, ModuleRanksMatchTheDeclaredOrder)
 TEST(AnalyzeRuleTable, EveryRuleHasADescription)
 {
     auto all = allRules();
-    EXPECT_GE(all.size(), 29u);
+    EXPECT_GE(all.size(), 26u);
     std::set<std::string> unique(all.begin(), all.end());
     EXPECT_EQ(unique.size(), all.size()) << "duplicate rule names";
     for (const std::string& r : all)
@@ -1255,7 +1138,7 @@ TEST(AnalyzeRuleTable, SuiteCoversEveryRule)
         "no-rand",        "no-time",         "no-system-clock",
         "no-random-device", "unordered-iteration", "no-raw-new",
         "no-raw-delete",  "no-printf",       "no-raw-ofstream",
-        "metric-name",    "plan-atomic-write", "journal-atomic-append",
+        "plan-atomic-write", "journal-atomic-append",
         "interval-wallclock", "header-guard", "include-hygiene",
         "trailing-whitespace",
     };
@@ -1320,7 +1203,7 @@ TEST(AnalyzeCache, FileFactsSurviveSerialization)
     const std::string content =
         "#include \"base/mutex.hh\"\n"
         "struct Gadget { Mutex gadgetMutex_; };\n"
-        "auto c = obs::metrics::counter(\"mem.cached\", \"h\");\n"
+        "void g() { COSIM_FAULT_POINT(\"mem.cached\"); }\n"
         "void f(Gadget& g) {\n"
         "    LockGuard l(g.gadgetMutex_);\n"
         "    helper(g); // cosim-analyze: allow(no-time)\n"
@@ -1335,7 +1218,10 @@ TEST(AnalyzeCache, FileFactsSurviveSerialization)
     EXPECT_EQ(back.path, ff.path);
     EXPECT_EQ(back.findings, ff.findings);
     EXPECT_EQ(back.includes.size(), ff.includes.size());
-    EXPECT_EQ(back.idents.size(), ff.idents.size());
+    ASSERT_EQ(back.idents.size(), 1u);
+    ASSERT_EQ(ff.idents.size(), 1u);
+    EXPECT_EQ(back.idents[0].kind, IdentDecl::FaultSite);
+    EXPECT_EQ(back.idents[0].name, "mem.cached");
     ASSERT_EQ(back.mutexes.size(), ff.mutexes.size());
     EXPECT_EQ(back.mutexes[0].cls, "Gadget");
     EXPECT_EQ(back.mutexes[0].member, "gadgetMutex_");

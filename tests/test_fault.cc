@@ -2,8 +2,9 @@
  * @file
  * Robustness suite: deterministic fault injection (base/fault.hh),
  * atomic artifact writes (base/atomic_file.hh), SPSC queue poisoning,
- * worker-failure containment in the AsyncEmulatorBank, and sweep-cell
- * containment (--keep-going / --retry-cells).
+ * worker-failure containment in the AsyncEmulatorBank, sweep-cell
+ * containment (--keep-going / --retry-cells) and the post-mortem a
+ * failed cell leaves.
  *
  * The invariants under test: an injected failure never hangs the run,
  * never half-writes an artifact, surfaces exactly one clean error, and
@@ -29,7 +30,9 @@
 #include "core/emulator_bank.hh"
 #include "core/experiment.hh"
 #include "core/results.hh"
+#include "harness/report.hh"
 #include "harness/sweep_runner.hh"
+#include "obs/json.hh"
 #include "obs/run_manifest.hh"
 #include "obs/stats_registry.hh"
 #include "trace/fsb_capture.hh"
@@ -397,6 +400,52 @@ TEST(FaultInjection, RetriedCellMatchesTheBaseline)
     EXPECT_EQ(retried.series("FIMI"), baseline.series("FIMI"));
 }
 
+/** A fresh scratch output directory under the gtest temp root. */
+std::string
+makeOutDir(const std::string& name)
+{
+    const std::string dir = testing::TempDir() + name;
+    ensureOutputDir(dir);
+    for (const char* file : {"/postmortem.json", "/run.json"})
+        std::remove((dir + file).c_str());
+    return dir;
+}
+
+TEST(FaultInjection, CleanSweepLeavesNoPostmortem)
+{
+    BenchOptions opts = sweepOpts();
+    opts.workloads = {"PLSA"};
+    opts.outDir = makeOutDir("fault_clean_out");
+    FigureData fig = SweepRunner(opts).runCacheSizeFigure(
+        "FigClean", presets::cmpPlatform("tiny", 2));
+
+    EXPECT_EQ(fig.status("PLSA"), "ok");
+    EXPECT_FALSE(fileExists(opts.outDir + "/postmortem.json"));
+}
+
+TEST(FaultInjection, FailedCellLeavesAPostmortemNamingCellAndSite)
+{
+    BenchOptions opts = sweepOpts();
+    opts.workloads = {"PLSA"};
+    opts.outDir = makeOutDir("fault_postmortem_out");
+    opts.keepGoing = true;
+    FigureData fig = [&] {
+        ScopedFaultPlan plan("cell.throw:nth=1");
+        return SweepRunner(opts).runCacheSizeFigure(
+            "FigThrow", presets::cmpPlatform("tiny", 2));
+    }();
+
+    EXPECT_EQ(fig.status("PLSA"), "failed");
+    const std::string path = opts.outDir + "/postmortem.json";
+    ASSERT_TRUE(fileExists(path));
+    obs::json::Value pm;
+    ASSERT_TRUE(obs::json::parse(readFile(path), pm));
+    ASSERT_NE(pm.find("cell"), nullptr);
+    EXPECT_EQ(pm.find("cell")->str, "PLSA");
+    ASSERT_NE(pm.find("error"), nullptr);
+    EXPECT_NE(pm.find("error")->str.find("cell.throw"), std::string::npos);
+}
+
 TEST(FaultInjection, InjectedWriteFaultFailsTheCaptureCleanly)
 {
     const std::string path = testing::TempDir() + "fault_capture.fsb";
@@ -426,6 +475,27 @@ TEST(FaultInjectionDeathTest, FailedCellWithoutKeepGoingExitsNonzero)
                 "FigDie", presets::cmpPlatform("tiny", 2));
         },
         "cell failed.*keep-going");
+}
+
+TEST(FaultInjectionDeathTest, FailedTraceWriteLeavesNoManifest)
+{
+    // run.json is the last artifact a sweep publishes, so a failed
+    // trace write exits before it. Without --stats, --digest or plans
+    // the trace is the sweep's first artifact write: hit 1.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    BenchOptions opts = sweepOpts();
+    opts.workloads = {"PLSA"};
+    opts.outDir = makeOutDir("fault_trace_out");
+    opts.traceFile = opts.outDir + "/t.json";
+    opts.manifestFile = opts.outDir + "/run.json";
+    EXPECT_EXIT(
+        {
+            ScopedFaultPlan plan("io.write.fail:nth=1");
+            SweepRunner(opts).runCacheSizeFigure(
+                "FigTraceFail", presets::cmpPlatform("tiny", 2));
+        },
+        ::testing::ExitedWithCode(1), "trace:.*t\\.json");
+    EXPECT_FALSE(fileExists(opts.manifestFile));
 }
 
 // ---------------------------------------------------------------------

@@ -21,14 +21,22 @@
 namespace cosim {
 namespace {
 
+/** @p args behind a program name, as main() sees them (the pointers
+ * stay valid while @p args lives). */
+std::vector<char*>
+argvOf(std::vector<std::string>& args)
+{
+    static std::string prog = "bench";
+    std::vector<char*> argv{prog.data()};
+    for (auto& a : args)
+        argv.push_back(a.data());
+    return argv;
+}
+
 BenchOptions
 parse(std::vector<std::string> args)
 {
-    std::vector<char*> argv;
-    static std::string prog = "bench";
-    argv.push_back(prog.data());
-    for (auto& a : args)
-        argv.push_back(a.data());
+    std::vector<char*> argv = argvOf(args);
     return parseBenchArgs(static_cast<int>(argv.size()), argv.data(),
                           "test");
 }
@@ -196,11 +204,72 @@ TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknownOptions)
           "--no-warming", "--warm-stride=2", "--sample-period-us=50",
           "--max-phases=8", "--isolate-cells", "--cell-timeout=2",
           "--run-cell=PLSA", "--cell-result=/tmp/c.json",
-          "--heartbeat-fd=3", "--self-destruct=segv"}) {
+          "--heartbeat-fd=3", "--self-destruct=segv", "--progress",
+          "--progress-file=/tmp/p.jsonl", "--metrics=/tmp/m.om"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
                     std::string("unknown option '") + arg + "'")
             << arg;
     }
+}
+
+TEST(BenchOptionsDeathTest, EmptyPathValuesAreFatalAndNameTheFlag)
+{
+    // An empty --out would put every artifact under "/".
+    for (const char* flag :
+         {"--out", "--trace", "--stats", "--manifest", "--capture",
+          "--replay", "--plan", "--plan-out", "--digest", "--faults",
+          "--journal", "--resume"}) {
+        const std::string arg = std::string(flag) + "=";
+        EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
+                    flag + std::string(" needs a"))
+            << arg;
+    }
+}
+
+TEST(BenchOptionsDeathTest, OutputPathsInAMissingDirectoryAreFatal)
+{
+    // Each would otherwise fail its write only after the whole sweep.
+    const std::string missing =
+        ::testing::TempDir() + "cosim_missing_output_dir";
+    rmdir(missing.c_str());
+    const std::string out = "--out=" + ::testing::TempDir();
+    for (const char* flag : {"--stats", "--trace", "--digest",
+                             "--manifest", "--plan-out", "--capture"}) {
+        const std::string arg = std::string(flag) + "=" + missing + "/f";
+        EXPECT_EXIT(parse({arg, out}), ::testing::ExitedWithCode(1),
+                    flag + std::string("=.*is not an existing directory"))
+            << arg;
+    }
+    // The --out directory need not exist yet (the bench creates it
+    // before its first write), however it is spelled.
+    const BenchOptions o =
+        parse({"--out=" + missing + "/", "--stats=" + missing + "/s.json",
+               "--trace=" + missing + "/t.json"});
+    EXPECT_EQ(o.statsFile, missing + "/s.json");
+}
+
+TEST(BenchOptionsDeathTest, SingleRunBenchesRefuseTheSweepFlags)
+{
+    // Every sweep flag is refused by name.
+    auto check = [](std::vector<std::string> args) {
+        std::vector<char*> argv = argvOf(args);
+        requireOnlyFlags(static_cast<int>(argv.size()), argv.data(),
+                         kSingleRunFlags);
+    };
+    for (const char* arg :
+         {"--trace=t.json", "--stats=s.json", "--manifest=m.json",
+          "--jobs=2", "--emu-threads=2", "--cells=exec", "--capture=c",
+          "--replay=r", "--plan=p", "--plan-out=p", "--digest=d",
+          "--keep-going", "--retry-cells=1", "--journal",
+          "--resume=j"}) {
+        const std::string a = arg;
+        const std::string flag = a.substr(0, a.find('='));
+        EXPECT_EXIT(check({"--quick", a}), ::testing::ExitedWithCode(1),
+                    "option " + flag + " does not apply")
+            << arg;
+    }
+    check({"--quick", "--seed=7", "--workloads=PLSA", "--out=x",
+           "--no-verify", "--faults=io.write.fail:nth=9"});
 }
 
 TEST(BenchOptionsDeathTest, ResumeWithJournalIsFatal)

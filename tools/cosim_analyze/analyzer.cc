@@ -20,7 +20,7 @@ namespace {
 
 // Bump when the FileFacts serialization or any per-file rule changes
 // meaning: stale cache entries then miss instead of lying.
-const char* kCacheHeader = "cosim-analyze-cache/4";
+const char* kCacheHeader = "cosim-analyze-cache/5";
 const char* kEntrySep = "%%";
 
 std::string
@@ -505,9 +505,6 @@ analyzeTree(const AnalyzeOptions& opts)
             {&regs.faultSites, "tools/registries/fault_sites.txt",
              "Fault-injection sites (COSIM_FAULT_POINT/faultPending)",
              IdentDecl::FaultSite},
-            {&regs.metrics, "tools/registries/metrics.txt",
-             "obs::metrics counter/histogram names",
-             IdentDecl::Metric},
             {&regs.statsKeys, "tools/registries/stats_keys.txt",
              "stats::Group keys", IdentDecl::StatKey},
             {&regs.schemas, "tools/registries/schemas.txt",

@@ -51,7 +51,6 @@ struct RuleSet
     bool noRawNewDelete = false;
     bool noPrintf = false;
     bool noRawOfstream = false;
-    bool metricName = false;
     bool planAtomicWrite = false; ///< plan writers use AtomicFile (src/)
     bool journalAtomicAppend = false; ///< journal writers use the
                                       ///< durable append helper (src/)
@@ -91,7 +90,7 @@ struct IncludeFact
 /** One registerable-identifier declaration site (registry pass). */
 struct IdentDecl
 {
-    enum Kind { FaultSite, Metric, StatKey, Schema };
+    enum Kind { FaultSite, StatKey, Schema };
     Kind kind = FaultSite;
     int line = 0;
     std::string name;

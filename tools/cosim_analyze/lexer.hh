@@ -7,7 +7,7 @@
  * literals (including raw strings), character literals, numbers, and
  * preprocessor directives are first-class token kinds. Text inside a
  * string or a comment can therefore never look like code to a rule,
- * and rules that *want* literal contents (metric names, schema
+ * and rules that *want* literal contents (fault sites, schema
  * strings) read them from String tokens instead of re-parsing lines.
  *
  * The lexer is deliberately not a preprocessor: macros are not

@@ -182,10 +182,6 @@ extractIdentDecls(const std::string& rel_path, const TokenStream& ts,
             if (const Token* arg = stringArg(i))
                 out->idents.push_back(IdentDecl{IdentDecl::FaultSite,
                                                 arg->line, arg->text});
-        } else if (t.text == "counter" || t.text == "histogram") {
-            if (const Token* arg = stringArg(i))
-                out->idents.push_back(IdentDecl{IdentDecl::Metric,
-                                                arg->line, arg->text});
         } else if (t.text == "add" && i > 0 &&
                    (ts.codeTok(i - 1).isPunct(".") ||
                     ts.codeTok(i - 1).isPunct("->"))) {
@@ -202,15 +198,12 @@ checkRegistries(const std::vector<FileFacts>& files,
 {
     std::vector<Finding> findings;
 
-    std::vector<DeclSite> faults, metrics, stats, schemas;
+    std::vector<DeclSite> faults, stats, schemas;
     for (const FileFacts& ff : files) {
         for (const IdentDecl& d : ff.idents) {
             switch (d.kind) {
               case IdentDecl::FaultSite:
                 faults.push_back({&ff, &d});
-                break;
-              case IdentDecl::Metric:
-                metrics.push_back({&ff, &d});
                 break;
               case IdentDecl::StatKey:
                 stats.push_back({&ff, &d});
@@ -222,16 +215,10 @@ checkRegistries(const std::vector<FileFacts>& files,
         }
     }
 
-    std::map<std::string, bool> seen_faults, seen_metrics, seen_stats,
-        seen_schemas;
+    std::map<std::string, bool> seen_faults, seen_stats, seen_schemas;
     checkClass(faults, regs.faultSites, "unregistered-fault-site",
                "fault-site-name", "duplicate-fault-site",
                /*allow_dot=*/true, &findings, &seen_faults);
-    // Metric charset is the per-file metric-name rule; here the
-    // project-wide concerns: membership and global uniqueness.
-    checkClass(metrics, regs.metrics, "unregistered-metric", nullptr,
-               "duplicate-metric", /*allow_dot=*/true, &findings,
-               &seen_metrics);
     checkClass(stats, regs.statsKeys, "unregistered-stat-key",
                "stat-key-name", nullptr, /*allow_dot=*/false,
                &findings, &seen_stats);
@@ -250,7 +237,6 @@ checkRegistries(const std::vector<FileFacts>& files,
         }
     };
     stale(regs.faultSites, seen_faults);
-    stale(regs.metrics, seen_metrics);
     stale(regs.statsKeys, seen_stats);
     stale(regs.schemas, seen_schemas);
 

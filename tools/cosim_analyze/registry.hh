@@ -2,7 +2,7 @@
  * @file
  * Identifier registries (project pass).
  *
- * Four classes of stringly-typed identifiers flow through the
+ * Three classes of stringly-typed identifiers flow through the
  * simulator's artifacts and tooling, and each must be declared in a
  * committed manifest under tools/registries/ so renames are reviewed
  * and tools (postmortem triage, sweep dashboards, fault campaigns)
@@ -11,10 +11,6 @@
  *   - fault sites     COSIM_FAULT_POINT("x") / faultPending("x"),
  *                     fault_sites.txt, charset [a-z][a-z0-9_.]*,
  *                     declared at exactly one code site;
- *   - metric names    obs::metrics counter("x")/histogram("x"),
- *                     metrics.txt, registered exactly once
- *                     project-wide (per-file charset is the
- *                     metric-name rule);
  *   - stats keys      stats::Group .add("x"), stats_keys.txt,
  *                     charset [a-z][a-z0-9_]* (names recur across
  *                     groups by design: cache.l1 and cache.l2 both
@@ -48,10 +44,10 @@ struct RegistryFile
     std::map<std::string, int> entries; ///< name -> 1-based line
 };
 
-/** The four manifests. */
+/** The three manifests. */
 struct Registries
 {
-    RegistryFile faultSites, metrics, statsKeys, schemas;
+    RegistryFile faultSites, statsKeys, schemas;
 };
 
 /** Parse manifest @p content ('#' comments and blanks skipped). */

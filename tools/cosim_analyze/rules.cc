@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
 #include <sstream>
 
 namespace cosim_analyze {
@@ -101,8 +100,6 @@ const RuleInfo kRules[] = {
                   "base/logging.hh or return strings"},
     {"no-raw-ofstream", "std::ofstream in library code; artifacts go "
                         "through AtomicFile (base/atomic_file.hh)"},
-    {"metric-name", "obs::metrics names must match [a-z][a-z0-9_.]* and "
-                    "register once per file"},
     {"plan-atomic-write", "sampling-plan writers must use AtomicFile so "
                           "a failed run never leaves a torn plan"},
     {"journal-atomic-append", "sweep-journal records must go through "
@@ -130,10 +127,6 @@ const RuleInfo kRules[] = {
     {"duplicate-fault-site", "fault site string declared at more than "
                              "one code site"},
     {"fault-site-name", "fault site must match [a-z][a-z0-9_.]*"},
-    {"unregistered-metric", "obs::metrics name not listed in "
-                            "tools/registries/metrics.txt"},
-    {"duplicate-metric", "metric name registered at more than one code "
-                         "site project-wide"},
     {"unregistered-stat-key", "stats::Group key not listed in "
                               "tools/registries/stats_keys.txt"},
     {"stat-key-name", "stats::Group key must match [a-z][a-z0-9_]*"},
@@ -292,46 +285,6 @@ unorderedContainerNames(const CodeView& cv)
     return names;
 }
 
-/** One obs::metrics registration whose name is a string literal. */
-struct MetricRegistration
-{
-    int line = 0; ///< line the name literal sits on
-    std::string name;
-};
-
-bool
-isValidMetricName(const std::string& name)
-{
-    if (name.empty() || name[0] < 'a' || name[0] > 'z')
-        return false;
-    for (char c : name) {
-        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-              c == '_' || c == '.'))
-            return false;
-    }
-    return true;
-}
-
-/** Every counter("...")/histogram("...") whose first argument is a
- * string literal. Declarations and computed names have no String
- * token right after the '(' and are skipped. */
-std::vector<MetricRegistration>
-metricRegistrations(const CodeView& cv)
-{
-    std::vector<MetricRegistration> regs;
-    for (std::size_t i = 0; i < cv.size(); ++i) {
-        const Token& t = cv.at(i);
-        if (t.kind != TokKind::Ident ||
-            (t.text != "counter" && t.text != "histogram"))
-            continue;
-        if (!cv.isPunct(i + 1, "("))
-            continue;
-        if (i + 2 < cv.size() && cv.at(i + 2).kind == TokKind::String)
-            regs.push_back({cv.at(i + 2).line, cv.at(i + 2).text});
-    }
-    return regs;
-}
-
 void
 parseDirectiveList(const std::string& text, std::size_t open_paren,
                    int line_no, bool file_wide, Suppressions* out)
@@ -400,9 +353,6 @@ ruleSetFor(const std::string& rel_path)
     // Artifact writers must go through AtomicFile so an interrupted run
     // never leaves a truncated file; base/ holds AtomicFile itself.
     rs.noRawOfstream = !startsWith(rel_path, "src/base/");
-    // Metric names panic at runtime when malformed or duplicated;
-    // tests register deliberately bad names, so src/ only.
-    rs.metricName = true;
     // Sampling-plan writers anywhere in src/ must write atomically
     // (the rule itself only fires in files mentioning the schema).
     rs.planAtomicWrite = true;
@@ -679,30 +629,6 @@ lintTokens(const std::string& rel_path, const std::string& content,
             if (last == ' ' || last == '\t')
                 report("trailing-whitespace", static_cast<int>(i) + 1,
                        "trailing whitespace");
-        }
-    }
-
-    if (rules.metricName) {
-        std::map<std::string, int> first_seen;
-        for (const MetricRegistration& reg : metricRegistrations(cv)) {
-            if (!isValidMetricName(reg.name)) {
-                report("metric-name", reg.line,
-                       "metric name \"" + reg.name +
-                           "\" violates [a-z][a-z0-9_.]*; the metrics "
-                           "registry panics on malformed names "
-                           "(src/obs/metrics.hh)");
-                continue;
-            }
-            auto ins = first_seen.emplace(reg.name, reg.line);
-            if (!ins.second) {
-                report("metric-name", reg.line,
-                       "metric \"" + reg.name +
-                           "\" registered more than once in this file "
-                           "(first at line " +
-                           std::to_string(ins.first->second) +
-                           "); record sites must hold one static "
-                           "handle");
-            }
         }
     }
 
