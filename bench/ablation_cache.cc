@@ -2,10 +2,10 @@
  * @file
  * Ablation study (google-benchmark): design choices DESIGN.md calls out.
  *
- *  - replacement policy of the emulated LLC (Dragonhead implemented LRU;
- *    how much does the choice matter for a FIMI-like tree walk?),
  *  - number of CC slices (1 vs 4) -- fidelity/cost of the interleave,
- *  - simulating a sweep with N passive emulators vs N separate runs.
+ *  - simulating a sweep with N passive emulators vs N separate runs,
+ *  - a shared interleaved LLC vs private per-core partitions,
+ *  - the host cost of the line sizes Figure 7 sweeps.
  *
  * Each benchmark reports the measured LLC miss rate as a counter, so the
  * ablation shows both the simulation cost and the modelled outcome.
@@ -36,32 +36,10 @@ traceAddr(std::uint64_t i, Rng& rng)
 }
 
 void
-BM_ReplacementPolicy(benchmark::State& state)
-{
-    ReplPolicy policy = static_cast<ReplPolicy>(state.range(0));
-    CacheParams p{"llc", 8 * MiB, 64, 16, policy};
-    for (auto _ : state) {
-        Cache cache(p);
-        Rng rng(11);
-        for (std::uint64_t i = 0; i < 2'000'000; ++i)
-            cache.access(traceAddr(i, rng), false);
-        state.counters["miss_rate"] = cache.stats().missRate();
-    }
-    state.SetItemsProcessed(state.iterations() * 2'000'000);
-}
-BENCHMARK(BM_ReplacementPolicy)
-    ->Arg(static_cast<int>(ReplPolicy::LRU))
-    ->Arg(static_cast<int>(ReplPolicy::FIFO))
-    ->Arg(static_cast<int>(ReplPolicy::Random))
-    ->Arg(static_cast<int>(ReplPolicy::TreePLRU))
-    ->Arg(static_cast<int>(ReplPolicy::NRU))
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_SliceCount(benchmark::State& state)
 {
     DragonheadParams dp;
-    dp.llc = {"llc", 8 * MiB, 64, 16, ReplPolicy::LRU};
+    dp.llc = {"llc", 8 * MiB, 64, 16};
     dp.nSlices = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         Dragonhead dh(dp);
@@ -90,7 +68,7 @@ BM_SweepBankVsSeparateRuns(benchmark::State& state)
     std::vector<DragonheadParams> configs;
     for (std::uint64_t mb : {1, 2, 4, 8, 16, 32, 64}) {
         DragonheadParams dp;
-        dp.llc = {"llc", mb * MiB, 64, 16, ReplPolicy::LRU};
+        dp.llc = {"llc", mb * MiB, 64, 16};
         configs.push_back(dp);
     }
     std::vector<BusTransaction> stream = {
@@ -139,7 +117,7 @@ BM_SharedVsPrivateLlc(benchmark::State& state)
     // (the tradeoff of Liu et al. / PHA$E in the paper's related work).
     bool per_core = state.range(0) != 0;
     DragonheadParams dp;
-    dp.llc = {"llc", 8 * MiB, 64, 16, ReplPolicy::LRU};
+    dp.llc = {"llc", 8 * MiB, 64, 16};
     dp.nSlices = 8;
     dp.partitioning = per_core ? LlcPartitioning::PerCore
                                : LlcPartitioning::Interleaved;
@@ -170,7 +148,7 @@ void
 BM_LineSizeCost(benchmark::State& state)
 {
     std::uint32_t line = static_cast<std::uint32_t>(state.range(0));
-    CacheParams p{"llc", 32 * MiB, line, 16, ReplPolicy::LRU};
+    CacheParams p{"llc", 32 * MiB, line, 16};
     for (auto _ : state) {
         Cache cache(p);
         Rng rng(19);

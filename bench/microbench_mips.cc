@@ -29,7 +29,7 @@ smallPlatform(unsigned cores)
     PlatformParams p;
     p.nCores = cores;
     p.cpu.baseCpi = 0.85;
-    p.cpu.caches.l1 = {"l1", 32 * KiB, 64, 8, ReplPolicy::LRU};
+    p.cpu.caches.l1 = {"l1", 32 * KiB, 64, 8};
     p.cpu.caches.hasL2 = false;
     p.cpu.useDramLatency = false;
     p.cpu.emitFsbTraffic = true;
@@ -44,7 +44,7 @@ sweepEmulators(unsigned n_emus)
     std::vector<DragonheadParams> emus;
     for (unsigned e = 0; e < n_emus; ++e) {
         DragonheadParams dh;
-        dh.llc = {"llc", (4ull << e) * MiB, 64, 16, ReplPolicy::LRU};
+        dh.llc = {"llc", (4ull << e) * MiB, 64, 16};
         emus.push_back(dh);
     }
     return emus;

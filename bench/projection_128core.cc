@@ -10,6 +10,11 @@
  * The paper could not measure this -- SoftSDV DEX topped out at 64 HW
  * threads. The software platform has no such limit, so this bench runs
  * the sweep on a 64-core and a 128-core CMP and checks the projection.
+ *
+ * Each sweep writes its own CSV and manifest,
+ * <out>/projection_<N>core.{csv,run.json}. A flag naming one per-sweep
+ * file or input (--journal, --stats, --plan, ...) would serve only one
+ * of the two sweeps, so the bench refuses it.
  */
 
 #include <cstdio>
@@ -17,6 +22,7 @@
 #include "core/experiment.hh"
 #include "harness/report.hh"
 #include "harness/sweep_runner.hh"
+#include "obs/host_profiler.hh"
 
 using namespace cosim;
 
@@ -27,20 +33,30 @@ main(int argc, char** argv)
         argc, argv,
         "128-core projection: LLC MPKI vs cache size at 64 and 128 "
         "cores");
+    requireOnlyFlags(argc, argv,
+                     {"--scale", "--quick", "--seed", "--workloads",
+                      "--out", "--no-verify", "--jobs", "--emu-threads",
+                      "--cells", "--faults", "--keep-going",
+                      "--retry-cells"});
     printBanner("Projection: beyond the paper's 32 cores", opts);
     ensureOutputDir(opts.outDir);
 
-    SweepRunner runner(opts);
     for (unsigned cores : {64u, 128u}) {
+        const std::string base = opts.outDir + "/projection_" +
+                                 std::to_string(cores) + "core";
+        BenchOptions sweep = opts;
+        sweep.manifestFile = base + ".run.json";
+        // The host profile is process-wide: start each manifest's
+        // phases from zero.
+        obs::HostProfiler::global().reset();
         std::string id = "Projection (" + std::to_string(cores) +
                          " cores)";
-        FigureData fig = runner.runCacheSizeFigure(
+        FigureData fig = SweepRunner(sweep).runCacheSizeFigure(
             id, presets::cmpPlatform("XCMP" + std::to_string(cores),
                                      cores));
         std::printf("\n%s\n",
                     fig.render("LLC misses / 1000 inst").c_str());
-        std::string csv = opts.outDir + "/projection_" +
-                          std::to_string(cores) + "core.csv";
+        const std::string csv = base + ".csv";
         fig.writeCsv(csv);
         std::printf("CSV: %s\n", csv.c_str());
     }

@@ -49,8 +49,6 @@ registry()
     return *reg;
 }
 
-std::atomic<bool> g_enabled{true};
-
 Ring&
 localRing()
 {
@@ -84,10 +82,6 @@ frKindName(FrKind kind)
         return "fault_armed";
       case FrKind::FaultFired:
         return "fault_fired";
-      case FrKind::PhaseEnter:
-        return "phase_enter";
-      case FrKind::PhaseExit:
-        return "phase_exit";
       case FrKind::CellAttempt:
         return "cell_attempt";
       case FrKind::CellDone:
@@ -100,8 +94,6 @@ void
 FlightRecorder::note(FrKind kind, const char* site, std::uint64_t a,
                      std::uint64_t b)
 {
-    if (!g_enabled.load(std::memory_order_relaxed))
-        return;
     Ring& ring = localRing();
     std::uint64_t head = ring.head.load(std::memory_order_relaxed);
     Slot& slot = ring.slots[head % kEventsPerThread];
@@ -125,18 +117,6 @@ FlightRecorder::setThreadLabel(const std::string& label)
     Registry& reg = registry();
     LockGuard lock(reg.mutex);
     ring.label = label;
-}
-
-void
-FlightRecorder::setEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool
-FlightRecorder::enabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
 }
 
 std::vector<FlightRecorder::ThreadDump>

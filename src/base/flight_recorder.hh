@@ -6,11 +6,10 @@
  * recorder captures *what the process was doing* just before. Each
  * thread owns a fixed-size ring of structured events (FSB chunks
  * published and emulated, fault-point arms and fires, worker deaths,
- * lock-phase transitions, cell attempt boundaries). Recording is wait
- * free on the owning thread: a handful of relaxed stores into
- * pre-allocated atomic slots plus one release store to publish -- and
- * when recording is disabled it is a single relaxed load. No locks, no
- * allocation, no I/O on the hot path.
+ * cell attempt boundaries). Recording is always on and wait free on the
+ * owning thread: a handful of relaxed stores into pre-allocated atomic
+ * slots plus one release store to publish. No locks, no allocation, no
+ * I/O on the hot path.
  *
  * dumpAll() scrapes every ring (including those of exited threads --
  * rings are kept alive by a global registry) from whatever thread
@@ -45,8 +44,6 @@ enum class FrKind : std::uint16_t {
     WorkerDied,      ///< emulator worker poisoned its queue; a=worker
     FaultArmed,      ///< a fault plan was armed; a=#sites
     FaultFired,      ///< site fired; a=1-based hit index
-    PhaseEnter,      ///< entering a named phase (site names it)
-    PhaseExit,       ///< leaving a named phase
     CellAttempt,     ///< guarded cell attempt started; a=attempt index
     CellDone,        ///< guarded cell attempt finished; a=attempt, b=ok
 };
@@ -80,11 +77,6 @@ class FlightRecorder
     /** Label the calling thread's ring ("emu.worker/1", "cell/PLSA");
      * copied, so dynamic strings are fine here. */
     static void setThreadLabel(const std::string& label);
-
-    /** Master switch; defaults to enabled. Disabling reduces note()
-     * to one relaxed load. */
-    static void setEnabled(bool on);
-    static bool enabled();
 
     /** One thread's retained history, oldest event first. */
     struct ThreadDump

@@ -81,8 +81,6 @@ Cache::Cache(const CacheParams& params) : params_(params)
     const std::uintptr_t at =
         reinterpret_cast<std::uintptr_t>(storage_.data());
     first_ = (hostLine - at / sizeof(Entry) % hostLine) % hostLine;
-    repl_ = ReplacementState::create(params_.repl, sets_, params_.assoc);
-    lru_ = params_.repl == ReplPolicy::LRU;
 }
 
 void
@@ -110,21 +108,8 @@ Cache::install(std::uint32_t set, std::uint64_t tag, Entry flags,
                Outcome& outcome)
 {
     Entry* ways = setEntries(set);
-    const std::uint32_t assoc = params_.assoc;
-    std::uint32_t way = assoc - 1;
-    if (repl_ != nullptr) {
-        // Fixed positions: prefer an invalid way, else ask the policy.
-        way = 0;
-        while (way < assoc && (ways[way] & entryValid) != 0)
-            ++way;
-        if (way == assoc)
-            way = repl_->victim(set);
-        panic_if(way >= assoc, "%s: replacement chose way %u of %u",
-                 params_.name.c_str(), way, assoc);
-    }
-
-    // Under LRU and FIFO the last entry is the oldest, or invalid.
-    const Entry victim = ways[way];
+    // The last entry is the least recently used, or invalid.
+    const Entry victim = ways[params_.assoc - 1];
     if ((victim & entryValid) != 0) {
         outcome.evicted = true;
         outcome.evictedDirty = (victim & entryDirty) != 0;
@@ -137,13 +122,8 @@ Cache::install(std::uint32_t set, std::uint64_t tag, Entry flags,
         stats_.writebacks += outcome.evictedDirty;
     }
 
-    if (repl_ == nullptr) {
-        shiftBack(ways, assoc);
-        ways[0] = keyOf(tag) | flags;
-    } else {
-        ways[way] = keyOf(tag) | flags;
-        repl_->fill(set, way);
-    }
+    shiftBack(ways, params_.assoc);
+    ways[0] = keyOf(tag) | flags;
 }
 
 [[gnu::always_inline]] inline Cache::Outcome
@@ -165,10 +145,7 @@ Cache::accessLine(std::uint32_t set, std::uint64_t tag, bool write)
             e &= ~entryPrefetched;
         }
         e |= write ? entryDirty : 0;
-        if (repl_ != nullptr)
-            repl_->touch(set, static_cast<std::uint32_t>(way));
-        else if (lru_)
-            promote(ways, way);
+        promote(ways, way);
         return outcome;
     }
 
@@ -210,28 +187,6 @@ Cache::probe(Addr addr) const
     return tag <= maxTag &&
            findWay(setEntries(static_cast<std::uint32_t>(line & setMask_)),
                    params_.assoc, keyOf(tag)) >= 0;
-}
-
-bool
-Cache::invalidate(Addr addr)
-{
-    const Addr line = addr >> lineBits_;
-    const std::uint64_t tag = line >> setBits_;
-    if (tag > maxTag)
-        return false;
-    Entry* ways = setEntries(static_cast<std::uint32_t>(line & setMask_));
-    const int way = findWay(ways, params_.assoc, keyOf(tag));
-    if (way < 0)
-        return false;
-    const bool dirty = (ways[way] & entryDirty) != 0;
-    if (repl_ == nullptr) {
-        // Keep the order dense: later entries move up, invalid trails.
-        std::copy(ways + way + 1, ways + params_.assoc, ways + way);
-        ways[params_.assoc - 1] = 0;
-    } else {
-        ways[way] = 0;
-    }
-    return dirty;
 }
 
 void

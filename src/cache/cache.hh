@@ -1,6 +1,6 @@
 /**
  * @file
- * Set-associative cache model with pluggable replacement.
+ * Set-associative LRU cache model.
  *
  * The model is functional (hit/miss + evictions), line-granular, and
  * write-allocate / write-back -- the organization Dragonhead emulated.
@@ -13,7 +13,6 @@
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,18 +23,16 @@
 
 #include "base/stats.hh"
 #include "base/types.hh"
-#include "cache/replacement.hh"
 
 namespace cosim {
 
-/** Static geometry and policy of one cache. */
+/** Static geometry of one cache. */
 struct CacheParams
 {
     std::string name = "cache";
     std::uint64_t size = 32 * 1024;
     std::uint32_t lineSize = 64;
     std::uint32_t assoc = 8;
-    ReplPolicy repl = ReplPolicy::LRU;
 
     /** Number of sets implied by the geometry. */
     std::uint32_t sets() const
@@ -87,13 +84,12 @@ struct CacheStats
  * masks them to lines internally. Accesses must not span a line (the CPU
  * model splits straddling references).
  *
- * Storage is one array of 32-bit entries, a set's ways side by side, so
- * a 16-way set is one 64 B host line. Under LRU a set's entries are kept
- * in recency order and under FIFO in fill order, most recent first, with
- * invalid entries trailing: a hit moves its entry to the front (LRU), a
- * fill shifts the set back by one and the last entry is the victim.
- * Random, Tree-PLRU and NRU keep their ReplacementState and address the
- * same entries at fixed way positions.
+ * Replacement is LRU, as Dragonhead's was. Storage is one array of
+ * 32-bit entries, a set's ways side by side, so a 16-way set is one 64 B
+ * host line. A set's entries are kept in recency order, most recent
+ * first, with invalid entries trailing: a hit moves its entry to the
+ * front, a fill shifts the set back by one and the last entry is the
+ * victim.
  */
 class Cache
 {
@@ -126,8 +122,7 @@ class Cache
 
     /**
      * LRU steps for a caller that indexes the sets and keeps the
-     * counters itself (LlcStack): none of them touches stats(), and
-     * every one requires LRU replacement. @{
+     * counters itself (LlcStack): none of them touches stats(). @{
      */
 
     /** fatal() unless @p tag, of address @p addr, fits an entry. */
@@ -179,21 +174,17 @@ class Cache
 
     /**
      * Inlined fast path for the dominant case: a plain hit (valid line,
-     * not carrying the prefetched flag) under LRU or FIFO replacement.
-     * Performs the *complete* hit -- access/read/write counters, dirty
-     * bit, move to the front under LRU -- with no virtual dispatch.
+     * not carrying the prefetched flag). Performs the *complete* hit --
+     * access/read/write counters, dirty bit, move to the front.
      *
      * @return true iff the access completed as a plain hit. On false
      * nothing was modified and the caller must take access(): the line
      * missed, is a first hit on a prefetched line (useful-prefetch
-     * accounting), is out of range, or the policy keeps a
-     * ReplacementState.
+     * accounting), or is out of range.
      */
     bool
     tryHitFast(Addr addr, bool write)
     {
-        if (repl_ != nullptr)
-            return false;
         const Addr line = addr >> lineBits_;
         const std::uint64_t tag = line >> setBits_;
         if (tag > maxTag)
@@ -209,8 +200,7 @@ class Cache
         stats_.writes += write;
         stats_.reads += !write;
         set[way] |= write ? entryDirty : 0;
-        if (lru_)
-            promote(set, way);
+        promote(set, way);
         return true;
     }
 
@@ -226,12 +216,6 @@ class Cache
      * effects). An out-of-range address is never present.
      */
     bool probe(Addr addr) const;
-
-    /**
-     * Drop the line containing @p addr if present.
-     * @return true if the line was present and dirty.
-     */
-    bool invalidate(Addr addr);
 
     /** Invalidate everything (stats are kept). */
     void flush();
@@ -372,9 +356,6 @@ class Cache
     /** sets * ways entries from first_, which starts a host line. */
     std::vector<Entry> storage_;
     std::size_t first_ = 0;
-    /** Null under LRU and FIFO, which the entry order itself keeps. */
-    std::unique_ptr<ReplacementState> repl_;
-    bool lru_;
     CacheStats stats_;
 };
 

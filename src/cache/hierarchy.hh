@@ -20,9 +20,9 @@ namespace cosim {
 /** Geometry of a private hierarchy. */
 struct HierarchyParams
 {
-    CacheParams l1{"l1d", 32 * 1024, 64, 8, ReplPolicy::LRU};
+    CacheParams l1{"l1d", 32 * 1024, 64, 8};
     bool hasL2 = false;
-    CacheParams l2{"l2", 512 * 1024, 64, 8, ReplPolicy::LRU};
+    CacheParams l2{"l2", 512 * 1024, 64, 8};
 };
 
 /** Which level serviced an access. */

@@ -187,9 +187,6 @@ CoSimulation::registerStats(obs::StatsRegistry& registry) const
         g.add("batches", [bank, i] {
             return double(bank->emulatorStats(i).batches);
         });
-        g.add("queue_peak", [bank, i] {
-            return double(bank->queuePeak(i));
-        });
     }
 }
 

@@ -136,8 +136,9 @@ class CoSimulation
 
     /**
      * Register the whole rig's stats into @p registry: the platform's
-     * groups plus one "dragonhead<i>" group per emulator (with
-     * "batches" / "queue_peak" delivery counters in parallel mode).
+     * groups plus one "dragonhead<i>" group per emulator (with a
+     * "batches" delivery counter in parallel mode). The bank's queue
+     * high-water depends on host thread timing, so it stays out.
      */
     void registerStats(obs::StatsRegistry& registry) const;
 

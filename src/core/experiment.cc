@@ -10,9 +10,9 @@ pentium4Cpu()
 {
     CpuParams cpu;
     cpu.baseCpi = 0.85;
-    cpu.caches.l1 = {"dl1", 8 * KiB, 64, 4, ReplPolicy::LRU};
+    cpu.caches.l1 = {"dl1", 8 * KiB, 64, 4};
     cpu.caches.hasL2 = true;
-    cpu.caches.l2 = {"l2", 512 * KiB, 64, 8, ReplPolicy::LRU};
+    cpu.caches.l2 = {"l2", 512 * KiB, 64, 8};
     cpu.l2HitLatency = 18;
     cpu.useDramLatency = true;
     cpu.emitFsbTraffic = false;
@@ -25,7 +25,7 @@ cmpCoreCpu()
 {
     CpuParams cpu;
     cpu.baseCpi = 0.85;
-    cpu.caches.l1 = {"dl1", 32 * KiB, 64, 8, ReplPolicy::LRU};
+    cpu.caches.l1 = {"dl1", 32 * KiB, 64, 8};
     cpu.caches.hasL2 = false;
     cpu.useDramLatency = false;
     cpu.beyondLatency = 100;
@@ -39,9 +39,9 @@ xeonCpu(bool prefetch_enabled)
 {
     CpuParams cpu;
     cpu.baseCpi = 0.85;
-    cpu.caches.l1 = {"dl1", 8 * KiB, 64, 4, ReplPolicy::LRU};
+    cpu.caches.l1 = {"dl1", 8 * KiB, 64, 4};
     cpu.caches.hasL2 = true;
-    cpu.caches.l2 = {"l2", 512 * KiB, 64, 8, ReplPolicy::LRU};
+    cpu.caches.l2 = {"l2", 512 * KiB, 64, 8};
     cpu.l2HitLatency = 18;
     cpu.useDramLatency = true;
     cpu.emitFsbTraffic = false;
@@ -120,7 +120,6 @@ llcConfig(std::uint64_t size, std::uint32_t line_size)
     dh.llc.size = size;
     dh.llc.lineSize = line_size;
     dh.llc.assoc = 16;
-    dh.llc.repl = ReplPolicy::LRU;
     dh.nSlices = 4;
     dh.cb.samplePeriodUs = 500;
     dh.cb.coreFreqGhz = 3.0;

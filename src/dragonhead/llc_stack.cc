@@ -24,14 +24,10 @@ labeledCb(const DragonheadParams& params)
     return cb;
 }
 
-/** fatal() unless the board is LRU and the slice count divides it. */
+/** fatal() unless the slice count divides the board. */
 void
 checkBoard(const DragonheadParams& params)
 {
-    fatal_if(params.llc.repl != ReplPolicy::LRU,
-             "%s: the emulated LLC is LRU, as Dragonhead's was; '%s' "
-             "replacement is not supported",
-             params.llc.name.c_str(), toString(params.llc.repl));
     fatal_if(params.nSlices == 0, "Dragonhead needs at least one CC");
     fatal_if(!isPowerOf2(params.nSlices),
              "slice count %u must be a power of two", params.nSlices);

@@ -22,8 +22,8 @@
  * control block, fed every message in stream order with its level's
  * totals as of that message.
  *
- * The emulated LLC is LRU, as Dragonhead's was: a stack refuses any
- * other replacement policy, which has no inclusion property.
+ * Every Cache is LRU, as Dragonhead's LLC was, so every board a stack
+ * is built from has that property.
  */
 
 #ifndef COSIM_DRAGONHEAD_LLC_STACK_HH
@@ -55,7 +55,7 @@ enum class LlcPartitioning : std::uint8_t
 struct DragonheadParams
 {
     /** Geometry of the emulated LLC (total capacity, not per slice). */
-    CacheParams llc{"llc", 32 * 1024 * 1024, 64, 16, ReplPolicy::LRU};
+    CacheParams llc{"llc", 32 * 1024 * 1024, 64, 16};
 
     /** Number of cache-controller slices (the physical board had 4).
      * In PerCore mode this is the number of cores/partitions. */
@@ -104,8 +104,8 @@ class LlcStack : public BusSnooper
   public:
     /**
      * Emulate @p configs, in list order, as one stack. Every entry must
-     * stack with the first (stacks()); fatal() on a non-LRU policy or
-     * a geometry no board can take.
+     * stack with the first (stacks()); fatal() on a geometry no board
+     * can take.
      */
     explicit LlcStack(const std::vector<DragonheadParams>& configs);
 

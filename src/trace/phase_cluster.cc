@@ -18,6 +18,17 @@ namespace {
 /** Feature-space dimensionality: MPKI, APKI, miss rate, IPC. */
 constexpr std::size_t kDims = 4;
 
+/** Lloyd iterations (a fixed count keeps runtime deterministic even
+ * when assignments oscillate between equal-cost optima). */
+constexpr unsigned kIterations = 24;
+
+/** Target predicted relative error of the estimator's count totals
+ * (insts/accesses/misses): heterogeneous phases are granted extra
+ * representatives -- one per contiguous stratum of their member
+ * windows -- until the stratified-sampling prediction meets this, or
+ * every window is a representative. */
+constexpr double kErrorTarget = 0.02;
+
 struct Features
 {
     double v[kDims];
@@ -397,7 +408,7 @@ clusterPhases(const std::vector<Sample>& samples,
     Rng rng(params.seed);
     std::vector<Features> centroids = initCentroids(f, k, rng);
     std::vector<std::size_t> assign(f.size(), 0);
-    for (unsigned it = 0; it < params.iterations; ++it) {
+    for (unsigned it = 0; it < kIterations; ++it) {
         // Assignment: nearest centroid, ties to the lowest cluster id.
         bool moved = false;
         for (std::size_t i = 0; i < f.size(); ++i) {
@@ -449,7 +460,7 @@ clusterPhases(const std::vector<Sample>& samples,
     // (insts, accesses, misses) from the profile series itself, then
     // grant extra representatives to whichever phase most reduces the
     // worst predicted relative error, until that error meets
-    // params.errorTarget or the interval budget runs out. Homogeneous
+    // kErrorTarget or every window is a representative. Homogeneous
     // phases never pay for extras.
     constexpr std::size_t kMetrics = 3;
     auto metric = [&samples](std::size_t i, std::size_t m) {
@@ -499,12 +510,7 @@ clusterPhases(const std::vector<Sample>& samples,
         }
         return totals[m] > 0.0 ? std::sqrt(v) / totals[m] : 0.0;
     };
-    // The error target is the intended stop; the budget only exists so
-    // a caller can hard-cap coverage (0 = the series itself bounds it).
-    const std::size_t budget = std::min<std::size_t>(
-        params.maxIntervals != 0 ? params.maxIntervals : f.size(),
-        f.size());
-    while (total_reps < budget) {
+    while (total_reps < f.size()) {
         std::size_t worst_m = 0;
         double worst = 0.0;
         for (std::size_t m = 0; m < kMetrics; ++m) {
@@ -514,7 +520,7 @@ clusterPhases(const std::vector<Sample>& samples,
                 worst_m = m;
             }
         }
-        if (worst <= params.errorTarget)
+        if (worst <= kErrorTarget)
             break;
         std::size_t best_c = k;
         double best_gain = 0.0;

@@ -16,7 +16,7 @@
  * deterministic seeded k-means, and picks representative windows per
  * phase: one for a homogeneous phase, several -- one per contiguous
  * stratum of its members -- when the phase's spread would otherwise
- * exceed a predicted error bound (PhaseClusterParams::errorTarget).
+ * exceed a predicted relative error of 2 %.
  * Each interval is weighted by the fraction of windows its stratum
  * covers. The result serializes as a
  * "cosim-plan/1" JSON file that `--cells=sampled` sweeps consume
@@ -51,7 +51,7 @@ struct PlanInterval
     /** Stratum this interval represents (dense, 0-based, in window
      * order). A homogeneous k-means phase is one stratum; a phase
      * whose windows spread gets carved into several, each with its
-     * own representative (see PhaseClusterParams::errorTarget). */
+     * own representative (see clusterPhases()). */
     std::uint64_t phase = 0;
 
     /** Windows assigned to the stratum (the weight's numerator). */
@@ -135,27 +135,11 @@ struct PhaseClusterParams
      * number of distinct feature vectors in the series. */
     unsigned maxPhases = 6;
 
-    /** Lloyd iterations (fixed count keeps runtime deterministic even
-     * when assignments oscillate between equal-cost optima). */
-    unsigned iterations = 24;
-
     /** Seed for the k-means++ style initialization (cosim::Rng). */
     std::uint64_t seed = 42;
 
     /** Warm-up prefix recorded into the plan (windows per interval). */
     std::uint64_t warmupWindows = 1;
-
-    /** Target predicted relative error of the estimator's count totals
-     * (insts/accesses/misses): heterogeneous phases are granted extra
-     * representatives -- one per contiguous stratum of their member
-     * windows -- until the stratified-sampling prediction meets this,
-     * or the interval budget runs out. */
-    double errorTarget = 0.02;
-
-    /** Hard cap on intervals across all phases, for callers that must
-     * bound coverage (0 = only the series length bounds it; the error
-     * target is the intended stop). */
-    unsigned maxIntervals = 0;
 };
 
 /**

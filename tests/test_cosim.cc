@@ -22,7 +22,7 @@ smallCmp(unsigned cores)
     p.name = "testCMP";
     p.nCores = cores;
     p.cpu.baseCpi = 1.0;
-    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2, ReplPolicy::LRU};
+    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2};
     p.cpu.caches.hasL2 = false;
     p.cpu.useDramLatency = false;
     p.cpu.beyondLatency = 50;
@@ -35,7 +35,7 @@ DragonheadParams
 llc(std::uint64_t size)
 {
     DragonheadParams dh;
-    dh.llc = {"llc", size, 64, 4, ReplPolicy::LRU};
+    dh.llc = {"llc", size, 64, 4};
     dh.nSlices = 4;
     return dh;
 }

@@ -222,7 +222,7 @@ DragonheadParams
 testBoard(std::uint64_t llc_size = 64 * KiB, unsigned slices = 4)
 {
     DragonheadParams p;
-    p.llc = {"llc", llc_size, 64, 4, ReplPolicy::LRU};
+    p.llc = {"llc", llc_size, 64, 4};
     p.nSlices = slices;
     p.cb.samplePeriodUs = 500;
     p.cb.coreFreqGhz = 1.0;

@@ -282,7 +282,7 @@ DragonheadParams
 llc(std::uint64_t size)
 {
     DragonheadParams dh;
-    dh.llc = {"llc", size, 64, 4, ReplPolicy::LRU};
+    dh.llc = {"llc", size, 64, 4};
     dh.nSlices = 4;
     return dh;
 }

@@ -2,7 +2,7 @@
  * @file
  * Tests for base/flight_recorder.hh and the postmortem.json renderer
  * built on top of it (obs/postmortem.hh): per-thread rings, wrap at
- * capacity, thread labels, the enable gate, and the rendered JSON.
+ * capacity, thread labels, and the rendered JSON.
  */
 
 #include <gtest/gtest.h>
@@ -41,16 +41,8 @@ dumpLabeled(const std::vector<FlightRecorder::ThreadDump>& dumps,
 class FlightRecorderTest : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        FlightRecorder::reset();
-        FlightRecorder::setEnabled(true);
-    }
-    void TearDown() override
-    {
-        FlightRecorder::setEnabled(true);
-        FlightRecorder::reset();
-    }
+    void SetUp() override { FlightRecorder::reset(); }
+    void TearDown() override { FlightRecorder::reset(); }
 };
 
 TEST_F(FlightRecorderTest, NotesAppearInOrderWithPayloads)
@@ -124,18 +116,6 @@ TEST_F(FlightRecorderTest, EachThreadGetsItsOwnRing)
     ASSERT_EQ(worker_dump->events.size(), 1u);
     EXPECT_EQ(worker_dump->events[0].kind, FrKind::WorkerDied);
     EXPECT_EQ(worker_dump->events[0].a, 3u);
-}
-
-TEST_F(FlightRecorderTest, DisabledNotesRecordNothing)
-{
-    FlightRecorder::setEnabled(false);
-    EXPECT_FALSE(FlightRecorder::enabled());
-    FlightRecorder::note(FrKind::Mark, "while.disabled");
-    FlightRecorder::setEnabled(true);
-    std::vector<FlightRecorder::ThreadDump> dumps =
-        FlightRecorder::dumpAll();
-    for (const FlightRecorder::ThreadDump& d : dumps)
-        EXPECT_TRUE(d.events.empty());
 }
 
 TEST_F(FlightRecorderTest, KindNamesAreStableLowerCase)

@@ -16,7 +16,7 @@ HierarchyParams
 l1Only(std::uint64_t l1_size = 1 * KiB)
 {
     HierarchyParams p;
-    p.l1 = {"l1", l1_size, 64, 2, ReplPolicy::LRU};
+    p.l1 = {"l1", l1_size, 64, 2};
     p.hasL2 = false;
     return p;
 }
@@ -25,9 +25,9 @@ HierarchyParams
 twoLevel(std::uint64_t l1_size = 1 * KiB, std::uint64_t l2_size = 8 * KiB)
 {
     HierarchyParams p;
-    p.l1 = {"l1", l1_size, 64, 2, ReplPolicy::LRU};
+    p.l1 = {"l1", l1_size, 64, 2};
     p.hasL2 = true;
-    p.l2 = {"l2", l2_size, 64, 4, ReplPolicy::LRU};
+    p.l2 = {"l2", l2_size, 64, 4};
     return p;
 }
 
@@ -76,9 +76,9 @@ TEST(Hierarchy, WritebackLeavesChipWhenL2EvictsDirty)
 {
     // Tiny L2 (same geometry as L1) so dirty lines cascade out.
     HierarchyParams p;
-    p.l1 = {"l1", 256, 64, 1, ReplPolicy::LRU}; // 4 sets, direct mapped
+    p.l1 = {"l1", 256, 64, 1}; // 4 sets, direct mapped
     p.hasL2 = true;
-    p.l2 = {"l2", 256, 64, 1, ReplPolicy::LRU};
+    p.l2 = {"l2", 256, 64, 1};
     PrivateHierarchy h(p);
 
     Addr stride = 4 * 64; // same set in both levels

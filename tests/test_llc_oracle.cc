@@ -31,16 +31,14 @@
 namespace cosim {
 namespace {
 
-/** See file comment. LRU keeps the most recent line first, FIFO the
- * newest fill; either way the victim is the last line of the list. */
+/** See file comment. Each set's list keeps the most recent line
+ * first, so the LRU victim is its last line. */
 class ReferenceLlc
 {
   public:
     ReferenceLlc(std::uint64_t size, std::uint32_t line_size,
-                 std::uint32_t ways, ReplPolicy repl)
-        : lineSize_(line_size), ways_(ways),
-          lru_(repl == ReplPolicy::LRU),
-          sets_(size / line_size / ways)
+                 std::uint32_t ways)
+        : lineSize_(line_size), ways_(ways), sets_(size / line_size / ways)
     {}
 
     Cache::Outcome
@@ -54,8 +52,7 @@ class ReferenceLlc
             out.firstHitOnPrefetch = it->prefetched;
             it->prefetched = false;
             it->dirty = it->dirty || write;
-            if (lru_)
-                set.splice(set.begin(), set, it);
+            set.splice(set.begin(), set, it);
             return out;
         }
         fill(addr, write, false, out);
@@ -73,17 +70,6 @@ class ReferenceLlc
     }
 
     bool probe(Addr addr) { return find(addr) != setOf(addr).end(); }
-
-    bool
-    invalidate(Addr addr)
-    {
-        auto it = find(addr);
-        if (it == setOf(addr).end())
-            return false;
-        const bool dirty = it->dirty;
-        setOf(addr).erase(it);
-        return dirty;
-    }
 
     void
     flush()
@@ -131,7 +117,6 @@ class ReferenceLlc
 
     std::uint64_t lineSize_;
     std::size_t ways_;
-    bool lru_;
     std::vector<std::list<Line>> sets_;
 };
 
@@ -142,15 +127,13 @@ struct Geometry
     std::uint32_t sets;
     std::uint32_t lineSize;
     std::uint32_t ways;
-    ReplPolicy repl;
 };
 
 std::string
 describe(const Geometry& g)
 {
     return std::to_string(g.sets) + " sets x " + std::to_string(g.ways) +
-           " ways x " + std::to_string(g.lineSize) + " B, " +
-           toString(g.repl);
+           " ways x " + std::to_string(g.lineSize) + " B";
 }
 
 /** Play one seeded stream of mixed operations through both models. */
@@ -160,8 +143,8 @@ checkAgainstReference(const Geometry& g, std::uint64_t seed)
     SCOPED_TRACE(describe(g));
     const std::uint64_t size =
         std::uint64_t{g.sets} * g.lineSize * g.ways;
-    Cache cache({"oracle", size, g.lineSize, g.ways, g.repl});
-    ReferenceLlc ref(size, g.lineSize, g.ways, g.repl);
+    Cache cache({"oracle", size, g.lineSize, g.ways});
+    ReferenceLlc ref(size, g.lineSize, g.ways);
 
     // Three times the capacity, above the workload base, so lines
     // conflict, get evicted and come back.
@@ -193,9 +176,6 @@ checkAgainstReference(const Geometry& g, std::uint64_t seed)
         } else if (op < 88) {
             ASSERT_EQ(cache.prefetchFill(addr), ref.prefetchFill(addr))
                 << "op " << i;
-        } else if (op < 96) {
-            ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr))
-                << "op " << i;
         } else if (op < 99 || rng.nextBounded(40) != 0) {
             ASSERT_EQ(cache.probe(addr), ref.probe(addr)) << "op " << i;
         } else {
@@ -209,18 +189,15 @@ checkAgainstReference(const Geometry& g, std::uint64_t seed)
 TEST(LlcOracle, CacheMatchesReferenceOnRandomStreams)
 {
     std::uint64_t seed = 1;
-    for (ReplPolicy repl : {ReplPolicy::LRU, ReplPolicy::FIFO})
-        for (std::uint32_t line : {8u, 64u, 512u, 4096u})
-            for (std::uint32_t ways : {1u, 2u, 3u, 4u, 8u, 12u, 16u})
-                for (std::uint32_t sets : {1u, 16u})
-                    checkAgainstReference({sets, line, ways, repl},
-                                          seed++);
+    for (std::uint32_t line : {8u, 64u, 512u, 4096u})
+        for (std::uint32_t ways : {1u, 2u, 3u, 4u, 8u, 12u, 16u})
+            for (std::uint32_t sets : {1u, 16u})
+                checkAgainstReference({sets, line, ways}, seed++);
 }
 
 TEST(LlcOracle, FullyAssociativeBeyondSixteenWays)
 {
-    checkAgainstReference({1, 64, 64, ReplPolicy::LRU}, 101);
-    checkAgainstReference({1, 64, 64, ReplPolicy::FIFO}, 102);
+    checkAgainstReference({1, 64, 64}, 101);
 }
 
 // -------------------------------------------------- fig4 bus streams
@@ -243,7 +220,7 @@ class ReferenceBoard : public BusSnooper
     {
         for (unsigned i = 0; i < p.nSlices; ++i)
             llcs_.emplace_back(p.llc.size / p.nSlices, p.llc.lineSize,
-                               p.llc.assoc, p.llc.repl);
+                               p.llc.assoc);
     }
 
     void
@@ -439,7 +416,7 @@ DragonheadParams
 smallBoard(std::uint64_t size, LlcPartitioning partitioning)
 {
     DragonheadParams p;
-    p.llc = {"llc" + formatSize(size), size, 64, 4, ReplPolicy::LRU};
+    p.llc = {"llc" + formatSize(size), size, 64, 4};
     p.nSlices = 4;
     p.partitioning = partitioning;
     p.cb.coreFreqGhz = 1.0;

@@ -396,7 +396,7 @@ TEST_F(TraceSessionTest, CoSimulationRunEmitsQuantumSpansAndCbCounters)
     PlatformParams p;
     p.nCores = 4;
     p.cpu.baseCpi = 1.0;
-    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2, ReplPolicy::LRU};
+    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2};
     p.cpu.caches.hasL2 = false;
     p.cpu.useDramLatency = false;
     p.cpu.emitFsbTraffic = true;
@@ -405,7 +405,7 @@ TEST_F(TraceSessionTest, CoSimulationRunEmitsQuantumSpansAndCbCounters)
     CoSimParams params;
     params.platform = p;
     DragonheadParams dh;
-    dh.llc = {"llc", 64 * KiB, 64, 4, ReplPolicy::LRU};
+    dh.llc = {"llc", 64 * KiB, 64, 4};
     dh.nSlices = 4;
     // 1 GHz, 500 us windows -> one window per 500k emulated cycles.
     dh.cb.coreFreqGhz = 1.0;

@@ -35,7 +35,7 @@ smallCmp(unsigned cores)
     p.name = "testCMP";
     p.nCores = cores;
     p.cpu.baseCpi = 1.0;
-    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2, ReplPolicy::LRU};
+    p.cpu.caches.l1 = {"l1", 1 * KiB, 64, 2};
     p.cpu.caches.hasL2 = false;
     p.cpu.useDramLatency = false;
     p.cpu.beyondLatency = 50;
@@ -48,7 +48,7 @@ DragonheadParams
 llc(std::uint64_t size)
 {
     DragonheadParams dh;
-    dh.llc = {"llc", size, 64, 4, ReplPolicy::LRU};
+    dh.llc = {"llc", size, 64, 4};
     dh.nSlices = 4;
     return dh;
 }
@@ -231,19 +231,16 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
     const stats::Group* g = registry.find("dragonhead0");
     ASSERT_NE(g, nullptr);
     bool saw_batches = false;
-    bool saw_peak = false;
     for (const auto& [name, value] : g->collect()) {
         if (name == "batches") {
             saw_batches = true;
             EXPECT_GT(value, 0.0);
         }
-        if (name == "queue_peak") {
-            saw_peak = true;
-            EXPECT_GE(value, 1.0);
-        }
+        // A host queue high-water varies run to run, so a --stats dump
+        // leaves it out.
+        EXPECT_NE(name, "queue_peak");
     }
     EXPECT_TRUE(saw_batches);
-    EXPECT_TRUE(saw_peak);
     EXPECT_GE(obs::HostProfiler::global().emulationThreads(), 2u);
 }
 
@@ -273,7 +270,6 @@ TEST(ParallelEmulation, MixedListKeepsListOrderAcrossStacks)
             EXPECT_EQ(got.size, configs[i].llc.size) << i;
             EXPECT_EQ(got.lineSize, configs[i].llc.lineSize) << i;
             EXPECT_EQ(got.assoc, configs[i].llc.assoc) << i;
-            EXPECT_EQ(got.repl, configs[i].llc.repl) << i;
         }
         return fingerprintOf(cosim, cores);
     };

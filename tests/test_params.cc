@@ -44,13 +44,13 @@ class ParamValidation : public ::testing::Test
 
 TEST_F(ParamValidation, CacheRejectsBadGeometry)
 {
-    CacheParams p{"bad", 1000, 64, 4, ReplPolicy::LRU};
+    CacheParams p{"bad", 1000, 64, 4};
     EXPECT_THROW(Cache c(p), std::runtime_error); // not divisible
 
-    CacheParams p2{"bad", 1024, 48, 4, ReplPolicy::LRU};
+    CacheParams p2{"bad", 1024, 48, 4};
     EXPECT_THROW(Cache c(p2), std::runtime_error); // non-pow2 line
 
-    CacheParams p3{"bad", 3 * 64 * 4, 64, 4, ReplPolicy::LRU};
+    CacheParams p3{"bad", 3 * 64 * 4, 64, 4};
     EXPECT_THROW(Cache c(p3), std::runtime_error); // 3 sets
 }
 
@@ -70,7 +70,7 @@ fatalMessage(F f)
 TEST_F(ParamValidation, CacheAccessRejectsOutOfRangeTag)
 {
     // 8 sets of 64 B lines: the tag starts at bit 9 and holds 29 bits.
-    Cache c(CacheParams{"l1", 1024, 64, 2, ReplPolicy::LRU});
+    Cache c(CacheParams{"l1", 1024, 64, 2});
     EXPECT_NO_THROW(c.access((Addr{1} << 38) - 1, false));
     const std::string msg =
         fatalMessage([&] { c.access(Addr{1} << 38, false); });
@@ -80,7 +80,7 @@ TEST_F(ParamValidation, CacheAccessRejectsOutOfRangeTag)
 
 TEST_F(ParamValidation, CachePrefetchFillRejectsOutOfRangeTag)
 {
-    Cache c(CacheParams{"l2", 1024, 64, 2, ReplPolicy::LRU});
+    Cache c(CacheParams{"l2", 1024, 64, 2});
     const std::string msg =
         fatalMessage([&] { c.prefetchFill(Addr{0xdead} << 40); });
     EXPECT_NE(msg.find("l2"), std::string::npos) << msg;
@@ -88,22 +88,10 @@ TEST_F(ParamValidation, CachePrefetchFillRejectsOutOfRangeTag)
     EXPECT_EQ(c.stats().prefetchFills, 0u);
 }
 
-TEST_F(ParamValidation, TreePlruNeedsPowerOfTwoWays)
-{
-    EXPECT_THROW(ReplacementState::create(ReplPolicy::TreePLRU, 4, 3),
-                 std::runtime_error);
-    EXPECT_NO_THROW(ReplacementState::create(ReplPolicy::TreePLRU, 4, 4));
-}
-
-TEST_F(ParamValidation, ReplPolicyParseRejectsUnknown)
-{
-    EXPECT_THROW(parseReplPolicy("mru"), std::runtime_error);
-}
-
 TEST_F(ParamValidation, DragonheadRejectsIndivisibleSlices)
 {
     DragonheadParams p;
-    p.llc = {"llc", 3 * MiB, 64, 16, ReplPolicy::LRU};
+    p.llc = {"llc", 3 * MiB, 64, 16};
     p.nSlices = 4; // 3 MB not divisible by 4 into pow2 sets
     EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
 
@@ -111,33 +99,14 @@ TEST_F(ParamValidation, DragonheadRejectsIndivisibleSlices)
     EXPECT_THROW(Dragonhead dh(p), std::runtime_error);
 }
 
-TEST_F(ParamValidation, NonLruLlcIsRefused)
-{
-    // The emulated LLC is LRU, as Dragonhead's was: any other policy
-    // exits before a board exists, naming the policy.
-    for (ReplPolicy repl : {ReplPolicy::FIFO, ReplPolicy::Random,
-                            ReplPolicy::TreePLRU, ReplPolicy::NRU}) {
-        DragonheadParams p;
-        p.llc.repl = repl;
-        EXPECT_EXIT(
-            {
-                setLogHandler(prev_);
-                Dragonhead dh(p);
-            },
-            ::testing::ExitedWithCode(1),
-            std::string("'") + toString(repl) + "' replacement")
-            << toString(repl);
-    }
-}
-
 TEST_F(ParamValidation, StackChecksTheSmallestCapacitysTag)
 {
     // 2^48 fits a 256 MB level's tag but not a 4 MB level's: the stack
     // must refuse it even though its search starts at 256 MB.
     DragonheadParams small;
-    small.llc = {"llc4MB", 4 * MiB, 64, 16, ReplPolicy::LRU};
+    small.llc = {"llc4MB", 4 * MiB, 64, 16};
     DragonheadParams large = small;
-    large.llc = {"llc256MB", 256 * MiB, 64, 16, ReplPolicy::LRU};
+    large.llc = {"llc256MB", 256 * MiB, 64, 16};
     LlcStack stack({large, small});
     stack.observe(msg::encode(msg::Type::StartEmulation, 0));
     BusTransaction txn;
@@ -151,7 +120,7 @@ TEST_F(ParamValidation, StackViewRefusesToSnoopOrReset)
 {
     // A view only reads its stack; the stack's owner snoops and resets.
     DragonheadParams p;
-    p.llc = {"llc", 64 * KiB, 64, 4, ReplPolicy::LRU};
+    p.llc = {"llc", 64 * KiB, 64, 4};
     LlcStack stack({p});
     Dragonhead view(stack, 0);
     EXPECT_THROW(view.observe(msg::encode(msg::Type::StartEmulation, 0)),

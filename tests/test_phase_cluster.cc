@@ -160,8 +160,9 @@ TEST(PhaseCluster, WeightsAndInstWeightsSumToOne)
     for (std::size_t i = 0; i < plan.intervals.size(); ++i) {
         const PlanInterval& iv = plan.intervals[i];
         EXPECT_LT(iv.window, plan.totalWindows);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(iv.window, prev);
+        }
         prev = iv.window;
         EXPECT_EQ(iv.phase, i); // dense ids in window order
         weight_sum += iv.weight;

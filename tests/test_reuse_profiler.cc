@@ -90,8 +90,7 @@ TEST(ReuseProfiler, MatchesFullyAssociativeLruSimulation)
     // an actual C-line fully-associative LRU cache on the same stream.
     const std::uint64_t cap = 32;
     ReuseDistanceProfiler prof(64, 1 << 18);
-    CacheParams p{"ref", cap * 64, 64, static_cast<std::uint32_t>(cap),
-                  ReplPolicy::LRU};
+    CacheParams p{"ref", cap * 64, 64, static_cast<std::uint32_t>(cap)};
     Cache ref(p);
 
     Rng rng(9);

@@ -21,7 +21,7 @@ tinyCpu()
 {
     CpuParams p;
     p.baseCpi = 1.0;
-    p.caches.l1 = {"l1", 1024, 64, 2, ReplPolicy::LRU};
+    p.caches.l1 = {"l1", 1024, 64, 2};
     p.caches.hasL2 = false;
     p.useDramLatency = false;
     p.emitFsbTraffic = false;

@@ -19,9 +19,9 @@ timingCpu()
 {
     CpuParams p;
     p.baseCpi = 1.0;
-    p.caches.l1 = {"l1", 1 * KiB, 64, 2, ReplPolicy::LRU};
+    p.caches.l1 = {"l1", 1 * KiB, 64, 2};
     p.caches.hasL2 = true;
-    p.caches.l2 = {"l2", 8 * KiB, 64, 4, ReplPolicy::LRU};
+    p.caches.l2 = {"l2", 8 * KiB, 64, 4};
     p.l2HitLatency = 10;
     p.useDramLatency = true;
     p.emitFsbTraffic = false;
@@ -33,7 +33,7 @@ cosimCpu()
 {
     CpuParams p;
     p.baseCpi = 1.0;
-    p.caches.l1 = {"l1", 1 * KiB, 64, 2, ReplPolicy::LRU};
+    p.caches.l1 = {"l1", 1 * KiB, 64, 2};
     p.caches.hasL2 = false;
     p.useDramLatency = false;
     p.beyondLatency = 50;

@@ -32,7 +32,7 @@ testPlatform(unsigned cores)
     p.name = "wl-test";
     p.nCores = cores;
     p.cpu.baseCpi = 1.0;
-    p.cpu.caches.l1 = {"l1", 8 * KiB, 64, 4, ReplPolicy::LRU};
+    p.cpu.caches.l1 = {"l1", 8 * KiB, 64, 4};
     p.cpu.caches.hasL2 = false;
     p.cpu.useDramLatency = false;
     p.cpu.beyondLatency = 50;
