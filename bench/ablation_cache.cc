@@ -3,7 +3,8 @@
  * Ablation study (google-benchmark): design choices DESIGN.md calls out.
  *
  *  - number of CC slices (1 vs 4) -- fidelity/cost of the interleave,
- *  - simulating a sweep with N passive emulators vs N separate runs,
+ *  - a size sweep emulated as one LLC stack, as the 3 sub-stacks a
+ *    3-worker bank splits it into, or as 7 one-level stacks,
  *  - a shared interleaved LLC vs private per-core partitions,
  *  - the host cost of the line sizes Figure 7 sweeps.
  *
@@ -13,7 +14,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "base/random.hh"
@@ -60,11 +60,15 @@ BENCHMARK(BM_SliceCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_SweepBankVsSeparateRuns(benchmark::State& state)
+BM_SizeSweepStacks(benchmark::State& state)
 {
-    // The paper's one-pass sweep (every configuration snooping one bus)
-    // against one run per configuration over the identical stream.
-    bool banked = state.range(0) != 0;
+    // Seven capacities over one pre-generated stream, on one thread, as
+    // planStacks groups them for state.range(0) workers: 1 is the one
+    // stack the serial figures run; 3 the sub-stacks a 3-worker bank
+    // splits it into, run here back to back, so the arm prices the
+    // split's extra total work; 7 is seven one-level stacks, what seven
+    // standalone boards emulate.
+    const auto workers = static_cast<unsigned>(state.range(0));
     std::vector<DragonheadParams> configs;
     for (std::uint64_t mb : {1, 2, 4, 8, 16, 32, 64}) {
         DragonheadParams dp;
@@ -81,31 +85,22 @@ BM_SweepBankVsSeparateRuns(benchmark::State& state)
         txn.kind = TxnKind::ReadLine;
         stream.push_back(txn);
     }
-    auto run = [&stream](const std::vector<DragonheadParams>& group) {
+    for (auto _ : state) {
+        DragonheadStacks stacks(configs, workers);
         FrontSideBus bus;
         bus.setBatchCapacity(4096);
-        std::vector<std::unique_ptr<Dragonhead>> emulators;
-        for (const DragonheadParams& dp : group) {
-            emulators.push_back(std::make_unique<Dragonhead>(dp));
-            bus.attach(emulators.back().get());
-        }
+        for (unsigned s = 0; s < stacks.nStacks(); ++s)
+            bus.attach(&stacks.stack(s));
         for (const BusTransaction& txn : stream)
             bus.issue(txn);
         bus.flush();
-        for (const auto& dh : emulators)
-            benchmark::DoNotOptimize(dh->results().misses);
-    };
-    for (auto _ : state) {
-        if (banked) {
-            run(configs);
-        } else {
-            for (const DragonheadParams& dp : configs)
-                run({dp});
-        }
+        for (unsigned i = 0; i < stacks.nBoards(); ++i)
+            benchmark::DoNotOptimize(stacks.board(i).results().misses);
+        state.counters["stacks"] = stacks.nStacks();
     }
     state.SetItemsProcessed(state.iterations() * 500'000 * 7);
 }
-BENCHMARK(BM_SweepBankVsSeparateRuns)->Arg(1)->Arg(0)
+BENCHMARK(BM_SizeSweepStacks)->Arg(1)->Arg(3)->Arg(7)
     ->Unit(benchmark::kMillisecond);
 
 void

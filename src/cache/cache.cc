@@ -92,79 +92,6 @@ Cache::tagOutOfRange(Addr addr, std::uint64_t tag) const
           static_cast<unsigned long long>(tag), tagBits);
 }
 
-void
-Cache::locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const
-{
-    const Addr line = addr >> lineBits_;
-    set = static_cast<std::uint32_t>(line & setMask_);
-    tag = line >> setBits_;
-    checkTag(addr, tag);
-}
-
-// install() and accessLine() are inlined into access(), so a demand
-// access is one call.
-[[gnu::always_inline]] inline void
-Cache::install(std::uint32_t set, std::uint64_t tag, Entry flags,
-               Outcome& outcome)
-{
-    Entry* ways = setEntries(set);
-    // The last entry is the least recently used, or invalid.
-    const Entry victim = ways[params_.assoc - 1];
-    if ((victim & entryValid) != 0) {
-        outcome.evicted = true;
-        outcome.evictedDirty = (victim & entryDirty) != 0;
-        // Reconstruct the victim's line address from tag and set.
-        outcome.victimAddr =
-            ((static_cast<Addr>(victim >> entryTagShift) << setBits_) |
-             set)
-            << lineBits_;
-        ++stats_.evictions;
-        stats_.writebacks += outcome.evictedDirty;
-    }
-
-    shiftBack(ways, params_.assoc);
-    ways[0] = keyOf(tag) | flags;
-}
-
-[[gnu::always_inline]] inline Cache::Outcome
-Cache::accessLine(std::uint32_t set, std::uint64_t tag, bool write)
-{
-    Outcome outcome;
-    ++stats_.accesses;
-    stats_.writes += write;
-    stats_.reads += !write;
-
-    Entry* ways = setEntries(set);
-    const int way = findWay(ways, params_.assoc, keyOf(tag));
-    if (way >= 0) {
-        outcome.hit = true;
-        Entry& e = ways[way];
-        if ((e & entryPrefetched) != 0) {
-            outcome.firstHitOnPrefetch = true;
-            ++stats_.usefulPrefetches;
-            e &= ~entryPrefetched;
-        }
-        e |= write ? entryDirty : 0;
-        promote(ways, way);
-        return outcome;
-    }
-
-    ++stats_.misses;
-    stats_.writeMisses += write;
-    stats_.readMisses += !write;
-    install(set, tag, write ? entryDirty : 0, outcome);
-    return outcome;
-}
-
-Cache::Outcome
-Cache::access(Addr addr, bool write)
-{
-    std::uint32_t set;
-    std::uint64_t tag;
-    locate(addr, set, tag);
-    return accessLine(set, tag, write);
-}
-
 bool
 Cache::prefetchFill(Addr addr)
 {

@@ -116,9 +116,17 @@ class Cache
 
     /**
      * Demand access to the line containing @p addr. Fills on miss.
-     * fatal() if the address's tag is wider than tagBits.
+     * fatal() if the address's tag is wider than tagBits. Inlined, so
+     * a hit costs its caller no call.
      */
-    Outcome access(Addr addr, bool write);
+    [[gnu::always_inline]] Outcome
+    access(Addr addr, bool write)
+    {
+        std::uint32_t set;
+        std::uint64_t tag;
+        locate(addr, set, tag);
+        return accessLine(set, tag, write);
+    }
 
     /**
      * LRU steps for a caller that indexes the sets and keeps the
@@ -145,7 +153,7 @@ class Cache
     promoteHit(std::uint32_t set, int way, bool write)
     {
         Entry* ways = setEntries(set);
-        ways[way] |= write ? entryDirty : 0;
+        dirtyOnWrite(ways[way], write);
         promote(ways, way);
     }
 
@@ -171,38 +179,6 @@ class Cache
     }
 
     /** @} */
-
-    /**
-     * Inlined fast path for the dominant case: a plain hit (valid line,
-     * not carrying the prefetched flag). Performs the *complete* hit --
-     * access/read/write counters, dirty bit, move to the front.
-     *
-     * @return true iff the access completed as a plain hit. On false
-     * nothing was modified and the caller must take access(): the line
-     * missed, is a first hit on a prefetched line (useful-prefetch
-     * accounting), or is out of range.
-     */
-    bool
-    tryHitFast(Addr addr, bool write)
-    {
-        const Addr line = addr >> lineBits_;
-        const std::uint64_t tag = line >> setBits_;
-        if (tag > maxTag)
-            return false;
-        Entry* set =
-            setEntries(static_cast<std::uint32_t>(line & setMask_));
-        const int way = findWay(set, params_.assoc, keyOf(tag));
-        // A miss is installed, a prefetched line's first hit counted,
-        // by the full path.
-        if (way < 0 || (set[way] & entryPrefetched) != 0)
-            return false;
-        ++stats_.accesses;
-        stats_.writes += write;
-        stats_.reads += !write;
-        set[way] |= write ? entryDirty : 0;
-        promote(set, way);
-        return true;
-    }
 
     /**
      * Install the line containing @p addr as a (clean) prefetch.
@@ -252,6 +228,18 @@ class Cache
     keyOf(std::uint64_t tag)
     {
         return static_cast<Entry>(tag << entryTagShift) | entryValid;
+    }
+
+    /**
+     * Dirty hit entry @p e on a write. A read, or a write to a line
+     * already dirty, stores nothing: the next lookup's vector load of
+     * the set would otherwise wait on a store it cannot forward from.
+     */
+    static void
+    dirtyOnWrite(Entry& e, bool write)
+    {
+        if (write && (e & entryDirty) == 0)
+            e |= entryDirty;
     }
 
 #if defined(__SSE2__)
@@ -336,15 +324,71 @@ class Cache
     }
 
     /** Set and range-checked tag of @p addr (fatal if too wide). */
-    void locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const;
+    void
+    locate(Addr addr, std::uint32_t& set, std::uint64_t& tag) const
+    {
+        const Addr line = addr >> lineBits_;
+        set = static_cast<std::uint32_t>(line & setMask_);
+        tag = line >> setBits_;
+        checkTag(addr, tag);
+    }
 
     [[noreturn]] void tagOutOfRange(Addr addr, std::uint64_t tag) const;
 
-    Outcome accessLine(std::uint32_t set, std::uint64_t tag, bool write);
+    /** access() after locate(): one search of the set. */
+    [[gnu::always_inline]] Outcome
+    accessLine(std::uint32_t set, std::uint64_t tag, bool write)
+    {
+        Outcome outcome;
+        ++stats_.accesses;
+        stats_.writes += write;
+        stats_.reads += !write;
+
+        Entry* ways = setEntries(set);
+        const int way = findWay(ways, params_.assoc, keyOf(tag));
+        if (way >= 0) {
+            outcome.hit = true;
+            Entry& e = ways[way];
+            if ((e & entryPrefetched) != 0) {
+                outcome.firstHitOnPrefetch = true;
+                ++stats_.usefulPrefetches;
+                e &= ~entryPrefetched;
+            }
+            dirtyOnWrite(e, write);
+            promote(ways, way);
+            return outcome;
+        }
+
+        ++stats_.misses;
+        stats_.writeMisses += write;
+        stats_.readMisses += !write;
+        install(set, tag, write ? entryDirty : 0, outcome);
+        return outcome;
+    }
 
     /** Install @p tag with @p flags into @p set, evicting if needed. */
-    void install(std::uint32_t set, std::uint64_t tag, Entry flags,
-                 Outcome& outcome);
+    [[gnu::always_inline]] void
+    install(std::uint32_t set, std::uint64_t tag, Entry flags,
+            Outcome& outcome)
+    {
+        Entry* ways = setEntries(set);
+        // The last entry is the least recently used, or invalid.
+        const Entry victim = ways[params_.assoc - 1];
+        if ((victim & entryValid) != 0) {
+            outcome.evicted = true;
+            outcome.evictedDirty = (victim & entryDirty) != 0;
+            // Reconstruct the victim's line address from tag and set.
+            outcome.victimAddr =
+                ((static_cast<Addr>(victim >> entryTagShift) << setBits_) |
+                 set)
+                << lineBits_;
+            ++stats_.evictions;
+            stats_.writebacks += outcome.evictedDirty;
+        }
+
+        shiftBack(ways, params_.assoc);
+        ways[0] = keyOf(tag) | flags;
+    }
 
     CacheParams params_;
     Addr lineMask_;

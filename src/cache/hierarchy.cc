@@ -35,55 +35,6 @@ PrivateHierarchy::busLineSize() const
     return l2_ ? l2_->params().lineSize : l1_.params().lineSize;
 }
 
-PrivateHierarchy::Result
-PrivateHierarchy::access(Addr addr, bool write)
-{
-    Result result;
-
-    Cache::Outcome l1_out = l1_.access(addr, write);
-    if (l1_out.hit) {
-        result.servicedBy = ServiceLevel::L1;
-        return result;
-    }
-
-    // L1 victim writeback goes to L2 if present, else to the bus.
-    std::optional<Addr> l1_victim;
-    if (l1_out.evicted && l1_out.evictedDirty)
-        l1_victim = l1_out.victimAddr;
-
-    if (!l2_) {
-        result.servicedBy = ServiceLevel::Beyond;
-        result.fetchLine = l1_.lineAddr(addr);
-        if (l1_victim)
-            result.addWriteback(*l1_victim);
-        return result;
-    }
-
-    // The L1 miss becomes an L2 read (the L1 is fetching the line; a
-    // store miss still reads the line first under write-allocate).
-    Cache::Outcome l2_out = l2_->access(addr, false);
-    if (l2_out.evicted && l2_out.evictedDirty)
-        result.addWriteback(l2_out.victimAddr);
-
-    // Retire the L1 victim into the L2 as a dirty line. This models the
-    // victim staying on chip; it may itself evict from the L2.
-    if (l1_victim) {
-        Cache::Outcome wb_out = l2_->access(*l1_victim, true);
-        if (wb_out.evicted && wb_out.evictedDirty)
-            result.addWriteback(wb_out.victimAddr);
-    }
-
-    if (l2_out.hit) {
-        result.servicedBy = ServiceLevel::L2;
-        result.l2PrefetchHit = l2_out.firstHitOnPrefetch;
-        return result;
-    }
-
-    result.servicedBy = ServiceLevel::Beyond;
-    result.fetchLine = l2_->lineAddr(addr);
-    return result;
-}
-
 bool
 PrivateHierarchy::prefetchFill(Addr addr)
 {

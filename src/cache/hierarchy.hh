@@ -61,19 +61,55 @@ class PrivateHierarchy
 
     /**
      * One line-contained access (the caller splits straddling accesses).
+     * Inlined, so an L1 hit is one search of its set and no call.
      */
-    Result access(Addr addr, bool write);
-
-    /**
-     * Inlined fast path: complete the access iff it is a plain L1 hit
-     * (see Cache::tryHitFast). A plain L1 hit produces no writebacks,
-     * no beyond-traffic, and no prefetcher activity, so the full
-     * Result plumbing can be skipped. @return false with no state
-     * change when the full access() path is required.
-     */
-    bool tryL1Hit(Addr addr, bool write)
+    [[gnu::always_inline]] Result
+    access(Addr addr, bool write)
     {
-        return l1_.tryHitFast(addr, write);
+        Result result;
+
+        Cache::Outcome l1_out = l1_.access(addr, write);
+        if (l1_out.hit) {
+            result.servicedBy = ServiceLevel::L1;
+            return result;
+        }
+
+        // L1 victim writeback goes to L2 if present, else to the bus.
+        std::optional<Addr> l1_victim;
+        if (l1_out.evicted && l1_out.evictedDirty)
+            l1_victim = l1_out.victimAddr;
+
+        if (!l2_) {
+            result.servicedBy = ServiceLevel::Beyond;
+            result.fetchLine = l1_.lineAddr(addr);
+            if (l1_victim)
+                result.addWriteback(*l1_victim);
+            return result;
+        }
+
+        // The L1 miss becomes an L2 read (the L1 is fetching the line; a
+        // store miss still reads the line first under write-allocate).
+        Cache::Outcome l2_out = l2_->access(addr, false);
+        if (l2_out.evicted && l2_out.evictedDirty)
+            result.addWriteback(l2_out.victimAddr);
+
+        // Retire the L1 victim into the L2 as a dirty line. This models
+        // the victim staying on chip; it may itself evict from the L2.
+        if (l1_victim) {
+            Cache::Outcome wb_out = l2_->access(*l1_victim, true);
+            if (wb_out.evicted && wb_out.evictedDirty)
+                result.addWriteback(wb_out.victimAddr);
+        }
+
+        if (l2_out.hit) {
+            result.servicedBy = ServiceLevel::L2;
+            result.l2PrefetchHit = l2_out.firstHitOnPrefetch;
+            return result;
+        }
+
+        result.servicedBy = ServiceLevel::Beyond;
+        result.fetchLine = l2_->lineAddr(addr);
+        return result;
     }
 
     /**

@@ -19,7 +19,8 @@
  *  - *Parallel* (emulationThreads > 0): the stacks live in an
  *    AsyncEmulatorBank whose worker threads emulate the chunks while
  *    the workload keeps executing -- the software analogue of the FPGA
- *    emulating concurrently with the host CPUs. Results are
+ *    emulating concurrently with the host CPUs. A stack of several
+ *    capacities is split into sub-stacks, one per worker. Results are
  *    bit-identical to serial mode (tests/test_parallel.cc enforces
  *    this).
  *
@@ -50,7 +51,9 @@ struct CoSimParams
 
     /**
      * Host threads emulating Dragonheads; 0 = serial inline emulation.
-     * More threads than LLC stacks is clamped (a worker per stack).
+     * The bank splits a stack of capacities to give each thread one,
+     * so min(emulationThreads, LLC levels) threads run (fig4's seven
+     * sizes: up to seven).
      */
     unsigned emulationThreads = 0;
 

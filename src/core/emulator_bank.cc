@@ -1,5 +1,6 @@
 #include "core/emulator_bank.hh"
 
+#include <algorithm>
 #include <string>
 
 #include "base/fault.hh"
@@ -9,7 +10,7 @@
 namespace cosim {
 
 AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
-    : params_(params), boards_(params.emulators)
+    : params_(params), boards_(params.emulators, params.nThreads)
 {
     fatal_if(boards_.nBoards() == 0,
              "emulator bank needs at least one Dragonhead");
@@ -18,12 +19,12 @@ AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
     if (params_.queueChunks == 0)
         params_.queueChunks = 1;
 
+    // planStacks split the stacks for the workers asked for, so there
+    // are min(asked, levels) workers.
     const unsigned n_stacks = boards_.nStacks();
-    unsigned n_threads =
-        params_.nThreads == 0 ? n_stacks : params_.nThreads;
-    // More workers than stacks would just idle.
-    if (n_threads > n_stacks)
-        n_threads = n_stacks;
+    const unsigned n_threads = params_.nThreads == 0
+                                   ? n_stacks
+                                   : std::min(params_.nThreads, n_stacks);
 
     {
         // No worker exists yet, but the analysis (rightly) has no way

@@ -16,8 +16,11 @@
  * serial snooping (a test suite enforces this), only the host wall-clock
  * changes.
  *
- * Workers are pinned to stacks, not configurations: there are
- * min(nThreads, stacks) of them, stack s runs on worker s % nThreads,
+ * Workers are pinned to stacks, not configurations. While the configs
+ * form fewer stacks than nThreads, planStacks deals a stack's
+ * capacities out to sub-stacks, one per worker (inclusion holds within
+ * any subset of capacities, so every config stays exact): there are
+ * min(nThreads, levels) workers, stack s runs on worker s % workers,
  * and a worker runs its stacks sequentially per chunk.
  * Backpressure: bounded queues block the producing (workload) thread when
  * a worker falls behind, capping buffered history.
@@ -53,7 +56,8 @@ struct EmulatorBankParams
     /** One passive emulator per entry. */
     std::vector<DragonheadParams> emulators;
 
-    /** Worker threads; 0 = one per LLC stack. Clamped to the stacks. */
+    /** Worker threads; 0 = one per LLC stack, unsplit. Clamped to the
+     * LLC levels (distinct capacities per stack, summed). */
     unsigned nThreads = 0;
 
     /** Transactions per delivery chunk. */

@@ -65,8 +65,8 @@ Dragonhead::registerStats(obs::StatsRegistry& registry,
 }
 
 DragonheadStacks::DragonheadStacks(
-    const std::vector<DragonheadParams>& configs)
-    : stackOf_(planStacks(configs))
+    const std::vector<DragonheadParams>& configs, unsigned workers)
+    : stackOf_(planStacks(configs, workers))
 {
     // Each stack's configs in list order, then one view per config.
     std::vector<std::vector<DragonheadParams>> members;

@@ -124,7 +124,10 @@ class Dragonhead : public BusSnooper
 class DragonheadStacks
 {
   public:
-    explicit DragonheadStacks(const std::vector<DragonheadParams>& configs);
+    /** Stacks planned for @p workers host threads; one thread keeps
+     * each stack whole, the least total work. */
+    explicit DragonheadStacks(const std::vector<DragonheadParams>& configs,
+                              unsigned workers = 1);
 
     unsigned
     nStacks() const

@@ -278,7 +278,7 @@ LlcStack::samples(unsigned config) const
 }
 
 std::vector<unsigned>
-planStacks(const std::vector<DragonheadParams>& configs)
+planStacks(const std::vector<DragonheadParams>& configs, unsigned workers)
 {
     std::vector<unsigned> stack_of;
     std::vector<unsigned> firsts; // each stack's first config
@@ -290,6 +290,53 @@ planStacks(const std::vector<DragonheadParams>& configs)
         if (s == firsts.size())
             firsts.push_back(i);
         stack_of.push_back(s);
+    }
+    if (firsts.size() >= workers)
+        return stack_of;
+
+    // Each stack's distinct capacities, ascending.
+    const std::size_t n_stacks = firsts.size();
+    std::vector<std::vector<std::uint64_t>> sizes(n_stacks);
+    for (unsigned i = 0; i < configs.size(); ++i)
+        sizes[stack_of[i]].push_back(configs[i].llc.size);
+    for (std::vector<std::uint64_t>& s : sizes) {
+        std::sort(s.begin(), s.end());
+        s.erase(std::unique(s.begin(), s.end()), s.end());
+    }
+
+    // Each spare worker splits the stack with the most capacities per
+    // part once more, until every capacity has a part of its own.
+    std::vector<std::size_t> parts(n_stacks, 1);
+    for (std::size_t n = n_stacks; n < workers; ++n) {
+        std::size_t best = n_stacks;
+        for (std::size_t s = 0; s < n_stacks; ++s) {
+            if (parts[s] < sizes[s].size() &&
+                (best == n_stacks || sizes[s].size() * parts[best] >
+                                         sizes[best].size() * parts[s]))
+                best = s;
+        }
+        if (best == n_stacks)
+            break;
+        ++parts[best];
+    }
+
+    // Deal a stack's capacities out round-robin, smallest first, and
+    // number the parts in order of their first config. Inclusion holds
+    // within any subset of capacities, so each part is a stack.
+    constexpr unsigned unnumbered = ~0u;
+    std::vector<std::vector<unsigned>> part_ids(n_stacks);
+    for (std::size_t s = 0; s < n_stacks; ++s)
+        part_ids[s].assign(parts[s], unnumbered);
+    unsigned next = 0;
+    for (unsigned i = 0; i < configs.size(); ++i) {
+        const std::vector<std::uint64_t>& s = sizes[stack_of[i]];
+        const std::size_t rank = static_cast<std::size_t>(
+            std::lower_bound(s.begin(), s.end(), configs[i].llc.size) -
+            s.begin());
+        unsigned& id = part_ids[stack_of[i]][rank % parts[stack_of[i]]];
+        if (id == unnumbered)
+            id = next++;
+        stack_of[i] = id;
     }
     return stack_of;
 }

@@ -217,10 +217,16 @@ class LlcStack : public BusSnooper
 
 /**
  * Group @p configs into stacks of configs that stacks() with each
- * other. @return the stack of each config, stacks numbered in order of
- * their first config.
+ * other. While there are fewer stacks than @p workers, split again the
+ * stack with the most distinct capacities per part, dealing them out
+ * round-robin, smallest first: fig4's seven sizes at 3 workers make
+ * {4, 32, 256}, {8, 64} and {16, 128} MB. Configs of one capacity stay
+ * together, so a list with L levels (distinct capacities per stack,
+ * summed) makes at least min(workers, L) stacks. @return the stack of
+ * each config, stacks numbered in order of their first config.
  */
-std::vector<unsigned> planStacks(const std::vector<DragonheadParams>& configs);
+std::vector<unsigned> planStacks(const std::vector<DragonheadParams>& configs,
+                                 unsigned workers = 1);
 
 } // namespace cosim
 

@@ -395,8 +395,9 @@ SweepRunner::runFigure(const std::string& figure_id,
     manifest.resumed = !opts_.resumeFrom.empty();
     // Host parallelism as the scheduler applies it: jobs clamp to the
     // number of chains, emulation threads to the most LLC stacks one rig
-    // emulates (a bank runs a worker per stack).
-    const std::vector<unsigned> stack_of = planStacks(fig.emulators);
+    // emulates once its bank has split them for the threads asked for.
+    const std::vector<unsigned> stack_of =
+        planStacks(fig.emulators, opts_.emuThreads);
     const std::size_t all_stacks =
         stack_of.empty()
             ? 0

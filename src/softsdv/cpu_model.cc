@@ -9,7 +9,6 @@ namespace cosim {
 CpuModel::CpuModel(CoreId id, const CpuParams& params, DramModel* dram,
                    FrontSideBus* fsb)
     : id_(id), params_(params), dram_(dram), fsb_(fsb),
-      l1LineMask_(params.caches.l1.lineSize - 1),
       caches_(params.caches),
       pfAdmitRng_(0xA11CE5EEDull + id) // deterministic stream per core
 {
@@ -116,15 +115,6 @@ CpuModel::dataAccess(Addr addr, std::uint32_t size, bool write,
     else
         loads_ += n;
     cyclesAcc_ += params_.baseCpi * static_cast<double>(n);
-
-    // Fast path: an access contained in one L1 line that hits as a
-    // plain LRU hit -- by far the dominant case -- completes here with
-    // no virtual dispatch and none of the miss/writeback plumbing.
-    // tryL1Hit leaves no trace when it declines.
-    if ((addr & l1LineMask_) + size - 1 <= l1LineMask_ &&
-        caches_.tryL1Hit(addr, write)) {
-        return;
-    }
 
     // Split at L1 line boundaries.
     std::uint32_t l1_line = caches_.l1().params().lineSize;

@@ -145,8 +145,6 @@ class CpuModel
     CpuParams params_;
     DramModel* dram_;
     FrontSideBus* fsb_;
-    /** L1 line size - 1, precomputed for the dataAccess fast path. */
-    Addr l1LineMask_;
 
     PrivateHierarchy caches_;
     std::unique_ptr<StridePrefetcher> prefetcher_;

@@ -453,6 +453,16 @@ FsbStreamReader::nextChunk(std::vector<BusTransaction>& out)
     }
     if (payload_bytes > d.size() - pos_)
         return fail("truncated FSB stream: chunk payload cut short");
+    // A transaction takes at least a lead byte and an address delta, so
+    // a count beyond half the payload is damage, not a reason to
+    // reserve.
+    if (n_txns > payload_bytes / 2) {
+        return fail(strFormat("corrupt FSB stream: chunk claims %llu "
+                              "transactions in %llu payload bytes",
+                              static_cast<unsigned long long>(n_txns),
+                              static_cast<unsigned long long>(
+                                  payload_bytes)));
+    }
     const std::size_t chunk_end =
         pos_ + static_cast<std::size_t>(payload_bytes);
 

@@ -273,7 +273,6 @@ TEST(Cache, ProbeReportsOutOfRangeLineAbsent)
     Cache c(smallCache());
     c.access(0, false);
     EXPECT_FALSE(c.probe(outOfRange));
-    EXPECT_FALSE(c.tryHitFast(outOfRange, false));
     EXPECT_EQ(c.stats().accesses, 1u);
 }
 

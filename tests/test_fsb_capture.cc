@@ -347,6 +347,34 @@ TEST(FsbCaptureMalformed, CorruptPayloadDetected)
     }
 }
 
+TEST(FsbCaptureMalformed, ChunkCountBeyondPayloadIsAnError)
+{
+    // A valid header, then a chunk frame claiming 2^40 transactions in
+    // two payload bytes: a reader that trusted the count would try to
+    // reserve room for them all.
+    std::vector<std::uint8_t> bytes = encode({}, 64);
+    const std::size_t header_end = 48 + 7 + 8; // fixed + strings
+    bytes.resize(header_end);
+    bytes.push_back('C');
+    std::uint64_t n_txns = std::uint64_t{1} << 40;
+    for (; n_txns >= 0x80; n_txns >>= 7)
+        bytes.push_back(static_cast<std::uint8_t>(n_txns | 0x80));
+    bytes.push_back(static_cast<std::uint8_t>(n_txns));
+    bytes.push_back(0x02); // payload bytes
+    const std::size_t frame_end = bytes.size();
+    bytes.push_back(0x00);
+    bytes.push_back(0x00);
+
+    auto reader = decodeAll(std::move(bytes));
+    EXPECT_FALSE(reader->ok());
+    EXPECT_NE(reader->error().find("corrupt FSB stream"), std::string::npos)
+        << reader->error();
+    EXPECT_NE(reader->error().find("byte offset " +
+                                   std::to_string(frame_end)),
+              std::string::npos)
+        << reader->error();
+}
+
 TEST(FsbCaptureMalformed, MissingFileHasClearError)
 {
     FsbStreamInfo info;

@@ -157,13 +157,6 @@ checkAgainstReference(const Geometry& g, std::uint64_t seed)
         if (op < 80) {
             const bool write = op >= 55;
             Cache::Outcome want = ref.access(addr, write);
-            // Half the demand accesses try the inlined hit path first;
-            // it may only take plain hits, and must then match.
-            if (rng.nextBool(0.5) && cache.tryHitFast(addr, write)) {
-                ASSERT_TRUE(want.hit) << "op " << i;
-                ASSERT_FALSE(want.firstHitOnPrefetch) << "op " << i;
-                continue;
-            }
             Cache::Outcome got = cache.access(addr, write);
             ASSERT_EQ(got.hit, want.hit) << "op " << i;
             ASSERT_EQ(got.evicted, want.evicted) << "op " << i;
@@ -505,8 +498,10 @@ TEST_P(Fig4Streams, DragonheadMatchesReferenceBoard)
     // Chains the rig emulates as LLC stacks: fig4's whole sweep; a
     // 16-way chain with 2x and 4x gaps that evicts and writes back at
     // --quick; and per-core partitions of 1 and 4 MB.
-    for (const DragonheadParams& p : presets::llcSizeSweepEmulators())
-        configs.push_back(p);
+    const std::size_t sweep_at = configs.size();
+    const std::vector<DragonheadParams> sweep =
+        presets::llcSizeSweepEmulators();
+    configs.insert(configs.end(), sweep.begin(), sweep.end());
     for (std::uint64_t size : {256 * KiB, 512 * KiB, 2 * MiB, 8 * MiB})
         configs.push_back(presets::llcConfig(size, 64));
     for (std::uint64_t size : {1 * MiB, 4 * MiB}) {
@@ -525,6 +520,12 @@ TEST_P(Fig4Streams, DragonheadMatchesReferenceBoard)
         refs.push_back(std::make_unique<ReferenceBoard>(p));
         rig.platform().fsb().attach(refs.back().get());
     }
+    // fig4's sweep again, split for three workers as a bank splits it:
+    // {4, 32, 256}, {8, 64} and {16, 128} MB.
+    DragonheadStacks split(sweep, 3);
+    ASSERT_EQ(split.nStacks(), 3u);
+    for (unsigned s = 0; s < split.nStacks(); ++s)
+        rig.platform().fsb().attach(&split.stack(s));
 
     const double quick = 0.05;
     auto workload = createWorkload(GetParam(), quick);
@@ -534,6 +535,8 @@ TEST_P(Fig4Streams, DragonheadMatchesReferenceBoard)
     const RunResult result = rig.run(*workload, cfg);
     for (const auto& ref : refs)
         rig.platform().fsb().detach(ref.get());
+    for (unsigned s = 0; s < split.nStacks(); ++s)
+        rig.platform().fsb().detach(&split.stack(s));
     ASSERT_TRUE(result.verified);
 
     for (std::size_t i = 0; i < configs.size(); ++i) {
@@ -541,6 +544,11 @@ TEST_P(Fig4Streams, DragonheadMatchesReferenceBoard)
         ASSERT_GT(refs[i]->accesses_, 0u);
         expectBoardMatches(rig.emulator(static_cast<unsigned>(i)),
                            *refs[i], cores);
+    }
+    for (std::size_t i = 0; i < sweep.size(); ++i) {
+        SCOPED_TRACE("split board " + std::to_string(i));
+        expectBoardMatches(split.board(static_cast<unsigned>(i)),
+                           *refs[sweep_at + i], cores);
     }
 }
 

@@ -130,9 +130,10 @@ runOnce(unsigned emu_threads, std::size_t chunk_txns, bool shared_array)
     RunResult r = cosim.run(wl, cfg);
     EXPECT_TRUE(r.verified);
     EXPECT_EQ(cosim.nEmulators(), 4u);
-    // Workers are min(requested, stacks), and the sweep has 2 stacks.
+    // Workers are min(requested, levels): the sweep's two stacks have
+    // three capacities and one.
     EXPECT_EQ(cosim.emulationThreads(),
-              emu_threads == 0 ? 0u : std::min(emu_threads, 2u));
+              emu_threads == 0 ? 0u : std::min(emu_threads, 4u));
     // Chunk size 1 is the per-transaction reference: nothing batched.
     if (chunk_txns == 1)
         EXPECT_EQ(cosim.platform().fsb().batchCount(), 0u);
@@ -247,7 +248,8 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
 TEST(ParallelEmulation, MixedListKeepsListOrderAcrossStacks)
 {
     // fig4's seven sizes form one stack and a 128 B-line config a
-    // second; emulator(i) must still be config i, serial or banked.
+    // second, eight levels in all; emulator(i) must still be config i,
+    // serial, banked, or split into sub-stacks.
     std::vector<DragonheadParams> configs = presets::llcSizeSweepEmulators();
     configs.insert(configs.begin() + 3, presets::llcConfig(32 * MiB, 128));
     const unsigned cores = 4;
@@ -263,7 +265,7 @@ TEST(ParallelEmulation, MixedListKeepsListOrderAcrossStacks)
         cfg.nThreads = cores;
         EXPECT_TRUE(cosim.run(wl, cfg).verified);
         EXPECT_EQ(cosim.nEmulators(), 8u);
-        EXPECT_EQ(cosim.emulationThreads(), emu_threads == 0 ? 0u : 2u);
+        EXPECT_EQ(cosim.emulationThreads(), std::min(emu_threads, 8u));
         for (unsigned i = 0; i < configs.size(); ++i) {
             const CacheParams& got = cosim.emulator(i).params().llc;
             EXPECT_EQ(got.name, configs[i].llc.name) << i;
@@ -276,6 +278,96 @@ TEST(ParallelEmulation, MixedListKeepsListOrderAcrossStacks)
     const Fingerprint serial = run(0);
     ASSERT_FALSE(serial.samples.empty());
     EXPECT_EQ(run(2), serial);
+    EXPECT_EQ(run(5), serial);
+}
+
+TEST(ParallelEmulation, SizeSweepSplitsAcrossWorkers)
+{
+    // fig4's seven sizes are one stack; a bank splits it so every
+    // worker asked for, up to one per size, emulates part of it.
+    const unsigned cores = 4;
+    auto run = [&](unsigned emu_threads, std::size_t chunk_txns) {
+        CoSimParams params;
+        params.platform = smallCmp(cores);
+        params.emulators = presets::llcSizeSweepEmulators();
+        params.emulationThreads = emu_threads;
+        params.fsbBatchTxns = chunk_txns;
+        CoSimulation cosim(params);
+        test::LoopWorkload wl(16 * KiB, 4, true);
+        WorkloadConfig cfg;
+        cfg.nThreads = cores;
+        EXPECT_TRUE(cosim.run(wl, cfg).verified);
+        EXPECT_EQ(cosim.emulationThreads(), std::min(emu_threads, 7u))
+            << emu_threads << " threads";
+        return fingerprintOf(cosim, cores);
+    };
+    // Serial, per-transaction delivery is the reference.
+    const Fingerprint serial = run(0, 1);
+    ASSERT_FALSE(serial.samples.empty());
+    for (unsigned threads : {1u, 2u, 3u, 7u, 9u})
+        EXPECT_EQ(run(threads, 256), serial) << threads << " threads";
+}
+
+/** Sizes in MB, in list order, of the configs planned into @p stack. */
+std::vector<std::uint64_t>
+stackSizesMb(const std::vector<DragonheadParams>& configs,
+             const std::vector<unsigned>& stack_of, unsigned stack)
+{
+    std::vector<std::uint64_t> mb;
+    for (std::size_t i = 0; i < configs.size(); ++i)
+        if (stack_of[i] == stack)
+            mb.push_back(configs[i].llc.size / MiB);
+    return mb;
+}
+
+TEST(PlanStacks, SplitsCapacitiesRoundRobinForWorkers)
+{
+    // fig4's sweep, as its three-worker bank emulates it.
+    const std::vector<DragonheadParams> fig4 =
+        presets::llcSizeSweepEmulators();
+    const std::vector<unsigned> fig4_at3 = planStacks(fig4, 3);
+    using Mb = std::vector<std::uint64_t>;
+    EXPECT_EQ(stackSizesMb(fig4, fig4_at3, 0), (Mb{4, 32, 256}));
+    EXPECT_EQ(stackSizesMb(fig4, fig4_at3, 1), (Mb{8, 64}));
+    EXPECT_EQ(stackSizesMb(fig4, fig4_at3, 2), (Mb{16, 128}));
+    EXPECT_EQ(planStacks(fig4), std::vector<unsigned>(7, 0));
+
+    // A mixed list: two 32 MB configs in the size stack, and a
+    // 128 B-line stack of two sizes.
+    std::vector<DragonheadParams> configs = fig4;
+    configs.insert(configs.begin() + 2, presets::llcConfig(32 * MiB, 128));
+    configs.push_back(presets::llcConfig(32 * MiB, 64));
+    configs.back().llc.name = "llc.again";
+    configs.push_back(presets::llcConfig(64 * MiB, 128));
+    // Levels: seven sizes in one stack, two in the other.
+    for (unsigned workers : {0u, 1u, 2u, 3u, 4u, 6u, 9u, 12u}) {
+        SCOPED_TRACE(std::to_string(workers) + " workers");
+        const std::vector<unsigned> stack_of = planStacks(configs, workers);
+        ASSERT_EQ(stack_of.size(), configs.size());
+        const unsigned n_stacks =
+            1 + *std::max_element(stack_of.begin(), stack_of.end());
+        EXPECT_EQ(n_stacks, std::clamp(workers, 2u, 9u));
+        // Stacks are numbered in order of their first config.
+        unsigned seen = 0;
+        for (unsigned s : stack_of) {
+            EXPECT_LE(s, seen);
+            seen = std::max(seen, s + 1);
+        }
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            for (std::size_t j = 0; j < configs.size(); ++j) {
+                // Each stack's members stack; equal capacities that
+                // stack share a stack.
+                if (stack_of[i] == stack_of[j]) {
+                    EXPECT_TRUE(LlcStack::stacks(configs[i], configs[j]))
+                        << i << ", " << j;
+                }
+                if (LlcStack::stacks(configs[i], configs[j]) &&
+                    configs[i].llc.size == configs[j].llc.size) {
+                    EXPECT_EQ(stack_of[i], stack_of[j]) << i << ", " << j;
+                }
+            }
+        }
+    }
 }
 
 TEST(FsbBatch, ChunksPreserveIssueOrderAndFlushOnCapacity)
