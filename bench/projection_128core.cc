@@ -35,9 +35,8 @@ main(int argc, char** argv)
         "cores");
     requireOnlyFlags(argc, argv,
                      {"--scale", "--quick", "--seed", "--workloads",
-                      "--out", "--no-verify", "--jobs", "--emu-threads",
-                      "--cells", "--faults", "--keep-going",
-                      "--retry-cells"});
+                      "--out", "--jobs", "--emu-threads", "--cells",
+                      "--faults", "--keep-going"});
     printBanner("Projection: beyond the paper's 32 cores", opts);
     ensureOutputDir(opts.outDir);
 

@@ -8,13 +8,11 @@
  * humans: a summary header, a per-workload table, and a sparkline of
  * each workload's MPKI series.
  *
- * The other subcommands validate the artifacts a finished or failed
- * sweep leaves behind (CI runs them against faulted and resumed
- * sweeps; see DESIGN.md "Post-mortem"):
+ * The other subcommands validate the artifacts a finished or
+ * interrupted sweep leaves behind (CI runs them against resumed
+ * sweeps; see DESIGN.md "Crash-safe sweeps"):
  *
  *   cosim_inspect <run.json>              pretty-print a run manifest
- *   cosim_inspect postmortem <file.json>  crash flight record: schema,
- *                                         fault sites, thread events
  *   cosim_inspect plan <file.plan.json>   sampling plan: cosim-plan/1
  *                                         schema and structural
  *                                         invariants (SamplingPlan)
@@ -139,124 +137,6 @@ splitLines(const std::string& text)
     if (!cur.empty())
         lines.push_back(cur);
     return lines;
-}
-
-/**
- * Validate a crash flight record (obs/postmortem.hh): the
- * cosim-postmortem/1 schema with its fault-site report and per-thread
- * event history. Prints the failure summary CI greps for.
- */
-int
-inspectPostmortem(const char* path)
-{
-    bool ok = false;
-    const std::string text = readAll(path, &ok);
-    if (!ok)
-        return 1;
-
-    Value doc;
-    std::string error;
-    if (!obs::json::parse(text, doc, &error)) {
-        std::fprintf(stderr, "cosim_inspect: %s: %s\n", path,
-                     error.c_str());
-        return 1;
-    }
-
-    int bad = 0;
-    const Value* schema = doc.find("schema");
-    if (schema == nullptr || !schema->isString() ||
-        schema->str != "cosim-postmortem/1") {
-        std::fprintf(stderr, "%s: schema is not cosim-postmortem/1\n",
-                     path);
-        ++bad;
-    }
-    const Value* reason = doc.find("reason");
-    if (reason == nullptr || !reason->isString() ||
-        reason->str.empty()) {
-        std::fprintf(stderr, "%s: missing reason\n", path);
-        ++bad;
-    }
-    const Value* t_us = doc.find("t_us");
-    if (t_us == nullptr || !t_us->isNumber()) {
-        std::fprintf(stderr, "%s: missing t_us\n", path);
-        ++bad;
-    }
-
-    std::printf("%s: %s", path,
-                stringOr(reason, "(no reason)").c_str());
-    std::string cell = stringOr(doc.find("cell"), "");
-    if (!cell.empty())
-        std::printf(", cell %s attempt %.0f", cell.c_str(),
-                    numberOr(doc.find("attempt"), 0.0));
-    std::printf("\n");
-    std::string err_text = stringOr(doc.find("error"), "");
-    if (!err_text.empty())
-        std::printf("  error: %s\n", err_text.c_str());
-
-    const Value* sites = doc.find("fault_sites");
-    if (sites != nullptr && sites->isArray()) {
-        for (const Value& s : sites->arr) {
-            if (s.find("site") == nullptr ||
-                !s.find("site")->isString()) {
-                std::fprintf(stderr,
-                             "%s: fault_sites entry lacks a site\n",
-                             path);
-                ++bad;
-                continue;
-            }
-            std::printf("  fault %s: armed %.0f, fired %.0f "
-                        "(%.0f hits)\n",
-                        s.find("site")->str.c_str(),
-                        numberOr(s.find("armed"), 0.0),
-                        numberOr(s.find("fired"), 0.0),
-                        numberOr(s.find("hits"), 0.0));
-        }
-    }
-
-    const Value* threads = doc.find("threads");
-    if (threads == nullptr || !threads->isArray()) {
-        std::fprintf(stderr, "%s: missing threads array\n", path);
-        ++bad;
-    } else {
-        for (const Value& t : threads->arr) {
-            const Value* label = t.find("label");
-            const Value* events = t.find("events");
-            if (label == nullptr || !label->isString() ||
-                events == nullptr || !events->isArray()) {
-                std::fprintf(stderr,
-                             "%s: thread entry lacks label/events\n",
-                             path);
-                ++bad;
-                continue;
-            }
-            double prev_seq = -1.0;
-            for (const Value& e : events->arr) {
-                const Value* seq = e.find("seq");
-                const Value* kind = e.find("kind");
-                if (seq == nullptr || !seq->isNumber() ||
-                    kind == nullptr || !kind->isString()) {
-                    std::fprintf(stderr,
-                                 "%s: thread '%s' event lacks "
-                                 "seq/kind\n",
-                                 path, label->str.c_str());
-                    ++bad;
-                    break;
-                }
-                if (seq->num <= prev_seq) {
-                    std::fprintf(stderr,
-                                 "%s: thread '%s' events out of "
-                                 "order\n",
-                                 path, label->str.c_str());
-                    ++bad;
-                    break;
-                }
-                prev_seq = seq->num;
-            }
-            std::printf("  thread %-18s %zu event(s)\n",
-                        label->str.c_str(), events->arr.size());
-        }
-    }
-    return bad == 0 ? 0 : 1;
 }
 
 /**
@@ -892,8 +772,6 @@ main(int argc, char** argv)
 {
     if (argc == 3) {
         const std::string cmd = argv[1];
-        if (cmd == "postmortem")
-            return inspectPostmortem(argv[2]);
         if (cmd == "plan")
             return inspectPlan(argv[2]);
         if (cmd == "journal")
@@ -934,7 +812,6 @@ main(int argc, char** argv)
     if (argc != 2) {
         std::fprintf(stderr,
                      "usage: cosim_inspect <run.json>\n"
-                     "       cosim_inspect postmortem <file.json>\n"
                      "       cosim_inspect plan <file.plan.json>\n"
                      "       cosim_inspect journal <sweep.journal."
                      "jsonl>\n"

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdlib>
 
-#include "base/flight_recorder.hh"
 #include "base/logging.hh"
 
 namespace cosim {
@@ -136,8 +135,6 @@ FaultInjector::arm(const FaultPlan& plan)
         sites_[s.site] = std::move(state);
     }
     armed_.store(!sites_.empty(), std::memory_order_relaxed);
-    FlightRecorder::note(FrKind::FaultArmed, "fault.plan",
-                         plan.sites.size());
 }
 
 void
@@ -168,9 +165,6 @@ FaultInjector::evaluate(const char* site)
     if (!fires)
         return 0;
     ++state.fired;
-    // The fault-point macro only passes string literals, so storing the
-    // pointer satisfies the recorder's site-lifetime contract.
-    FlightRecorder::note(FrKind::FaultFired, site, state.hits);
     return state.hits;
 }
 
@@ -202,23 +196,6 @@ FaultInjector::fired(const std::string& site) const
     LockGuard lock(mutex_);
     const auto it = sites_.find(site);
     return it == sites_.end() ? 0 : it->second.fired;
-}
-
-std::vector<FaultInjector::SiteReport>
-FaultInjector::report() const
-{
-    LockGuard lock(mutex_);
-    std::vector<SiteReport> out;
-    out.reserve(sites_.size());
-    for (const auto& entry : sites_) { // std::map: already name-sorted
-        SiteReport r;
-        r.site = entry.first;
-        r.hits = entry.second.hits;
-        r.fired = entry.second.fired;
-        r.armed = entry.second.armed;
-        out.push_back(std::move(r));
-    }
-    return out;
 }
 
 ScopedFaultPlan::ScopedFaultPlan(const std::string& spec,

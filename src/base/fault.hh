@@ -137,18 +137,6 @@ class FaultInjector
     /** Times @p site actually fired since the last arm(). */
     std::uint64_t fired(const std::string& site) const EXCLUDES(mutex_);
 
-    /** Snapshot of one site's counters, for post-mortem reporting. */
-    struct SiteReport
-    {
-        std::string site;
-        std::uint64_t hits = 0;
-        std::uint64_t fired = 0;
-        bool armed = false;
-    };
-
-    /** All sites seen since the last arm(), sorted by name. */
-    std::vector<SiteReport> report() const EXCLUDES(mutex_);
-
   private:
     FaultInjector() = default;
 

@@ -3,7 +3,7 @@
  * One process-wide monotonic host clock origin.
  *
  * Telemetry producers scattered across threads (trace sessions, the
- * flight recorder) all need timestamps that compare
+ * sweep journal) all need timestamps that compare
  * against each other. Before this header each subsystem captured its
  * own steady_clock origin, so host spans and control-block tracks
  * could skew after a reset(). hostClockNowUs()

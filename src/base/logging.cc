@@ -4,7 +4,6 @@
 // at, so the stream writes live here by design.
 // cosim-analyze: allow-file(no-printf)
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,7 +36,6 @@ defaultHandler(LogLevel level, const std::string& msg)
 }
 
 LogHandler currentHandler = defaultHandler;
-FatalHook currentFatalHook = nullptr;
 
 LogLevel
 verbosityFromEnv()
@@ -91,14 +89,6 @@ setLogHandler(LogHandler handler)
     return prev;
 }
 
-FatalHook
-setFatalHook(FatalHook hook)
-{
-    FatalHook prev = currentFatalHook;
-    currentFatalHook = hook;
-    return prev;
-}
-
 LogLevel
 logVerbosity()
 {
@@ -149,14 +139,6 @@ fatalImpl(const char* file, int line, const char* fmt, ...)
     std::string msg = vformat(fmt, args);
     va_end(args);
     msg += " (" + std::string(file) + ":" + std::to_string(line) + ")";
-    // Run the post-mortem hook exactly once, even if the hook's own
-    // cleanup trips another fatal().
-    static std::atomic<bool> in_fatal_hook{false};
-    if (currentFatalHook != nullptr &&
-        !in_fatal_hook.exchange(true, std::memory_order_relaxed)) {
-        currentFatalHook(msg);
-        in_fatal_hook.store(false, std::memory_order_relaxed);
-    }
     currentHandler(LogLevel::Fatal, msg);
     std::exit(1);
 }

@@ -37,20 +37,6 @@ using LogHandler = void (*)(LogLevel level, const std::string& msg);
 LogHandler setLogHandler(LogHandler handler);
 
 /**
- * Last-gasp hook run by fatal() after the message is formatted but
- * before the handler and exit(1). The post-mortem writer installs one
- * to dump the flight recorder next to run.json, so even fatal artifact
- * failures leave an explained corpse. The hook must not throw and must
- * not call fatal() itself; a recursion guard makes a nested fatal()
- * skip the hook rather than loop.
- */
-using FatalHook = void (*)(const std::string& msg);
-
-/** Replace the process-wide fatal hook (nullptr disables); returns the
- * previous one. */
-FatalHook setFatalHook(FatalHook hook);
-
-/**
  * Minimum severity delivered to the handler. Initialized lazily from
  * COSIM_LOG ("debug" | "info" | "warn" | "quiet"); defaults to Info.
  */

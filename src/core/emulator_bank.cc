@@ -1,10 +1,8 @@
 #include "core/emulator_bank.hh"
 
 #include <algorithm>
-#include <string>
 
 #include "base/fault.hh"
-#include "base/flight_recorder.hh"
 #include "base/logging.hh"
 
 namespace cosim {
@@ -90,8 +88,6 @@ AsyncEmulatorBank::publishPending()
         std::move(pending_));
     pending_ = {};
     pending_.reserve(params_.chunkTxns);
-    FlightRecorder::note(FrKind::ChunkPublished, "emu.bank",
-                         chunk->size());
     for (auto& worker : workers_) {
         // A false return means the worker poisoned its queue (died):
         // the chunk is dropped for it, and the recorded exception
@@ -188,7 +184,6 @@ AsyncEmulatorBank::failedWorkers() const
 void
 AsyncEmulatorBank::workerLoop(unsigned w)
 {
-    FlightRecorder::setThreadLabel("emu.worker/" + std::to_string(w));
     Worker& worker = *workers_[w];
     Chunk chunk;
     while (worker.queue.pop(chunk)) {
@@ -206,8 +201,6 @@ AsyncEmulatorBank::workerLoop(unsigned w)
                 }
                 ++chunksDone_[w];
             }
-            FlightRecorder::note(FrKind::ChunkEmulated, "emu.worker",
-                                 n_txns, w);
             chunk.reset();
             syncCv_.notifyAll();
         } catch (...) {
@@ -217,7 +210,6 @@ AsyncEmulatorBank::workerLoop(unsigned w)
                     workerError_ = std::current_exception();
                 workerFailed_[w] = 1;
             }
-            FlightRecorder::note(FrKind::WorkerDied, "emu.worker", w);
             // Unblock a producer waiting on a full queue and a sync()
             // waiting on chunksDone_ -- this worker will never catch up.
             worker.queue.poison();

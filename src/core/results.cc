@@ -36,14 +36,13 @@ FigureData::addSeries(const std::string& workload,
 }
 
 void
-FigureData::addFailedSeries(const std::string& workload,
-                            const std::string& status)
+FigureData::addFailedSeries(const std::string& workload)
 {
     if (series_.find(workload) == series_.end())
         names_.push_back(workload);
     series_[workload] = {};
     points_[workload] = {};
-    status_[workload] = status;
+    status_[workload] = "failed";
 }
 
 const std::string&
@@ -52,16 +51,6 @@ FigureData::status(const std::string& workload) const
     static const std::string kOk = "ok";
     auto it = status_.find(workload);
     return it == status_.end() ? kOk : it->second;
-}
-
-void
-FigureData::setStatus(const std::string& workload,
-                      const std::string& status)
-{
-    fatal_if(series_.find(workload) == series_.end(),
-             "%s: no series for workload '%s'", figureId_.c_str(),
-             workload.c_str());
-    status_[workload] = status;
 }
 
 void

@@ -53,10 +53,9 @@ class FigureData
     /**
      * Record a workload whose sweep cell failed (see --keep-going):
      * it keeps its figure row, rendered with "-" placeholders and an
-     * empty CSV row, tagged with @p status ("failed").
+     * empty CSV row, tagged with status "failed".
      */
-    void addFailedSeries(const std::string& workload,
-                         const std::string& status = "failed");
+    void addFailedSeries(const std::string& workload);
 
     const std::string& figureId() const { return figureId_; }
     const std::vector<std::string>& xTicks() const { return xTicks_; }
@@ -65,11 +64,8 @@ class FigureData
     const std::vector<SweepPoint>& points(const std::string& workload)
         const;
 
-    /** Cell outcome for @p workload: "ok", "retried", or "failed". */
+    /** Cell outcome for @p workload: "ok" or "failed". */
     const std::string& status(const std::string& workload) const;
-
-    /** Override the recorded outcome (e.g. "retried") of a series. */
-    void setStatus(const std::string& workload, const std::string& status);
 
     /**
      * Record a sampled run's relative MPKI error vs its full-run

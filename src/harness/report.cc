@@ -49,9 +49,6 @@ fsbStreamPath(const std::string& base, const std::string& workload)
 
 namespace {
 
-/** Cap on --retry-cells, so the attempt count (retries + 1) is small. */
-constexpr unsigned kMaxRetryCells = 1000;
-
 /**
  * The value of "--flag=<n>" as an integer in [lo, hi]. The value must
  * be plain decimal digits, consumed whole: no sign, no blanks, no
@@ -76,10 +73,9 @@ integerFlag(const std::string& arg, std::uint64_t lo, std::uint64_t hi)
 
 /** integerFlag() for flags stored as unsigned. */
 unsigned
-unsignedFlag(const std::string& arg, unsigned lo = 0,
-             unsigned hi = UINT_MAX)
+unsignedFlag(const std::string& arg, unsigned lo = 0)
 {
-    return static_cast<unsigned>(integerFlag(arg, lo, hi));
+    return static_cast<unsigned>(integerFlag(arg, lo, UINT_MAX));
 }
 
 /**
@@ -163,8 +159,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "  --workloads=a,b  run a subset of the workloads\n"
                 "  --out=<dir>      CSV output directory (default "
                 "results)\n"
-                "  --no-verify      continue when self-verification "
-                "fails\n"
                 "  --trace=<file>   record a Chrome trace-event JSON "
                 "(chrome://tracing / Perfetto)\n"
                 "  --stats=<file>   dump the stats registry "
@@ -193,10 +187,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "digests (golden-baseline format)\n"
                 "  --faults=<spec>  arm a deterministic fault plan "
                 "(site:nth=K or site:p=X, comma-separated)\n"
-                "  --keep-going     finish the sweep despite failed "
-                "cells (recorded with status \"failed\")\n"
-                "  --retry-cells=<n> retry a failed cell up to n extra "
-                "times (default 0, at most 1000)\n"
+                "  --keep-going     publish the healthy cells despite "
+                "failed ones (recorded with status \"failed\")\n"
                 "  --journal[=<f>]  write-ahead journal of cell state "
                 "transitions (default <out>/sweep.journal.jsonl)\n"
                 "  --resume=<f>     resume an interrupted sweep from "
@@ -241,8 +233,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
         } else if (startsWith(arg, "--out=")) {
             opts.outDir = arg.substr(6);
             fatal_if(opts.outDir.empty(), "--out needs a directory path");
-        } else if (arg == "--no-verify") {
-            opts.strictVerify = false;
         } else if (startsWith(arg, "--trace=")) {
             opts.traceFile = arg.substr(8);
             fatal_if(opts.traceFile.empty(), "--trace needs a file path");
@@ -293,8 +283,6 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
             fatal_if(opts.faults.empty(), "--faults needs a fault spec");
         } else if (arg == "--keep-going") {
             opts.keepGoing = true;
-        } else if (startsWith(arg, "--retry-cells=")) {
-            opts.retryCells = unsignedFlag(arg, 0, kMaxRetryCells);
         } else if (arg == "--journal") {
             opts.journalFile = "-"; // placeholder: default after --out
         } else if (startsWith(arg, "--journal=")) {
@@ -388,8 +376,7 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
 }
 
 const std::vector<std::string> kSingleRunFlags = {
-    "--scale", "--quick", "--seed", "--workloads", "--out", "--no-verify",
-    "--faults"};
+    "--scale", "--quick", "--seed", "--workloads", "--out", "--faults"};
 
 void
 requireOnlyFlags(int argc, char** argv,

@@ -48,8 +48,6 @@ struct BenchOptions
     std::vector<std::string> workloads;
     /** Directory CSV outputs are written into. */
     std::string outDir = "results";
-    /** Abort the bench if a workload fails self-verification. */
-    bool strictVerify = true;
     /** Chrome trace-event JSON output (empty = tracing disabled). */
     std::string traceFile;
     /** Stats-registry dump path (.json/.csv/.txt; empty = no dump). */
@@ -88,11 +86,11 @@ struct BenchOptions
     /** @} */
 
     /** @name Robustness / fault injection @{ */
-    /** Finish the sweep even when cells fail (they stay in run.json
-     * and the CSV with status "failed"). */
+    /** Publish the healthy cells' artifacts even when cells fail (the
+     * failed ones stay in run.json and the CSV with status "failed").
+     * Without it a sweep still runs every cell, then exits 1 before
+     * writing any figure artifact. */
     bool keepGoing = false;
-    /** Re-run a failed cell up to this many extra times. */
-    unsigned retryCells = 0;
     /** Armed fault plan spec ("site:nth=K,..."); empty = none. */
     std::string faults;
     /** @} */
@@ -125,7 +123,6 @@ std::string fsbStreamPath(const std::string& base,
  *   --seed=<n>       data-generation seed
  *   --workloads=a,b  comma-separated subset
  *   --out=<dir>      output directory for CSVs
- *   --no-verify      keep going when self-verification fails
  *   --trace=<file>   record a Chrome trace-event JSON of the run
  *   --stats=<file>   dump the stats registry (.json/.csv/.txt)
  *   --manifest=<f>   run manifest path (default <out>/run.json)
@@ -144,8 +141,7 @@ std::string fsbStreamPath(const std::string& base,
  *   --digest=<file>  write per-workload FSB stream digests
  *   --faults=<spec>  arm a fault plan (site:nth=K / site:p=X, comma-
  *                    separated; see base/fault.hh)
- *   --keep-going     finish the sweep despite failed cells
- *   --retry-cells=<n> retry a failed cell up to n times (n <= 1000)
+ *   --keep-going     publish the healthy cells despite failed ones
  *   --journal[=<f>]  write-ahead journal of cell state transitions
  *   --resume=<f>     resume an interrupted sweep from its journal,
  *                    appending to that journal

@@ -17,16 +17,10 @@ namespace {
 
 void
 checkVerified(const RunResult& result, const std::string& name,
-              const PlatformParams& platform, const BenchOptions& opts)
+              const PlatformParams& platform)
 {
-    if (result.verified)
-        return;
-    if (opts.strictVerify) {
-        fatal("%s failed self-verification on %s", name.c_str(),
-              platform.name.c_str());
-    }
-    warn("%s failed self-verification on %s", name.c_str(),
-         platform.name.c_str());
+    fatal_if(!result.verified, "%s failed self-verification on %s",
+             name.c_str(), platform.name.c_str());
 }
 
 /** Append one emulated configuration's final counters to @p cell. */
@@ -347,12 +341,9 @@ RigSlot::fits(const SweepCell& cell) const
 }
 
 CoSimulation&
-RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell,
-                 unsigned attempt)
+RigSlot::acquire(const SweepFigure& fig, const SweepCell& cell)
 {
-    // A retry always rebuilds: the failed attempt may have poisoned the
-    // rig (a dead emulation worker stays dead).
-    if (attempt > 1 || !fits(cell)) {
+    if (!fits(cell)) {
         rig_.reset();
         CoSimParams params;
         params.platform = fig.platform;
@@ -452,7 +443,7 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
             out.streamDigest = details.digest;
         }
     }
-    checkVerified(result, name, fig.platform, opts);
+    checkVerified(result, name, fig.platform);
 
     out.mw.name = name;
     out.mw.totalInsts = result.totalInsts;
@@ -529,26 +520,20 @@ mergeWorkloadCells(const std::string& name, const CellOutput* base,
     // Outcome first: any failed constituent fails the whole workload
     // row (a partial series would silently shift the figure's x axis).
     bool any_failed = base != nullptr && base->failed;
-    bool any_retried = base != nullptr && base->mw.status == "retried";
-    std::uint64_t attempts = base ? base->mw.attempts : 1;
     std::string error = base ? base->mw.error : "";
     for (const CellOutput& c : configs) {
         any_failed = any_failed || c.failed;
-        any_retried = any_retried || c.mw.status == "retried";
-        attempts = std::max(attempts, c.mw.attempts);
         if (error.empty())
             error = c.mw.error;
     }
     CellOutput merged;
     merged.mw.name = name;
-    merged.mw.attempts = attempts;
     if (any_failed) {
         merged.failed = true;
         merged.mw.status = "failed";
         merged.mw.error = error;
         return merged;
     }
-    merged.mw.status = any_retried ? "retried" : "ok";
 
     const CellOutput& first = base ? *base : configs.front();
     merged.mw.totalInsts = first.mw.totalInsts;

@@ -23,7 +23,7 @@
  * A rig is the CoSimulation a cell runs on. RigSlot enforces the one
  * lifetime rule: at most one rig per running cell, reused by the next
  * cell of a serial sweep only when it attaches the same emulator group
- * and the previous attempt succeeded, and never kept past its cell
+ * and the previous cell succeeded, and never kept past its cell
  * otherwise.
  */
 
@@ -50,8 +50,8 @@ struct CellOutput
     obs::ManifestWorkload mw;
     std::vector<SweepPoint> points;
 
-    /** Cell outcome: true when every attempt failed. The manifest
-     * entry (mw.status / mw.attempts / mw.error) carries the detail. */
+    /** Cell outcome: true when the cell failed. The manifest entry
+     * (mw.status / mw.error) carries the detail. */
     bool failed = false;
 
     /** Times the guest executed to produce this output. */
@@ -185,9 +185,8 @@ WorkloadStream resolveStream(const SweepFigure& fig, std::size_t w);
 class RigSlot
 {
   public:
-    /** The rig for attempt @p attempt of @p cell. */
-    CoSimulation& acquire(const SweepFigure& fig, const SweepCell& cell,
-                          unsigned attempt);
+    /** The rig for @p cell. */
+    CoSimulation& acquire(const SweepFigure& fig, const SweepCell& cell);
 
     /** The holding cell ended (@p ok = it succeeded); keep the rig only
      * for @p next, the cell a serial sweep runs next (null = none). */

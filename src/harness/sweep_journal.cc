@@ -163,31 +163,29 @@ SweepJournal::cellPlanned(const std::string& cell)
 }
 
 void
-SweepJournal::cellRunning(const std::string& cell, unsigned attempt)
+SweepJournal::cellRunning(const std::string& cell)
 {
     append("running", "\"cell\":" + obs::json::quote(cell) +
-                          ",\"attempt\":" + std::to_string(attempt));
+                          ",\"attempt\":1");
 }
 
 void
-SweepJournal::cellDone(const std::string& cell, unsigned attempts,
-                       const std::string& artifact, std::uint64_t bytes,
-                       std::uint64_t digest)
+SweepJournal::cellDone(const std::string& cell, const std::string& artifact,
+                       std::uint64_t bytes, std::uint64_t digest)
 {
     append("done", "\"cell\":" + obs::json::quote(cell) +
-                       ",\"attempts\":" + std::to_string(attempts) +
-                       ",\"artifact\":" + obs::json::quote(artifact) +
+                       ",\"attempts\":1,\"artifact\":" +
+                       obs::json::quote(artifact) +
                        ",\"bytes\":" + std::to_string(bytes) +
                        ",\"digest\":\"" + std::to_string(digest) + "\"");
 }
 
 void
-SweepJournal::cellFailed(const std::string& cell, unsigned attempts,
-                         const std::string& error)
+SweepJournal::cellFailed(const std::string& cell, const std::string& error)
 {
     append("failed", "\"cell\":" + obs::json::quote(cell) +
-                         ",\"attempts\":" + std::to_string(attempts) +
-                         ",\"error\":" + obs::json::quote(error));
+                         ",\"attempts\":1,\"error\":" +
+                         obs::json::quote(error));
 }
 
 void

@@ -23,6 +23,9 @@
  *   resume_skip  cell
  *   sweep_done   ok, failed
  *
+ * A cell runs once, so "attempt" and "attempts" always read 1; they
+ * stay so journals keep one format across versions.
+ *
  * `config_digest` fingerprints the sweep configuration (figure,
  * platform, scale, seed, workloads, cell mode, ticks); --resume
  * refuses a journal whose digest does not match, so two different
@@ -90,13 +93,12 @@ class SweepJournal
                    std::uint64_t config_digest, std::size_t cells)
         EXCLUDES(mutex_);
     void cellPlanned(const std::string& cell) EXCLUDES(mutex_);
-    void cellRunning(const std::string& cell, unsigned attempt)
+    void cellRunning(const std::string& cell) EXCLUDES(mutex_);
+    void cellDone(const std::string& cell, const std::string& artifact,
+                  std::uint64_t bytes, std::uint64_t digest)
         EXCLUDES(mutex_);
-    void cellDone(const std::string& cell, unsigned attempts,
-                  const std::string& artifact, std::uint64_t bytes,
-                  std::uint64_t digest) EXCLUDES(mutex_);
-    void cellFailed(const std::string& cell, unsigned attempts,
-                    const std::string& error) EXCLUDES(mutex_);
+    void cellFailed(const std::string& cell, const std::string& error)
+        EXCLUDES(mutex_);
     void resumed(std::size_t skipped, std::size_t rerun)
         EXCLUDES(mutex_);
     void resumeSkip(const std::string& cell) EXCLUDES(mutex_);

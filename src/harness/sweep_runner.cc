@@ -14,7 +14,6 @@
 
 #include "base/atomic_file.hh"
 #include "base/fault.hh"
-#include "base/flight_recorder.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
 #include "base/thread_pool.hh"
@@ -24,7 +23,6 @@
 #include "harness/sweep_journal.hh"
 #include "obs/host_profiler.hh"
 #include "obs/json.hh"
-#include "obs/postmortem.hh"
 #include "obs/run_manifest.hh"
 #include "obs/stats_registry.hh"
 #include "obs/trace_session.hh"
@@ -39,9 +37,9 @@ namespace {
  * compute, so --resume refuses to mix two different sweeps' journals.
  * That includes every configuration as emulated, CB window included:
  * --quick retimes it without changing the scale. Host-side knobs
- * (--jobs, --emu-threads, retries) are deliberately excluded: they
- * change how cells are scheduled, not what they produce, and a resume
- * routinely runs with different ones.
+ * (--jobs, --emu-threads) are deliberately excluded: they change how
+ * cells are scheduled, not what they produce, and a resume routinely
+ * runs with different ones.
  */
 std::uint64_t
 sweepConfigDigest(const std::string& figure_id, const SweepFigure& fig)
@@ -97,20 +95,16 @@ struct SweepLedger
 /**
  * Run one sweep cell in this process, behind the failure boundary:
  *
- *  - retries: @p attempt runs up to opts.retryCells + 1 times; the
- *    attempt number is passed in so the rig slot rebuilds on retry
  *  - fault point: "cell.throw" (throws FaultInjected) fires here,
  *    inside the guarded window
- *  - post-mortem: the flight recorder gets attempt markers (with
- *    @p cell_idx naming the cell), and every failed attempt drops
- *    "<outDir>/postmortem.json" naming the cell and -- via the fault
- *    injector's site report -- what was injected
- *  - stats hygiene: a failed attempt's @p stats_prefix namespace is
+ *  - report: a failed cell warns once on stderr with its label and
+ *    error, and returns a CellOutput with failed=true carrying both
+ *  - stats hygiene: a failed cell's @p stats_prefix namespace is
  *    dropped from the global registry, so run artifacts never carry a
  *    half-populated cell
  *
- * Success after a retry reports status "retried"; exhausted attempts
- * report a CellOutput with failed=true and the last error recorded.
+ * A cell runs once: the rig reproduces a run bit for bit from its
+ * seed, so a failed cell fails the same way when rerun.
  *
  * Crash safety (harness/sweep_journal.hh) layers on top: with a
  * ledger journal, every state transition is journaled (planned /
@@ -122,8 +116,7 @@ struct SweepLedger
 CellOutput
 runGuardedCell(const std::string& label, const std::string& stats_prefix,
                const BenchOptions& opts, const SweepLedger& ledger,
-               std::size_t cell_idx,
-               const std::function<CellOutput(unsigned)>& attempt)
+               const std::function<CellOutput()>& body)
 {
     // --resume: a journaled result that verified at load time replaces
     // the whole cell (its stats namespaces were re-registered then).
@@ -140,70 +133,45 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
     if (ledger.journal != nullptr)
         ledger.journal->cellPlanned(label);
 
-    const unsigned max_attempts = opts.retryCells + 1;
-    std::string last_error;
-    for (unsigned a = 1; a <= max_attempts; ++a) {
-        obs::setPostmortemContext(label, a);
-        FlightRecorder::setThreadLabel("cell/" + label);
-        FlightRecorder::note(FrKind::CellAttempt, "sweep.cell", a,
-                             cell_idx);
-        try {
-            if (ledger.journal != nullptr)
-                ledger.journal->cellRunning(label, a);
-            COSIM_FAULT_POINT("cell.throw");
-            CellOutput cell = attempt(a);
-            cell.mw.status = a > 1 ? "retried" : "ok";
-            cell.mw.attempts = a;
-            if (ledger.journal != nullptr) {
-                // Durable result: (re-)write the artifact with the
-                // final status/attempts and journal its fingerprint.
-                // --resume trusts the file only while the digest still
-                // matches; an unwritable artifact just leaves the cell
-                // un-done, so a resume re-runs it.
-                const std::string artifact =
-                    cellArtifactPath(opts, label);
-                try {
-                    writeFileAtomic(
-                        artifact, renderCellArtifact(cell, stats_prefix));
-                } catch (const IoError& e) {
-                    warn("cell artifact %s: %s", artifact.c_str(),
-                         e.what());
-                }
-                std::uint64_t digest = 0;
-                std::uint64_t bytes = 0;
-                if (digestFileFnv(artifact, &digest, &bytes)) {
-                    ledger.journal->cellDone(label, a, artifact, bytes,
-                                             digest);
-                } else {
-                    warn("cell artifact %s: unreadable; the cell will "
-                         "re-run on resume", artifact.c_str());
-                }
+    try {
+        if (ledger.journal != nullptr)
+            ledger.journal->cellRunning(label);
+        COSIM_FAULT_POINT("cell.throw");
+        CellOutput cell = body();
+        if (ledger.journal != nullptr) {
+            // Durable result: write the artifact and journal its
+            // fingerprint. --resume trusts the file only while the
+            // digest still matches; an unwritable artifact just leaves
+            // the cell un-done, so a resume re-runs it.
+            const std::string artifact = cellArtifactPath(opts, label);
+            try {
+                writeFileAtomic(artifact,
+                                renderCellArtifact(cell, stats_prefix));
+            } catch (const IoError& e) {
+                warn("cell artifact %s: %s", artifact.c_str(), e.what());
             }
-            FlightRecorder::note(FrKind::CellDone, "sweep.cell", a,
-                                 cell_idx);
-            return cell;
-        } catch (const std::exception& e) {
-            obs::StatsRegistry::global().removePrefix(stats_prefix);
-            last_error = e.what();
-            warn("sweep cell %s failed (attempt %u/%u): %s",
-                 label.c_str(), a, max_attempts, e.what());
-            obs::PostmortemInfo pm;
-            pm.reason = "cell_failed";
-            pm.cell = label;
-            pm.attempt = a;
-            pm.error = last_error;
-            obs::writePostmortem(opts.outDir + "/postmortem.json", pm);
+            std::uint64_t digest = 0;
+            std::uint64_t bytes = 0;
+            if (digestFileFnv(artifact, &digest, &bytes)) {
+                ledger.journal->cellDone(label, artifact, bytes, digest);
+            } else {
+                warn("cell artifact %s: unreadable; the cell will "
+                     "re-run on resume", artifact.c_str());
+            }
         }
+        return cell;
+    } catch (const std::exception& e) {
+        obs::StatsRegistry::global().removePrefix(stats_prefix);
+        warn("sweep cell %s failed: %s", label.c_str(), e.what());
+        if (ledger.journal != nullptr)
+            ledger.journal->cellFailed(label, e.what());
+        CellOutput cell;
+        cell.failed = true;
+        cell.mw.name = label;
+        cell.mw.status = "failed";
+        cell.mw.error = e.what();
+        return cell;
     }
-    if (ledger.journal != nullptr)
-        ledger.journal->cellFailed(label, max_attempts, last_error);
-    CellOutput cell;
-    cell.failed = true;
-    cell.mw.name = label;
-    cell.mw.status = "failed";
-    cell.mw.attempts = max_attempts;
-    cell.mw.error = last_error;
-    return cell;
 }
 
 /**
@@ -231,8 +199,6 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
             out.failed = true;
             out.mw.name = cell.label;
             out.mw.status = "failed";
-            out.mw.attempts =
-                std::max<std::uint64_t>(ws.base.mw.attempts, 1);
             out.mw.error = (cell.source == StreamSource::Sampled
                                 ? "profile failed: "
                                 : "capture failed: ") +
@@ -245,10 +211,9 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
             // inputs.
             out = runGuardedCell(
                 cell.label, "cell/" + cell.label + "/", opts,
-                cell.phase1 ? SweepLedger{} : ledger, i,
-                [&](unsigned attempt) {
-                    return runCellBody(
-                        fig, cell, slot.acquire(fig, cell, attempt), ws);
+                cell.phase1 ? SweepLedger{} : ledger, [&] {
+                    return runCellBody(fig, cell, slot.acquire(fig, cell),
+                                       ws);
                 });
         }
         if (cell.phase1)
@@ -322,10 +287,6 @@ SweepRunner::runFigure(const std::string& figure_id,
 
     const std::size_t n_w = opts_.workloads.size();
     const std::size_t total_cells = plan.cells.size();
-
-    // Whatever kills this run -- a failed cell, a fatal() in an
-    // artifact writer -- a postmortem lands next to the run artifacts.
-    obs::installFatalPostmortem(opts_.outDir + "/postmortem.json");
 
     // Crash safety: the write-ahead journal, and -- when resuming --
     // the verified results of cells an interrupted sweep already
@@ -456,8 +417,7 @@ SweepRunner::runFigure(const std::string& figure_id,
     // Aggregate in workload order regardless of completion order, so the
     // figure, manifest and digest outputs are deterministic.
     double host_sum = 0.0;
-    bool any_failed = false;
-    std::string first_error;
+    const CellOutput* first_failed = nullptr;
     std::string last_ok;
     DigestManifest digests;
     for (std::size_t i = 0; i < n_w; ++i) {
@@ -469,13 +429,10 @@ SweepRunner::runFigure(const std::string& figure_id,
             obs::StatsRegistry::global().removePrefix("cell/" + name +
                                                       "/");
             manifest.workloads.push_back(cell.mw);
-            figure.addFailedSeries(name, cell.mw.status);
-            if (!any_failed)
-                first_error = cell.mw.error;
-            any_failed = true;
-            std::printf("  %-9s FAILED after %llu attempt(s): %s  "
-                        "[%zu/%zu]\n", name.c_str(),
-                        static_cast<unsigned long long>(cell.mw.attempts),
+            figure.addFailedSeries(name);
+            if (first_failed == nullptr)
+                first_failed = &cell;
+            std::printf("  %-9s FAILED: %s  [%zu/%zu]\n", name.c_str(),
                         cell.mw.error.c_str(), i + 1, n_w);
             continue;
         }
@@ -493,7 +450,6 @@ SweepRunner::runFigure(const std::string& figure_id,
         manifest.workloads.push_back(cell.mw);
         figure.addSeries(cell.mw.name, cell.mw.mpkiPerConfig,
                          std::move(cell.points));
-        figure.setStatus(cell.mw.name, cell.mw.status);
         if (cell.mw.sampling.active && cell.mw.sampling.hasError)
             figure.setSamplingError(cell.mw.name,
                                     cell.mw.sampling.errMpki);
@@ -526,10 +482,10 @@ SweepRunner::runFigure(const std::string& figure_id,
     // A failed cell without --keep-going fails the run *before* any
     // artifact is written: a nonzero exit must never leave behind a
     // stats dump or manifest that looks like a completed figure.
-    if (any_failed && !opts_.keepGoing) {
-        fatal("sweep %s: cell failed: %s (use --keep-going to finish "
+    if (first_failed != nullptr && !opts_.keepGoing) {
+        fatal("sweep %s: cell %s failed: %s (use --keep-going to publish "
               "the healthy cells)", figure_id.c_str(),
-              first_error.c_str());
+              first_failed->mw.name.c_str(), first_failed->mw.error.c_str());
     }
 
     // --plan-out from a full-detail run: cluster every workload's CB

@@ -12,8 +12,8 @@
  *    lifetime rule;
  *  - harness/sweep_journal: the write-ahead journal and the cell
  *    artifacts --resume reads;
- *  - this file: the scheduler (retries, one chain of cells per
- *    workload across --jobs threads, every cell in this process) and
+ *  - this file: the scheduler (one chain of cells per workload
+ *    across --jobs threads, every cell in this process, run once) and
  *    the figure assembly (CSV rows, run.json, --stats, --digest,
  *    --plan-out).
  *

@@ -80,12 +80,13 @@ struct ManifestWorkload
      * source the cell's emulator results were replayed from. */
     std::string replayedFrom;
 
-    /** @name Cell outcome (--keep-going, --retry-cells) @{ */
-    /** "ok", "retried" (succeeded after retry), or "failed". */
+    /** @name Cell outcome (--keep-going) @{ */
+    /** "ok" or "failed". */
     std::string status = "ok";
-    /** Attempts spent on the cell (> 1 under --retry-cells). */
+    /** Attempts spent on the cell; a cell runs once, so always 1 (the
+     * field is kept so run.json's format is unchanged). */
     std::uint64_t attempts = 1;
-    /** The last attempt's error; empty unless status is "failed". */
+    /** The cell's error; empty unless status is "failed". */
     std::string error;
     /** @} */
 

@@ -48,7 +48,6 @@ TEST(BenchOptions, Defaults)
     EXPECT_EQ(o.seed, 42u);
     EXPECT_EQ(o.workloads.size(), 8u);
     EXPECT_EQ(o.outDir, "results");
-    EXPECT_TRUE(o.strictVerify);
 }
 
 TEST(BenchOptions, ScaleAndQuick)
@@ -133,22 +132,18 @@ TEST(BenchOptionsDeathTest, QuickWithScaleIsFatalInEitherOrder)
 
 TEST(BenchOptions, SeedOutAndVerify)
 {
-    BenchOptions o =
-        parse({"--seed=7", "--out=/tmp/x", "--no-verify"});
+    BenchOptions o = parse({"--seed=7", "--out=/tmp/x"});
     EXPECT_EQ(o.seed, 7u);
     EXPECT_EQ(o.outDir, "/tmp/x");
-    EXPECT_FALSE(o.strictVerify);
 }
 
 TEST(BenchOptions, RobustnessFlags)
 {
-    BenchOptions o = parse({"--keep-going", "--retry-cells=2"});
+    BenchOptions o = parse({"--keep-going"});
     EXPECT_TRUE(o.keepGoing);
-    EXPECT_EQ(o.retryCells, 2u);
 
     BenchOptions d = parse({});
     EXPECT_FALSE(d.keepGoing);
-    EXPECT_EQ(d.retryCells, 0u);
     EXPECT_TRUE(d.faults.empty());
 }
 
@@ -159,7 +154,6 @@ TEST(BenchOptions, NumericFlagsTakeTheirWholeRange)
               18446744073709551615ull);
     EXPECT_EQ(parse({"--jobs=1"}).jobs, 1u);
     EXPECT_EQ(parse({"--emu-threads=0"}).emuThreads, 0u);
-    EXPECT_EQ(parse({"--retry-cells=1000"}).retryCells, 1000u);
     EXPECT_DOUBLE_EQ(parse({"--scale=1e-3"}).scale, 1e-3);
     EXPECT_DOUBLE_EQ(parse({"--scale=1"}).scale, 1.0);
 }
@@ -172,7 +166,6 @@ TEST(BenchOptionsDeathTest, MalformedNumericValuesAreFatalAndNameTheFlag)
         {"--seed", "18446744073709551616"},
         {"--jobs", "4294967296"},
         {"--emu-threads", "4294967296"},
-        {"--retry-cells", "4294967296"},
     };
     for (const auto& [flag, overflow] : flags) {
         for (const std::string& value :
@@ -190,8 +183,7 @@ TEST(BenchOptionsDeathTest, OutOfRangeValuesAreFatal)
 {
     for (const char* arg :
          {"--scale=0", "--scale=nan", "--scale= 1", "--scale=2",
-          "--scale=1.0000001", "--seed=+7", "--jobs=0",
-          "--retry-cells=1001"}) {
+          "--scale=1.0000001", "--seed=+7", "--jobs=0"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), "bad --")
             << arg;
     }
@@ -205,7 +197,8 @@ TEST(BenchOptionsDeathTest, RemovedFlagsAreUnknownOptions)
           "--max-phases=8", "--isolate-cells", "--cell-timeout=2",
           "--run-cell=PLSA", "--cell-result=/tmp/c.json",
           "--heartbeat-fd=3", "--self-destruct=segv", "--progress",
-          "--progress-file=/tmp/p.jsonl", "--metrics=/tmp/m.om"}) {
+          "--progress-file=/tmp/p.jsonl", "--metrics=/tmp/m.om",
+          "--retry-cells=1", "--no-verify"}) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
                     std::string("unknown option '") + arg + "'")
             << arg;
@@ -260,8 +253,7 @@ TEST(BenchOptionsDeathTest, SingleRunBenchesRefuseTheSweepFlags)
          {"--trace=t.json", "--stats=s.json", "--manifest=m.json",
           "--jobs=2", "--emu-threads=2", "--cells=exec", "--capture=c",
           "--replay=r", "--plan=p", "--plan-out=p", "--digest=d",
-          "--keep-going", "--retry-cells=1", "--journal",
-          "--resume=j"}) {
+          "--keep-going", "--journal", "--resume=j"}) {
         const std::string a = arg;
         const std::string flag = a.substr(0, a.find('='));
         EXPECT_EXIT(check({"--quick", a}), ::testing::ExitedWithCode(1),
@@ -269,7 +261,7 @@ TEST(BenchOptionsDeathTest, SingleRunBenchesRefuseTheSweepFlags)
             << arg;
     }
     check({"--quick", "--seed=7", "--workloads=PLSA", "--out=x",
-           "--no-verify", "--faults=io.write.fail:nth=9"});
+           "--faults=io.write.fail:nth=9"});
 }
 
 TEST(BenchOptionsDeathTest, ResumeWithJournalIsFatal)
@@ -379,58 +371,6 @@ TEST(SweepRunner, LowercaseWorkloadNamesGiveCatalogRows)
     obs::StatsRegistry::global().clear();
 }
 
-TEST(SweepRunner, SampledCellRetryRebuildsTheSamplingRecord)
-{
-    // An injected throw fails the sampled cell's first attempt (hit 1
-    // is the profile cell, hit 2 the sampled cell); --retry-cells=1
-    // re-runs it on a fresh rig, and the retried attempt must rebuild
-    // the full sampled-simulation record -- estimates, error-vs-full
-    // baseline, coverage -- not just the figure row.
-    std::string dir = ::testing::TempDir() + "cosim_sampled_retry";
-    ensureOutputDir(dir);
-    BenchOptions opts;
-    opts.scale = 0.02;
-    opts.workloads = {"PLSA"};
-    opts.cells = CellMode::Sampled;
-    opts.retryCells = 1;
-    opts.samplePeriodUs = 50; // quick-style: enough windows to cluster
-    opts.outDir = dir;
-    opts.manifestFile = dir + "/run.json";
-
-    PlatformParams platform = presets::cmpPlatform("tiny", 2);
-    FigureData fig = [&] {
-        ScopedFaultPlan plan("cell.throw:nth=2");
-        SweepRunner runner(opts);
-        return runner.runCacheSizeFigure("FigRetry", platform);
-    }();
-
-    // The figure row is real data, tagged with the attempt history.
-    EXPECT_EQ(fig.status("PLSA"), "retried");
-    ASSERT_EQ(fig.series("PLSA").size(), 7u);
-
-    std::ifstream in(dir + "/run.json");
-    ASSERT_TRUE(in.good());
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    obs::json::Value doc;
-    std::string error;
-    ASSERT_TRUE(obs::json::parse(text, doc, &error)) << error;
-    const obs::json::Value* workloads = doc.find("workloads");
-    ASSERT_NE(workloads, nullptr);
-    ASSERT_EQ(workloads->arr.size(), 1u);
-    const obs::json::Value& w = workloads->arr[0];
-    EXPECT_EQ(w.find("status")->str, "retried");
-    EXPECT_EQ(w.find("attempts")->num, 2.0);
-    const obs::json::Value* sampling = w.find("sampling");
-    ASSERT_NE(sampling, nullptr)
-        << "retry dropped the sampling record";
-    EXPECT_GE(sampling->find("intervals")->num, 1.0);
-    EXPECT_GT(sampling->find("coverage")->num, 0.0);
-    // The profile pass succeeded (hit 1 did not fire), so the error
-    // baseline must be present too.
-    EXPECT_NE(sampling->find("error"), nullptr);
-}
-
 TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)
 {
     // --quick and --scale=0.05 run the same inputs but sample the CB
@@ -476,6 +416,8 @@ TEST(CellArtifact, RenderParseRenderIsByteIdentical)
     cell.mw.hostSeconds = 0.1 + 0.2;
     cell.mw.simMips = 1.0 / 3.0;
     cell.mw.verified = true;
+    // A cell runs once, but artifacts written by sweeps that retried
+    // cells carry these values and must still load.
     cell.mw.status = "retried";
     cell.mw.attempts = 2;
     cell.mw.replayedFrom = "sampled:file:/tmp/s.PLSA.fsb";

@@ -605,8 +605,6 @@ TEST(SweepCellModes, BadReplayFileFailsOnlyItsCell)
     BenchOptions opts;
     opts.scale = 0.02;
     opts.workloads = {"PLSA", "FIMI"};
-    opts.outDir = testing::TempDir() + "replay_bad_file_out";
-    ensureOutputDir(opts.outDir); // the failed cells' postmortem
     opts.captureBase = base;
     FigureData live =
         SweepRunner(opts).runLineSizeFigure("FigBadLive", platform);
@@ -637,8 +635,6 @@ TEST(SweepCellModes, BadReplayFileFailsOnlyItsCell)
         std::remove(fimi.c_str());
     }
     std::remove((base + ".PLSA.fsb").c_str());
-    std::remove((opts.outDir + "/postmortem.json").c_str());
-    std::remove(opts.outDir.c_str());
 }
 
 TEST(SweepCellModes, PerCellStatsAreNamespaced)

@@ -95,11 +95,11 @@ TEST(SweepJournal, RoundTripsEveryRecordKind)
         SweepJournal j(path);
         j.sweepPlan("fig4", 0xfeedfacefeedfaceull, 2);
         j.cellPlanned("PLSA");
-        j.cellRunning("PLSA", 1);
-        j.cellDone("PLSA", 1, "/tmp/PLSA.cell.json", 123, digest);
+        j.cellRunning("PLSA");
+        j.cellDone("PLSA", "/tmp/PLSA.cell.json", 123, digest);
         j.cellPlanned("SNP");
-        j.cellRunning("SNP", 1);
-        j.cellFailed("SNP", 2, "injected fault at cell.throw");
+        j.cellRunning("SNP");
+        j.cellFailed("SNP", "injected fault at cell.throw");
         j.sweepDone(1, 1);
         EXPECT_TRUE(j.healthy());
     }
@@ -125,7 +125,7 @@ TEST(SweepJournal, RoundTripsEveryRecordKind)
     const JournalCell* snp = state.find("SNP");
     ASSERT_NE(snp, nullptr);
     EXPECT_EQ(snp->state, "failed");
-    EXPECT_EQ(snp->attempts, 2u);
+    EXPECT_EQ(snp->attempts, 1u);
     EXPECT_EQ(snp->error, "injected fault at cell.throw");
     EXPECT_EQ(state.find("absent"), nullptr);
     std::remove(path.c_str());
@@ -138,7 +138,7 @@ TEST(SweepJournal, ResumeContinuesDenseNumberingAcrossTheGap)
         SweepJournal j(path);
         j.sweepPlan("fig4", 7, 2);
         j.cellPlanned("PLSA");
-        j.cellRunning("PLSA", 1);
+        j.cellRunning("PLSA");
     }
     JournalState before;
     ASSERT_TRUE(JournalState::load(path, &before, nullptr));
@@ -167,8 +167,8 @@ TEST(SweepJournal, ResumeSkipPreservesTheDoneArtifactFields)
         SweepJournal j(path);
         j.sweepPlan("fig4", 7, 1);
         j.cellPlanned("PLSA");
-        j.cellRunning("PLSA", 1);
-        j.cellDone("PLSA", 1, "/tmp/a.json", 9, 0xffffffffffffffffull);
+        j.cellRunning("PLSA");
+        j.cellDone("PLSA", "/tmp/a.json", 9, 0xffffffffffffffffull);
         j.resumeSkip("PLSA");
     }
     JournalState state;
@@ -278,7 +278,7 @@ TEST(SweepJournal, InjectedWriteFailureDegradesWithoutThrowing)
         EXPECT_TRUE(j.healthy());
         j.cellPlanned("PLSA");     // hit 2: fires, journal shuts off
         EXPECT_FALSE(j.healthy());
-        j.cellRunning("PLSA", 1);  // silently dropped, no throw
+        j.cellRunning("PLSA");  // silently dropped, no throw
         EXPECT_FALSE(j.healthy());
     }
 

@@ -5,8 +5,8 @@
  * Three classes of stringly-typed identifiers flow through the
  * simulator's artifacts and tooling, and each must be declared in a
  * committed manifest under tools/registries/ so renames are reviewed
- * and tools (postmortem triage, sweep dashboards, fault campaigns)
- * can rely on the full universe of names:
+ * and tools (sweep dashboards, fault campaigns) can rely on the full
+ * universe of names:
  *
  *   - fault sites     COSIM_FAULT_POINT("x") / faultPending("x"),
  *                     fault_sites.txt, charset [a-z][a-z0-9_.]*,
