@@ -8,61 +8,25 @@
 namespace cosim {
 namespace {
 
-/** FNV-1a over the site name: decorrelates per-site Rng streams. */
-std::uint64_t
-fnv1a(const std::string& s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 bool
-parseTrigger(const std::string& text, FaultTrigger* out,
-             std::string* error)
+parseNth(const std::string& text, std::uint64_t* out, std::string* error)
 {
-    const std::size_t eq = text.find('=');
-    if (eq == std::string::npos) {
-        *error = "trigger '" + text + "' is not nth=K or p=X";
+    if (text.compare(0, 4, "nth=") != 0) {
+        *error = "trigger '" + text + "' is not nth=K";
         return false;
     }
-    const std::string key = text.substr(0, eq);
-    const std::string value = text.substr(eq + 1);
-    if (value.empty()) {
-        *error = "trigger '" + text + "' has an empty value";
-        return false;
-    }
-
+    const std::string value = text.substr(4);
+    // Digits only: strtoull alone would take "-1" as 2^64 - 1, a hit
+    // that never comes.
     errno = 0;
-    char* end = nullptr;
-    if (key == "nth") {
-        const unsigned long long n =
-            std::strtoull(value.c_str(), &end, 10);
-        if (errno != 0 || *end != '\0' || n == 0) {
-            *error = "nth wants a positive integer, got '" + value +
-                     "'";
-            return false;
-        }
-        out->kind = FaultTrigger::Kind::Nth;
-        out->nth = n;
-        return true;
+    const unsigned long long n = std::strtoull(value.c_str(), nullptr, 10);
+    if (value.find_first_not_of("0123456789") != std::string::npos ||
+        errno != 0 || n == 0) {
+        *error = "nth wants a positive integer, got '" + value + "'";
+        return false;
     }
-    if (key == "p") {
-        const double p = std::strtod(value.c_str(), &end);
-        if (errno != 0 || *end != '\0' || !(p >= 0.0) || p > 1.0) {
-            *error = "p wants a probability in [0, 1], got '" + value +
-                     "'";
-            return false;
-        }
-        out->kind = FaultTrigger::Kind::Probability;
-        out->probability = p;
-        return true;
-    }
-    *error = "unknown trigger '" + key + "' (want nth=K or p=X)";
-    return false;
+    *out = n;
+    return true;
 }
 
 } // namespace
@@ -78,7 +42,6 @@ FaultPlan::parse(const std::string& spec, FaultPlan* out,
                  std::string* error)
 {
     FaultPlan plan;
-    plan.seed = out->seed;
     std::size_t start = 0;
     while (start <= spec.size()) {
         std::size_t comma = spec.find(',', start);
@@ -92,13 +55,12 @@ FaultPlan::parse(const std::string& spec, FaultPlan* out,
         }
         const std::size_t colon = item.find(':');
         if (colon == std::string::npos || colon == 0) {
-            *error = "fault entry '" + item +
-                     "' is not site:trigger";
+            *error = "fault entry '" + item + "' is not site:nth=K";
             return false;
         }
         Site site;
         site.site = item.substr(0, colon);
-        if (!parseTrigger(item.substr(colon + 1), &site.trigger, error))
+        if (!parseNth(item.substr(colon + 1), &site.nth, error))
             return false;
         plan.sites.push_back(std::move(site));
         if (comma == spec.size())
@@ -126,14 +88,8 @@ FaultInjector::arm(const FaultPlan& plan)
 {
     LockGuard lock(mutex_);
     sites_.clear();
-    seed_ = plan.seed;
-    for (const FaultPlan::Site& s : plan.sites) {
-        SiteState state;
-        state.trigger = s.trigger;
-        state.rng = Rng(plan.seed ^ fnv1a(s.site));
-        state.armed = true;
-        sites_[s.site] = std::move(state);
-    }
+    for (const FaultPlan::Site& s : plan.sites)
+        sites_[s.site].nth = s.nth;
     armed_.store(!sites_.empty(), std::memory_order_relaxed);
 }
 
@@ -150,19 +106,7 @@ FaultInjector::evaluate(const char* site)
 {
     LockGuard lock(mutex_);
     SiteState& state = sites_[site]; // unarmed sites still count hits
-    ++state.hits;
-    if (!state.armed)
-        return 0;
-    bool fires = false;
-    switch (state.trigger.kind) {
-      case FaultTrigger::Kind::Nth:
-        fires = state.hits == state.trigger.nth;
-        break;
-      case FaultTrigger::Kind::Probability:
-        fires = state.rng.nextBool(state.trigger.probability);
-        break;
-    }
-    if (!fires)
+    if (++state.hits != state.nth)
         return 0;
     ++state.fired;
     return state.hits;
@@ -198,15 +142,12 @@ FaultInjector::fired(const std::string& site) const
     return it == sites_.end() ? 0 : it->second.fired;
 }
 
-ScopedFaultPlan::ScopedFaultPlan(const std::string& spec,
-                                 std::uint64_t seed)
+ScopedFaultPlan::ScopedFaultPlan(const std::string& spec)
 {
     FaultPlan plan;
-    plan.seed = seed;
     std::string error;
     panic_if(!FaultPlan::parse(spec, &plan, &error),
              "bad fault spec in test: %s", error.c_str());
-    plan.seed = seed;
     FaultInjector::global().arm(plan);
 }
 

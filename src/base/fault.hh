@@ -1,6 +1,6 @@
 /**
  * @file
- * Deterministic, seeded, site-keyed fault injection.
+ * Deterministic, site-keyed fault injection.
  *
  * Long co-simulation campaigns are only trustworthy if their failure
  * paths are exercisable on demand: a worker thread dying mid-chunk, a
@@ -8,16 +8,13 @@
  * provides the single switchboard for provoking those failures
  * reproducibly.
  *
- * A *site* is a stable string naming one failure point in the code
- * (e.g. "emu.worker.crash", "io.write.fail", "cell.throw"). A
- * FaultPlan maps sites to *triggers*:
+ * A *site* is a stable string naming one failure point in the code;
+ * kFaultSites lists every one the code declares. A FaultPlan maps
+ * sites to the hit on which each fails:
  *
- *   --faults=site:nth=K[,site:p=X,...]
+ *   --faults=site:nth=K[,site:nth=K,...]
  *
  *   nth=K   fire on the K-th hit of the site (1-based), once
- *   p=X     fire independently with probability X per hit, drawn
- *           from cosim::Rng seeded from (plan seed ^ fnv1a(site)),
- *           so a given plan+seed replays bit-for-bit
  *
  * Code declares a failure point with COSIM_FAULT_POINT("site"): when
  * no plan is armed this compiles to a single predictable branch on a
@@ -46,9 +43,20 @@
 
 #include "base/annotations.hh"
 #include "base/mutex.hh"
-#include "base/random.hh"
 
 namespace cosim {
+
+/**
+ * Every site a COSIM_FAULT_POINT or faultPending() call declares.
+ * `--faults` refuses any other name, so a misspelt site cannot arm a
+ * plan that never fires; a new failure point is added here.
+ */
+inline constexpr const char* kFaultSites[] = {
+    "cell.throw",         // a sweep cell throws as it starts
+    "emu.worker.crash",   // an emulation worker throws mid-chunk
+    "io.write.fail",      // an AtomicFile commit fails
+    "journal.write.fail", // a sweep-journal append fails
+};
 
 /** Thrown by COSIM_FAULT_POINT when an armed trigger fires. */
 class FaultInjected : public std::runtime_error
@@ -65,36 +73,24 @@ class FaultInjected : public std::runtime_error
     std::uint64_t hit_;
 };
 
-/** When an armed site fails: on its K-th hit, or per-hit with p. */
-struct FaultTrigger
-{
-    enum class Kind { Nth, Probability };
-
-    Kind kind = Kind::Nth;
-    std::uint64_t nth = 1;   ///< 1-based hit index (Kind::Nth)
-    double probability = 0;  ///< per-hit chance (Kind::Probability)
-};
-
 /**
- * A parsed --faults= spec: which sites fail, and when. The seed feeds
- * the per-site Rng for probability triggers; the harness sets it to
- * the run seed so fault schedules replay with the experiment.
+ * A parsed --faults= spec: which sites fail, and on which hit. Any
+ * site name parses; the harness checks names against kFaultSites.
  */
 struct FaultPlan
 {
     struct Site
     {
         std::string site;
-        FaultTrigger trigger;
+        std::uint64_t nth = 1; ///< 1-based hit on which the site fails
     };
 
     std::vector<Site> sites;
-    std::uint64_t seed = 42;
 
     bool empty() const { return sites.empty(); }
 
     /**
-     * Parse "site:nth=K[,site:p=X,...]" into @p out. @return false
+     * Parse "site:nth=K[,site:nth=K,...]" into @p out. @return false
      * with a human-readable message in @p error on malformed input.
      */
     static bool parse(const std::string& spec, FaultPlan* out,
@@ -142,11 +138,9 @@ class FaultInjector
 
     struct SiteState
     {
-        FaultTrigger trigger;
-        Rng rng;
+        std::uint64_t nth = 0; ///< 0 for an unarmed site: never fires
         std::uint64_t hits = 0;
         std::uint64_t fired = 0;
-        bool armed = false;
     };
 
     /** @return the 1-based hit index if the site fires, else 0. */
@@ -156,7 +150,6 @@ class FaultInjector
 
     mutable Mutex mutex_;
     std::map<std::string, SiteState> sites_ GUARDED_BY(mutex_);
-    std::uint64_t seed_ GUARDED_BY(mutex_) = 42;
 };
 
 /**
@@ -190,8 +183,7 @@ class ScopedFaultPlan
     }
 
     /** Arm from a spec string; panics on parse error (test misuse). */
-    explicit ScopedFaultPlan(const std::string& spec,
-                             std::uint64_t seed = 42);
+    explicit ScopedFaultPlan(const std::string& spec);
 
     ~ScopedFaultPlan() { FaultInjector::global().disarm(); }
 

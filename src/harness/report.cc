@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <set>
 #include <utility>
 #include <sys/stat.h>
@@ -185,8 +186,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "executing the guest\n"
                 "  --digest=<file>  write per-workload FSB stream "
                 "digests (golden-baseline format)\n"
-                "  --faults=<spec>  arm a deterministic fault plan "
-                "(site:nth=K or site:p=X, comma-separated)\n"
+                "  --faults=<spec>  fail a fault site on its K-th hit "
+                "(site:nth=K, comma-separated)\n"
                 "  --keep-going     publish the healthy cells despite "
                 "failed ones (recorded with status \"failed\")\n"
                 "  --journal[=<f>]  write-ahead journal of cell state "
@@ -362,14 +363,21 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
     }
     if (!opts.faults.empty()) {
         // Arm here so every bench binary gets fault injection without
-        // per-main plumbing; the plan inherits the run seed so the
-        // injected failure schedule replays with the experiment.
+        // per-main plumbing.
         FaultPlan plan;
-        plan.seed = opts.seed;
         std::string error;
         fatal_if(!FaultPlan::parse(opts.faults, &plan, &error),
                  "bad --faults spec: %s", error.c_str());
-        plan.seed = opts.seed;
+        for (const FaultPlan::Site& s : plan.sites) {
+            if (std::find(std::begin(kFaultSites), std::end(kFaultSites),
+                          s.site) == std::end(kFaultSites)) {
+                std::string known;
+                for (const char* k : kFaultSites)
+                    known += (known.empty() ? "" : ", ") + std::string(k);
+                fatal("unknown fault site '%s' in --faults (known: %s)",
+                      s.site.c_str(), known.c_str());
+            }
+        }
         FaultInjector::global().arm(plan);
     }
     return opts;
@@ -432,8 +440,7 @@ printBanner(const std::string& title, const BenchOptions& opts)
         std::printf("plan-out=%s.<workload>.plan.json\n",
                     opts.planOutBase.c_str());
     if (!opts.faults.empty())
-        std::printf("faults=%s (seed %llu)\n", opts.faults.c_str(),
-                    static_cast<unsigned long long>(opts.seed));
+        std::printf("faults=%s\n", opts.faults.c_str());
     if (!opts.journalFile.empty())
         std::printf("journal=%s%s\n", opts.journalFile.c_str(),
                     opts.resumeFrom.empty() ? "" : " (resuming)");

@@ -301,14 +301,8 @@ JournalState::load(const std::string& path, JournalState* out,
                 cell.state = "planned";
             } else if (event == "running") {
                 cell.state = "running";
-                std::uint64_t v = 0;
-                fieldU64(rec, "attempt", &v);
-                cell.attempts = static_cast<unsigned>(v);
             } else if (event == "done") {
                 cell.state = "done";
-                std::uint64_t v = 0;
-                fieldU64(rec, "attempts", &v);
-                cell.attempts = static_cast<unsigned>(v);
                 if (!fieldStr(rec, "artifact", &cell.artifact) ||
                     !fieldU64(rec, "bytes", &cell.artifactBytes) ||
                     !fieldU64(rec, "digest", &cell.artifactDigest)) {
@@ -316,9 +310,6 @@ JournalState::load(const std::string& path, JournalState* out,
                 }
             } else if (event == "failed") {
                 cell.state = "failed";
-                std::uint64_t v = 0;
-                fieldU64(rec, "attempts", &v);
-                cell.attempts = static_cast<unsigned>(v);
                 fieldStr(rec, "error", &cell.error);
             } else {
                 cell.state = "skipped";

@@ -24,7 +24,8 @@
  *   sweep_done   ok, failed
  *
  * A cell runs once, so "attempt" and "attempts" always read 1; they
- * stay so journals keep one format across versions.
+ * stay so journals keep one format across versions, and the reader
+ * skips them.
  *
  * `config_digest` fingerprints the sweep configuration (figure,
  * platform, scale, seed, workloads, cell mode, ticks); --resume
@@ -123,7 +124,6 @@ class SweepJournal
 struct JournalCell
 {
     std::string state; ///< "planned"|"running"|"done"|"failed"|"skipped"
-    unsigned attempts = 0;
     std::string artifact;
     std::uint64_t artifactBytes = 0;
     std::uint64_t artifactDigest = 0;

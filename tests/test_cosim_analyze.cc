@@ -4,14 +4,12 @@
  *
  * Coverage, in order: the token lexer (comments, strings, raw
  * strings, directives, line numbers); every per-file rule on a
- * minimal bad fixture and its idiomatic good twin (ported from the
- * old cosim_lint tests and now immune to strings/comments by
- * construction); suppressions (new `cosim-analyze:` tag and the
- * legacy `cosim-lint:` alias); rule-set selection; --fix; the
- * cross-TU project passes (layering, include cycles, lock order,
- * registries, allowlist hygiene) driven through in-memory file sets;
- * a table-driven corpus that the suite asserts covers EVERY rule
- * --list-rules reports; and the SARIF/baseline/cache plumbing.
+ * minimal bad fixture and its idiomatic good twin (immune to
+ * strings/comments by construction); `cosim-analyze:` suppressions;
+ * rule-set selection; --fix; the cross-TU project passes (layering,
+ * include cycles, lock order, allowlist hygiene) driven through
+ * in-memory file sets; and a table-driven corpus that the suite
+ * asserts covers EVERY rule --list-rules reports.
  *
  * Fixtures are embedded strings analyzed through the pure
  * entry points, so the tests never touch the file system.
@@ -20,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -30,9 +27,7 @@
 #include "tools/cosim_analyze/include_graph.hh"
 #include "tools/cosim_analyze/lexer.hh"
 #include "tools/cosim_analyze/lock_order.hh"
-#include "tools/cosim_analyze/registry.hh"
 #include "tools/cosim_analyze/rules.hh"
-#include "tools/cosim_analyze/sarif.hh"
 
 namespace cosim_analyze {
 namespace {
@@ -64,12 +59,10 @@ hasRule(const std::vector<std::string>& rules, const std::string& rule)
 
 /**
  * In-memory mirror of analyzeTree's stage two: per-file findings plus
- * every project pass, with optional analysis.allow content and
- * registry manifests ("fault_sites", "stats_keys", "schemas" keys).
+ * every project pass, with optional analysis.allow content.
  */
 std::vector<Finding>
-analyzeSet(const FileSet& fileset, const std::string& allow_content = "",
-           const std::map<std::string, std::string>& manifests = {})
+analyzeSet(const FileSet& fileset, const std::string& allow_content = "")
 {
     std::vector<FileFacts> files;
     std::vector<Finding> findings;
@@ -89,19 +82,6 @@ analyzeSet(const FileSet& fileset, const std::string& allow_content = "",
         auto f = checkLockOrder(files, allows, &used);
         findings.insert(findings.end(), f.begin(), f.end());
     }
-    Registries regs;
-    auto man = [&](const char* key, const char* file) {
-        auto it = manifests.find(key);
-        return parseRegistry(std::string("tools/registries/") + file,
-                             it == manifests.end() ? "" : it->second);
-    };
-    regs.faultSites = man("fault_sites", "fault_sites.txt");
-    regs.statsKeys = man("stats_keys", "stats_keys.txt");
-    regs.schemas = man("schemas", "schemas.txt");
-    {
-        auto f = checkRegistries(files, regs);
-        findings.insert(findings.end(), f.begin(), f.end());
-    }
     for (std::size_t i = 0; i < allows.size(); ++i) {
         if (!used[i])
             findings.push_back(
@@ -113,11 +93,10 @@ analyzeSet(const FileSet& fileset, const std::string& allow_content = "",
 }
 
 std::vector<std::string>
-setRules(const FileSet& fileset, const std::string& allow = "",
-         const std::map<std::string, std::string>& manifests = {})
+setRules(const FileSet& fileset, const std::string& allow = "")
 {
     std::vector<std::string> out;
-    for (const Finding& f : analyzeSet(fileset, allow, manifests))
+    for (const Finding& f : analyzeSet(fileset, allow))
         out.push_back(f.rule);
     return out;
 }
@@ -630,15 +609,6 @@ TEST(AnalyzeSuppression, PrecedingLineAllow)
                     .empty());
 }
 
-TEST(AnalyzeSuppression, LegacyLintTagStillHonored)
-{
-    // Pre-rename suppressions in the tree keep working.
-    EXPECT_TRUE(lint("src/cache/x.cc",
-                     "// cosim-lint: allow(no-time)\n"
-                     "long t = time(nullptr);\n")
-                    .empty());
-}
-
 TEST(AnalyzeSuppression, AllowDoesNotLeakToLaterLines)
 {
     auto findings = lint("src/cache/x.cc",
@@ -792,11 +762,7 @@ struct CorpusCase
     const char* rule;
     FileSet bad;
     FileSet good;
-    std::string allow = {};                            ///< for both sets
-    std::map<std::string, std::string> manifests = {}; ///< bad set
-    /** Manifests for the good set; empty means "same as the bad
-     * set's" (the registry cases need the twin to differ). */
-    std::map<std::string, std::string> goodManifests = {};
+    std::string allow = {}; ///< for both sets
 };
 
 const char* kGuardedHeaderA =
@@ -813,9 +779,7 @@ corpus()
          {{"src/mem/up.hh", kGuardedHeaderA}},
          {{"src/core/down.hh",
            "#ifndef COSIM_CORE_DOWN_HH\n#define COSIM_CORE_DOWN_HH\n"
-           "#include \"mem/dram.hh\"\n#endif // COSIM_CORE_DOWN_HH\n"}},
-         "",
-         {}});
+           "#include \"mem/dram.hh\"\n#endif // COSIM_CORE_DOWN_HH\n"}}});
 
     // obs is special-cased on both sides of the gate.
     cases.push_back(
@@ -828,9 +792,7 @@ corpus()
            "#define COSIM_MEM_INSTRUMENTED_HH\n"
            "#include \"obs/trace_session.hh\"\n"
            "#include \"base/logging.hh\"\n"
-           "#endif // COSIM_MEM_INSTRUMENTED_HH\n"}},
-         "",
-         {}});
+           "#endif // COSIM_MEM_INSTRUMENTED_HH\n"}}});
 
     cases.push_back(
         {"include-cycle",
@@ -845,9 +807,7 @@ corpus()
            "#include \"base/chain_b.hh\"\n#endif // COSIM_BASE_CHAIN_A_HH\n"},
           {"src/base/chain_b.hh",
            "#ifndef COSIM_BASE_CHAIN_B_HH\n#define COSIM_BASE_CHAIN_B_HH\n"
-           "#endif // COSIM_BASE_CHAIN_B_HH\n"}},
-         "",
-         {}});
+           "#endif // COSIM_BASE_CHAIN_B_HH\n"}}});
 
     const char* lock_cycle_bad =
         "struct Left { Mutex leftMutex_; };\n"
@@ -873,9 +833,7 @@ corpus()
         "}\n";
     cases.push_back({"lock-order-cycle",
                      {{"src/base/two_orders.cc", lock_cycle_bad}},
-                     {{"src/base/one_order.cc", lock_cycle_good}},
-                     "",
-                     {}});
+                     {{"src/base/one_order.cc", lock_cycle_good}}});
 
     // Cross-TU variant: the cycle only exists through a call made
     // while holding a lock, with the callee defined in another file.
@@ -907,77 +865,14 @@ corpus()
            "    LockGuard g(h.holderMutex_);\n"
            "    logOnly();\n"
            "}\n"
-           "void logOnly() { int x = 0; (void)x; }\n"}},
-         "",
-         {}});
-
-    cases.push_back(
-        {"unregistered-fault-site",
-         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"mem.oops\"); }\n"}},
-         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"mem.oops\"); }\n"}},
-         "",
-         {{"fault_sites", "mem.oops\n"}}});
-    cases.back().bad[0].second =
-        "void f() { COSIM_FAULT_POINT(\"mem.unlisted\"); }\n";
-
-    cases.push_back(
-        {"duplicate-fault-site",
-         {{"src/mem/f1.cc", "void f() { COSIM_FAULT_POINT(\"dup.site\"); }\n"},
-          {"src/mem/f2.cc", "void g() { faultPending(\"dup.site\"); }\n"}},
-         {{"src/mem/f1.cc", "void f() { COSIM_FAULT_POINT(\"dup.site\"); }\n"}},
-         "",
-         {{"fault_sites", "dup.site\n"}}});
-
-    cases.push_back(
-        {"fault-site-name",
-         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"Bad.Site\"); }\n"}},
-         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"good.site\"); }\n"}},
-         "",
-         {{"fault_sites", "Bad.Site\ngood.site\n"}}});
-
-    cases.push_back(
-        {"unregistered-stat-key",
-         {{"src/cache/s.cc",
-           "void f(stats::Group& g) { g.add(\"unlisted_key\"); }\n"}},
-         {{"src/cache/s.cc",
-           "void f(stats::Group& g) { g.add(\"listed_key\"); }\n"}},
-         "",
-         {{"stats_keys", "listed_key\n"}}});
-
-    cases.push_back(
-        {"stat-key-name",
-         {{"src/cache/s.cc",
-           "void f(stats::Group& g) { g.add(\"BadKey\"); }\n"}},
-         {{"src/cache/s.cc",
-           "void f(stats::Group& g) { g.add(\"good_key\"); }\n"}},
-         "",
-         {{"stats_keys", "BadKey\ngood_key\n"}}});
-
-    cases.push_back(
-        {"unregistered-schema",
-         {{"src/trace/w.cc",
-           "const char* kHeader = \"# cosim-widget-dump/2\\n\";\n"}},
-         {{"src/trace/w.cc",
-           "const char* kHeader = \"# cosim-widget-dump/2\\n\";\n"}},
-         "",
-         {},
-         {{"schemas", "cosim-widget-dump/2\n"}}});
-
-    cases.push_back(
-        {"stale-registry-entry",
-         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"mem.live\"); }\n"}},
-         {{"src/mem/f.cc", "void f() { COSIM_FAULT_POINT(\"mem.live\"); }\n"}},
-         "",
-         {{"fault_sites", "mem.live\nmem.ghost\n"}},
-         {{"fault_sites", "mem.live\n"}}});
+           "void logOnly() { int x = 0; (void)x; }\n"}}});
 
     cases.push_back(
         {"allowlist-hygiene",
          // Unused and justification-less entries both fire.
          {{"src/base/empty.cc", "int x = 0;\n"}},
          {{"src/mem/up.hh", kGuardedHeaderA}},
-         "layering mem -> core: replay shim, scheduled for removal\n",
-         {}});
+         "layering mem -> core: replay shim, scheduled for removal\n"});
 
     return cases;
 }
@@ -985,13 +880,9 @@ corpus()
 TEST(AnalyzeCorpus, EveryBadSetFiresItsRuleEveryGoodSetDoesNot)
 {
     for (const CorpusCase& c : corpus()) {
-        const std::map<std::string, std::string>& good_manifests =
-            c.goodManifests.empty() ? c.manifests : c.goodManifests;
-        EXPECT_TRUE(hasRule(setRules(c.bad, c.allow, c.manifests),
-                            c.rule))
+        EXPECT_TRUE(hasRule(setRules(c.bad, c.allow), c.rule))
             << "corpus bad set failed to fire " << c.rule;
-        EXPECT_FALSE(hasRule(setRules(c.good, c.allow, good_manifests),
-                             c.rule))
+        EXPECT_FALSE(hasRule(setRules(c.good, c.allow), c.rule))
             << "corpus good set wrongly fired " << c.rule;
     }
 }
@@ -1123,7 +1014,7 @@ TEST(AnalyzeIncludeGraph, ModuleRanksMatchTheDeclaredOrder)
 TEST(AnalyzeRuleTable, EveryRuleHasADescription)
 {
     auto all = allRules();
-    EXPECT_GE(all.size(), 26u);
+    EXPECT_GE(all.size(), 19u);
     std::set<std::string> unique(all.begin(), all.end());
     EXPECT_EQ(unique.size(), all.size()) << "duplicate rule names";
     for (const std::string& r : all)
@@ -1148,98 +1039,6 @@ TEST(AnalyzeRuleTable, SuiteCoversEveryRule)
         EXPECT_TRUE(covered.count(r) > 0)
             << "rule '" << r
             << "' is listed by --list-rules but exercised by no test";
-}
-
-// ---------------------------------------------------------------------
-// SARIF, fingerprints, baseline, cache serialization.
-// ---------------------------------------------------------------------
-
-TEST(AnalyzeSarif, FingerprintsAreStableAndLineInsensitive)
-{
-    Finding f{"src/cache/x.cc", 10, "no-rand", "msg"};
-    const std::string a = fingerprintOf(f, "  int v = rand();", 0);
-    Finding g = f;
-    g.line = 99; // same code moved down the file
-    EXPECT_EQ(fingerprintOf(g, "int v = rand();  ", 0), a);
-    EXPECT_NE(fingerprintOf(f, "int w = rand();", 0), a);
-    EXPECT_NE(fingerprintOf(f, "  int v = rand();", 1), a);
-    EXPECT_EQ(a.size(), 16u);
-}
-
-TEST(AnalyzeSarif, DocumentShapeAndEscaping)
-{
-    FingerprintedFinding ff;
-    ff.finding = Finding{"src/mem/x.cc", 3, "no-raw-ofstream",
-                         "say \"quoted\"\n"};
-    ff.fingerprint = "deadbeefdeadbeef";
-    const std::string doc = toSarif({ff});
-    EXPECT_NE(doc.find("\"version\": \"2.1.0\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ruleId\": \"no-raw-ofstream\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"startLine\": 3"), std::string::npos);
-    EXPECT_NE(doc.find("say \\\"quoted\\\"\\n"), std::string::npos);
-    EXPECT_NE(doc.find("deadbeefdeadbeef"), std::string::npos);
-    // The rule table self-describes every rule.
-    for (const std::string& r : allRules())
-        EXPECT_NE(doc.find("\"id\": \"" + r + "\""), std::string::npos)
-            << r;
-}
-
-TEST(AnalyzeSarif, BaselineRoundTrips)
-{
-    FingerprintedFinding a, b;
-    a.fingerprint = "0123456789abcdef";
-    b.fingerprint = "fedcba9876543210";
-    const std::string body = formatBaseline({a, b});
-    auto parsed = parseBaseline(body);
-    EXPECT_EQ(parsed.size(), 2u);
-    EXPECT_TRUE(parsed.count(a.fingerprint));
-    EXPECT_TRUE(parsed.count(b.fingerprint));
-    EXPECT_TRUE(parseBaseline("# only comments\n\n").empty());
-}
-
-TEST(AnalyzeCache, FileFactsSurviveSerialization)
-{
-    const std::string content =
-        "#include \"base/mutex.hh\"\n"
-        "struct Gadget { Mutex gadgetMutex_; };\n"
-        "void g() { COSIM_FAULT_POINT(\"mem.cached\"); }\n"
-        "void f(Gadget& g) {\n"
-        "    LockGuard l(g.gadgetMutex_);\n"
-        "    helper(g); // cosim-analyze: allow(no-time)\n"
-        "}\n"
-        "long t = time(nullptr);\n";
-    const FileFacts ff = extractFileFacts("src/mem/x.cc", content);
-    const std::string hash = contentHash(content);
-    const std::string blob = serializeFileFacts(ff, hash);
-
-    FileFacts back;
-    ASSERT_TRUE(deserializeFileFacts(blob, hash, &back));
-    EXPECT_EQ(back.path, ff.path);
-    EXPECT_EQ(back.findings, ff.findings);
-    EXPECT_EQ(back.includes.size(), ff.includes.size());
-    ASSERT_EQ(back.idents.size(), 1u);
-    ASSERT_EQ(ff.idents.size(), 1u);
-    EXPECT_EQ(back.idents[0].kind, IdentDecl::FaultSite);
-    EXPECT_EQ(back.idents[0].name, "mem.cached");
-    ASSERT_EQ(back.mutexes.size(), ff.mutexes.size());
-    EXPECT_EQ(back.mutexes[0].cls, "Gadget");
-    EXPECT_EQ(back.mutexes[0].member, "gadgetMutex_");
-    ASSERT_EQ(back.funcs.size(), ff.funcs.size());
-    EXPECT_EQ(back.suppressions.fileWide, ff.suppressions.fileWide);
-    EXPECT_EQ(back.suppressions.lines, ff.suppressions.lines);
-
-    // A different content hash is a miss, not a lie.
-    FileFacts miss;
-    EXPECT_FALSE(deserializeFileFacts(blob, "0000000000000000", &miss));
-    EXPECT_FALSE(deserializeFileFacts("garbage\n", hash, &miss));
-}
-
-TEST(AnalyzeCache, ContentHashIsStable)
-{
-    EXPECT_EQ(contentHash("abc"), contentHash("abc"));
-    EXPECT_NE(contentHash("abc"), contentHash("abd"));
-    EXPECT_EQ(contentHash("").size(), 16u);
 }
 
 } // namespace

@@ -297,6 +297,31 @@ TEST(BenchOptions, FaultsFlagArmsThePlanWithTheRunSeed)
     EXPECT_FALSE(FaultInjector::enabled());
 }
 
+TEST(BenchOptions, FaultsFlagAcceptsEveryDeclaredSite)
+{
+    for (const char* site : {"cell.throw", "emu.worker.crash",
+                             "io.write.fail", "journal.write.fail"}) {
+        const std::string spec = std::string(site) + ":nth=1";
+        EXPECT_EQ(parse({"--faults=" + spec}).faults, spec);
+        FaultInjector::global().disarm();
+    }
+}
+
+TEST(BenchOptionsDeathTest, FaultsRefusesUnknownSitesAndTriggers)
+{
+    // A misspelt site would arm a plan that never fires, and the run
+    // would pass as a clean one.
+    const std::pair<std::string, std::string> cases[] = {
+        {"--faults=cell.thorw:nth=1", "unknown fault site 'cell.thorw'"},
+        {"--faults=cell.throw:nth=1,x:nth=2", "unknown fault site 'x'"},
+        {"--faults=cell.throw:p=0.5", "trigger 'p=0.5' is not nth=K"},
+    };
+    for (const auto& [arg, error] : cases) {
+        EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), error)
+            << arg;
+    }
+}
+
 TEST(BenchOptions, EnsureOutputDirCreates)
 {
     std::string dir = ::testing::TempDir() + "cosim_outdir_test";

@@ -1,15 +1,12 @@
 #include "tools/cosim_analyze/analyzer.hh"
 
 #include <algorithm>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 
 #include "tools/cosim_analyze/include_graph.hh"
 #include "tools/cosim_analyze/lock_order.hh"
-#include "tools/cosim_analyze/registry.hh"
 #include "tools/cosim_analyze/rules.hh"
 
 namespace fs = std::filesystem;
@@ -17,11 +14,6 @@ namespace fs = std::filesystem;
 namespace cosim_analyze {
 
 namespace {
-
-// Bump when the FileFacts serialization or any per-file rule changes
-// meaning: stale cache entries then miss instead of lying.
-const char* kCacheHeader = "cosim-analyze-cache/5";
-const char* kEntrySep = "%%";
 
 std::string
 trim(const std::string& s)
@@ -51,22 +43,6 @@ splitLines(const std::string& content)
     return lines;
 }
 
-std::vector<std::string>
-splitTabs(const std::string& line)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (true) {
-        std::size_t tab = line.find('\t', start);
-        if (tab == std::string::npos) {
-            out.push_back(line.substr(start));
-            return out;
-        }
-        out.push_back(line.substr(start, tab - start));
-        start = tab + 1;
-    }
-}
-
 bool
 readFile(const fs::path& p, std::string* out)
 {
@@ -82,8 +58,6 @@ readFile(const fs::path& p, std::string* out)
 bool
 writeFile(const fs::path& p, const std::string& content)
 {
-    std::error_code ec;
-    fs::create_directories(p.parent_path(), ec);
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     if (!out)
         return false;
@@ -91,41 +65,7 @@ writeFile(const fs::path& p, const std::string& content)
     return static_cast<bool>(out);
 }
 
-std::string
-lockRefFields(const LockRef& r)
-{
-    return r.cls + "\t" + r.member + "\t" + r.raw;
-}
-
-/** LockRef from fields f[at], f[at+1], f[at+2]; caller checks size. */
-LockRef
-lockRefFrom(const std::vector<std::string>& f, std::size_t at)
-{
-    LockRef r;
-    r.cls = f[at];
-    r.member = f[at + 1];
-    r.raw = f[at + 2];
-    return r;
-}
-
 } // namespace
-
-std::string
-contentHash(const std::string& content)
-{
-    std::uint64_t h = 14695981039346656037ULL;
-    for (char c : content) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 1099511628211ULL;
-    }
-    static const char* hex = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = hex[h & 0xf];
-        h >>= 4;
-    }
-    return out;
-}
 
 FileFacts
 extractFileFacts(const std::string& rel_path,
@@ -145,128 +85,8 @@ extractFileFacts(const std::string& rel_path,
             ff.includes.push_back(
                 IncludeFact{tok.line, inc.path, inc.angled});
     }
-    extractIdentDecls(rel_path, ts, &ff);
     extractLockFacts(ts, &ff);
     return ff;
-}
-
-std::string
-serializeFileFacts(const FileFacts& ff,
-                   const std::string& content_hash)
-{
-    std::string out;
-    out += "E\t" + content_hash + "\t" + ff.path + "\n";
-    for (const Finding& f : ff.findings)
-        out += "f\t" + std::to_string(f.line) + "\t" + f.rule + "\t" +
-               f.message + "\n";
-    for (const std::string& r : ff.suppressions.fileWide)
-        out += "sw\t" + r + "\n";
-    for (const auto& [rule, line] : ff.suppressions.lines)
-        out += "sl\t" + rule + "\t" + std::to_string(line) + "\n";
-    for (const IncludeFact& i : ff.includes)
-        out += "i\t" + std::to_string(i.line) + "\t" +
-               (i.angled ? std::string("1") : std::string("0")) +
-               "\t" + i.path + "\n";
-    for (const IdentDecl& d : ff.idents)
-        out += "d\t" + std::to_string(static_cast<int>(d.kind)) +
-               "\t" + std::to_string(d.line) + "\t" + d.name + "\n";
-    for (const MutexDecl& m : ff.mutexes)
-        out += "m\t" + std::to_string(m.line) + "\t" + m.cls + "\t" +
-               m.member + "\n";
-    for (const FuncLockFacts& fn : ff.funcs) {
-        out += "F\t" + std::to_string(fn.line) + "\t" + fn.qname +
-               "\n";
-        for (const LockRef& r : fn.requiresLocks)
-            out += "R\t" + lockRefFields(r) + "\n";
-        for (const LockRef& r : fn.acquireLocks)
-            out += "A\t" + lockRefFields(r) + "\n";
-        for (const auto& [r, line] : fn.acquires)
-            out += "Q\t" + std::to_string(line) + "\t" +
-                   lockRefFields(r) + "\n";
-        for (const LockEdge& e : fn.edges)
-            out += "G\t" + std::to_string(e.line) + "\t" +
-                   lockRefFields(e.from) + "\t" +
-                   lockRefFields(e.to) + "\n";
-        for (const LockCall& c : fn.calls) {
-            out += "C\t" + std::to_string(c.line) + "\t" + c.callee;
-            for (const LockRef& h : c.held)
-                out += "\t" + lockRefFields(h);
-            out += "\n";
-        }
-    }
-    return out;
-}
-
-bool
-deserializeFileFacts(const std::string& blob,
-                     const std::string& expect_hash, FileFacts* out)
-{
-    FileFacts ff;
-    FuncLockFacts* fn = nullptr;
-    bool sawHeader = false;
-    for (const std::string& line : splitLines(blob)) {
-        if (line.empty())
-            continue;
-        const std::vector<std::string> f = splitTabs(line);
-        const std::string& k = f[0];
-        if (k == "E") {
-            if (f.size() != 3 || f[1] != expect_hash)
-                return false;
-            ff.path = f[2];
-            sawHeader = true;
-        } else if (k == "f" && f.size() >= 4) {
-            // Message is everything after the third tab (it may
-            // legitimately contain no tabs, but be safe).
-            std::string msg = f[3];
-            for (std::size_t j = 4; j < f.size(); ++j)
-                msg += "\t" + f[j];
-            ff.findings.push_back(
-                Finding{ff.path, std::stoi(f[1]), f[2], msg});
-        } else if (k == "sw" && f.size() == 2) {
-            ff.suppressions.fileWide.insert(f[1]);
-        } else if (k == "sl" && f.size() == 3) {
-            ff.suppressions.lines.insert({f[1], std::stoi(f[2])});
-        } else if (k == "i" && f.size() == 4) {
-            ff.includes.push_back(
-                IncludeFact{std::stoi(f[1]), f[3], f[2] == "1"});
-        } else if (k == "d" && f.size() == 4) {
-            ff.idents.push_back(
-                IdentDecl{static_cast<IdentDecl::Kind>(std::stoi(f[1])),
-                          std::stoi(f[2]), f[3]});
-        } else if (k == "m" && f.size() == 4) {
-            ff.mutexes.push_back(
-                MutexDecl{f[2], f[3], std::stoi(f[1])});
-        } else if (k == "F" && f.size() == 3) {
-            ff.funcs.push_back(FuncLockFacts{});
-            fn = &ff.funcs.back();
-            fn->line = std::stoi(f[1]);
-            fn->qname = f[2];
-        } else if (k == "R" && f.size() == 4 && fn) {
-            fn->requiresLocks.push_back(lockRefFrom(f, 1));
-        } else if (k == "A" && f.size() == 4 && fn) {
-            fn->acquireLocks.push_back(lockRefFrom(f, 1));
-        } else if (k == "Q" && f.size() == 5 && fn) {
-            fn->acquires.push_back(
-                {lockRefFrom(f, 2), std::stoi(f[1])});
-        } else if (k == "G" && f.size() == 8 && fn) {
-            fn->edges.push_back(LockEdge{lockRefFrom(f, 2),
-                                         lockRefFrom(f, 5),
-                                         std::stoi(f[1])});
-        } else if (k == "C" && f.size() >= 3 && fn) {
-            LockCall c;
-            c.line = std::stoi(f[1]);
-            c.callee = f[2];
-            for (std::size_t j = 3; j + 3 <= f.size(); j += 3)
-                c.held.push_back(lockRefFrom(f, j));
-            fn->calls.push_back(std::move(c));
-        } else {
-            return false; // unknown or malformed row
-        }
-    }
-    if (!sawHeader)
-        return false;
-    *out = std::move(ff);
-    return true;
 }
 
 std::vector<AllowEntry>
@@ -376,39 +196,6 @@ collectSources(const fs::path& root)
     return out;
 }
 
-/** The incremental cache: entry blobs keyed by "hash path". */
-std::map<std::string, std::string>
-loadCache(const fs::path& path)
-{
-    std::map<std::string, std::string> cache;
-    std::string content;
-    if (!readFile(path, &content))
-        return cache;
-    const std::vector<std::string> lines = splitLines(content);
-    if (lines.empty() || lines[0] != kCacheHeader)
-        return cache;
-    std::string blob, key;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        if (lines[i] == kEntrySep) {
-            if (!key.empty())
-                cache[key] = blob;
-            blob.clear();
-            key.clear();
-            continue;
-        }
-        if (blob.empty() && lines[i].size() > 2 &&
-            lines[i][0] == 'E') {
-            const std::vector<std::string> f = splitTabs(lines[i]);
-            if (f.size() == 3)
-                key = f[1] + " " + f[2];
-        }
-        blob += lines[i] + "\n";
-    }
-    if (!key.empty())
-        cache[key] = blob;
-    return cache;
-}
-
 } // namespace
 
 AnalyzeResult
@@ -416,18 +203,9 @@ analyzeTree(const AnalyzeOptions& opts)
 {
     AnalyzeResult res;
     const fs::path root = opts.root;
-    auto resolve = [&](const std::string& p) {
-        return fs::path(p).is_absolute() ? fs::path(p) : root / p;
-    };
 
-    std::map<std::string, std::string> cache;
-    if (!opts.cachePath.empty())
-        cache = loadCache(resolve(opts.cachePath));
-    std::map<std::string, std::string> new_cache;
-
-    // ---- Stage one: per-file facts (cached). ----
+    // ---- Stage one: per-file facts. ----
     std::vector<FileFacts> files;
-    std::map<std::string, std::string> contents;
     for (const std::string& rel : collectSources(root)) {
         std::string content;
         if (!readFile(root / rel, &content)) {
@@ -448,32 +226,17 @@ analyzeTree(const AnalyzeOptions& opts)
             }
         }
         ++res.filesScanned;
-        const std::string hash = contentHash(content);
-        const std::string key = hash + " " + rel;
-        FileFacts ff;
-        auto hit = cache.find(key);
-        if (hit != cache.end() &&
-            deserializeFileFacts(hit->second, hash, &ff) &&
-            ff.path == rel) {
-            ++res.cacheHits;
-        } else {
-            ff = extractFileFacts(rel, content);
-        }
-        new_cache[key] = serializeFileFacts(ff, hash);
-        contents[rel] = std::move(content);
-        files.push_back(std::move(ff));
+        files.push_back(extractFileFacts(rel, content));
     }
 
     // ---- Allowlist. ----
-    std::vector<Finding> findings;
+    std::vector<Finding>& findings = res.findings;
     const std::string allow_rel = "tools/cosim_analyze/analysis.allow";
     std::vector<AllowEntry> allows;
     {
         std::string content;
-        if (readFile(root / allow_rel, &content)) {
+        if (readFile(root / allow_rel, &content))
             allows = parseAllowFile(allow_rel, content, &findings);
-            contents[allow_rel] = std::move(content);
-        }
     }
     std::vector<bool> used_allows(allows.size(), false);
 
@@ -493,53 +256,6 @@ analyzeTree(const AnalyzeOptions& opts)
             checkLockOrder(files, allows, &used_allows);
         findings.insert(findings.end(), f.begin(), f.end());
     }
-    {
-        Registries regs;
-        struct
-        {
-            RegistryFile* reg;
-            const char* rel;
-            const char* title;
-            IdentDecl::Kind kind;
-        } tables[] = {
-            {&regs.faultSites, "tools/registries/fault_sites.txt",
-             "Fault-injection sites (COSIM_FAULT_POINT/faultPending)",
-             IdentDecl::FaultSite},
-            {&regs.statsKeys, "tools/registries/stats_keys.txt",
-             "stats::Group keys", IdentDecl::StatKey},
-            {&regs.schemas, "tools/registries/schemas.txt",
-             "Artifact schema strings", IdentDecl::Schema},
-        };
-        if (opts.writeRegistries) {
-            for (auto& t : tables) {
-                std::vector<std::string> names;
-                for (const FileFacts& ff : files) {
-                    for (const IdentDecl& d : ff.idents) {
-                        if (d.kind == t.kind)
-                            names.push_back(d.name);
-                    }
-                }
-                const std::string body =
-                    formatRegistry(t.title, names);
-                if (!writeFile(root / t.rel, body)) {
-                    res.errors.push_back(std::string("cannot write ") +
-                                         t.rel);
-                    res.ioError = true;
-                }
-            }
-        }
-        for (auto& t : tables) {
-            std::string content;
-            if (readFile(root / t.rel, &content)) {
-                *t.reg = parseRegistry(t.rel, content);
-                contents[t.rel] = std::move(content);
-            } else {
-                t.reg->path = t.rel;
-            }
-        }
-        std::vector<Finding> f = checkRegistries(files, regs);
-        findings.insert(findings.end(), f.begin(), f.end());
-    }
     for (std::size_t i = 0; i < allows.size(); ++i) {
         if (!used_allows[i])
             findings.push_back(Finding{
@@ -549,7 +265,6 @@ analyzeTree(const AnalyzeOptions& opts)
                     "' no longer matches any finding; remove it"});
     }
 
-    // ---- Fingerprints and baseline. ----
     std::sort(findings.begin(), findings.end(),
               [](const Finding& a, const Finding& b) {
                   if (a.file != b.file)
@@ -560,74 +275,6 @@ analyzeTree(const AnalyzeOptions& opts)
                       return a.rule < b.rule;
                   return a.message < b.message;
               });
-    std::map<std::string, int> occurrence;
-    std::vector<FingerprintedFinding> all;
-    for (const Finding& f : findings) {
-        std::string line_text;
-        auto it = contents.find(f.file);
-        if (it != contents.end()) {
-            const std::vector<std::string> lines =
-                splitLines(it->second);
-            if (f.line >= 1 &&
-                static_cast<std::size_t>(f.line) <= lines.size())
-                line_text =
-                    lines[static_cast<std::size_t>(f.line) - 1];
-        }
-        const std::string bucket =
-            f.file + "|" + f.rule + "|" + trim(line_text);
-        const int occ = occurrence[bucket]++;
-        all.push_back(FingerprintedFinding{
-            f, fingerprintOf(f, line_text, occ)});
-    }
-
-    std::set<std::string> baseline;
-    if (!opts.baselinePath.empty()) {
-        std::string content;
-        if (readFile(resolve(opts.baselinePath), &content))
-            baseline = parseBaseline(content);
-    }
-    for (FingerprintedFinding& ff : all) {
-        if (baseline.count(ff.fingerprint))
-            res.baselined.push_back(std::move(ff));
-        else
-            res.findings.push_back(std::move(ff));
-    }
-
-    if (opts.writeBaseline && !opts.baselinePath.empty()) {
-        std::vector<FingerprintedFinding> everything = res.findings;
-        everything.insert(everything.end(), res.baselined.begin(),
-                          res.baselined.end());
-        if (!writeFile(resolve(opts.baselinePath),
-                       formatBaseline(everything))) {
-            res.errors.push_back("cannot write baseline " +
-                                 opts.baselinePath);
-            res.ioError = true;
-        }
-    }
-
-    if (!opts.sarifPath.empty()) {
-        if (!writeFile(resolve(opts.sarifPath),
-                       toSarif(res.findings))) {
-            res.errors.push_back("cannot write SARIF " +
-                                 opts.sarifPath);
-            res.ioError = true;
-        }
-    }
-
-    if (!opts.cachePath.empty()) {
-        std::string blob = std::string(kCacheHeader) + "\n";
-        for (const auto& [key, entry] : new_cache) {
-            blob += entry;
-            blob += kEntrySep;
-            blob += "\n";
-        }
-        if (!writeFile(resolve(opts.cachePath), blob)) {
-            res.errors.push_back("cannot write cache " +
-                                 opts.cachePath);
-            res.ioError = true;
-        }
-    }
-
     return res;
 }
 

@@ -1,15 +1,12 @@
 /**
  * @file
- * The cosim_analyze driver: per-file fact extraction (stage one, with
- * the content-hash incremental cache), the project passes (stage
- * two), the justification-carrying allowlist, and the fingerprint
- * baseline.
+ * The cosim_analyze driver: per-file fact extraction (stage one), the
+ * project passes (stage two) and the justification-carrying
+ * allowlist.
  *
- * Stage one is a pure function of one file's bytes, so its result is
- * cached keyed on (content hash, cache format version): a warm run
- * over an unchanged tree lexes nothing. Stage two always re-runs --
- * the cross-TU passes are cheap once the facts exist, and caching
- * them would make the cache key the whole tree.
+ * Every run lexes and judges every file afresh, so no state carries
+ * from one run into the next: a changed rule reaches the whole tree
+ * the first time it runs.
  */
 
 #ifndef COSIM_TOOLS_COSIM_ANALYZE_ANALYZER_HH
@@ -19,7 +16,6 @@
 #include <vector>
 
 #include "tools/cosim_analyze/facts.hh"
-#include "tools/cosim_analyze/sarif.hh"
 
 namespace cosim_analyze {
 
@@ -27,19 +23,6 @@ namespace cosim_analyze {
  * the facts the project passes need. Pure. */
 FileFacts extractFileFacts(const std::string& rel_path,
                            const std::string& content);
-
-/** Serialize stage-one facts for the incremental cache. */
-std::string serializeFileFacts(const FileFacts& ff,
-                               const std::string& content_hash);
-
-/** Parse one cached entry; returns false on any mismatch (treat as a
- * cache miss -- the format carries a version stamp). */
-bool deserializeFileFacts(const std::string& blob,
-                          const std::string& expect_hash,
-                          FileFacts* out);
-
-/** FNV-1a content hash as 16 hex digits. */
-std::string contentHash(const std::string& content);
 
 /** Parse tools/cosim_analyze/analysis.allow. Lines look like
  *   layering core -> trace: replay drivers feed the core loop
@@ -53,20 +36,13 @@ std::vector<AllowEntry> parseAllowFile(const std::string& rel_path,
 struct AnalyzeOptions
 {
     std::string root = ".";
-    bool fix = false;              ///< apply mechanical fixes first
-    std::string cachePath;         ///< "" disables the cache
-    std::string baselinePath;      ///< "" disables the baseline
-    std::string sarifPath;         ///< "" disables SARIF output
-    bool writeRegistries = false;  ///< regenerate tools/registries/
-    bool writeBaseline = false;    ///< rewrite the baseline file
+    bool fix = false; ///< apply mechanical fixes first
 };
 
 struct AnalyzeResult
 {
-    std::vector<FingerprintedFinding> findings;  ///< to report
-    std::vector<FingerprintedFinding> baselined; ///< known, filtered
+    std::vector<Finding> findings; ///< sorted by file, line, rule
     int filesScanned = 0;
-    int cacheHits = 0;
     bool ioError = false;
     std::vector<std::string> errors;
 };

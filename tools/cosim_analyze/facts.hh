@@ -7,12 +7,9 @@
  * Analysis is split into two stages. Stage one is per-file and pure:
  * `extractFileFacts(path, content)` lexes the file once, runs every
  * per-file rule, and extracts the facts project passes need (include
- * edges, identifier declaration sites, mutex members, per-function
- * lock behaviour). Stage two runs over the whole collection of
- * `FileFacts`: the include-layer gate, the lock-order analyzer, and
- * the identifier registries. Because a `FileFacts` depends only on
- * one file's content, it is the unit of the content-hash incremental
- * cache (analyzer.cc).
+ * edges, mutex members, per-function lock behaviour). Stage two runs
+ * over the whole collection of `FileFacts`: the include-layer gate
+ * and the lock-order analyzer.
  */
 
 #ifndef COSIM_TOOLS_COSIM_ANALYZE_FACTS_HH
@@ -62,10 +59,9 @@ struct RuleSet
 
 /**
  * Per-file suppression state parsed from `cosim-analyze:` directives
- * in comments (`cosim-lint:` is accepted as a legacy alias). A
- * line-level allow covers its own line and the next; allow-file
- * covers the whole file. Project-pass findings anchored at a line in
- * the file honor the same suppressions.
+ * in comments. A line-level allow covers its own line and the next;
+ * allow-file covers the whole file. Project-pass findings anchored at
+ * a line in the file honor the same suppressions.
  */
 struct Suppressions
 {
@@ -85,15 +81,6 @@ struct IncludeFact
     int line = 0;
     std::string path;
     bool angled = false;
-};
-
-/** One registerable-identifier declaration site (registry pass). */
-struct IdentDecl
-{
-    enum Kind { FaultSite, StatKey, Schema };
-    Kind kind = FaultSite;
-    int line = 0;
-    std::string name;
 };
 
 /** A `cosim::Mutex` member (or namespace-scope mutex: empty cls). */
@@ -163,7 +150,6 @@ struct FileFacts
     std::vector<Finding> findings; ///< per-file rule findings
     Suppressions suppressions;
     std::vector<IncludeFact> includes;
-    std::vector<IdentDecl> idents;
     std::vector<MutexDecl> mutexes;
     std::vector<FuncLockFacts> funcs;
 };

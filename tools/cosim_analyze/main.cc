@@ -27,30 +27,8 @@ usage()
         "(header-guard,\n"
         "                       include-hygiene, "
         "trailing-whitespace)\n"
-        "  --cache=FILE         incremental per-file fact cache "
-        "(content-\n"
-        "                       hash keyed; safe to delete any "
-        "time)\n"
-        "  --sarif=FILE         write findings as SARIF 2.1.0\n"
-        "  --baseline=FILE      filter findings whose fingerprint "
-        "is listed\n"
-        "  --write-baseline     rewrite --baseline from current "
-        "findings\n"
-        "  --write-registries   regenerate tools/registries/*.txt "
-        "from code\n"
         "  --list-rules         print every rule with its "
         "description\n");
-}
-
-bool
-flagValue(const char* arg, const char* name, std::string* out)
-{
-    std::size_t n = std::strlen(name);
-    if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-        *out = arg + n + 1;
-        return true;
-    }
-    return false;
 }
 
 } // namespace
@@ -69,18 +47,11 @@ main(int argc, char** argv)
             check_all = true;
         else if (std::strcmp(a, "--fix") == 0)
             opts.fix = true;
-        else if (std::strcmp(a, "--write-baseline") == 0)
-            opts.writeBaseline = true;
-        else if (std::strcmp(a, "--write-registries") == 0)
-            opts.writeRegistries = true;
         else if (std::strcmp(a, "--list-rules") == 0)
             list_rules = true;
-        else if (flagValue(a, "--root", &opts.root) ||
-                 flagValue(a, "--cache", &opts.cachePath) ||
-                 flagValue(a, "--sarif", &opts.sarifPath) ||
-                 flagValue(a, "--baseline", &opts.baselinePath)) {
-            // handled
-        } else {
+        else if (std::strncmp(a, "--root=", 7) == 0)
+            opts.root = a + 7;
+        else {
             std::fprintf(stderr, "cosim_analyze: unknown argument "
                                  "'%s'\n", a);
             usage();
@@ -94,8 +65,7 @@ main(int argc, char** argv)
                         ruleDescription(r).c_str());
         return 0;
     }
-    if (!check_all && !opts.fix && !opts.writeRegistries &&
-        !opts.writeBaseline) {
+    if (!check_all && !opts.fix) {
         usage();
         return 2;
     }
@@ -103,13 +73,10 @@ main(int argc, char** argv)
     const AnalyzeResult res = analyzeTree(opts);
     for (const std::string& e : res.errors)
         std::fprintf(stderr, "cosim_analyze: %s\n", e.c_str());
-    for (const FingerprintedFinding& f : res.findings)
-        std::printf("%s\n", f.finding.format().c_str());
-    std::fprintf(stderr,
-                 "cosim_analyze: %d files, %d cache hits, %zu "
-                 "findings (%zu baselined)\n",
-                 res.filesScanned, res.cacheHits,
-                 res.findings.size(), res.baselined.size());
+    for (const Finding& f : res.findings)
+        std::printf("%s\n", f.format().c_str());
+    std::fprintf(stderr, "cosim_analyze: %d files, %zu findings\n",
+                 res.filesScanned, res.findings.size());
     if (res.ioError)
         return 2;
     return res.findings.empty() ? 0 : 1;

@@ -121,19 +121,6 @@ const RuleInfo kRules[] = {
     {"include-cycle", "cyclic #include chain between project headers"},
     {"lock-order-cycle", "cycle in the global lock-acquisition graph: "
                          "a potential static deadlock"},
-    {"unregistered-fault-site", "COSIM_FAULT_POINT/faultPending site "
-                                "not listed in tools/registries/"
-                                "fault_sites.txt"},
-    {"duplicate-fault-site", "fault site string declared at more than "
-                             "one code site"},
-    {"fault-site-name", "fault site must match [a-z][a-z0-9_.]*"},
-    {"unregistered-stat-key", "stats::Group key not listed in "
-                              "tools/registries/stats_keys.txt"},
-    {"stat-key-name", "stats::Group key must match [a-z][a-z0-9_]*"},
-    {"unregistered-schema", "artifact schema string not listed in "
-                            "tools/registries/schemas.txt"},
-    {"stale-registry-entry", "registry manifest entry with no "
-                             "remaining code site"},
     {"allowlist-hygiene", "analysis.allow entry is malformed, lacks a "
                           "justification, or no longer matches any "
                           "finding"},
@@ -403,34 +390,30 @@ Suppressions
 parseSuppressions(const TokenStream& ts)
 {
     Suppressions sup;
-    static const char* kTags[] = {"cosim-analyze:", "cosim-lint:"};
+    static const std::string kTag = "cosim-analyze:";
     for (const Token& tok : ts.tokens) {
         if (tok.kind != TokKind::Comment)
             continue;
-        for (const char* tag : kTags) {
-            std::size_t pos = 0;
-            while ((pos = tok.text.find(tag, pos)) !=
-                   std::string::npos) {
-                // Line of the directive inside a multi-line comment.
-                int line = tok.line +
-                           static_cast<int>(std::count(
-                               tok.text.begin(),
-                               tok.text.begin() +
-                                   static_cast<std::ptrdiff_t>(pos),
-                               '\n'));
-                std::size_t cursor = pos + std::string(tag).size();
-                std::size_t allow_file =
-                    tok.text.find("allow-file(", cursor);
-                std::size_t allow = tok.text.find("allow(", cursor);
-                if (allow_file != std::string::npos) {
-                    parseDirectiveList(tok.text, allow_file + 10, line,
-                                       true, &sup);
-                } else if (allow != std::string::npos) {
-                    parseDirectiveList(tok.text, allow + 5, line,
-                                       false, &sup);
-                }
-                pos = cursor;
+        std::size_t pos = 0;
+        while ((pos = tok.text.find(kTag, pos)) != std::string::npos) {
+            // Line of the directive inside a multi-line comment.
+            int line = tok.line +
+                       static_cast<int>(std::count(
+                           tok.text.begin(),
+                           tok.text.begin() +
+                               static_cast<std::ptrdiff_t>(pos),
+                           '\n'));
+            std::size_t cursor = pos + kTag.size();
+            std::size_t allow_file = tok.text.find("allow-file(", cursor);
+            std::size_t allow = tok.text.find("allow(", cursor);
+            if (allow_file != std::string::npos) {
+                parseDirectiveList(tok.text, allow_file + 10, line, true,
+                                   &sup);
+            } else if (allow != std::string::npos) {
+                parseDirectiveList(tok.text, allow + 5, line, false,
+                                   &sup);
             }
+            pos = cursor;
         }
     }
     return sup;

@@ -3,18 +3,17 @@
  * Per-file rules of cosim_analyze, evaluated over the token stream
  * from lexer.hh, plus the rule table shared with the project passes.
  *
- * The per-file rules are the old cosim_lint rule set ported onto the
- * lexer (see DESIGN.md "Cross-TU static analysis" for the full table
- * and rationale): determinism rules in simulation directories, library
- * hygiene in src/, FSB delivery discipline in softsdv/, sampled-plan
+ * The per-file rules (see DESIGN.md "Static analysis" for the full
+ * table and rationale): determinism rules in simulation directories,
+ * library hygiene and atomic plan/journal writers in src/, sampled-plan
  * purity in trace/, and the mechanical rules everywhere. Because the
  * rules walk tokens, text inside comments and string literals can
  * never trigger them -- a log message mentioning `rand(` is just a
  * String token.
  *
- * The project passes (include_graph.hh, lock_order.hh, registry.hh)
- * contribute the cross-TU rules; allRules()/ruleDescription() cover
- * both kinds so `--list-rules` is the complete self-description.
+ * The project passes (include_graph.hh, lock_order.hh) contribute the
+ * cross-TU rules; allRules()/ruleDescription() cover both kinds so
+ * `--list-rules` is the complete self-description.
  */
 
 #ifndef COSIM_TOOLS_COSIM_ANALYZE_RULES_HH
