@@ -62,6 +62,15 @@ FaultPlan::parse(const std::string& spec, FaultPlan* out,
         site.site = item.substr(0, colon);
         if (!parseNth(item.substr(colon + 1), &site.nth, error))
             return false;
+        // A site fails on one hit: arming keeps one entry per site, so
+        // a second would silently replace the first.
+        for (const Site& s : plan.sites) {
+            if (s.site == site.site) {
+                *error = "fault site '" + site.site +
+                         "' is named more than once in '" + spec + "'";
+                return false;
+            }
+        }
         plan.sites.push_back(std::move(site));
         if (comma == spec.size())
             break;

@@ -91,7 +91,8 @@ struct FaultPlan
 
     /**
      * Parse "site:nth=K[,site:nth=K,...]" into @p out. @return false
-     * with a human-readable message in @p error on malformed input.
+     * with a human-readable message in @p error on malformed input or
+     * a site named twice.
      */
     static bool parse(const std::string& spec, FaultPlan* out,
                       std::string* error);

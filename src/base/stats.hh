@@ -1,111 +1,41 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, formulas
- * evaluated at dump time, and fixed-bucket histograms, grouped per
- * component (in the spirit of gem5's stats package, minus the
- * registration machinery).
+ * Component statistics as plain values. A component's addStats() hook
+ * appends its counters, as they stand when it is called, to a Group:
+ * the host reads the rig once, as the paper's host read the Dragonhead
+ * control block, and keeps the values it read.
  */
 
 #ifndef COSIM_BASE_STATS_HH
 #define COSIM_BASE_STATS_HH
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace cosim {
 namespace stats {
 
-/** A monotonically increasing event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter& operator++() { ++value_; return *this; }
-    Counter& operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** A histogram over a fixed linear bucket range, with overflow bucket. */
-class Histogram
-{
-  public:
-    /**
-     * @param lo inclusive lower bound of the tracked range
-     * @param hi exclusive upper bound of the tracked range
-     * @param n_buckets number of equal-width buckets across [lo, hi)
-     */
-    Histogram(double lo, double hi, std::size_t n_buckets);
-
-    /** Record one sample. */
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-    double mean() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    const std::vector<std::uint64_t>& buckets() const { return buckets_; }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-
-    void reset();
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /**
- * A named collection of counters and derived formulas that can be dumped
- * in a stable, human-readable order. Components own a Group and register
- * their counters once at construction.
+ * One component's counters: a dotted name ("cpu0.l1", "dragonhead0",
+ * "cell/PLSA/fsb") and its (stat, value) pairs in the order they were
+ * added. The rendered key of a stat is "<name>.<stat>".
  */
-class Group
+struct Group
 {
-  public:
-    explicit Group(std::string name) : name_(std::move(name)) {}
+    explicit Group(std::string group_name) : name(std::move(group_name))
+    {}
 
-    /** Register a counter under @p stat_name. */
-    void add(const std::string& stat_name, const Counter* counter);
-
-    /** Register a formula evaluated lazily at dump time. */
-    void add(const std::string& stat_name, std::function<double()> formula);
-
-    /** Pre-size the stat tables (bulk snapshot/copy paths). */
-    void reserve(std::size_t n_counters, std::size_t n_formulas)
+    void add(std::string stat_name, double value)
     {
-        counters_.reserve(n_counters);
-        formulas_.reserve(n_formulas);
+        values.emplace_back(std::move(stat_name), value);
     }
 
-    const std::string& name() const { return name_; }
+    bool operator==(const Group&) const = default;
 
-    /** Evaluate every registered stat into (name, value) pairs. */
-    std::vector<std::pair<std::string, double>> collect() const;
-
-    /** Render "group.stat value" lines. */
-    std::string dump() const;
-
-  private:
-    std::string name_;
-    std::vector<std::pair<std::string, const Counter*>> counters_;
-    std::vector<std::pair<std::string, std::function<double()>>> formulas_;
+    std::string name;
+    std::vector<std::pair<std::string, double>> values;
 };
 
 /** Ratio helper that tolerates a zero denominator. */

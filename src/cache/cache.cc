@@ -27,27 +27,17 @@ CacheStats::operator+=(const CacheStats& o)
 void
 CacheStats::addStats(stats::Group& group) const
 {
-    addStats(group, [s = this] { return *s; });
-}
-
-void
-CacheStats::addStats(stats::Group& group,
-                     const std::function<CacheStats()>& read)
-{
-    group.add("accesses", [read] { return double(read().accesses); });
-    group.add("reads", [read] { return double(read().reads); });
-    group.add("writes", [read] { return double(read().writes); });
-    group.add("misses", [read] { return double(read().misses); });
-    group.add("read_misses", [read] { return double(read().readMisses); });
-    group.add("write_misses",
-              [read] { return double(read().writeMisses); });
-    group.add("evictions", [read] { return double(read().evictions); });
-    group.add("writebacks", [read] { return double(read().writebacks); });
-    group.add("prefetch_fills",
-              [read] { return double(read().prefetchFills); });
-    group.add("useful_prefetches",
-              [read] { return double(read().usefulPrefetches); });
-    group.add("miss_rate", [read] { return read().missRate(); });
+    group.add("accesses", double(accesses));
+    group.add("reads", double(reads));
+    group.add("writes", double(writes));
+    group.add("misses", double(misses));
+    group.add("read_misses", double(readMisses));
+    group.add("write_misses", double(writeMisses));
+    group.add("evictions", double(evictions));
+    group.add("writebacks", double(writebacks));
+    group.add("prefetch_fills", double(prefetchFills));
+    group.add("useful_prefetches", double(usefulPrefetches));
+    group.add("miss_rate", missRate());
 }
 
 Cache::Cache(const CacheParams& params) : params_(params)

@@ -12,7 +12,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,15 +67,8 @@ struct CacheStats
 
     CacheStats& operator+=(const CacheStats& o);
 
-    /**
-     * Register these counters (as lazily evaluated formulas) into
-     * @p group; the group must not outlive them.
-     */
+    /** Append these counters, as they stand, to @p group. */
     void addStats(stats::Group& group) const;
-
-    /** Register the counters @p read returns at each evaluation. */
-    static void addStats(stats::Group& group,
-                         const std::function<CacheStats()>& read);
 };
 
 /**
@@ -206,10 +198,7 @@ class Cache
     const CacheStats& stats() const { return stats_; }
     void resetStats() { stats_.reset(); }
 
-    /**
-     * Register this cache's counters (as lazily evaluated formulas) into
-     * @p group; the group must not outlive the cache.
-     */
+    /** Append this cache's counters, as they stand, to @p group. */
     void addStats(stats::Group& group) const { stats_.addStats(group); }
 
   private:

@@ -174,20 +174,21 @@ CoSimulation::emulator(unsigned i) const
     return stacks_->board(i);
 }
 
-void
-CoSimulation::registerStats(obs::StatsRegistry& registry) const
+std::vector<stats::Group>
+CoSimulation::stats() const
 {
-    platform_.registerStats(registry);
+    std::vector<stats::Group> groups;
+    platform_.addStats(groups);
     for (unsigned i = 0; i < nEmulators(); ++i) {
-        stats::Group& g = emulator(i).registerStats(
-            registry, "dragonhead" + std::to_string(i));
-        if (!bank_)
-            continue;
-        const AsyncEmulatorBank* bank = bank_.get();
-        g.add("batches", [bank, i] {
-            return double(bank->emulatorStats(i).batches);
-        });
+        // By index: appending the slice groups moves the aggregate.
+        const std::size_t agg = groups.size();
+        emulator(i).addStats(groups, "dragonhead" + std::to_string(i));
+        if (bank_) {
+            groups[agg].add("batches",
+                            double(bank_->emulatorStats(i).batches));
+        }
     }
+    return groups;
 }
 
 std::vector<double>

@@ -138,12 +138,13 @@ class CoSimulation
     std::vector<double> mpkis() const;
 
     /**
-     * Register the whole rig's stats into @p registry: the platform's
-     * groups plus one "dragonhead<i>" group per emulator (with a
-     * "batches" delivery counter in parallel mode). The bank's queue
-     * high-water depends on host thread timing, so it stays out.
+     * The whole rig's stats as they stand: the platform's groups, then
+     * per emulator a "dragonhead<i>" group (with a "batches" delivery
+     * counter in parallel mode) followed by its slices' groups. The
+     * bank's queue high-water depends on host thread timing, so it
+     * stays out.
      */
-    void registerStats(obs::StatsRegistry& registry) const;
+    std::vector<stats::Group> stats() const;
 
     VirtualPlatform& platform() { return platform_; }
 

@@ -42,26 +42,22 @@ Dragonhead::reset()
     ownStack("reset").reset();
 }
 
-stats::Group&
-Dragonhead::registerStats(obs::StatsRegistry& registry,
-                          const std::string& prefix) const
+void
+Dragonhead::addStats(std::vector<stats::Group>& groups,
+                     const std::string& prefix) const
 {
-    stats::Group agg(prefix);
-    agg.add("accesses", [this] { return double(results().accesses); });
-    agg.add("misses", [this] { return double(results().misses); });
-    agg.add("insts", [this] { return double(results().insts); });
-    agg.add("cycles", [this] { return double(results().cycles); });
-    agg.add("mpki", [this] { return results().mpki(); });
-    agg.add("miss_rate", [this] { return results().missRate(); });
-    agg.add("samples", [this] { return double(samples().size()); });
-    stats::Group& stored = registry.add(std::move(agg));
-
-    for (unsigned i = 0; i < nSlices(); ++i) {
-        stats::Group g(prefix + ".cc" + std::to_string(i));
-        CacheStats::addStats(g, [this, i] { return sliceStats(i); });
-        registry.add(std::move(g));
-    }
-    return stored;
+    const LlcResults r = results();
+    stats::Group& agg = groups.emplace_back(prefix);
+    agg.add("accesses", double(r.accesses));
+    agg.add("misses", double(r.misses));
+    agg.add("insts", double(r.insts));
+    agg.add("cycles", double(r.cycles));
+    agg.add("mpki", r.mpki());
+    agg.add("miss_rate", r.missRate());
+    agg.add("samples", double(samples().size()));
+    for (unsigned i = 0; i < nSlices(); ++i)
+        sliceStats(i).addStats(
+            groups.emplace_back(prefix + ".cc" + std::to_string(i)));
 }
 
 DragonheadStacks::DragonheadStacks(

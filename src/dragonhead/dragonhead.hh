@@ -30,8 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "base/stats.hh"
 #include "dragonhead/llc_stack.hh"
-#include "obs/stats_registry.hh"
 
 namespace cosim {
 
@@ -100,13 +100,11 @@ class Dragonhead : public BusSnooper
     void reset();
 
     /**
-     * Register this emulator's stats into @p registry under
-     * "<prefix>" (aggregate) and "<prefix>.cc<i>" (per slice).
-     * @return the stored aggregate group, so callers can append stats
-     * of their own (the AsyncEmulatorBank adds delivery counters).
+     * Append this emulator's stats to @p groups: "<prefix>"
+     * (aggregate), then "<prefix>.cc<i>" per slice.
      */
-    stats::Group& registerStats(obs::StatsRegistry& registry,
-                                const std::string& prefix) const;
+    void addStats(std::vector<stats::Group>& groups,
+                  const std::string& prefix) const;
 
   private:
     /** The stack a standalone board owns; panics on a view. */

@@ -162,8 +162,8 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
                 "results)\n"
                 "  --trace=<file>   record a Chrome trace-event JSON "
                 "(chrome://tracing / Perfetto)\n"
-                "  --stats=<file>   dump the stats registry "
-                "(.json/.csv/.txt by extension)\n"
+                "  --stats=<file>   dump every cell's component stats "
+                "as JSON (a .json path)\n"
                 "  --manifest=<f>   run manifest path (default "
                 "<out>/run.json)\n"
                 "  --jobs=<n>       run up to n sweep cells on parallel "
@@ -361,6 +361,9 @@ parseBenchArgs(int argc, char** argv, const std::string& bench_description)
         if (!path->empty())
             requireOutputDir(flag, *path, opts.outDir);
     }
+    fatal_if(!opts.statsFile.empty() && !opts.statsFile.ends_with(".json"),
+             "--stats=%s: the stats dump is JSON; give a path ending in "
+             ".json", opts.statsFile.c_str());
     if (!opts.faults.empty()) {
         // Arm here so every bench binary gets fault injection without
         // per-main plumbing.

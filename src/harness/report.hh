@@ -50,7 +50,7 @@ struct BenchOptions
     std::string outDir = "results";
     /** Chrome trace-event JSON output (empty = tracing disabled). */
     std::string traceFile;
-    /** Stats-registry dump path (.json/.csv/.txt; empty = no dump). */
+    /** Stats dump path, ending in .json (empty = no dump). */
     std::string statsFile;
     /** Per-run manifest path; defaults to "<outDir>/run.json". */
     std::string manifestFile;
@@ -124,7 +124,8 @@ std::string fsbStreamPath(const std::string& base,
  *   --workloads=a,b  comma-separated subset
  *   --out=<dir>      output directory for CSVs
  *   --trace=<file>   record a Chrome trace-event JSON of the run
- *   --stats=<file>   dump the stats registry (.json/.csv/.txt)
+ *   --stats=<file>   dump every cell's component stats as JSON
+ *                    (a .json path)
  *   --manifest=<f>   run manifest path (default <out>/run.json)
  *   --jobs=<n>       run up to n sweep cells on parallel host threads
  *   --emu-threads=<n> emulate Dragonheads on n worker threads per rig

@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "obs/host_profiler.hh"
-#include "obs/stats_registry.hh"
 #include "obs/trace_session.hh"
 #include "trace/fsb_capture.hh"
 #include "workloads/workload_factory.hh"
@@ -504,12 +503,10 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
         ws.hasPlan = true;
     }
 
-    // Freeze the rig's component stats into the global registry, so
-    // every cell's counters survive the rig.
-    obs::StatsRegistry local;
-    rig.registerStats(local);
-    obs::StatsRegistry::global().addSnapshotOf(local,
-                                               "cell/" + cell.label + "/");
+    // The rig's counters as they stand, kept past the rig.
+    out.stats = rig.stats();
+    for (stats::Group& g : out.stats)
+        g.name = "cell/" + cell.label + "/" + g.name;
     return out;
 }
 
@@ -547,6 +544,8 @@ mergeWorkloadCells(const std::string& name, const CellOutput* base,
     merged.cbSamples = configs.front().cbSamples;
     if (merged.cbSamples.empty() && base != nullptr)
         merged.cbSamples = base->cbSamples;
+    if (base != nullptr)
+        merged.stats = base->stats;
 
     double host = 0.0;
     if (base) {
@@ -576,6 +575,9 @@ mergeWorkloadCells(const std::string& name, const CellOutput* base,
         merged.mw.mpkiPerConfig.insert(merged.mw.mpkiPerConfig.end(),
                                        c.mw.mpkiPerConfig.begin(),
                                        c.mw.mpkiPerConfig.end());
+        merged.stats.insert(merged.stats.end(),
+                            std::make_move_iterator(c.stats.begin()),
+                            std::make_move_iterator(c.stats.end()));
         if (!merged.hasDigest && c.hasDigest) {
             merged.hasDigest = true;
             merged.streamTxns = c.streamTxns;

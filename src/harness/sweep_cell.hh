@@ -75,6 +75,11 @@ struct CellOutput
     /** Raw CB sample series of the first configuration; the input
      * --plan-out clusters into a sampling plan. */
     std::vector<Sample> cbSamples;
+
+    /** The rig's stats as the cell left them, named
+     * "cell/<label>/<group>" (a merged row: its cells', in plan
+     * order). A failed cell or row carries none. */
+    std::vector<stats::Group> stats;
 };
 
 /** Where a cell's bus stream comes from. */
@@ -96,7 +101,7 @@ enum class EmulatorGroup : std::uint8_t
 /** One planned sweep cell. */
 struct SweepCell
 {
-    /** Journal label; stats freeze under "cell/<label>/". */
+    /** Journal label; the cell's stats are named "cell/<label>/…". */
     std::string label;
     /** Index into BenchOptions::workloads. */
     std::size_t workload = 0;
@@ -202,7 +207,7 @@ class RigSlot
 
 /**
  * Run @p cell on @p rig: execute or replay its stream, collect the
- * attached configurations, and freeze the rig's stats under
+ * attached configurations, and read the rig's stats under
  * "cell/<label>/". A phase-1 cell also fills @p ws (stream, plan,
  * reference); later cells only read it. Throws on any failure.
  */

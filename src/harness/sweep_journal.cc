@@ -10,7 +10,6 @@
 #include "base/host_clock.hh"
 #include "base/logging.hh"
 #include "obs/json.hh"
-#include "obs/stats_registry.hh"
 
 namespace cosim {
 namespace {
@@ -339,7 +338,7 @@ cellArtifactPath(const BenchOptions& opts, const std::string& label)
 }
 
 std::string
-renderCellArtifact(const CellOutput& cell, const std::string& stats_prefix)
+renderCellArtifact(const CellOutput& cell)
 {
     // Every value must round-trip exactly: json::number is exact for
     // doubles (and integers below 2^53); the one value that cannot
@@ -377,12 +376,10 @@ renderCellArtifact(const CellOutput& cell, const std::string& stats_prefix)
                numbers({s.timeUs, double(s.insts), double(s.cycles),
                         double(s.accesses), double(s.misses)});
     }
-    // The cell's frozen stats namespaces, so a resumed run's stats
-    // dump matches an uninterrupted run's exactly.
-    obs::StatsRegistry stats;
-    stats.addSnapshotOf(obs::StatsRegistry::global(), stats_prefix,
-                        stats_prefix);
-    return out + "],\n\"stats\":" + stats.dumpJson() + "}\n";
+    // The cell's stats, so a resumed run's stats dump matches an
+    // uninterrupted run's exactly.
+    return out + "],\n\"stats\":" + obs::json::statsDump(cell.stats) +
+           "}\n";
 }
 
 bool
@@ -446,17 +443,11 @@ parseCellArtifact(const std::string& text, CellOutput* out,
             cell.cbSamples.push_back(s);
         }
     }
-    // Re-register the frozen stats namespaces -- the same shape an
-    // in-process cell's snapshot leaves behind.
     if (const obs::json::Value* groups = root.find("stats")) {
-        for (const auto& g : groups->obj) {
-            stats::Group group(g.first);
-            group.reserve(0, g.second.obj.size());
-            for (const auto& stat : g.second.obj) {
-                const double value = stat.second.num;
-                group.add(stat.first, [value] { return value; });
-            }
-            obs::StatsRegistry::global().add(std::move(group));
+        for (const auto& [name, values] : groups->obj) {
+            stats::Group& group = cell.stats.emplace_back(name);
+            for (const auto& [stat, value] : values.obj)
+                group.add(stat, value.num);
         }
     }
     *out = std::move(cell);

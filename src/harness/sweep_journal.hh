@@ -3,10 +3,14 @@
  * Write-ahead journal for crash-safe sweeps (`cosim-journal/1`), and
  * the cell artifact --resume loads instead of re-running a cell.
  *
- * A sweep that runs for hours must survive being killed: the journal
- * records every cell state transition *before* the runner acts on it,
- * so `--resume=<journal>` can reconstruct exactly which cells finished
- * and re-run only the rest. One JSONL file, one record per line,
+ * The journal is the one record of a sweep that outlives the sweep's
+ * process. Cells run in that process, so a failure that kills it (a
+ * segfault in a guest model, an OOM kill, a `kill -9`) leaves only
+ * the journal and its cell artifacts. The journal records every cell
+ * state transition *before* the runner acts on it, so
+ * `--resume=<journal>` can tell exactly which cells finished, load
+ * their results instead of re-running them, and write the artifacts
+ * an uninterrupted run writes. One JSONL file, one record per line,
  * appended through base/atomic_file.hh's DurableAppendFile (O_APPEND +
  * single write() + fdatasync), so a record is either fully on disk or
  * absent -- never torn, even across a power cut.
@@ -36,8 +40,8 @@
  *
  * A done cell's result is a `cosim-cell-result/2` artifact: the run
  * manifest's workload entry, the figure points and stream bookkeeping,
- * the CB samples, and the stats registry's JSON dump of the cell's
- * "cell/<label>/" groups. --resume re-hashes it against the journaled
+ * the CB samples, and the cell's "cell/<label>/" stats groups in the
+ * `--stats` dump's JSON. --resume re-hashes it against the journaled
  * digest and loads it in place of the cell.
  *
  * Failure discipline: the journal protects the sweep, so it must never
@@ -162,13 +166,11 @@ inline constexpr const char* kCellResultSchema = "cosim-cell-result/2";
 std::string cellArtifactPath(const BenchOptions& opts,
                              const std::string& label);
 
-/** Serialize @p cell plus the global registry's @p stats_prefix groups.
- * Round-trips exactly through parseCellArtifact(). */
-std::string renderCellArtifact(const CellOutput& cell,
-                               const std::string& stats_prefix);
+/** Serialize @p cell, its stats included. Round-trips exactly through
+ * parseCellArtifact(). */
+std::string renderCellArtifact(const CellOutput& cell);
 
-/** Parse an artifact into @p out and re-register its stats groups as
- * frozen groups in the global registry. */
+/** Parse an artifact into @p out, its stats included. */
 bool parseCellArtifact(const std::string& text, CellOutput* out,
                        std::string* error);
 

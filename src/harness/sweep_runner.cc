@@ -24,7 +24,6 @@
 #include "obs/host_profiler.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
-#include "obs/stats_registry.hh"
 #include "obs/trace_session.hh"
 #include "trace/fsb_capture.hh"
 
@@ -99,9 +98,7 @@ struct SweepLedger
  *    inside the guarded window
  *  - report: a failed cell warns once on stderr with its label and
  *    error, and returns a CellOutput with failed=true carrying both
- *  - stats hygiene: a failed cell's @p stats_prefix namespace is
- *    dropped from the global registry, so run artifacts never carry a
- *    half-populated cell
+ *    (and no stats)
  *
  * A cell runs once: the rig reproduces a run bit for bit from its
  * seed, so a failed cell fails the same way when rerun.
@@ -114,12 +111,12 @@ struct SweepLedger
  * cells it had not journaled done.
  */
 CellOutput
-runGuardedCell(const std::string& label, const std::string& stats_prefix,
-               const BenchOptions& opts, const SweepLedger& ledger,
+runGuardedCell(const std::string& label, const BenchOptions& opts,
+               const SweepLedger& ledger,
                const std::function<CellOutput()>& body)
 {
     // --resume: a journaled result that verified at load time replaces
-    // the whole cell (its stats namespaces were re-registered then).
+    // the whole cell, its stats included.
     if (ledger.resumed != nullptr) {
         auto it = ledger.resumed->find(label);
         if (it != ledger.resumed->end()) {
@@ -145,8 +142,7 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
             // the cell un-done, so a resume re-runs it.
             const std::string artifact = cellArtifactPath(opts, label);
             try {
-                writeFileAtomic(artifact,
-                                renderCellArtifact(cell, stats_prefix));
+                writeFileAtomic(artifact, renderCellArtifact(cell));
             } catch (const IoError& e) {
                 warn("cell artifact %s: %s", artifact.c_str(), e.what());
             }
@@ -161,7 +157,6 @@ runGuardedCell(const std::string& label, const std::string& stats_prefix,
         }
         return cell;
     } catch (const std::exception& e) {
-        obs::StatsRegistry::global().removePrefix(stats_prefix);
         warn("sweep cell %s failed: %s", label.c_str(), e.what());
         if (ledger.journal != nullptr)
             ledger.journal->cellFailed(label, e.what());
@@ -210,8 +205,8 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
             // off entirely under --journal by requiring file-backed
             // inputs.
             out = runGuardedCell(
-                cell.label, "cell/" + cell.label + "/", opts,
-                cell.phase1 ? SweepLedger{} : ledger, [&] {
+                cell.label, opts, cell.phase1 ? SweepLedger{} : ledger,
+                [&] {
                     return runCellBody(fig, cell, slot.acquire(fig, cell),
                                        ws);
                 });
@@ -418,16 +413,12 @@ SweepRunner::runFigure(const std::string& figure_id,
     // figure, manifest and digest outputs are deterministic.
     double host_sum = 0.0;
     const CellOutput* first_failed = nullptr;
-    std::string last_ok;
+    const CellOutput* last_ok = nullptr;
     DigestManifest digests;
     for (std::size_t i = 0; i < n_w; ++i) {
         CellOutput& cell = cells[i];
         const std::string& name = opts_.workloads[i];
         if (cell.failed) {
-            // Drop whatever the failed cell registered before dying so
-            // the stats dump never carries a half-populated namespace.
-            obs::StatsRegistry::global().removePrefix("cell/" + name +
-                                                      "/");
             manifest.workloads.push_back(cell.mw);
             figure.addFailedSeries(name);
             if (first_failed == nullptr)
@@ -436,7 +427,7 @@ SweepRunner::runFigure(const std::string& figure_id,
                         cell.mw.error.c_str(), i + 1, n_w);
             continue;
         }
-        last_ok = name;
+        last_ok = &cell;
         host_sum += cell.mw.hostSeconds;
         manifest.guestExecutions += cell.guestExecutions;
         manifest.captureTxns += cell.captureTxns;
@@ -518,43 +509,38 @@ SweepRunner::runFigure(const std::string& figure_id,
         }
     }
 
-    // Publish the component stats and the host profile through the
-    // uniform registry dumpers. Combined plans (combined mode, and
-    // replay from files) also expose the "state after the final
-    // workload" view unprefixed: the last successful workload's frozen
-    // cell/<w>/ snapshot, re-rooted. Other plans rely on their
-    // cell/<workload>/<cell>/ snapshots alone.
-    obs::StatsRegistry& registry = obs::StatsRegistry::global();
-    const bool combined_plan =
-        opts_.cells == CellMode::Combined ||
-        (opts_.cells == CellMode::Replay && !opts_.replayBase.empty());
-    if (combined_plan && !last_ok.empty())
-        registry.addSnapshotOf(registry, "", "cell/" + last_ok + "/");
-    registry.add(obs::HostProfiler::global().statsGroup());
-
-    if (manifest.captureTxns > 0) {
-        stats::Group g("capture");
-        const double txns = static_cast<double>(manifest.captureTxns);
-        const double bytes = static_cast<double>(manifest.captureBytes);
-        const double secs = manifest.captureSeconds;
-        g.add("txns", [txns] { return txns; });
-        g.add("bytes", [bytes] { return bytes; });
-        g.add("encode_seconds", [secs] { return secs; });
-        registry.add(std::move(g));
-    }
-    if (manifest.replayTxns > 0) {
-        stats::Group g("replay");
-        const double txns = static_cast<double>(manifest.replayTxns);
-        const double bytes = static_cast<double>(manifest.replayBytes);
-        const double secs = manifest.replaySeconds;
-        g.add("txns", [txns] { return txns; });
-        g.add("bytes", [bytes] { return bytes; });
-        g.add("seconds", [secs] { return secs; });
-        registry.add(std::move(g));
-    }
-
+    // The stats dump: every kept row's cells in workload and plan
+    // order, whatever order they finished in. Combined plans (combined
+    // mode, and replay from files) also expose the "state after the
+    // final workload" view unprefixed: the last kept row's groups
+    // without their cell/<w>/ prefix. Then the host profile and the
+    // aggregate capture and replay counters.
     if (!opts_.statsFile.empty()) {
-        registry.writeFile(opts_.statsFile);
+        std::vector<stats::Group> dump;
+        for (const CellOutput& cell : cells)
+            dump.insert(dump.end(), cell.stats.begin(), cell.stats.end());
+        const bool combined_plan =
+            opts_.cells == CellMode::Combined ||
+            (opts_.cells == CellMode::Replay && !opts_.replayBase.empty());
+        if (combined_plan && last_ok != nullptr) {
+            const std::string prefix = "cell/" + last_ok->mw.name + "/";
+            for (const stats::Group& g : last_ok->stats)
+                dump.emplace_back(g).name.erase(0, prefix.size());
+        }
+        dump.push_back(obs::HostProfiler::global().statsGroup());
+        if (manifest.captureTxns > 0) {
+            stats::Group& g = dump.emplace_back("capture");
+            g.add("txns", double(manifest.captureTxns));
+            g.add("bytes", double(manifest.captureBytes));
+            g.add("encode_seconds", manifest.captureSeconds);
+        }
+        if (manifest.replayTxns > 0) {
+            stats::Group& g = dump.emplace_back("replay");
+            g.add("txns", double(manifest.replayTxns));
+            g.add("bytes", double(manifest.replayBytes));
+            g.add("seconds", manifest.replaySeconds);
+        }
+        obs::json::writeStatsDump(opts_.statsFile, dump);
         inform("stats: %s", opts_.statsFile.c_str());
     }
 

@@ -64,14 +64,11 @@ DramModel::endRound(Cycles round_cycles)
 void
 DramModel::addStats(stats::Group& group) const
 {
-    group.add("demand_bytes",
-              [this] { return double(totalDemandBytes_); });
-    group.add("prefetch_bytes",
-              [this] { return double(totalPrefetchBytes_); });
-    group.add("utilization", [this] { return lastUtilization_; });
-    group.add("effective_latency",
-              [this] { return double(effectiveLatency_); });
-    group.add("prefetch_admit", [this] { return prefetchAdmit_; });
+    group.add("demand_bytes", double(totalDemandBytes_));
+    group.add("prefetch_bytes", double(totalPrefetchBytes_));
+    group.add("utilization", lastUtilization_);
+    group.add("effective_latency", double(effectiveLatency_));
+    group.add("prefetch_admit", prefetchAdmit_);
 }
 
 void

@@ -90,7 +90,7 @@ class DramModel
 
     const DramParams& params() const { return params_; }
 
-    /** Register traffic/latency gauges into @p group. */
+    /** Append the traffic/latency gauges to @p group. */
     void addStats(stats::Group& group) const;
 
     /** Return to the unloaded state and clear totals. */

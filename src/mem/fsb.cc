@@ -127,13 +127,13 @@ FrontSideBus::issue(const BusTransaction& txn)
 void
 FrontSideBus::addStats(stats::Group& group) const
 {
-    group.add("txns", [this] { return double(nTxns_); });
-    group.add("reads", [this] { return double(nReads_); });
-    group.add("writes", [this] { return double(nWrites_); });
-    group.add("prefetches", [this] { return double(nPrefetches_); });
-    group.add("messages", [this] { return double(nMessages_); });
-    group.add("data_bytes", [this] { return double(dataBytes_); });
-    group.add("batches", [this] { return double(nBatches_); });
+    group.add("txns", double(nTxns_));
+    group.add("reads", double(nReads_));
+    group.add("writes", double(nWrites_));
+    group.add("prefetches", double(nPrefetches_));
+    group.add("messages", double(nMessages_));
+    group.add("data_bytes", double(dataBytes_));
+    group.add("batches", double(nBatches_));
 }
 
 void

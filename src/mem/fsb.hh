@@ -102,7 +102,7 @@ class FrontSideBus
 
     std::size_t snooperCount() const { return snoopers_.size(); }
 
-    /** Register the traffic counters into @p group. */
+    /** Append the traffic counters to @p group. */
     void addStats(stats::Group& group) const;
 
     /** Zero the traffic statistics (snoopers stay attached). */

@@ -145,19 +145,12 @@ HostProfiler::statsGroup(const std::string& name) const
     LockGuard lock(mutex_);
     stats::Group g(name);
     for (const PhaseTotal& p : phases_) {
-        double secs = p.seconds;
-        std::uint64_t n = p.calls;
-        g.add(p.name + ".seconds", [secs] { return secs; });
-        g.add(p.name + ".calls",
-              [n] { return static_cast<double>(n); });
+        g.add(p.name + ".seconds", p.seconds);
+        g.add(p.name + ".calls", static_cast<double>(p.calls));
     }
-    std::uint64_t insts = simInsts_;
-    double mips = mipsOf(simInsts_, simSeconds_);
-    unsigned emu_threads = emuThreads_;
-    g.add("sim_insts", [insts] { return static_cast<double>(insts); });
-    g.add("sim_mips", [mips] { return mips; });
-    g.add("emulation_threads",
-          [emu_threads] { return static_cast<double>(emu_threads); });
+    g.add("sim_insts", static_cast<double>(simInsts_));
+    g.add("sim_mips", mipsOf(simInsts_, simSeconds_));
+    g.add("emulation_threads", static_cast<double>(emuThreads_));
     return g;
 }
 

@@ -71,9 +71,9 @@ class HostProfiler
     std::string report() const;
 
     /**
-     * Snapshot as a stats::Group named @p name ("host" by default):
-     * <phase>.seconds / <phase>.calls plus sim_insts / sim_mips.
-     * The group copies current values (it does not track the profiler).
+     * The profile as a stats::Group named @p name ("host" by default):
+     * <phase>.seconds / <phase>.calls, then sim_insts, sim_mips and
+     * emulation_threads.
      */
     stats::Group statsGroup(const std::string& name = "host") const;
 

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "base/atomic_file.hh"
+#include "base/logging.hh"
+
 namespace cosim {
 namespace obs {
 namespace json {
@@ -54,6 +57,35 @@ number(double v)
     char buf[40];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
+}
+
+std::string
+statsDump(const std::vector<stats::Group>& groups)
+{
+    std::string out = "{";
+    for (std::size_t i = 0; i < groups.size(); ++i) {
+        out += (i ? ",\n  " : "\n  ") + quote(groups[i].name) + ": {";
+        const auto& values = groups[i].values;
+        for (std::size_t j = 0; j < values.size(); ++j) {
+            out += (j ? ",\n    " : "\n    ") + quote(values[j].first) +
+                   ": " + number(values[j].second);
+        }
+        out += "\n  }";
+    }
+    return out + "\n}\n";
+}
+
+void
+writeStatsDump(const std::string& path,
+               const std::vector<stats::Group>& groups)
+{
+    // Atomic, so a crash or full disk never leaves a truncated dump
+    // that looks complete.
+    try {
+        writeFileAtomic(path, statsDump(groups));
+    } catch (const IoError& e) {
+        fatal("stats: %s", e.what());
+    }
 }
 
 const Value*

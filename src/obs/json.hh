@@ -1,8 +1,9 @@
 /**
  * @file
  * Minimal JSON support for the observability layer: an escaping writer
- * used by the stats/trace/manifest exporters, and a small recursive-
- * descent parser used by `cosim-inspect` and the round-trip tests.
+ * used by the stats/trace/manifest exporters, the stats dump itself,
+ * and a small recursive-descent parser used by `cosim-inspect`, the
+ * cell artifact and the round-trip tests.
  *
  * Deliberately tiny (no external dependency): the only producers are our
  * own exporters, so the parser handles standard JSON and nothing more.
@@ -16,6 +17,8 @@
 #include <utility>
 #include <vector>
 
+#include "base/stats.hh"
+
 namespace cosim {
 namespace obs {
 namespace json {
@@ -25,6 +28,17 @@ std::string quote(const std::string& text);
 
 /** Format a double the way our exporters do (shortest round-trip-safe). */
 std::string number(double v);
+
+/**
+ * The stats dump of @p groups: {"group": {"stat": value, ...}, ...},
+ * one member per line, groups and stats in the order given.
+ */
+std::string statsDump(const std::vector<stats::Group>& groups);
+
+/** Write statsDump(@p groups) to @p path atomically; fatal() naming
+ * the path when the write fails. */
+void writeStatsDump(const std::string& path,
+                    const std::vector<stats::Group>& groups);
 
 /** A parsed JSON value (tagged union, object keys kept in file order). */
 struct Value

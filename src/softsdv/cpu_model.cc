@@ -177,18 +177,16 @@ CpuModel::computeOps(std::uint64_t n)
 void
 CpuModel::addStats(stats::Group& group) const
 {
-    group.add("insts", [this] { return double(insts_); });
-    group.add("mem_insts", [this] { return double(memInsts_); });
-    group.add("loads", [this] { return double(loads_); });
-    group.add("stores", [this] { return double(stores_); });
-    group.add("cycles", [this] { return double(cycles()); });
-    group.add("ipc", [this] { return ipc(); });
-    group.add("pf_candidates",
-              [this] { return double(pfStats_.candidates); });
-    group.add("pf_admitted", [this] { return double(pfStats_.admitted); });
-    group.add("pf_dropped", [this] { return double(pfStats_.dropped); });
-    group.add("pf_installed",
-              [this] { return double(pfStats_.installed); });
+    group.add("insts", double(insts_));
+    group.add("mem_insts", double(memInsts_));
+    group.add("loads", double(loads_));
+    group.add("stores", double(stores_));
+    group.add("cycles", double(cycles()));
+    group.add("ipc", ipc());
+    group.add("pf_candidates", double(pfStats_.candidates));
+    group.add("pf_admitted", double(pfStats_.admitted));
+    group.add("pf_dropped", double(pfStats_.dropped));
+    group.add("pf_installed", double(pfStats_.installed));
 }
 
 void

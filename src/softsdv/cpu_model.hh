@@ -131,7 +131,7 @@ class CpuModel
 
     const CpuPrefetchStats& prefetchStats() const { return pfStats_; }
 
-    /** Register instruction/cycle/prefetch counters into @p group. */
+    /** Append the instruction/cycle/prefetch counters to @p group. */
     void addStats(stats::Group& group) const;
 
     /** Zero counters and empty the caches (used between runs). */

@@ -114,13 +114,4 @@ DexScheduler::run(std::vector<CoreSlot>& slots)
     emit(msg::Type::StopEmulation, 0);
 }
 
-void
-DexScheduler::addStats(stats::Group& group) const
-{
-    group.add("rounds", [this] { return double(rounds_); });
-    group.add("slices", [this] { return double(slices_); });
-    group.add("quantum_insts",
-              [this] { return double(params_.quantumInsts); });
-}
-
 } // namespace cosim

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/stats.hh"
 #include "mem/dram.hh"
 #include "mem/fsb.hh"
 #include "softsdv/core_context.hh"
@@ -81,9 +80,6 @@ class DexScheduler
 
     /** Total slices executed. */
     std::uint64_t slices() const { return slices_; }
-
-    /** Register scheduler activity counters into @p group. */
-    void addStats(stats::Group& group) const;
 
   private:
     DexParams params_;

@@ -193,34 +193,18 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
 }
 
 void
-VirtualPlatform::registerStats(obs::StatsRegistry& registry) const
+VirtualPlatform::addStats(std::vector<stats::Group>& groups) const
 {
     for (std::size_t i = 0; i < cpus_.size(); ++i) {
         const CpuModel& cpu = *cpus_[i];
-        std::string prefix = "cpu" + std::to_string(i);
-
-        stats::Group core(prefix);
-        cpu.addStats(core);
-        registry.add(std::move(core));
-
-        stats::Group l1(prefix + ".l1");
-        cpu.caches().l1().addStats(l1);
-        registry.add(std::move(l1));
-
-        if (cpu.caches().hasL2()) {
-            stats::Group l2(prefix + ".l2");
-            cpu.caches().l2().addStats(l2);
-            registry.add(std::move(l2));
-        }
+        const std::string prefix = "cpu" + std::to_string(i);
+        cpu.addStats(groups.emplace_back(prefix));
+        cpu.caches().l1().addStats(groups.emplace_back(prefix + ".l1"));
+        if (cpu.caches().hasL2())
+            cpu.caches().l2().addStats(groups.emplace_back(prefix + ".l2"));
     }
-
-    stats::Group dram("dram");
-    dram_.addStats(dram);
-    registry.add(std::move(dram));
-
-    stats::Group fsb("fsb");
-    fsb_.addStats(fsb);
-    registry.add(std::move(fsb));
+    dram_.addStats(groups.emplace_back("dram"));
+    fsb_.addStats(groups.emplace_back("fsb"));
 }
 
 } // namespace cosim

@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "base/stats.hh"
 #include "cache/cache.hh"
 #include "mem/address_space.hh"
 #include "mem/dram.hh"
 #include "mem/fsb.hh"
-#include "obs/stats_registry.hh"
 #include "softsdv/cpu_model.hh"
 #include "softsdv/dex_scheduler.hh"
 #include "softsdv/guest.hh"
@@ -121,11 +121,11 @@ class VirtualPlatform
     const PlatformParams& params() const { return params_; }
 
     /**
-     * Register the platform's component stats into @p registry:
-     * one "cpu<i>" group per core (plus "cpu<i>.l1"/".l2"), "dram",
-     * and "fsb". Idempotent across runs (names replace).
+     * Append the platform's component stats to @p groups: one
+     * "cpu<i>" group per core (each followed by "cpu<i>.l1" and
+     * ".l2"), then "dram" and "fsb".
      */
-    void registerStats(obs::StatsRegistry& registry) const;
+    void addStats(std::vector<stats::Group>& groups) const;
 
   private:
     PlatformParams params_;

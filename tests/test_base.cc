@@ -19,6 +19,7 @@
 #include "base/str.hh"
 #include "base/table.hh"
 #include "base/units.hh"
+#include "obs/json.hh"
 
 namespace cosim {
 namespace {
@@ -216,105 +217,27 @@ TEST(Random, BoolProbability)
 
 // ----------------------------------------------------------------- stats
 
-TEST(Stats, CounterBasics)
-{
-    stats::Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 41;
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    stats::Histogram h(0.0, 10.0, 10);
-    h.sample(0.5);
-    h.sample(9.5);
-    h.sample(-1.0);
-    h.sample(10.0);
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[9], 1u);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_DOUBLE_EQ(h.min(), -1.0);
-    EXPECT_DOUBLE_EQ(h.max(), 10.0);
-}
-
-TEST(Stats, HistogramFirstSampleSetsMinAndMax)
-{
-    stats::Histogram h(0.0, 10.0, 10);
-    // The first sample must establish both extremes, even when it is
-    // above the zero-initialized min or below the zero-initialized max.
-    h.sample(7.0);
-    EXPECT_DOUBLE_EQ(h.min(), 7.0);
-    EXPECT_DOUBLE_EQ(h.max(), 7.0);
-    h.sample(3.0);
-    EXPECT_DOUBLE_EQ(h.min(), 3.0);
-    EXPECT_DOUBLE_EQ(h.max(), 7.0);
-
-    // Same after a reset, including for a negative first sample.
-    h.reset();
-    h.sample(-2.0);
-    EXPECT_DOUBLE_EQ(h.min(), -2.0);
-    EXPECT_DOUBLE_EQ(h.max(), -2.0);
-}
-
-TEST(Stats, HistogramUnderflowOverflowAccounting)
-{
-    stats::Histogram h(10.0, 20.0, 5);
-    h.sample(9.999);  // below lo
-    h.sample(10.0);   // first bucket (lo is inclusive)
-    h.sample(19.999); // last bucket
-    h.sample(20.0);   // hi is exclusive -> overflow
-    h.sample(25.0);   // overflow
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[4], 1u);
-    // Out-of-range samples still count toward count/mean/min/max.
-    EXPECT_EQ(h.count(), 5u);
-    EXPECT_DOUBLE_EQ(h.min(), 9.999);
-    EXPECT_DOUBLE_EQ(h.max(), 25.0);
-}
-
-TEST(Stats, HistogramMeanAndReset)
-{
-    stats::Histogram h(0.0, 100.0, 4);
-    h.sample(10.0);
-    h.sample(30.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 20.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-}
-
 TEST(Stats, GroupCollectAndDump)
 {
-    stats::Counter hits;
-    stats::Counter misses;
-    hits += 90;
-    misses += 10;
-
+    // A group collects values in the order added.
+    const std::uint64_t hits = 90;
+    const std::uint64_t misses = 10;
     stats::Group g("cache");
-    g.add("hits", &hits);
-    g.add("misses", &misses);
-    g.add("miss_rate", [&] {
-        return stats::safeRatio(static_cast<double>(misses.value()),
-                                static_cast<double>(hits.value() +
-                                                    misses.value()));
-    });
+    g.add("hits", double(hits));
+    g.add("misses", double(misses));
+    g.add("miss_rate", stats::safeRatio(double(misses),
+                                        double(hits + misses)));
 
-    auto collected = g.collect();
-    ASSERT_EQ(collected.size(), 3u);
-    EXPECT_EQ(collected[0].first, "hits");
-    EXPECT_DOUBLE_EQ(collected[2].second, 0.1);
+    EXPECT_EQ(g.name, "cache");
+    ASSERT_EQ(g.values.size(), 3u);
+    EXPECT_EQ(g.values[0].first, "hits");
+    EXPECT_DOUBLE_EQ(g.values[0].second, 90.0);
+    EXPECT_EQ(g.values[2].first, "miss_rate");
+    EXPECT_DOUBLE_EQ(g.values[2].second, 0.1);
 
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("cache.hits 90"), std::string::npos);
-    EXPECT_NE(dump.find("cache.miss_rate 0.1"), std::string::npos);
+    const std::string dump = obs::json::statsDump({g});
+    EXPECT_NE(dump.find("\"hits\": 90,"), std::string::npos) << dump;
+    EXPECT_NE(dump.find("\"miss_rate\": 0.1"), std::string::npos) << dump;
 }
 
 TEST(Stats, Helpers)

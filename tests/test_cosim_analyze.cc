@@ -12,12 +12,15 @@
  * asserts covers EVERY rule --list-rules reports.
  *
  * Fixtures are embedded strings analyzed through the pure
- * entry points, so the tests never touch the file system.
+ * entry points, so the tests never touch the file system -- except
+ * the last, which checks that analyzeTree refuses a root with nothing
+ * to judge.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 #include <string>
 #include <utility>
@@ -1039,6 +1042,25 @@ TEST(AnalyzeRuleTable, SuiteCoversEveryRule)
         EXPECT_TRUE(covered.count(r) > 0)
             << "rule '" << r
             << "' is listed by --list-rules but exercised by no test";
+}
+
+TEST(AnalyzeTree, RefusesARootWithNothingToJudge)
+{
+    // A mistyped --root, or a checkout that left the tree elsewhere,
+    // must not pass the gate as a clean tree.
+    const std::string empty =
+        ::testing::TempDir() + "cosim_analyze_empty_root";
+    std::filesystem::create_directories(empty + "/src");
+    for (const std::string& root : {empty + "/missing", empty}) {
+        AnalyzeOptions opts;
+        opts.root = root;
+        const AnalyzeResult res = analyzeTree(opts);
+        EXPECT_TRUE(res.ioError) << root;
+        EXPECT_EQ(res.filesScanned, 0) << root;
+        ASSERT_EQ(res.errors.size(), 1u) << root;
+        EXPECT_NE(res.errors[0].find("'" + root + "'"), std::string::npos)
+            << res.errors[0];
+    }
 }
 
 } // namespace

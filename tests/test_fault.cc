@@ -33,7 +33,6 @@
 #include "harness/sweep_runner.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
-#include "obs/stats_registry.hh"
 #include "trace/fsb_capture.hh"
 
 namespace cosim {
@@ -79,7 +78,7 @@ TEST(FaultPlan, RejectsMalformedSpecs)
          {"", "site", "site:", ":nth=1", "site:wat=1", "site:nth=0",
           "site:nth=x", "site:nth=", "site:nth=-1", "site:nth=+2",
           "site:p=0.5", "site:p=1.5", "site:p=-0.1", "site:p=x",
-          "a:nth=1,,b:nth=2"}) {
+          "a:nth=1,,b:nth=2", "a:nth=1,b:nth=2,a:nth=3"}) {
         FaultPlan plan;
         std::string error;
         EXPECT_FALSE(FaultPlan::parse(spec, &plan, &error)) << spec;
@@ -467,8 +466,8 @@ TEST(FaultInjectionDeathTest, FailedTraceWriteLeavesNoManifest)
 TEST(ArtifactWriterDeathTest, StatsWriteFailureIsFatalAndNamesThePath)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    obs::StatsRegistry registry;
-    EXPECT_DEATH(registry.writeFile("/nonexistent-dir/stats.json"),
+    EXPECT_DEATH(obs::json::writeStatsDump("/nonexistent-dir/stats.json",
+                                           {}),
                  "stats:.*nonexistent-dir");
 }
 

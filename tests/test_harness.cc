@@ -16,7 +16,7 @@
 #include "harness/sweep_journal.hh"
 #include "harness/sweep_runner.hh"
 #include "obs/json.hh"
-#include "obs/stats_registry.hh"
+#include "test_util.hh"
 
 namespace cosim {
 namespace {
@@ -241,6 +241,19 @@ TEST(BenchOptionsDeathTest, OutputPathsInAMissingDirectoryAreFatal)
     EXPECT_EQ(o.statsFile, missing + "/s.json");
 }
 
+TEST(BenchOptionsDeathTest, StatsTakesOnlyAJsonPath)
+{
+    // The dump is JSON whatever the path says; a .txt or .csv path
+    // used to pick another format.
+    for (const char* path : {"s.txt", "s.csv", "s", "s.json.txt"}) {
+        const std::string arg = std::string("--stats=") + path;
+        EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1),
+                    "--stats=.*give a path ending in \\.json")
+            << arg;
+    }
+    EXPECT_EQ(parse({"--stats=s.json"}).statsFile, "s.json");
+}
+
 TEST(BenchOptionsDeathTest, SingleRunBenchesRefuseTheSweepFlags)
 {
     // Every sweep flag is refused by name.
@@ -315,6 +328,10 @@ TEST(BenchOptionsDeathTest, FaultsRefusesUnknownSitesAndTriggers)
         {"--faults=cell.thorw:nth=1", "unknown fault site 'cell.thorw'"},
         {"--faults=cell.throw:nth=1,x:nth=2", "unknown fault site 'x'"},
         {"--faults=cell.throw:p=0.5", "trigger 'p=0.5' is not nth=K"},
+        // One site fails on one hit; a second entry would silently
+        // replace the first.
+        {"--faults=cell.throw:nth=1,cell.throw:nth=3",
+         "fault site 'cell.throw' is named more than once"},
     };
     for (const auto& [arg, error] : cases) {
         EXPECT_EXIT(parse({arg}), ::testing::ExitedWithCode(1), error)
@@ -369,8 +386,8 @@ TEST(SweepRunner, LowercaseWorkloadNamesGiveCatalogRows)
     for (const char* mode : {"combined", "replay"}) {
         BenchOptions opts = parse({"--workloads=plsa", "--scale=0.02",
                                    std::string("--cells=") + mode,
-                                   "--out=" + out});
-        obs::StatsRegistry::global().clear();
+                                   "--out=" + out,
+                                   "--stats=" + out + "/case.json"});
         PlatformParams platform = presets::cmpPlatform("tiny", 2);
         SweepRunner runner(opts);
         FigureData fig = runner.runCacheSizeFigure("FigCase", platform);
@@ -386,14 +403,44 @@ TEST(SweepRunner, LowercaseWorkloadNamesGiveCatalogRows)
         EXPECT_EQ(row.rfind("PLSA,", 0), 0u) << mode << ": " << row;
 
         bool prefixed = false;
-        for (const std::string& group :
-             obs::StatsRegistry::global().groupNames()) {
-            prefixed = prefixed || group.rfind("cell/PLSA/", 0) == 0;
-            EXPECT_NE(group.rfind("cell/plsa", 0), 0u) << group;
+        for (const stats::Group& g : test::readStatsDump(opts.statsFile)) {
+            prefixed = prefixed || g.name.rfind("cell/PLSA/", 0) == 0;
+            EXPECT_NE(g.name.rfind("cell/plsa", 0), 0u) << g.name;
         }
         EXPECT_TRUE(prefixed) << mode;
     }
-    obs::StatsRegistry::global().clear();
+}
+
+TEST(SweepRunner, StatsDumpFollowsThePlanNotTheFinishOrder)
+{
+    // FIMI runs far longer than PLSA, so under --jobs=2 PLSA's cell
+    // finishes first. The dump still lists FIMI's groups first, as a
+    // serial run does, and so does a resumed run that loads both cells
+    // from their artifacts.
+    const std::string dir = ::testing::TempDir() + "cosim_stats_order";
+    ensureOutputDir(dir);
+    const PlatformParams platform = presets::cmpPlatform("tiny", 2);
+    const auto dump = [&](std::vector<std::string> args) {
+        args.push_back("--quick");
+        args.push_back("--workloads=FIMI,PLSA");
+        args.push_back("--out=" + dir);
+        args.push_back("--stats=" + dir + "/order.json");
+        SweepRunner(parse(args)).runCacheSizeFigure("FigOrder", platform);
+        std::vector<stats::Group> groups =
+            test::readStatsDump(dir + "/order.json");
+        // The host profile holds this process's timings.
+        std::erase_if(groups,
+                      [](const stats::Group& g) { return g.name == "host"; });
+        return groups;
+    };
+    const std::vector<stats::Group> serial = dump({"--jobs=1"});
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(serial.front().name, "cell/FIMI/cpu0");
+    EXPECT_EQ(dump({"--jobs=2"}), serial);
+    dump({"--jobs=2", "--journal"});
+    EXPECT_EQ(dump({"--jobs=1",
+                    "--resume=" + dir + "/sweep.journal.jsonl"}),
+              serial);
 }
 
 TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)
@@ -426,7 +473,6 @@ TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)
     const obs::json::Value* resumed = doc.find("resume");
     ASSERT_NE(resumed, nullptr);
     EXPECT_EQ(resumed->find("skipped")->num, 1.0);
-    obs::StatsRegistry::global().clear();
 }
 
 TEST(CellArtifact, RenderParseRenderIsByteIdentical)
@@ -492,23 +538,20 @@ TEST(CellArtifact, RenderParseRenderIsByteIdentical)
     sample.misses = 7;
     cell.cbSamples = {sample, sample};
 
-    const std::string prefix = "cell/RoundTrip/sampled/";
-    obs::StatsRegistry& registry = obs::StatsRegistry::global();
-    stats::Group& fsb = registry.makeGroup(prefix + "fsb");
-    fsb.add("txns", [] { return 424242.0; });
-    fsb.add("batches", [] { return 104.0; });
-    registry.makeGroup(prefix + "dragonhead0")
-        .add("mpki", [] { return 1.0 / 3.0; });
+    stats::Group& fsb =
+        cell.stats.emplace_back("cell/RoundTrip/sampled/fsb");
+    fsb.add("txns", 424242.0);
+    fsb.add("batches", 104.0);
+    cell.stats.emplace_back("cell/RoundTrip/sampled/dragonhead0")
+        .add("mpki", 1.0 / 3.0);
 
-    const std::string first = renderCellArtifact(cell, prefix);
-    registry.removePrefix(prefix);
+    const std::string first = renderCellArtifact(cell);
     CellOutput parsed;
     std::string error;
     ASSERT_TRUE(parseCellArtifact(first, &parsed, &error)) << error;
-    EXPECT_EQ(renderCellArtifact(parsed, prefix), first);
+    EXPECT_EQ(renderCellArtifact(parsed), first);
     EXPECT_EQ(parsed.streamDigest, cell.streamDigest);
-    ASSERT_NE(registry.find(prefix + "dragonhead0"), nullptr);
-    registry.removePrefix(prefix);
+    EXPECT_EQ(parsed.stats, cell.stats);
 }
 
 } // namespace

@@ -25,7 +25,6 @@
 #include "core/cosim.hh"
 #include "core/experiment.hh"
 #include "dragonhead/dragonhead.hh"
-#include "obs/stats_registry.hh"
 #include "workloads/workload_factory.hh"
 
 namespace cosim {
@@ -367,12 +366,14 @@ expectBoardMatches(const Dragonhead& dh, const ReferenceBoard& ref,
         EXPECT_EQ(dh.coreResults(core).misses, want.misses) << c;
     }
 
-    obs::StatsRegistry registry;
-    dh.registerStats(registry, "dh");
+    std::vector<stats::Group> groups;
+    dh.addStats(groups, "dh");
+    // The aggregate, then one group per slice.
+    ASSERT_EQ(groups.size(), 1 + ref.slices_.size());
     for (unsigned j = 0; j < ref.slices_.size(); ++j) {
         const CacheStats& s = ref.slices_[j];
-        const stats::Group* g = registry.find("dh.cc" + std::to_string(j));
-        ASSERT_NE(g, nullptr) << j;
+        const stats::Group& g = groups[1 + j];
+        ASSERT_EQ(g.name, "dh.cc" + std::to_string(j));
         const std::map<std::string, double> want = {
             {"accesses", double(s.accesses)},
             {"reads", double(s.reads)},
@@ -386,9 +387,8 @@ expectBoardMatches(const Dragonhead& dh, const ReferenceBoard& ref,
             {"useful_prefetches", 0.0},
             {"miss_rate", s.missRate()},
         };
-        const auto got = g->collect();
-        ASSERT_EQ(got.size(), want.size()) << j;
-        for (const auto& [key, value] : got)
+        ASSERT_EQ(g.values.size(), want.size()) << j;
+        for (const auto& [key, value] : g.values)
             EXPECT_EQ(value, want.at(key)) << "cc" << j << "." << key;
     }
 

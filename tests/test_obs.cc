@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and integration tests for the observability layer: JSON
- * utilities, stats registry, trace session (including the Chrome-trace
+ * utilities, the stats dump, trace session (including the Chrome-trace
  * round trip), host profiler, and run manifest.
  */
 
@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/units.hh"
@@ -18,7 +17,6 @@
 #include "obs/host_profiler.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
-#include "obs/stats_registry.hh"
 #include "obs/trace_session.hh"
 #include "test_util.hh"
 
@@ -102,170 +100,38 @@ TEST(Json, RejectsMalformedInput)
     EXPECT_FALSE(error.empty());
 }
 
-// -------------------------------------------------------- stats registry
+// ------------------------------------------------------------ stats dump
 
-TEST(StatsRegistry, RegistersAndDumpsText)
+TEST(StatsFile, JsonKeepsGroupAndStatOrder)
 {
-    obs::StatsRegistry registry;
-    stats::Counter hits;
-    hits += 7;
-
-    stats::Group g("llc");
-    g.add("hits", &hits);
-    g.add("ratio", [] { return 0.5; });
-    registry.add(std::move(g));
-
-    EXPECT_EQ(registry.size(), 1u);
-    std::string text = registry.dumpText();
-    EXPECT_NE(text.find("llc.hits 7"), std::string::npos);
-    EXPECT_NE(text.find("llc.ratio 0.5"), std::string::npos);
+    // Groups and stats are written in the order given, never sorted:
+    // a sweep's dump follows its plan.
+    std::vector<stats::Group> groups{stats::Group("b"), stats::Group("a"),
+                                     stats::Group("c")};
+    groups[0].add("z", 4.0);
+    groups[0].add("y", 0.5);
+    groups[1].add("v", 2.0);
+    EXPECT_EQ(obs::json::statsDump(groups),
+              "{\n  \"b\": {\n    \"z\": 4,\n    \"y\": 0.5\n  },"
+              "\n  \"a\": {\n    \"v\": 2\n  },"
+              "\n  \"c\": {\n  }\n}\n");
+    EXPECT_EQ(obs::json::statsDump({}), "{\n}\n");
 }
 
-TEST(StatsRegistry, ReplacesGroupsByName)
+TEST(StatsFile, JsonDumpParses)
 {
-    obs::StatsRegistry registry;
-    registry.makeGroup("a").add("x", [] { return 1.0; });
-    registry.makeGroup("b").add("y", [] { return 2.0; });
-    // Re-registering "a" replaces the old group instead of duplicating.
-    registry.makeGroup("a").add("x", [] { return 3.0; });
-
-    EXPECT_EQ(registry.size(), 2u);
-    std::string text = registry.dumpText();
-    EXPECT_EQ(text.find("a.x 1"), std::string::npos);
-    EXPECT_NE(text.find("a.x 3"), std::string::npos);
-    ASSERT_NE(registry.find("b"), nullptr);
-    EXPECT_EQ(registry.find("zzz"), nullptr);
-}
-
-TEST(StatsRegistry, JsonDumpParses)
-{
-    obs::StatsRegistry registry;
     stats::Group g("cpu0.l1");
-    g.add("misses", [] { return 41.0; });
-    g.add("rate \"q\"", [] { return 0.25; }); // name needing escaping
-    registry.add(std::move(g));
+    g.add("misses", 41.0);
+    g.add("rate \"q\"", 0.25); // name needing escaping
 
     Value doc;
     std::string error;
-    ASSERT_TRUE(obs::json::parse(registry.dumpJson(), doc, &error))
+    ASSERT_TRUE(obs::json::parse(obs::json::statsDump({g}), doc, &error))
         << error;
     const Value* group = doc.find("cpu0.l1");
     ASSERT_NE(group, nullptr);
     EXPECT_DOUBLE_EQ(group->find("misses")->num, 41.0);
     EXPECT_DOUBLE_EQ(group->find("rate \"q\"")->num, 0.25);
-}
-
-TEST(StatsRegistry, CsvDump)
-{
-    obs::StatsRegistry registry;
-    registry.makeGroup("dex").add("rounds", [] { return 12.0; });
-    std::string csv = registry.dumpCsv();
-    EXPECT_NE(csv.find("stat,value\n"), std::string::npos);
-    EXPECT_NE(csv.find("dex.rounds,12"), std::string::npos);
-}
-
-void
-addValued(obs::StatsRegistry& registry, const std::string& name, double v)
-{
-    registry.makeGroup(name).add("v", [v] { return v; });
-}
-
-TEST(StatsRegistry, DumpsInRegistrationOrderAndReplacementKeepsItsPlace)
-{
-    // Registration order differs from sort order on purpose.
-    obs::StatsRegistry registry;
-    addValued(registry, "b", 1.0);
-    addValued(registry, "a", 2.0);
-    addValued(registry, "c", 3.0);
-    addValued(registry, "b", 4.0);
-
-    EXPECT_EQ(registry.size(), 3u);
-    EXPECT_EQ(registry.groupNames(),
-              (std::vector<std::string>{"b", "a", "c"}));
-    EXPECT_EQ(registry.dumpText(), "b.v 4\na.v 2\nc.v 3\n");
-    EXPECT_EQ(registry.dumpCsv(), "stat,value\nb.v,4\na.v,2\nc.v,3\n");
-    EXPECT_EQ(registry.dumpJson(),
-              "{\n  \"b\": {\n    \"v\": 4\n  },"
-              "\n  \"a\": {\n    \"v\": 2\n  },"
-              "\n  \"c\": {\n    \"v\": 3\n  }\n}\n");
-
-    // A registry can snapshot itself; the copies follow in source order.
-    registry.addSnapshotOf(registry, "copy/");
-    EXPECT_EQ(registry.groupNames(),
-              (std::vector<std::string>{"b", "a", "c", "copy/b", "copy/a",
-                                        "copy/c"}));
-    ASSERT_NE(registry.find("copy/b"), nullptr);
-    EXPECT_EQ(registry.find("copy/b")->collect().at(0).second, 4.0);
-}
-
-TEST(StatsRegistry, RemovePrefixRemovesExactlyThatNamespace)
-{
-    obs::StatsRegistry registry;
-    addValued(registry, "cell/x/a", 1.0);
-    addValued(registry, "cell/xy/a", 2.0);
-    addValued(registry, "cell/x", 3.0);
-    addValued(registry, "cell/x/b/c", 4.0);
-    addValued(registry, "other", 5.0);
-
-    EXPECT_EQ(registry.removePrefix("cell/x/"), 2u);
-    EXPECT_EQ(registry.groupNames(),
-              (std::vector<std::string>{"cell/xy/a", "cell/x", "other"}));
-    EXPECT_EQ(registry.find("cell/x/a"), nullptr);
-    EXPECT_EQ(registry.removePrefix("cell/x/"), 0u);
-    EXPECT_EQ(registry.size(), 3u);
-}
-
-TEST(StatsRegistry, ConcurrentAddsKeepEachThreadsOrder)
-{
-    constexpr unsigned kThreads = 8;
-    constexpr unsigned kGroups = 200;
-    obs::StatsRegistry registry;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&registry, t] {
-            const std::string prefix = "t" + std::to_string(t) + "/";
-            for (unsigned i = 0; i < kGroups; ++i) {
-                addValued(registry, prefix + "g" + std::to_string(i), i);
-                // Re-add an earlier group: it must keep its place.
-                if (i % 10 == 9) {
-                    addValued(registry,
-                              prefix + "g" + std::to_string(i - 5),
-                              1000.0 + i);
-                }
-            }
-        });
-    }
-    for (std::thread& th : threads)
-        th.join();
-
-    EXPECT_EQ(registry.size(), kThreads * kGroups);
-    const std::string text = registry.dumpText();
-    for (unsigned t = 0; t < kThreads; ++t) {
-        const std::string prefix = "t" + std::to_string(t) + "/";
-        std::vector<std::string> names;
-        for (const std::string& name : registry.groupNames()) {
-            if (name.compare(0, prefix.size(), prefix) == 0)
-                names.push_back(name);
-        }
-        std::vector<std::string> expected;
-        std::string expected_lines;
-        for (unsigned i = 0; i < kGroups; ++i) {
-            expected.push_back(prefix + "g" + std::to_string(i));
-            const unsigned v = i % 10 == 4 ? 1005 + i : i;
-            expected_lines += prefix + "g" + std::to_string(i) + ".v " +
-                              std::to_string(v) + "\n";
-        }
-        EXPECT_EQ(names, expected) << prefix;
-
-        std::string lines;
-        std::size_t at = 0;
-        while ((at = text.find(prefix, at)) != std::string::npos) {
-            const std::size_t end = text.find('\n', at) + 1;
-            lines += text.substr(at, end - at);
-            at = end;
-        }
-        EXPECT_EQ(lines, expected_lines) << prefix;
-    }
 }
 
 // --------------------------------------------------------- trace session
@@ -467,10 +333,14 @@ TEST(HostProfiler, AccumulatesPhasesAndMips)
     EXPECT_DOUBLE_EQ(prof.seconds("missing"), 0.0);
     EXPECT_DOUBLE_EQ(prof.simulatedMips(), 20.0);
 
-    stats::Group g = prof.statsGroup("host");
-    std::string dump = g.dump();
-    EXPECT_NE(dump.find("host.setup.seconds 0.75"), std::string::npos);
-    EXPECT_NE(dump.find("host.sim_mips 20"), std::string::npos);
+    const stats::Group g = prof.statsGroup("host");
+    EXPECT_EQ(g.name, "host");
+    const std::vector<std::pair<std::string, double>> want = {
+        {"setup.seconds", 0.75}, {"setup.calls", 2.0},
+        {"report.seconds", 1.0}, {"report.calls", 1.0},
+        {"sim_insts", 30e6},     {"sim_mips", 20.0},
+        {"emulation_threads", 0.0}};
+    EXPECT_EQ(g.values, want);
 
     prof.reset();
     EXPECT_EQ(prof.calls("setup"), 0u);

@@ -215,7 +215,6 @@ TEST(ParallelEmulation, BankReportsDeliveryStats)
 
 TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
 {
-    obs::StatsRegistry registry;
     CoSimParams params;
     params.platform = smallCmp(2);
     params.emulators = {llc(8 * KiB), llc(64 * KiB), llc128(64 * KiB)};
@@ -227,12 +226,14 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
     WorkloadConfig cfg;
     cfg.nThreads = 2;
     cosim.run(wl, cfg);
-    cosim.registerStats(registry);
 
-    const stats::Group* g = registry.find("dragonhead0");
-    ASSERT_NE(g, nullptr);
+    const std::vector<stats::Group> groups = cosim.stats();
+    const auto g = std::find_if(
+        groups.begin(), groups.end(),
+        [](const stats::Group& x) { return x.name == "dragonhead0"; });
+    ASSERT_NE(g, groups.end());
     bool saw_batches = false;
-    for (const auto& [name, value] : g->collect()) {
+    for (const auto& [name, value] : g->values) {
         if (name == "batches") {
             saw_batches = true;
             EXPECT_GT(value, 0.0);

@@ -20,7 +20,6 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,7 +30,6 @@
 #include "harness/sweep_cell.hh"
 #include "harness/sweep_runner.hh"
 #include "obs/json.hh"
-#include "obs/stats_registry.hh"
 #include "trace/fsb_capture.hh"
 #include "trace/fsb_replay.hh"
 #include "trace/phase_cluster.hh"
@@ -374,7 +372,8 @@ runSweep(CellMode cells, unsigned jobs, unsigned emu_threads,
          const std::string& capture_base = "",
          const std::string& replay_base = "",
          const std::string& digest_file = "",
-         const std::string& manifest_file = "")
+         const std::string& manifest_file = "",
+         const std::string& stats_file = "")
 {
     BenchOptions opts;
     opts.scale = 0.02;
@@ -386,6 +385,7 @@ runSweep(CellMode cells, unsigned jobs, unsigned emu_threads,
     opts.replayBase = replay_base;
     opts.digestFile = digest_file;
     opts.manifestFile = manifest_file;
+    opts.statsFile = stats_file;
 
     PlatformParams platform = presets::cmpPlatform("tiny", 2);
     return SweepRunner(opts).runLineSizeFigure("FigReplayTest", platform);
@@ -452,19 +452,17 @@ TEST(SweepCellModes, CaptureThenFileReplayMatchesLive)
     std::remove(digest_replay.c_str());
 }
 
-/** Every "group.stat" key of the global registry but the host
+/** Every "group.stat" key of the --stats dump at @p path but the host
  * profile's, sorted. */
 std::vector<std::string>
-statKeys()
+statKeys(const std::string& path)
 {
     std::vector<std::string> keys;
-    std::istringstream csv(obs::StatsRegistry::global().dumpCsv());
-    std::string line;
-    std::getline(csv, line); // header
-    while (std::getline(csv, line)) {
-        const std::string key = line.substr(0, line.find(','));
-        if (key.rfind("host.", 0) != 0)
-            keys.push_back(key);
+    for (const stats::Group& g : test::readStatsDump(path)) {
+        if (g.name == "host")
+            continue;
+        for (const auto& [stat, value] : g.values)
+            keys.push_back(g.name + "." + stat);
     }
     std::sort(keys.begin(), keys.end());
     return keys;
@@ -566,18 +564,15 @@ TEST(SweepCellModes, FileReplayCellsMatchCombinedFileReplay)
         testing::TempDir() + "replay_cells_combined.digest";
     const std::string digest_replay =
         testing::TempDir() + "replay_cells_replay.digest";
+    const std::string dump = testing::TempDir() + "replay_cells.json";
     runSweep(CellMode::Combined, 1, 0, base);
 
-    obs::StatsRegistry& registry = obs::StatsRegistry::global();
-    registry.clear();
-    FigureData combined =
-        runSweep(CellMode::Combined, 1, 0, "", base, digest_combined);
-    const std::vector<std::string> combined_keys = statKeys();
-    registry.clear();
-    FigureData replay =
-        runSweep(CellMode::Replay, 1, 0, "", base, digest_replay);
-    const std::vector<std::string> replay_keys = statKeys();
-    registry.clear();
+    FigureData combined = runSweep(CellMode::Combined, 1, 0, "", base,
+                                   digest_combined, "", dump);
+    const std::vector<std::string> combined_keys = statKeys(dump);
+    FigureData replay = runSweep(CellMode::Replay, 1, 0, "", base,
+                                 digest_replay, "", dump);
+    const std::vector<std::string> replay_keys = statKeys(dump);
 
     expectSameFigure(combined, replay);
     EXPECT_FALSE(combined_keys.empty());
@@ -593,6 +588,7 @@ TEST(SweepCellModes, FileReplayCellsMatchCombinedFileReplay)
     std::remove((base + ".PLSA.fsb").c_str());
     std::remove(digest_combined.c_str());
     std::remove(digest_replay.c_str());
+    std::remove(dump.c_str());
 }
 
 TEST(SweepCellModes, BadReplayFileFailsOnlyItsCell)
@@ -639,29 +635,37 @@ TEST(SweepCellModes, BadReplayFileFailsOnlyItsCell)
 
 TEST(SweepCellModes, PerCellStatsAreNamespaced)
 {
-    obs::StatsRegistry& registry = obs::StatsRegistry::global();
-    registry.clear();
-    runSweep(CellMode::Combined, 1, 0);
-    EXPECT_NE(registry.find("cell/PLSA/fsb"), nullptr);
-    EXPECT_NE(registry.find("cell/PLSA/dragonhead0"), nullptr);
+    const std::string dump = testing::TempDir() + "per_cell_stats.json";
+    std::vector<std::string> names;
+    const auto run = [&](CellMode mode, unsigned jobs) {
+        runSweep(mode, jobs, 0, "", "", "", "", dump);
+        names.clear();
+        for (const stats::Group& g : test::readStatsDump(dump))
+            names.push_back(g.name);
+    };
+    const auto has = [&names](const std::string& group) {
+        return std::find(names.begin(), names.end(), group) != names.end();
+    };
+    run(CellMode::Combined, 1);
+    EXPECT_TRUE(has("cell/PLSA/fsb"));
+    EXPECT_TRUE(has("cell/PLSA/dragonhead0"));
 
-    registry.clear();
-    runSweep(CellMode::Replay, 2, 0);
+    run(CellMode::Replay, 2);
     // Replay mode: a capture namespace plus one broadcast replay cell
     // holding every configuration's emulator.
-    EXPECT_NE(registry.find("cell/PLSA/capture/fsb"), nullptr);
-    EXPECT_EQ(registry.find("cell/PLSA/capture/dragonhead0"), nullptr);
-    EXPECT_NE(registry.find("cell/PLSA/replay/fsb"), nullptr);
+    EXPECT_TRUE(has("cell/PLSA/capture/fsb"));
+    EXPECT_FALSE(has("cell/PLSA/capture/dragonhead0"));
+    EXPECT_TRUE(has("cell/PLSA/replay/fsb"));
     for (int i = 0; i < 7; ++i) {
         const std::string group =
             "cell/PLSA/replay/dragonhead" + std::to_string(i);
-        EXPECT_NE(registry.find(group), nullptr) << group;
+        EXPECT_TRUE(has(group)) << group;
     }
-    EXPECT_EQ(registry.find("cell/PLSA/replay/dragonhead7"), nullptr);
-    EXPECT_EQ(registry.find("cell/PLSA/64B/dragonhead0"), nullptr);
+    EXPECT_FALSE(has("cell/PLSA/replay/dragonhead7"));
+    EXPECT_FALSE(has("cell/PLSA/64B/dragonhead0"));
     // The aggregate replay counters are published too.
-    ASSERT_NE(registry.find("replay"), nullptr);
-    registry.clear();
+    EXPECT_TRUE(has("replay"));
+    std::remove(dump.c_str());
 }
 
 } // namespace

@@ -1,15 +1,22 @@
 /**
  * @file
- * Shared test helpers: a tiny configurable guest workload and a
- * transaction-counting bus snooper.
+ * Shared test helpers: a tiny configurable guest workload, a
+ * transaction-counting bus snooper, and a --stats dump reader.
  */
 
 #ifndef COSIM_TESTS_TEST_UTIL_HH
 #define COSIM_TESTS_TEST_UTIL_HH
 
+#include <gtest/gtest.h>
+
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <vector>
 
+#include "base/stats.hh"
 #include "mem/fsb.hh"
+#include "obs/json.hh"
 #include "softsdv/guest.hh"
 #include "workloads/sim_array.hh"
 
@@ -162,6 +169,27 @@ class CountingSnooper : public BusSnooper
     std::uint64_t messages = 0;
     BusTransaction last{};
 };
+
+/** The groups of the --stats dump at @p path, in file order; a dump
+ * that does not parse fails the calling test. */
+inline std::vector<stats::Group>
+readStatsDump(const std::string& path)
+{
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    obs::json::Value doc;
+    std::string error;
+    EXPECT_TRUE(obs::json::parse(text, doc, &error)) << path << ": "
+                                                     << error;
+    std::vector<stats::Group> groups;
+    for (const auto& [name, values] : doc.obj) {
+        stats::Group& g = groups.emplace_back(name);
+        for (const auto& [stat, value] : values.obj)
+            g.add(stat, value.num);
+    }
+    return groups;
+}
 
 } // namespace test
 } // namespace cosim

@@ -204,9 +204,27 @@ analyzeTree(const AnalyzeOptions& opts)
     AnalyzeResult res;
     const fs::path root = opts.root;
 
+    // A tree with nothing to judge is refused, not passed as clean: a
+    // mistyped --root would otherwise read "0 findings".
+    std::error_code ec;
+    if (!fs::is_directory(root, ec)) {
+        res.errors.push_back("root '" + opts.root +
+                             "' is not a directory");
+        res.ioError = true;
+        return res;
+    }
+    const std::vector<std::string> sources = collectSources(root);
+    if (sources.empty()) {
+        res.errors.push_back("root '" + opts.root + "' holds no source "
+                             "files under src/ tools/ tests/ bench/ "
+                             "examples/");
+        res.ioError = true;
+        return res;
+    }
+
     // ---- Stage one: per-file facts. ----
     std::vector<FileFacts> files;
-    for (const std::string& rel : collectSources(root)) {
+    for (const std::string& rel : sources) {
         std::string content;
         if (!readFile(root / rel, &content)) {
             res.errors.push_back("cannot read " + rel);

@@ -47,7 +47,8 @@ struct AnalyzeResult
     std::vector<std::string> errors;
 };
 
-/** Run the whole analysis over the tree at opts.root. */
+/** Run the whole analysis over the tree at opts.root. A root that is
+ * not a directory, or holds no source files, is an error (ioError). */
 AnalyzeResult analyzeTree(const AnalyzeOptions& opts);
 
 } // namespace cosim_analyze

@@ -2,7 +2,8 @@
  * @file
  * cosim_analyze -- cross-TU static analysis for the cosim tree.
  *
- * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
+ * Exit codes: 0 clean, 1 findings, 2 usage or I/O error, or a --root
+ * with no source files to judge.
  */
 
 #include <cstdio>
