@@ -22,7 +22,6 @@
 #include "core/experiment.hh"
 #include "harness/report.hh"
 #include "harness/sweep_runner.hh"
-#include "obs/host_profiler.hh"
 
 using namespace cosim;
 
@@ -45,9 +44,6 @@ main(int argc, char** argv)
                                  std::to_string(cores) + "core";
         BenchOptions sweep = opts;
         sweep.manifestFile = base + ".run.json";
-        // The host profile is process-wide: start each manifest's
-        // phases from zero.
-        obs::HostProfiler::global().reset();
         std::string id = "Projection (" + std::to_string(cores) +
                          " cores)";
         FigureData fig = SweepRunner(sweep).runCacheSizeFigure(

@@ -622,7 +622,7 @@ normalizeErase(Value& obj, const char* const* keys, std::size_t n)
 /**
  * Strip the fields of a run manifest that legitimately differ between
  * two runs of the same sweep configuration: host timing (wall seconds,
- * MIPS, speedup, profiler phases, stream encode/decode seconds) and
+ * MIPS, speedup, host phases, stream encode/decode seconds) and
  * the resume block. Older manifests also carry host.dex_threads, a
  * retired guest-threading knob that never changed results. Everything
  * else -- results, series, verification, statuses, stream byte/txn

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "base/logging.hh"
-#include "obs/host_profiler.hh"
 
 namespace cosim {
 
@@ -35,8 +34,6 @@ CoSimulation::CoSimulation(const CoSimParams& params)
         bp.chunkTxns = chunk;
         bank_ = std::make_unique<AsyncEmulatorBank>(bp);
         platform_.fsb().attach(bank_.get());
-        obs::HostProfiler::global().noteEmulationThreads(
-            bank_->nThreads());
         return;
     }
 
@@ -63,21 +60,24 @@ CoSimulation::run(Workload& workload, const WorkloadConfig& cfg)
     resetEmulators();
 
     RunResult result = platform_.run(workload, cfg);
-
-    if (bank_) {
-        // The platform flushed the bus, but workers may still be
-        // emulating queued chunks; the emulation window only closes when
-        // the last one drains, so that time belongs to the run.
-        auto t0 = std::chrono::steady_clock::now();
-        bank_->sync();
-        double drain = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        result.hostSeconds += drain;
-        obs::HostProfiler::global().accumulate("run.drain", drain);
-        obs::HostProfiler::global().addSimulated(0, drain);
-    }
+    drainBank(result);
     return result;
+}
+
+void
+CoSimulation::drainBank(RunResult& result)
+{
+    if (!bank_)
+        return;
+    // The bus is flushed, but workers may still be emulating queued
+    // chunks; the emulation window only closes when the last one
+    // drains, so that time belongs to the run.
+    auto t0 = std::chrono::steady_clock::now();
+    bank_->sync();
+    result.drainSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    result.hostSeconds += result.drainSeconds;
 }
 
 void
@@ -113,17 +113,7 @@ CoSimulation::finishReplay(const ReplayResult& rr,
 
     RunResult result;
     result.hostSeconds = rr.seconds;
-    if (bank_) {
-        // Same accounting as run(): the emulation window closes when
-        // the last queued chunk drains.
-        auto t0 = std::chrono::steady_clock::now();
-        bank_->sync();
-        double drain = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
-        result.hostSeconds += drain;
-        obs::HostProfiler::global().accumulate("run.drain", drain);
-    }
+    drainBank(result);
 
     result.workload = rr.meta.workload;
     result.platform = platform_.params().name;
@@ -131,7 +121,6 @@ CoSimulation::finishReplay(const ReplayResult& rr,
     result.totalInsts = rr.meta.totalInsts;
     result.verified = rr.meta.verified;
     result.replayedFrom = source;
-    obs::HostProfiler::global().addSimulated(0, result.hostSeconds);
     if (details != nullptr)
         *details = rr;
     return result;
@@ -162,7 +151,6 @@ CoSimulation::replaySampled(FsbStreamReader& reader,
     rr.seconds = std::chrono::duration<double>(
                      std::chrono::steady_clock::now() - t0)
                      .count();
-    obs::HostProfiler::global().accumulate("replay.sampled", rr.seconds);
     return finishReplay(rr, "sampled:" + source, details);
 }
 
@@ -179,15 +167,8 @@ CoSimulation::stats() const
 {
     std::vector<stats::Group> groups;
     platform_.addStats(groups);
-    for (unsigned i = 0; i < nEmulators(); ++i) {
-        // By index: appending the slice groups moves the aggregate.
-        const std::size_t agg = groups.size();
+    for (unsigned i = 0; i < nEmulators(); ++i)
         emulator(i).addStats(groups, "dragonhead" + std::to_string(i));
-        if (bank_) {
-            groups[agg].add("batches",
-                            double(bank_->emulatorStats(i).batches));
-        }
-    }
     return groups;
 }
 

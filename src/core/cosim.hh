@@ -82,7 +82,7 @@ class CoSimulation
      * call returns only after every worker has drained, so emulator
      * results are settled; the drain time is folded into
      * RunResult::hostSeconds (the emulation window is not over until
-     * the last chunk is emulated).
+     * the last chunk is emulated) and reported as drainSeconds.
      */
     RunResult run(Workload& workload, const WorkloadConfig& cfg);
 
@@ -139,10 +139,10 @@ class CoSimulation
 
     /**
      * The whole rig's stats as they stand: the platform's groups, then
-     * per emulator a "dragonhead<i>" group (with a "batches" delivery
-     * counter in parallel mode) followed by its slices' groups. The
-     * bank's queue high-water depends on host thread timing, so it
-     * stays out.
+     * per emulator a "dragonhead<i>" group followed by its slices'
+     * groups. The same in serial and parallel mode: how the bank's
+     * workers shared the chunks depends on host threads, so it stays
+     * out.
      */
     std::vector<stats::Group> stats() const;
 
@@ -153,6 +153,9 @@ class CoSimulation
     void resetEmulators();
     /** Reset emulators and bus counters before a replay pass. */
     void prepareReplay();
+    /** Wait for the bank's workers (if any) to drain, timing the wait
+     * into @p result's drainSeconds and hostSeconds. */
+    void drainBank(RunResult& result);
     /** Drain workers and assemble a replay-mode RunResult. */
     RunResult finishReplay(const ReplayResult& rr,
                            const std::string& source,

@@ -28,7 +28,6 @@ AsyncEmulatorBank::AsyncEmulatorBank(const EmulatorBankParams& params)
         // No worker exists yet, but the analysis (rightly) has no way
         // to know that; the uncontended lock documents and proves it.
         LockGuard lock(syncMutex_);
-        stats_.resize(n_stacks);
         chunksDone_.resize(n_threads, 0);
         workerFailed_.resize(n_threads, 0);
     }
@@ -134,14 +133,9 @@ AsyncEmulatorBank::reset()
 {
     sync();
     // Workers are parked in pop() after a sync, so emulator state is
-    // exclusively ours here; the counters keep their lock discipline.
+    // exclusively ours here.
     for (unsigned s = 0; s < boards_.nStacks(); ++s)
         boards_.stack(s).reset();
-    {
-        LockGuard lock(syncMutex_);
-        for (auto& s : stats_)
-            s = EmulatorWorkerStats{};
-    }
     for (auto& worker : workers_)
         worker->queue.resetPeak();
 }
@@ -150,17 +144,6 @@ const Dragonhead&
 AsyncEmulatorBank::emulator(unsigned i) const
 {
     return boards_.board(i);
-}
-
-EmulatorWorkerStats
-AsyncEmulatorBank::emulatorStats(unsigned i) const
-{
-    // Returned by value under the lock: handing out a reference into
-    // stats_ would escape the capability (exactly the pattern
-    // -Wthread-safety exists to reject).
-    panic_if(i >= nEmulators(), "emulator index %u out of range", i);
-    LockGuard lock(syncMutex_);
-    return stats_[boards_.stackOf(i)];
 }
 
 std::size_t
@@ -190,15 +173,10 @@ AsyncEmulatorBank::workerLoop(unsigned w)
         try {
             COSIM_FAULT_POINT("emu.worker.crash");
             const std::vector<BusTransaction>& txns = *chunk;
-            const std::size_t n_txns = txns.size();
             for (unsigned s : worker.stacks)
-                boards_.stack(s).observeBatch(txns.data(), n_txns);
+                boards_.stack(s).observeBatch(txns.data(), txns.size());
             {
                 LockGuard lock(syncMutex_);
-                for (unsigned s : worker.stacks) {
-                    ++stats_[s].batches;
-                    stats_[s].txns += n_txns;
-                }
                 ++chunksDone_[w];
             }
             chunk.reset();

@@ -67,13 +67,6 @@ struct EmulatorBankParams
     std::size_t queueChunks = 64;
 };
 
-/** Per-stack delivery counters (read after sync()). */
-struct EmulatorWorkerStats
-{
-    std::uint64_t batches = 0; ///< chunks emulated
-    std::uint64_t txns = 0;    ///< transactions emulated
-};
-
 /** See file comment. */
 class AsyncEmulatorBank : public BusSnooper
 {
@@ -113,9 +106,6 @@ class AsyncEmulatorBank : public BusSnooper
     /** Config @p i's view; call sync() first for settled results. */
     const Dragonhead& emulator(unsigned i) const;
 
-    /** Delivery counters of emulator @p i's stack (after sync()). */
-    EmulatorWorkerStats emulatorStats(unsigned i) const;
-
     /** Queue-depth high-water of the worker owning emulator @p i. */
     std::size_t queuePeak(unsigned i) const;
 
@@ -146,8 +136,6 @@ class AsyncEmulatorBank : public BusSnooper
     EmulatorBankParams params_;
     DragonheadStacks boards_;
     std::vector<std::unique_ptr<Worker>> workers_;
-    /** Per-stack delivery counters, written by the owning workers. */
-    std::vector<EmulatorWorkerStats> stats_ GUARDED_BY(syncMutex_);
     /** chunksDone_[w]: chunks fully emulated by worker w. (Lives here,
      * not in Worker, so the analysis can tie it to syncMutex_.) */
     std::vector<std::uint64_t> chunksDone_ GUARDED_BY(syncMutex_);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "base/logging.hh"
-#include "obs/host_profiler.hh"
 #include "obs/trace_session.hh"
 #include "trace/fsb_capture.hh"
 #include "workloads/workload_factory.hh"
@@ -192,6 +191,17 @@ profilePlan(const SweepFigure& fig, const std::string& name,
              cb.coreFreqGhz);
     }
     return plan;
+}
+
+/** Add @p from's host phases and simulated instructions and seconds
+ * to @p into's. */
+void
+addHostProfile(CellOutput& into, const CellOutput& from)
+{
+    for (const obs::ManifestHostPhase& p : from.hostPhases)
+        obs::addHostPhase(into.hostPhases, p.name, p.seconds, p.calls);
+    into.simInsts += from.simInsts;
+    into.simSeconds += from.simSeconds;
 }
 
 } // namespace
@@ -414,6 +424,10 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
         if (digest)
             fsb.detach(digest.get());
         out.guestExecutions = 1;
+        out.simInsts = result.totalInsts;
+        obs::addHostPhase(out.hostPhases, "setup", result.setupSeconds);
+        obs::addHostPhase(out.hostPhases, "run",
+                          result.hostSeconds - result.drainSeconds);
     } else {
         // A --replay file is read here, when its cell runs, so a
         // missing or corrupt one fails this cell alone.
@@ -441,7 +455,15 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
             out.streamTxns = details.txns;
             out.streamDigest = details.digest;
         }
+        obs::addHostPhase(out.hostPhases,
+                          cell.source == StreamSource::Sampled
+                              ? "replay.sampled"
+                              : "replay",
+                          details.seconds);
     }
+    if (rig.bank() != nullptr)
+        obs::addHostPhase(out.hostPhases, "run.drain", result.drainSeconds);
+    out.simSeconds = result.hostSeconds;
     checkVerified(result, name, fig.platform);
 
     out.mw.name = name;
@@ -487,8 +509,8 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
         out.captureTxns = writer.txnCount();
         out.captureBytes = writer.encodedBytes();
         out.captureSeconds = capture->encodeSeconds();
-        obs::HostProfiler::global().accumulate("capture.encode",
-                                               out.captureSeconds);
+        obs::addHostPhase(out.hostPhases, "capture.encode",
+                          out.captureSeconds);
         if (cell.phase1) {
             ws.buffer = writer.share();
             ws.source = "memory:" + name;
@@ -550,6 +572,7 @@ mergeWorkloadCells(const std::string& name, const CellOutput* base,
     double host = 0.0;
     if (base) {
         host += base->mw.hostSeconds;
+        addHostProfile(merged, *base);
         merged.guestExecutions += base->guestExecutions;
         merged.captureTxns += base->captureTxns;
         merged.captureBytes += base->captureBytes;
@@ -562,6 +585,7 @@ mergeWorkloadCells(const std::string& name, const CellOutput* base,
     }
     for (CellOutput& c : configs) {
         host += c.mw.hostSeconds;
+        addHostProfile(merged, c);
         merged.guestExecutions += c.guestExecutions;
         merged.captureTxns += c.captureTxns;
         merged.captureBytes += c.captureBytes;

@@ -72,6 +72,17 @@ struct CellOutput
     double replaySeconds = 0.0;
     /** @} */
 
+    /** Host time by phase, in first-use order: "setup" and "run"
+     * (guest) or "replay" / "replay.sampled", then "run.drain" (a rig
+     * with an emulator bank) and "capture.encode". A merged row sums
+     * its cells'. A failed cell or row carries none. */
+    std::vector<obs::ManifestHostPhase> hostPhases;
+    /** Instructions the guest executed (0 for a replay), and the host
+     * seconds of the emulation window (RunResult::hostSeconds). @{ */
+    std::uint64_t simInsts = 0;
+    double simSeconds = 0.0;
+    /** @} */
+
     /** Raw CB sample series of the first configuration; the input
      * --plan-out clusters into a sampling plan. */
     std::vector<Sample> cbSamples;

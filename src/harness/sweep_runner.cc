@@ -6,9 +6,9 @@
 #include <cstdio>
 #include <exception>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
+#include <thread>
 
 #include <unistd.h>
 
@@ -16,12 +16,10 @@
 #include "base/fault.hh"
 #include "base/logging.hh"
 #include "base/str.hh"
-#include "base/thread_pool.hh"
 #include "base/units.hh"
 #include "dragonhead/llc_stack.hh"
 #include "harness/sweep_cell.hh"
 #include "harness/sweep_journal.hh"
-#include "obs/host_profiler.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
 #include "obs/trace_session.hh"
@@ -232,16 +230,32 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
     const unsigned jobs = static_cast<unsigned>(
         std::min<std::size_t>(opts.jobs, plan.chains.size()));
     if (jobs > 1) {
-        ThreadPool pool(jobs);
-        std::vector<std::future<void>> done;
-        for (const SweepPlan::Chain& chain : plan.chains) {
-            done.push_back(pool.submit([&run_chain, &chain] {
-                RigSlot slot;
-                run_chain(chain, slot, nullptr);
-            }));
+        // Each thread takes the next chain in plan order and runs it
+        // whole on a slot of its own. An exception that escapes a chain
+        // is rethrown here once every thread has joined.
+        std::atomic<std::size_t> next{0};
+        std::vector<std::exception_ptr> errors(jobs);
+        std::vector<std::thread> threads;
+        threads.reserve(jobs);
+        for (unsigned t = 0; t < jobs; ++t) {
+            threads.emplace_back([&, t] {
+                try {
+                    for (std::size_t k = next++; k < plan.chains.size();
+                         k = next++) {
+                        RigSlot slot;
+                        run_chain(plan.chains[k], slot, nullptr);
+                    }
+                } catch (...) {
+                    errors[t] = std::current_exception();
+                }
+            });
         }
-        for (std::future<void>& f : done)
-            f.get();
+        for (std::thread& t : threads)
+            t.join();
+        for (const std::exception_ptr& e : errors) {
+            if (e)
+                std::rethrow_exception(e);
+        }
         return outs;
     }
     RigSlot slot;
@@ -410,8 +424,11 @@ SweepRunner::runFigure(const std::string& figure_id,
         journal->sweepDone(n_ok, n_w - n_ok);
 
     // Aggregate in workload order regardless of completion order, so the
-    // figure, manifest and digest outputs are deterministic.
+    // figure, manifest and digest outputs are deterministic. The host
+    // profile is the kept rows' sum: a resumed cell ran nothing here.
     double host_sum = 0.0;
+    std::uint64_t sim_insts = 0;
+    double sim_seconds = 0.0;
     const CellOutput* first_failed = nullptr;
     const CellOutput* last_ok = nullptr;
     DigestManifest digests;
@@ -429,6 +446,11 @@ SweepRunner::runFigure(const std::string& figure_id,
         }
         last_ok = &cell;
         host_sum += cell.mw.hostSeconds;
+        for (const obs::ManifestHostPhase& p : cell.hostPhases)
+            obs::addHostPhase(manifest.hostPhases, p.name, p.seconds,
+                              p.calls);
+        sim_insts += cell.simInsts;
+        sim_seconds += cell.simSeconds;
         manifest.guestExecutions += cell.guestExecutions;
         manifest.captureTxns += cell.captureTxns;
         manifest.captureBytes += cell.captureBytes;
@@ -468,6 +490,9 @@ SweepRunner::runFigure(const std::string& figure_id,
     }
     manifest.hostSpeedup = manifest.wallSeconds > 0.0
         ? host_sum / manifest.wallSeconds
+        : 0.0;
+    manifest.hostSimMips = sim_seconds > 0.0
+        ? static_cast<double>(sim_insts) / 1e6 / sim_seconds
         : 0.0;
 
     // A failed cell without --keep-going fails the run *before* any
@@ -513,8 +538,8 @@ SweepRunner::runFigure(const std::string& figure_id,
     // order, whatever order they finished in. Combined plans (combined
     // mode, and replay from files) also expose the "state after the
     // final workload" view unprefixed: the last kept row's groups
-    // without their cell/<w>/ prefix. Then the host profile and the
-    // aggregate capture and replay counters.
+    // without their cell/<w>/ prefix. Then the sweep's host profile
+    // and the aggregate capture and replay counters.
     if (!opts_.statsFile.empty()) {
         std::vector<stats::Group> dump;
         for (const CellOutput& cell : cells)
@@ -527,7 +552,14 @@ SweepRunner::runFigure(const std::string& figure_id,
             for (const stats::Group& g : last_ok->stats)
                 dump.emplace_back(g).name.erase(0, prefix.size());
         }
-        dump.push_back(obs::HostProfiler::global().statsGroup());
+        stats::Group& host = dump.emplace_back("host");
+        for (const obs::ManifestHostPhase& p : manifest.hostPhases) {
+            host.add(p.name + ".seconds", p.seconds);
+            host.add(p.name + ".calls", double(p.calls));
+        }
+        host.add("sim_insts", double(sim_insts));
+        host.add("sim_mips", manifest.hostSimMips);
+        host.add("emulation_threads", double(manifest.emulationThreads));
         if (manifest.captureTxns > 0) {
             stats::Group& g = dump.emplace_back("capture");
             g.add("txns", double(manifest.captureTxns));
@@ -552,10 +584,6 @@ SweepRunner::runFigure(const std::string& figure_id,
         inform("digests: %s", opts_.digestFile.c_str());
     }
 
-    const obs::HostProfiler& prof = obs::HostProfiler::global();
-    for (const auto& p : prof.phases())
-        manifest.hostPhases.push_back({p.name, p.seconds, p.calls});
-    manifest.hostSimMips = prof.simulatedMips();
     manifest.resumeSkipped =
         resume_skipped.load(std::memory_order_relaxed);
 

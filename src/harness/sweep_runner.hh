@@ -22,9 +22,10 @@
  * and --digest writes the per-workload stream fingerprints that CI
  * gates against tests/golden/.
  *
- * Every cell snapshots its rig's statistics into the global registry
- * under "cell/<label>/", so parallel cells' stats coexist and no rig
- * has to outlive its cell.
+ * Every cell keeps its rig's statistics (named "cell/<label>/…") and
+ * its host phases in its own output, so parallel cells never share a
+ * collector and no rig has to outlive its cell; the sweep sums its kept
+ * rows into the --stats dump and run.json.
  */
 
 #ifndef COSIM_HARNESS_SWEEP_RUNNER_HH

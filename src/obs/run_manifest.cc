@@ -1,5 +1,7 @@
 #include "obs/run_manifest.hh"
 
+#include <algorithm>
+
 #include "base/atomic_file.hh"
 #include "base/logging.hh"
 #include "obs/json.hh"
@@ -158,6 +160,19 @@ ManifestWorkload::fromJson(const json::Value& v, ManifestWorkload* out)
     }
     *out = std::move(w);
     return true;
+}
+
+void
+addHostPhase(std::vector<ManifestHostPhase>& phases, const std::string& name,
+             double seconds, std::uint64_t calls)
+{
+    auto it = std::find_if(
+        phases.begin(), phases.end(),
+        [&name](const ManifestHostPhase& p) { return p.name == name; });
+    if (it == phases.end())
+        it = phases.insert(phases.end(), ManifestHostPhase{name, 0.0, 0});
+    it->seconds += seconds;
+    it->calls += calls;
 }
 
 std::string

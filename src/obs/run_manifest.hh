@@ -108,13 +108,20 @@ struct ManifestWorkload
     static bool fromJson(const json::Value& v, ManifestWorkload* out);
 };
 
-/** One phase of the host-profiler snapshot embedded in the manifest. */
+/** Host wall-clock of one named phase ("setup", "run", ...) over a
+ * sweep's cells: its total seconds and how many times it ran. */
 struct ManifestHostPhase
 {
     std::string name;
     double seconds = 0.0;
     std::uint64_t calls = 0;
 };
+
+/** Add @p seconds and @p calls to @p phases' entry named @p name,
+ * appending the entry at the name's first use. */
+void addHostPhase(std::vector<ManifestHostPhase>& phases,
+                  const std::string& name, double seconds,
+                  std::uint64_t calls = 1);
 
 /** See file comment. */
 struct RunManifest
@@ -132,6 +139,8 @@ struct RunManifest
 
     std::vector<ManifestWorkload> workloads;
 
+    /** The sweep's host phases, summed over its kept rows, and its
+     * simulated instructions over their emulation windows' seconds. */
     std::vector<ManifestHostPhase> hostPhases;
     double hostSimMips = 0.0;
 

@@ -5,7 +5,6 @@
 
 #include "base/logging.hh"
 #include "base/stats.hh"
-#include "obs/host_profiler.hh"
 #include "obs/trace_session.hh"
 
 namespace cosim {
@@ -116,11 +115,12 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
         cpu->reset();
 
     // Input generation happens outside the emulation window.
+    auto s0 = std::chrono::steady_clock::now();
     {
         TRACE_SPAN("platform", "workload.setUp");
-        obs::ProfileScope prof("setup");
         workload.setUp(cfg, allocator_);
     }
+    auto s1 = std::chrono::steady_clock::now();
 
     std::vector<std::unique_ptr<ThreadTask>> tasks;
     tasks.reserve(cfg.nThreads);
@@ -152,6 +152,8 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
     result.nThreads = cfg.nThreads;
     result.hostSeconds =
         std::chrono::duration<double>(t1 - t0).count();
+    result.setupSeconds =
+        std::chrono::duration<double>(s1 - s0).count();
     result.schedulerRounds = scheduler.rounds();
     result.schedulerSlices = scheduler.slices();
     result.footprintBytes = allocator_.footprint();
@@ -183,12 +185,6 @@ VirtualPlatform::run(Workload& workload, const WorkloadConfig& cfg)
 
     result.verified = workload.verify();
     workload.tearDown();
-
-    // Feed the host-side gauge: every run contributes to the process-
-    // wide simulated-MIPS measure regardless of which harness ran it.
-    obs::HostProfiler::global().accumulate("run", result.hostSeconds);
-    obs::HostProfiler::global().addSimulated(result.totalInsts,
-                                             result.hostSeconds);
     return result;
 }
 

@@ -82,6 +82,13 @@ struct RunResult
     double hostSeconds = 0.0;
     double simMips() const;
 
+    /** Host time generating the workload's inputs (setUp), outside
+     * hostSeconds. */
+    double setupSeconds = 0.0;
+    /** The part of hostSeconds spent draining emulation workers (a
+     * CoSimulation with a bank; 0 otherwise). */
+    double drainSeconds = 0.0;
+
     /** Single-core IPC measure used by Table 2. */
     double ipc() const;
 

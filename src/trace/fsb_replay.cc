@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "mem/fsb.hh"
-#include "obs/host_profiler.hh"
 
 namespace cosim {
 
@@ -34,8 +33,6 @@ ReplayDriver::replay(FsbStreamReader& reader, FrontSideBus& bus)
     result.ok = reader.ok();
     if (!result.ok)
         result.error = reader.error();
-
-    obs::HostProfiler::global().accumulate("replay", result.seconds);
     return result;
 }
 

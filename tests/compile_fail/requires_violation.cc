@@ -4,10 +4,10 @@
  * under `clang++ -Wthread-safety -Werror=thread-safety-analysis`.
  *
  * It calls a REQUIRES(mutex_)-annotated helper without holding the
- * mutex -- the bug class the annotation on HostProfiler::phase()
- * (src/obs/host_profiler.hh) exists to reject; the class below mirrors
- * that shape. The ctest entry builds this target with WILL_FAIL, so
- * the analysis regressing to silence shows up as a test failure.
+ * mutex -- the bug class the annotation on AsyncEmulatorBank::drained()
+ * (src/core/emulator_bank.hh) exists to reject. The ctest entry builds
+ * this target with WILL_FAIL, so the analysis regressing to silence
+ * shows up as a test failure.
  *
  * If this file ever starts compiling cleanly, the annotations have
  * stopped doing their job -- do not "fix" this file by adding a lock.
@@ -21,9 +21,8 @@
 
 namespace {
 
-// Shaped like HostProfiler: a locked public recording API over a
-// REQUIRES-annotated private accessor that callers must not reach
-// without the lock.
+// A locked public recording API over a REQUIRES-annotated private
+// accessor that callers must not reach without the lock.
 class Profiler
 {
   public:

@@ -4,7 +4,7 @@
  * under `clang++ -Wthread-safety -Werror=thread-safety-analysis`.
  *
  * It reads a GUARDED_BY field without holding the mutex -- the exact
- * bug class the annotations in src/obs/host_profiler.hh exist to
+ * bug class the annotations in src/obs/trace_session.hh exist to
  * reject. The ctest entry (see compile_fail/CMakeLists.txt) builds this
  * target with WILL_FAIL, so the analysis regressing to silence shows up
  * as a test failure, not a quiet loss of coverage.
@@ -21,7 +21,7 @@
 
 namespace {
 
-// Shaped like HostProfiler: a mutex-guarded container behind an
+// Shaped like TraceSession: a mutex-guarded container behind an
 // accessor that is supposed to lock.
 class Registry
 {

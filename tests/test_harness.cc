@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sys/stat.h>
 
 #include "base/fault.hh"
@@ -441,6 +442,78 @@ TEST(SweepRunner, StatsDumpFollowsThePlanNotTheFinishOrder)
     EXPECT_EQ(dump({"--jobs=1",
                     "--resume=" + dir + "/sweep.journal.jsonl"}),
               serial);
+}
+
+TEST(SweepRunner, HostProfileCoversOnlyItsSweep)
+{
+    // Two sweeps in one process, the first on two emulation workers,
+    // the second serial. Each run.json and --stats dump profiles its
+    // own sweep's cells, not everything the process ran before it.
+    const std::string dir = ::testing::TempDir() + "cosim_host_profile";
+    ensureOutputDir(dir);
+    const PlatformParams platform = presets::cmpPlatform("tiny", 2);
+    struct Profile
+    {
+        /** The dump's host group, by stat. */
+        std::map<std::string, double> dump;
+        /** run.json's host block: phase names in order, their calls,
+         * and the emulation threads. */
+        std::vector<std::string> phases;
+        std::map<std::string, double> calls;
+        double emulationThreads = -1.0;
+    };
+    const auto sweep = [&](const std::string& tag,
+                           std::vector<std::string> args) {
+        const std::string base = dir + "/" + tag;
+        args.push_back("--quick");
+        args.push_back("--workloads=PLSA");
+        args.push_back("--out=" + dir);
+        args.push_back("--stats=" + base + ".json");
+        args.push_back("--manifest=" + base + ".run.json");
+        SweepRunner(parse(args)).runCacheSizeFigure("FigHost", platform);
+
+        Profile p;
+        for (const stats::Group& g : test::readStatsDump(base + ".json")) {
+            if (g.name == "host")
+                p.dump.insert(g.values.begin(), g.values.end());
+        }
+        std::ifstream in(base + ".run.json");
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        obs::json::Value doc;
+        std::string error;
+        EXPECT_TRUE(obs::json::parse(text, doc, &error)) << error;
+        const obs::json::Value* host = doc.find("host");
+        if (host == nullptr) {
+            ADD_FAILURE() << tag << ": run.json has no host block";
+            return p;
+        }
+        p.emulationThreads = host->find("emulation_threads")->num;
+        for (const obs::json::Value& phase : host->find("phases")->arr) {
+            p.phases.push_back(phase.find("name")->str);
+            p.calls[phase.find("name")->str] = phase.find("calls")->num;
+        }
+        return p;
+    };
+    const Profile banked = sweep("banked", {"--emu-threads=2"});
+    const Profile serial = sweep("serial", {});
+
+    EXPECT_EQ(banked.phases,
+              (std::vector<std::string>{"setup", "run", "run.drain"}));
+    EXPECT_EQ(serial.phases, (std::vector<std::string>{"setup", "run"}));
+    EXPECT_EQ(banked.emulationThreads, 2.0);
+    EXPECT_EQ(serial.emulationThreads, 0.0);
+    for (const Profile* p : {&banked, &serial}) {
+        // One cell, one guest execution: every phase ran once.
+        for (const auto& [name, calls] : p->calls) {
+            EXPECT_EQ(calls, 1.0) << name;
+            EXPECT_EQ(p->dump.at(name + ".calls"), calls) << name;
+        }
+        EXPECT_EQ(p->dump.at("emulation_threads"), p->emulationThreads);
+    }
+    EXPECT_EQ(serial.dump.count("run.drain.calls"), 0u);
+    EXPECT_GT(banked.dump.at("sim_insts"), 0.0);
+    EXPECT_EQ(serial.dump.at("sim_insts"), banked.dump.at("sim_insts"));
 }
 
 TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)

@@ -14,7 +14,6 @@
 
 #include "base/units.hh"
 #include "core/cosim.hh"
-#include "obs/host_profiler.hh"
 #include "obs/json.hh"
 #include "obs/run_manifest.hh"
 #include "obs/trace_session.hh"
@@ -317,46 +316,6 @@ TEST_F(TraceSessionTest, CoSimulationRunEmitsQuantumSpansAndCbCounters)
     ASSERT_TRUE(obs::json::parse(s.exportJson(), doc, &error)) << error;
 }
 
-// ---------------------------------------------------------- host profiler
-
-TEST(HostProfiler, AccumulatesPhasesAndMips)
-{
-    obs::HostProfiler prof;
-    prof.accumulate("setup", 0.5);
-    prof.accumulate("setup", 0.25);
-    prof.accumulate("report", 1.0);
-    prof.addSimulated(30'000'000, 1.5);
-
-    EXPECT_DOUBLE_EQ(prof.seconds("setup"), 0.75);
-    EXPECT_EQ(prof.calls("setup"), 2u);
-    EXPECT_DOUBLE_EQ(prof.seconds("report"), 1.0);
-    EXPECT_DOUBLE_EQ(prof.seconds("missing"), 0.0);
-    EXPECT_DOUBLE_EQ(prof.simulatedMips(), 20.0);
-
-    const stats::Group g = prof.statsGroup("host");
-    EXPECT_EQ(g.name, "host");
-    const std::vector<std::pair<std::string, double>> want = {
-        {"setup.seconds", 0.75}, {"setup.calls", 2.0},
-        {"report.seconds", 1.0}, {"report.calls", 1.0},
-        {"sim_insts", 30e6},     {"sim_mips", 20.0},
-        {"emulation_threads", 0.0}};
-    EXPECT_EQ(g.values, want);
-
-    prof.reset();
-    EXPECT_EQ(prof.calls("setup"), 0u);
-    EXPECT_DOUBLE_EQ(prof.simulatedMips(), 0.0);
-}
-
-TEST(HostProfiler, ScopeMeasuresWallClock)
-{
-    obs::HostProfiler prof;
-    {
-        obs::ProfileScope scope("busy", prof);
-    }
-    EXPECT_EQ(prof.calls("busy"), 1u);
-    EXPECT_GE(prof.seconds("busy"), 0.0);
-}
-
 TEST_F(TraceSessionTest, HostTimestampsDoNotRezeroAcrossRestart)
 {
     obs::TraceSession& s = obs::TraceSession::global();
@@ -427,6 +386,29 @@ TEST(RunManifest, JsonRoundTrip)
     EXPECT_DOUBLE_EQ(host->find("sim_mips")->num, 33.5);
     ASSERT_EQ(host->find("phases")->size(), 1u);
     EXPECT_EQ(host->find("phases")->arr[0].find("name")->str, "run");
+}
+
+TEST(RunManifest, HostPhasesSumByNameInFirstUseOrder)
+{
+    // A sweep folds its cells' phases into one list: a name's first
+    // use fixes its place, later uses add seconds and calls.
+    std::vector<obs::ManifestHostPhase> phases;
+    obs::addHostPhase(phases, "setup", 0.5);
+    obs::addHostPhase(phases, "run", 2.0);
+    obs::addHostPhase(phases, "setup", 0.25);
+    obs::addHostPhase(phases, "run.drain", 0.125, 3);
+    obs::addHostPhase(phases, "run", 1.0, 2);
+
+    ASSERT_EQ(phases.size(), 3u);
+    EXPECT_EQ(phases[0].name, "setup");
+    EXPECT_DOUBLE_EQ(phases[0].seconds, 0.75);
+    EXPECT_EQ(phases[0].calls, 2u);
+    EXPECT_EQ(phases[1].name, "run");
+    EXPECT_DOUBLE_EQ(phases[1].seconds, 3.0);
+    EXPECT_EQ(phases[1].calls, 3u);
+    EXPECT_EQ(phases[2].name, "run.drain");
+    EXPECT_DOUBLE_EQ(phases[2].seconds, 0.125);
+    EXPECT_EQ(phases[2].calls, 3u);
 }
 
 TEST(RunManifest, WritesFile)

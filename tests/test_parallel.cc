@@ -22,7 +22,6 @@
 #include "core/experiment.hh"
 #include "core/results.hh"
 #include "harness/sweep_runner.hh"
-#include "obs/host_profiler.hh"
 #include "test_util.hh"
 
 namespace cosim {
@@ -202,10 +201,10 @@ TEST(ParallelEmulation, BankReportsDeliveryStats)
     const std::uint64_t fsb_txns =
         cosim.platform().fsb().txnCount();
     for (unsigned e = 0; e < bank->nEmulators(); ++e) {
-        const EmulatorWorkerStats s = bank->emulatorStats(e);
-        EXPECT_GT(s.batches, 1u) << "emulator " << e;
         // Every emulator saw the complete transaction stream.
-        EXPECT_EQ(s.txns, fsb_txns) << "emulator " << e;
+        EXPECT_EQ(bank->emulator(e).addressFilter().stats().observed,
+                  fsb_txns)
+            << "emulator " << e;
         EXPECT_GE(bank->queuePeak(e), 1u);
     }
     // The bus delivered in chunks: fewer batches than transactions.
@@ -232,18 +231,14 @@ TEST(ParallelEmulation, RegistersWorkerStatsInRegistry)
         groups.begin(), groups.end(),
         [](const stats::Group& x) { return x.name == "dragonhead0"; });
     ASSERT_NE(g, groups.end());
-    bool saw_batches = false;
     for (const auto& [name, value] : g->values) {
-        if (name == "batches") {
-            saw_batches = true;
-            EXPECT_GT(value, 0.0);
-        }
-        // A host queue high-water varies run to run, so a --stats dump
-        // leaves it out.
+        // How the workers shared the chunks, and their queues' high
+        // water, depend on host threads, so a --stats dump leaves both
+        // out: it reads the same as a serial rig's.
+        EXPECT_NE(name, "batches");
         EXPECT_NE(name, "queue_peak");
     }
-    EXPECT_TRUE(saw_batches);
-    EXPECT_GE(obs::HostProfiler::global().emulationThreads(), 2u);
+    EXPECT_EQ(cosim.emulationThreads(), 2u);
 }
 
 TEST(ParallelEmulation, MixedListKeepsListOrderAcrossStacks)

@@ -1,105 +1,21 @@
 /**
  * @file
- * Unit tests for the host-parallelism primitives: ThreadPool (FIFO
- * dispatch, future results, exception propagation, drain-on-destruction)
- * and the bounded SpscQueue (ordering, backpressure, close semantics).
+ * Unit tests for the host synchronization primitives: the bounded
+ * SpscQueue (ordering, backpressure, close semantics) and the annotated
+ * Mutex / CondVar wrappers.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <stdexcept>
 #include <thread>
 
 #include "base/mutex.hh"
 #include "base/spsc_queue.hh"
-#include "base/thread_pool.hh"
 
 namespace cosim {
 namespace {
-
-TEST(ThreadPool, SubmitReturnsResultsThroughFutures)
-{
-    ThreadPool pool(4);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 32; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture)
-{
-    ThreadPool pool(2);
-    auto bad = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    auto good = pool.submit([] { return 7; });
-    EXPECT_THROW(bad.get(), std::runtime_error);
-    // One task throwing must not take the pool down.
-    EXPECT_EQ(good.get(), 7);
-}
-
-TEST(ThreadPool, SingleWorkerRunsTasksInSubmissionOrder)
-{
-    std::vector<int> order;
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 16; ++i)
-            pool.submit([i, &order] { order.push_back(i); });
-        pool.wait();
-    }
-    ASSERT_EQ(order.size(), 16u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks)
-{
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 8; ++i) {
-            pool.submit([&ran] {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                ++ran;
-            });
-        }
-        // Destroy while most tasks are still queued.
-    }
-    EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(ThreadPool, WaitBlocksUntilEveryTaskFinished)
-{
-    ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 24; ++i) {
-        pool.submit([&ran] {
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-            ++ran;
-        });
-    }
-    pool.wait();
-    EXPECT_EQ(ran.load(), 24);
-    EXPECT_EQ(pool.queuedTasks(), 0u);
-    // wait() on an idle pool returns immediately.
-    pool.wait();
-}
-
-TEST(ThreadPool, SizeAndHardwareThreads)
-{
-    ThreadPool pool(2);
-    EXPECT_EQ(pool.size(), 2u);
-    EXPECT_GE(ThreadPool::hardwareThreads(), 1u);
-}
-
-TEST(ThreadPoolDeathTest, ZeroWorkersIsFatal)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    EXPECT_EXIT({ ThreadPool pool(0); }, ::testing::ExitedWithCode(1),
-                "at least one worker");
-}
 
 TEST(SpscQueue, PreservesFifoOrder)
 {

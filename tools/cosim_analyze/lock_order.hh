@@ -10,7 +10,7 @@
  * made while holding a lock.
  *
  * Stage two (`checkLockOrder`) resolves each lock reference to a
- * global identity ("HostProfiler::mutex_"), using class context
+ * global identity ("TraceSession::mutex_"), using class context
  * first, then uniqueness of the member name across every declaring
  * class, falling back to a file-local identity so unrelated locks
  * never alias. Function summaries are merged across TUs by qualified
