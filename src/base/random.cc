@@ -55,29 +55,31 @@ Rng::nextGaussian(double mean, double stddev)
     return mean + stddev * u * mul;
 }
 
-std::uint64_t
-Rng::nextZipf(std::uint64_t n, double s)
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+    : n_(n), s_(s), logUniform_(std::fabs(1.0 - s) < 1e-9),
+      cdfSpan_(std::pow(static_cast<double>(n), 1.0 - s) - 1.0),
+      invOneMinusS_(logUniform_ ? 0.0 : 1.0 / (1.0 - s))
 {
-    panic_if(n == 0, "nextZipf over empty domain");
+    panic_if(n == 0, "Zipf sampler over empty domain");
+}
+
+std::uint64_t
+ZipfSampler::draw(Rng& rng) const
+{
     // Inverse-CDF approximation: continuous power-law sample mapped onto
     // ranks. Accurate enough for skewing synthetic item popularity.
-    double u = nextDouble();
-    if (s <= 0.0)
-        return nextBounded(n);
-    double one_minus_s = 1.0 - s;
-    double x;
-    if (std::fabs(one_minus_s) < 1e-9) {
-        x = std::pow(static_cast<double>(n), u);
-    } else {
-        double max_cdf = std::pow(static_cast<double>(n), one_minus_s);
-        x = std::pow(u * (max_cdf - 1.0) + 1.0, 1.0 / one_minus_s);
-    }
+    double u = rng.nextDouble();
+    if (s_ <= 0.0)
+        return rng.nextBounded(n_);
+    double x = logUniform_
+        ? std::pow(static_cast<double>(n_), u)
+        : std::pow(u * cdfSpan_ + 1.0, invOneMinusS_);
     // x lies in [1, n]; rank 0 must be the most popular item.
     if (x < 1.0)
         x = 1.0;
     std::uint64_t rank = static_cast<std::uint64_t>(x - 1.0);
-    if (rank >= n)
-        rank = n - 1;
+    if (rank >= n_)
+        rank = n_ - 1;
     return rank;
 }
 

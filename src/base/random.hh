@@ -73,13 +73,6 @@ class Rng
     /** Gaussian sample via Box-Muller. */
     double nextGaussian(double mean = 0.0, double stddev = 1.0);
 
-    /**
-     * Sample from a bounded Zipf-like (power-law) distribution over
-     * [0, n): rank r has weight 1 / (r + 1)^s. Used for Kosarak-like
-     * transaction synthesis.
-     */
-    std::uint64_t nextZipf(std::uint64_t n, double s);
-
     /** Bernoulli draw with probability @p p. */
     bool nextBool(double p = 0.5) { return nextDouble() < p; }
 
@@ -97,6 +90,29 @@ class Rng
     std::uint64_t s_[4];
     bool haveSpareGauss_ = false;
     double spareGauss_ = 0.0;
+};
+
+/**
+ * A bounded Zipf-like (power-law) distribution over [0, n): rank r has
+ * weight 1 / (r + 1)^s. Used for Kosarak-like transaction synthesis.
+ * The constants that depend only on (n, s) are computed once here
+ * rather than on every draw.
+ */
+class ZipfSampler
+{
+  public:
+    ZipfSampler(std::uint64_t n, double s);
+
+    /** One rank; draws one double from @p rng, and a bounded integer
+     * too when s <= 0 (the uniform case). */
+    std::uint64_t draw(Rng& rng) const;
+
+  private:
+    std::uint64_t n_;
+    double s_;
+    bool logUniform_;     ///< s == 1 to within 1e-9: x = n^u
+    double cdfSpan_;      ///< n^(1 - s) - 1
+    double invOneMinusS_; ///< 1 / (1 - s), unless logUniform_
 };
 
 } // namespace cosim

@@ -88,8 +88,8 @@ struct BenchOptions
     /** @name Robustness / fault injection @{ */
     /** Publish the healthy cells' artifacts even when cells fail (the
      * failed ones stay in run.json and the CSV with status "failed").
-     * Without it a sweep still runs every cell, then exits 1 before
-     * writing any figure artifact. */
+     * Without it a sweep starts no cell after its first failure, then
+     * exits 1 before writing any figure artifact. */
     bool keepGoing = false;
     /** Armed fault plan spec ("site:nth=K,..."); empty = none. */
     std::string faults;

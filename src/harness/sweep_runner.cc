@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include <unistd.h>
@@ -173,14 +174,18 @@ runGuardedCell(const std::string& label, const BenchOptions& opts,
  * serial sweep shares one slot across every chain, so a cell can take
  * over its predecessor's rig; a parallel chain gets its own, so at most
  * one rig exists per running cell. A workload's in-memory stream is
- * released when its chain ends. Returns one output per planned cell.
+ * released when its chain ends. Without --keep-going the first failed
+ * cell stops the sweep: no cell starts after it, and cells already
+ * running finish. Returns one output per planned cell, empty for a
+ * cell that never started.
  */
-std::vector<CellOutput>
+std::vector<std::optional<CellOutput>>
 runPlan(const SweepFigure& fig, const SweepPlan& plan,
         std::vector<WorkloadStream>& streams, const SweepLedger& ledger)
 {
     const BenchOptions& opts = fig.opts;
-    std::vector<CellOutput> outs(plan.cells.size());
+    std::vector<std::optional<CellOutput>> outs(plan.cells.size());
+    std::atomic<bool> stop{false};
     auto run_cell = [&](std::size_t i, RigSlot& slot,
                         const SweepCell* next) {
         const SweepCell& cell = plan.cells[i];
@@ -211,13 +216,15 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
         }
         if (cell.phase1)
             ws.base = out;
+        if (out.failed && !opts.keepGoing)
+            stop = true;
         slot.finish(!out.failed, next);
         outs[i] = std::move(out);
     };
 
     auto run_chain = [&](const SweepPlan::Chain& chain, RigSlot& slot,
                          const SweepCell* after) {
-        for (std::size_t j = 0; j < chain.size(); ++j) {
+        for (std::size_t j = 0; j < chain.size() && !stop; ++j) {
             run_cell(chain[j], slot,
                      j + 1 < chain.size() ? &plan.cells[chain[j + 1]]
                                           : after);
@@ -240,8 +247,8 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
         for (unsigned t = 0; t < jobs; ++t) {
             threads.emplace_back([&, t] {
                 try {
-                    for (std::size_t k = next++; k < plan.chains.size();
-                         k = next++) {
+                    for (std::size_t k = next++;
+                         k < plan.chains.size() && !stop; k = next++) {
                         RigSlot slot;
                         run_chain(plan.chains[k], slot, nullptr);
                     }
@@ -259,7 +266,7 @@ runPlan(const SweepFigure& fig, const SweepPlan& plan,
         return outs;
     }
     RigSlot slot;
-    for (std::size_t k = 0; k < plan.chains.size(); ++k) {
+    for (std::size_t k = 0; k < plan.chains.size() && !stop; ++k) {
         run_chain(plan.chains[k], slot,
                   k + 1 < plan.chains.size()
                       ? &plan.cells[plan.chains[k + 1].front()]
@@ -391,24 +398,34 @@ SweepRunner::runFigure(const std::string& figure_id,
     streams.reserve(n_w);
     for (std::size_t w = 0; w < n_w; ++w)
         streams.push_back(resolveStream(fig, w));
-    std::vector<CellOutput> outs = runPlan(fig, plan, streams, ledger);
+    std::vector<std::optional<CellOutput>> outs =
+        runPlan(fig, plan, streams, ledger);
 
-    // One figure row per workload, folded from its cells.
-    std::vector<CellOutput> cells;
-    cells.reserve(n_w);
+    // One figure row per workload, folded from its cells. A sweep that
+    // stopped at a failure leaves a workload with a cell that never
+    // started, and none that failed, without a row; the run then fails
+    // below, so every row exists past that point.
+    std::vector<std::optional<CellOutput>> cells(n_w);
     for (std::size_t w = 0; w < n_w; ++w) {
         const CellOutput* base = nullptr;
         std::vector<CellOutput> configs;
+        bool unstarted = false;
+        bool failed = false;
         for (std::size_t i = 0; i < plan.cells.size(); ++i) {
             if (plan.cells[i].workload != w)
                 continue;
+            if (!outs[i]) {
+                unstarted = true;
+                continue;
+            }
+            failed = failed || outs[i]->failed;
             if (plan.cells[i].phase1)
-                base = &outs[i];
+                base = &*outs[i];
             else
-                configs.push_back(std::move(outs[i]));
+                configs.push_back(std::move(*outs[i]));
         }
-        cells.push_back(
-            mergeWorkloadCells(opts_.workloads[w], base, configs));
+        if (failed || !unstarted)
+            cells[w] = mergeWorkloadCells(opts_.workloads[w], base, configs);
     }
     manifest.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -418,10 +435,13 @@ SweepRunner::runFigure(const std::string& figure_id,
     // The journal's counts are workload rows, matching the summary
     // below.
     std::size_t n_ok = 0;
-    for (const CellOutput& c : cells)
-        n_ok += c.failed ? 0 : 1;
+    std::size_t n_failed = 0;
+    for (const std::optional<CellOutput>& c : cells) {
+        if (c)
+            ++(c->failed ? n_failed : n_ok);
+    }
     if (journal != nullptr)
-        journal->sweepDone(n_ok, n_w - n_ok);
+        journal->sweepDone(n_ok, n_failed);
 
     // Aggregate in workload order regardless of completion order, so the
     // figure, manifest and digest outputs are deterministic. The host
@@ -433,7 +453,9 @@ SweepRunner::runFigure(const std::string& figure_id,
     const CellOutput* last_ok = nullptr;
     DigestManifest digests;
     for (std::size_t i = 0; i < n_w; ++i) {
-        CellOutput& cell = cells[i];
+        if (!cells[i])
+            continue;
+        CellOutput& cell = *cells[i];
         const std::string& name = opts_.workloads[i];
         if (cell.failed) {
             manifest.workloads.push_back(cell.mw);
@@ -510,7 +532,8 @@ SweepRunner::runFigure(const std::string& figure_id,
     // behind the same failure boundary as any other cell.)
     if (!opts_.planOutBase.empty() &&
         opts_.cells != CellMode::Sampled && !fig.emulators.empty()) {
-        for (const CellOutput& cell : cells) {
+        for (const std::optional<CellOutput>& row : cells) {
+            const CellOutput& cell = *row;
             if (cell.failed)
                 continue;
             if (cell.cbSamples.empty()) {
@@ -542,8 +565,8 @@ SweepRunner::runFigure(const std::string& figure_id,
     // and the aggregate capture and replay counters.
     if (!opts_.statsFile.empty()) {
         std::vector<stats::Group> dump;
-        for (const CellOutput& cell : cells)
-            dump.insert(dump.end(), cell.stats.begin(), cell.stats.end());
+        for (const std::optional<CellOutput>& row : cells)
+            dump.insert(dump.end(), row->stats.begin(), row->stats.end());
         const bool combined_plan =
             opts_.cells == CellMode::Combined ||
             (opts_.cells == CellMode::Replay && !opts_.replayBase.empty());

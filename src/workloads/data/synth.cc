@@ -127,6 +127,7 @@ transactions(const TransactionParams& params, Rng& rng,
     items_out.reserve(params.nTransactions * params.avgLength);
     offsets_out.push_back(0);
 
+    const ZipfSampler zipf(params.nItems, params.zipfS);
     std::vector<std::uint16_t> txn;
     for (std::size_t t = 0; t < params.nTransactions; ++t) {
         // Length in [1, maxLength], mean ~ avgLength.
@@ -135,8 +136,7 @@ transactions(const TransactionParams& params, Rng& rng,
 
         txn.clear();
         for (std::size_t k = 0; k < len; ++k) {
-            txn.push_back(static_cast<std::uint16_t>(
-                rng.nextZipf(params.nItems, params.zipfS)));
+            txn.push_back(static_cast<std::uint16_t>(zipf.draw(rng)));
         }
         std::sort(txn.begin(), txn.end());
         txn.erase(std::unique(txn.begin(), txn.end()), txn.end());

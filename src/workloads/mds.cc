@@ -37,6 +37,18 @@ class MdsTask : public ThreadTask
     void powerRows(CoreContext& ctx, std::size_t count);
     void mmrRound(CoreContext& ctx);
 
+    /**
+     * Stream the simulated packed (column, weight) pairs of the row
+     * whose entries start at @p lo: the caches see the whole span, and
+     * the core retires one load per entry.
+     */
+    void
+    loadRow(CoreContext& ctx, std::uint32_t lo, std::size_t nnz) const
+    {
+        ctx.load(wl_.matrixBase_ + std::uint64_t{lo} * 8,
+                 static_cast<std::uint32_t>(nnz * 8), nnz);
+    }
+
     void
     syncPhase()
     {
@@ -68,10 +80,11 @@ MdsWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
 {
     nThreads_ = cfg.nThreads;
 
+    // The packed matrix is simulated only (see the file comment), and
+    // allocated first so every later region keeps its base.
+    matrixBase_ = alloc.allocate("mds.matrix", params_.matrixBytes(), 64);
     Rng rng(cfg.seed * 0x3d5a11ull + 23);
-    entries_.init(alloc, "mds.matrix",
-                  similarityMatrix(params_.nSentences, params_.nnzPerRow,
-                                   rng));
+    matrix_ = SimilarityRows(params_.nSentences, params_.nnzPerRow, rng);
 
     rowPtr_.init(alloc, "mds.rowptr", params_.nSentences + 1);
     for (std::size_t r = 0; r <= params_.nSentences; ++r)
@@ -97,55 +110,39 @@ MdsWorkload::setUp(const WorkloadConfig& cfg, SimAllocator& alloc)
     barrier_.setOnRelease([this] { advancePhase(); });
 }
 
-std::vector<std::uint64_t>
-MdsWorkload::similarityMatrix(std::size_t n_rows, std::size_t nnz_per_row,
-                              Rng& rng)
+SimilarityRows::SimilarityRows(std::size_t n_rows, std::size_t nnz_per_row,
+                               Rng& rng)
+    : nnzPerRow_(nnz_per_row)
 {
     fatal_if(n_rows == 0 || nnz_per_row == 0, "empty similarity matrix");
 
-    // One pass, a row at a time, appended to the matrix rather than
-    // written over a zero-filled one: beside the matrix, set-up holds
-    // only one row's raw weights.
-    std::vector<std::uint64_t> matrix;
-    matrix.reserve(n_rows * nnz_per_row);
-    std::vector<float> weights(nnz_per_row);
+    // One pass, a row at a time: each row's weights are drawn into one
+    // reused buffer, normalized there and appended whole, so beside the
+    // weights set-up holds one row.
+    offsets_.reserve(n_rows);
+    weights_.reserve(n_rows * nnz_per_row);
+    std::vector<float> row(nnz_per_row);
     for (std::size_t r = 0; r < n_rows; ++r) {
         // Ascending columns spread evenly across the corpus (with a
         // per-row rotation): text similarity links a sentence to
         // sentences everywhere in the document set. Exactly nnz_per_row
         // entries per row keeps the compressed layout constant-stride,
         // the access property Section 4.3 calls out for MDS.
-        std::size_t offset =
-            (r * 2654435761ull + rng.nextBounded(97)) % n_rows;
+        offsets_.push_back(static_cast<std::uint32_t>(
+            (r * 2654435761ull + rng.nextBounded(97)) % n_rows));
         double sum = 0.0;
-        for (float& w : weights) {
+        for (float& w : row) {
             w = static_cast<float>(0.05 + 0.95 * rng.nextDouble());
             sum += w;
         }
-        // Entry k's column is (offset + k * n_rows / nnz_per_row) %
-        // n_rows. The quotient q and remainder rem of k * n_rows step
-        // with k instead of being divided out per entry; offset and q
-        // are both below n_rows, so one subtraction wraps the column.
-        std::size_t q = 0;
-        std::size_t rem = 0;
         // Row-normalize so power iteration is stable (stochastic-ish
-        // matrix). Every weight is at least 0.05, so sum > 0.
-        for (std::size_t k = 0; k < nnz_per_row; ++k) {
-            std::size_t col = offset + q;
-            if (col >= n_rows)
-                col -= n_rows;
-            matrix.push_back(
-                packEntry(static_cast<std::uint32_t>(col),
-                          static_cast<float>(weights[k] / sum)));
-            q += n_rows / nnz_per_row;
-            rem += n_rows % nnz_per_row;
-            if (rem >= nnz_per_row) {
-                rem -= nnz_per_row;
-                ++q;
-            }
-        }
+        // matrix). Every weight is at least 0.05, so sum > 0. Each
+        // weight is float(w / sum): a multiply by 1 / sum would round
+        // differently.
+        for (float& w : row)
+            w = static_cast<float>(w / sum);
+        weights_.insert(weights_.end(), row.begin(), row.end());
     }
-    return matrix;
 }
 
 void
@@ -182,7 +179,7 @@ MdsTask::powerRows(CoreContext& ctx, std::size_t count)
         // gather the rank entries they reference; the columns sweep the
         // corpus in ascending order, so the gather is one pass over the
         // rank vector.
-        const std::uint64_t* entries = wl_.entries_.readBlock(ctx, lo, nnz);
+        loadRow(ctx, lo, nnz);
         // The gather retires one load per entry; its cache footprint is
         // one ascending sweep of the rank vector (or less, for sparse
         // rows).
@@ -192,11 +189,9 @@ MdsTask::powerRows(CoreContext& ctx, std::size_t count)
                  static_cast<std::uint32_t>(gather_bytes), nnz);
 
         double acc = 0.0;
-        for (std::size_t k = 0; k < nnz; ++k) {
-            acc += static_cast<double>(
-                       MdsWorkload::entryWeight(entries[k])) *
-                   wl_.rank_.host(MdsWorkload::entryCol(entries[k]));
-        }
+        wl_.matrix_.forEachEntry(row, [&](std::uint32_t col, float w) {
+            acc += static_cast<double>(w) * wl_.rank_.host(col);
+        });
         ctx.compute(2 * nnz);
 
         float out = static_cast<float>(
@@ -246,12 +241,10 @@ MdsTask::mmrRound(CoreContext& ctx)
     // row (stream it once).
     std::uint32_t lo = wl_.rowPtr_.read(ctx, best_i);
     std::uint32_t hi = wl_.rowPtr_.host(best_i + 1);
-    const std::uint64_t* entries =
-        wl_.entries_.readBlock(ctx, lo, hi - lo);
-    for (std::uint32_t k = 0; k < hi - lo; ++k) {
-        penalty_[MdsWorkload::entryCol(entries[k])] +=
-            MdsWorkload::entryWeight(entries[k]);
-    }
+    loadRow(ctx, lo, hi - lo);
+    wl_.matrix_.forEachEntry(best_i, [&](std::uint32_t col, float w) {
+        penalty_[col] += w;
+    });
     ctx.compute((hi - lo) / 4);
 }
 
@@ -306,14 +299,10 @@ MdsWorkload::referenceRank() const
 
     for (unsigned it = 0; it < params_.powerIters; ++it) {
         for (std::size_t row = 0; row < n; ++row) {
-            std::uint32_t lo = rowPtr_.host(row);
-            std::uint32_t hi = rowPtr_.host(row + 1);
             double acc = 0.0;
-            for (std::uint32_t k = lo; k < hi; ++k) {
-                std::uint64_t e = entries_.host(k);
-                acc += static_cast<double>(entryWeight(e)) *
-                       r[entryCol(e)];
-            }
+            matrix_.forEachEntry(row, [&](std::uint32_t col, float w) {
+                acc += static_cast<double>(w) * r[col];
+            });
             next[row] = static_cast<float>(
                 (1.0 - params_.damping) / static_cast<double>(n) +
                 params_.damping * acc);

@@ -4,12 +4,17 @@
  *
  * Graph-based sentence ranking (power iteration over a row-stochastic
  * sentence-similarity matrix, LexRank-style) followed by Maximum
- * Marginal Relevance selection of the summary. The similarity matrix is
- * stored compressed (CSR with packed (column, weight) pairs), ~300 MB at
- * scale 1 -- the paper's "frequently referenced ... sparse matrix of
- * 300MB" that makes MDS insensitive to every simulated cache size, while
- * its constant-stride streaming makes it one of the biggest winners from
- * larger cache lines.
+ * Marginal Relevance selection of the summary. The simulated matrix is
+ * stored compressed (CSR with packed 8-byte (column, weight) pairs),
+ * ~300 MB at scale 1 -- the paper's "frequently referenced ... sparse
+ * matrix of 300MB" that makes MDS insensitive to every simulated cache
+ * size, while its constant-stride streaming makes it one of the biggest
+ * winners from larger cache lines.
+ *
+ * The host holds only half of it: one column offset per row and one
+ * normalized weight per entry (SimilarityRows). An entry's column is a
+ * function of its row's offset and its position, so the kernels compute
+ * it, while the simulated caches still see loads of the packed pairs.
  *
  * Threads partition matrix rows and share everything; cache behaviour is
  * insensitive to the thread count.
@@ -47,6 +52,57 @@ struct MdsParams
     }
 };
 
+/**
+ * The sentence-similarity matrix as the host holds it: n rows of nnz
+ * entries, ascending from a per-row rotation. Entry k of row r has
+ * column (offset_r + k * n / nnz) mod n, so only offset_r is stored.
+ * The weights are drawn from the generator, row-normalized, and stored
+ * row-major.
+ */
+class SimilarityRows
+{
+  public:
+    SimilarityRows() = default;
+
+    /** Draw @p n_rows rows of @p nnz_per_row entries from @p rng. */
+    SimilarityRows(std::size_t n_rows, std::size_t nnz_per_row, Rng& rng);
+
+    /** Call @p f(column, weight) on row @p r's entries, in order. */
+    template <typename F>
+    void
+    forEachEntry(std::size_t r, F&& f) const
+    {
+        const std::size_t n = offsets_.size();
+        const std::size_t nnz = nnzPerRow_;
+        const std::size_t offset = offsets_[r];
+        const float* w = weights_.data() + r * nnz;
+        // The quotient q and remainder rem of k * n step with k instead
+        // of being divided out per entry; offset and q are both below
+        // n, so one subtraction wraps the column.
+        const std::size_t q_step = n / nnz;
+        const std::size_t rem_step = n % nnz;
+        std::size_t q = 0;
+        std::size_t rem = 0;
+        for (std::size_t k = 0; k < nnz; ++k) {
+            std::size_t col = offset + q;
+            if (col >= n)
+                col -= n;
+            f(static_cast<std::uint32_t>(col), w[k]);
+            q += q_step;
+            rem += rem_step;
+            if (rem >= nnz) {
+                rem -= nnz;
+                ++q;
+            }
+        }
+    }
+
+  private:
+    std::size_t nnzPerRow_ = 0;
+    std::vector<std::uint32_t> offsets_;
+    std::vector<float> weights_;
+};
+
 /** See file comment. */
 class MdsWorkload : public Workload
 {
@@ -75,39 +131,6 @@ class MdsWorkload : public Workload
     /** Host-side reference power iteration (verify and tests). */
     std::vector<float> referenceRank() const;
 
-    /**
-     * The packed CSR sentence-similarity matrix: @p n_rows sentences,
-     * @p nnz_per_row similar sentences each (band-limited columns,
-     * ascending from a per-row rotation), row-normalized weights drawn
-     * from @p rng. Row r's entries start at r x @p nnz_per_row.
-     */
-    static std::vector<std::uint64_t>
-    similarityMatrix(std::size_t n_rows, std::size_t nnz_per_row, Rng& rng);
-
-    /** A packed CSR entry: column in the low 32 bits, weight above. */
-    static std::uint64_t
-    packEntry(std::uint32_t col, float w)
-    {
-        std::uint32_t wb;
-        static_assert(sizeof(wb) == sizeof(w), "float packs into u32");
-        __builtin_memcpy(&wb, &w, 4);
-        return static_cast<std::uint64_t>(wb) << 32 | col;
-    }
-
-    static std::uint32_t entryCol(std::uint64_t e)
-    {
-        return static_cast<std::uint32_t>(e);
-    }
-
-    static float
-    entryWeight(std::uint64_t e)
-    {
-        std::uint32_t wb = static_cast<std::uint32_t>(e >> 32);
-        float w;
-        __builtin_memcpy(&w, &wb, 4);
-        return w;
-    }
-
   private:
     friend class MdsTask;
 
@@ -116,7 +139,8 @@ class MdsWorkload : public Workload
     MdsParams params_;
     unsigned nThreads_ = 1;
 
-    SimArray<std::uint64_t> entries_;   ///< packed CSR pairs (shared)
+    SimilarityRows matrix_;             ///< host form (shared)
+    Addr matrixBase_ = 0;               ///< the simulated packed pairs
     SimArray<std::uint32_t> rowPtr_;
     SimArray<float> rank_;              ///< current rank vector
     SimArray<float> rankNext_;

@@ -180,13 +180,57 @@ TEST(Random, GaussianMoments)
     EXPECT_NEAR(var, 9.0, 0.5);
 }
 
+/** The per-draw Zipf formula ZipfSampler replaced, as the reference. */
+std::uint64_t
+referenceZipf(Rng& rng, std::uint64_t n, double s)
+{
+    double u = rng.nextDouble();
+    if (s <= 0.0)
+        return rng.nextBounded(n);
+    double one_minus_s = 1.0 - s;
+    double x;
+    if (std::fabs(one_minus_s) < 1e-9) {
+        x = std::pow(static_cast<double>(n), u);
+    } else {
+        double max_cdf = std::pow(static_cast<double>(n), one_minus_s);
+        x = std::pow(u * (max_cdf - 1.0) + 1.0, 1.0 / one_minus_s);
+    }
+    if (x < 1.0)
+        x = 1.0;
+    std::uint64_t rank = static_cast<std::uint64_t>(x - 1.0);
+    if (rank >= n)
+        rank = n - 1;
+    return rank;
+}
+
+TEST(Random, ZipfSamplerMatchesPerDrawFormula)
+{
+    // The uniform case, the log-uniform one, FIMI's exponent and a
+    // steep one; FIMI's item universe and a small one.
+    for (double s : {0.0, 1.0, 1.05, 2.5}) {
+        for (std::uint64_t n : {std::uint64_t{4000}, std::uint64_t{7}}) {
+            const ZipfSampler zipf(n, s);
+            Rng sampled(101);
+            Rng reference(101);
+            for (int i = 0; i < 100000; ++i) {
+                ASSERT_EQ(zipf.draw(sampled), referenceZipf(reference, n, s))
+                    << "s=" << s << " n=" << n << " draw " << i;
+            }
+            // Both consumed the same draws.
+            EXPECT_EQ(sampled.next(), reference.next())
+                << "s=" << s << " n=" << n;
+        }
+    }
+}
+
 TEST(Random, ZipfIsSkewed)
 {
     Rng rng(17);
     const std::uint64_t n = 100;
+    const ZipfSampler zipf(n, 1.1);
     std::vector<int> counts(n, 0);
     for (int i = 0; i < 50000; ++i)
-        ++counts[rng.nextZipf(n, 1.1)];
+        ++counts[zipf.draw(rng)];
     // Rank 0 must dominate and the tail must still be reachable.
     EXPECT_GT(counts[0], counts[9] * 2);
     int tail = 0;
@@ -199,9 +243,10 @@ TEST(Random, ZipfZeroExponentIsUniform)
 {
     Rng rng(19);
     const std::uint64_t n = 10;
+    const ZipfSampler zipf(n, 0.0);
     std::vector<int> counts(n, 0);
     for (int i = 0; i < 50000; ++i)
-        ++counts[rng.nextZipf(n, 0.0)];
+        ++counts[zipf.draw(rng)];
     for (std::uint64_t r = 0; r < n; ++r)
         EXPECT_NEAR(counts[r], 5000, 600);
 }

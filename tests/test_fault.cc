@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -435,6 +436,35 @@ TEST(FaultInjectionDeathTest, FailedCellWithoutKeepGoingExitsNonzero)
                 "FigDie", presets::cmpPlatform("tiny", 2));
         },
         "cell PLSA failed.*keep-going");
+}
+
+TEST(FaultInjectionDeathTest, FailedCellStopsTheSweep)
+{
+    // Without --keep-going the first failed cell is the sweep's last:
+    // FIMI's cell never starts, so its workload journals nothing.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    BenchOptions opts = sweepOpts();
+    opts.outDir = makeOutDir("fault_stop_out");
+    opts.journalFile = opts.outDir + "/sweep.journal.jsonl";
+    std::remove(opts.journalFile.c_str());
+    EXPECT_DEATH(
+        {
+            ScopedFaultPlan plan("cell.throw:nth=1");
+            SweepRunner(opts).runCacheSizeFigure(
+                "FigStop", presets::cmpPlatform("tiny", 2));
+        },
+        "cell PLSA failed.*keep-going");
+
+    std::vector<std::string> running;
+    std::istringstream journal(readFile(opts.journalFile));
+    for (std::string line; std::getline(journal, line);) {
+        EXPECT_EQ(line.find("FIMI"), std::string::npos) << line;
+        if (line.find("\"event\":\"running\"") != std::string::npos)
+            running.push_back(line);
+    }
+    ASSERT_EQ(running.size(), 1u);
+    EXPECT_NE(running[0].find("\"cell\":\"PLSA\""), std::string::npos)
+        << running[0];
 }
 
 TEST(FaultInjectionDeathTest, FailedTraceWriteLeavesNoManifest)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "workloads/data/synth.hh"
 #include "workloads/data/video.hh"
@@ -37,9 +38,20 @@ stridedGenotypeChain(std::size_t n_vars, std::size_t n_samples,
     return geno;
 }
 
+/** A packed CSR entry: column in the low 32 bits, weight's bits above. */
+std::uint64_t
+packEntry(std::uint32_t col, float w)
+{
+    std::uint32_t wb;
+    static_assert(sizeof(wb) == sizeof(w), "float packs into u32");
+    std::memcpy(&wb, &w, 4);
+    return static_cast<std::uint64_t>(wb) << 32 | col;
+}
+
 /**
- * MDS's matrix as three passes built it: generate columns and weights
- * for every row, row-normalize in a second sweep, then pack.
+ * MDS's matrix as three passes built it, packed as the simulated matrix
+ * lays it out: generate columns and weights for every row, row-normalize
+ * in a second sweep, then pack.
  */
 std::vector<std::uint64_t>
 threePassSimilarityMatrix(std::size_t n_rows, std::size_t nnz_per_row,
@@ -70,7 +82,7 @@ threePassSimilarityMatrix(std::size_t n_rows, std::size_t nnz_per_row,
     }
     std::vector<std::uint64_t> packed(col.size());
     for (std::size_t i = 0; i < col.size(); ++i)
-        packed[i] = MdsWorkload::packEntry(col[i], val[i]);
+        packed[i] = packEntry(col[i], val[i]);
     return packed;
 }
 
@@ -209,16 +221,18 @@ TEST(Transactions, SortedDedupedAndSkewed)
 TEST(SimilarityCsr, RowStructureAndNormalization)
 {
     Rng rng(8);
-    auto matrix = MdsWorkload::similarityMatrix(64, 256, rng);
+    const SimilarityRows matrix(64, 256, rng);
 
-    ASSERT_EQ(matrix.size(), 64u * 256u);
     for (std::size_t r = 0; r < 64; ++r) {
+        std::size_t entries = 0;
         double sum = 0.0;
-        for (std::size_t k = r * 256; k < (r + 1) * 256; ++k) {
-            ASSERT_LT(MdsWorkload::entryCol(matrix[k]), 64u);
-            ASSERT_GT(MdsWorkload::entryWeight(matrix[k]), 0.0f);
-            sum += MdsWorkload::entryWeight(matrix[k]);
-        }
+        matrix.forEachEntry(r, [&](std::uint32_t col, float w) {
+            ++entries;
+            ASSERT_LT(col, 64u);
+            ASSERT_GT(w, 0.0f);
+            sum += w;
+        });
+        EXPECT_EQ(entries, 256u);
         EXPECT_NEAR(sum, 1.0, 1e-4); // row-stochastic
     }
 }
@@ -232,8 +246,14 @@ TEST(SimilarityCsr, OnePassMatchesThreePasses)
     for (const auto& [n_rows, nnz] : shapes) {
         Rng one(n_rows + nnz);
         Rng three(n_rows + nnz);
-        auto matrix = MdsWorkload::similarityMatrix(n_rows, nnz, one);
-        EXPECT_TRUE(matrix == threePassSimilarityMatrix(n_rows, nnz, three))
+        const SimilarityRows matrix(n_rows, nnz, one);
+        std::vector<std::uint64_t> visited;
+        for (std::size_t r = 0; r < n_rows; ++r) {
+            matrix.forEachEntry(r, [&](std::uint32_t col, float w) {
+                visited.push_back(packEntry(col, w));
+            });
+        }
+        EXPECT_TRUE(visited == threePassSimilarityMatrix(n_rows, nnz, three))
             << n_rows << " x " << nnz;
         // The draws that follow the matrix (query affinities) see the
         // same generator state.

@@ -379,6 +379,34 @@ TEST(MdsWorkload, MatrixBytesMatchParams)
                 300.0 * 1024 * 1024, 16.0 * 1024 * 1024);
 }
 
+TEST(MdsWorkload, MatrixRegionKeepsPackedLayout)
+{
+    // The host holds only the weights, but the simulated matrix is 8-byte
+    // packed pairs allocated first; these bases pin that layout.
+    MdsParams p = MdsParams::scaled(0.05);
+    MdsWorkload wl(p);
+    SimAllocator alloc;
+    WorkloadConfig cfg;
+    cfg.scale = 0.05;
+    wl.setUp(cfg, alloc);
+
+    const std::vector<SimRegion>& regions = alloc.regions();
+    ASSERT_EQ(regions.size(), 5u);
+    EXPECT_EQ(regions[0].name, "mds.matrix");
+    EXPECT_EQ(regions[0].base, SimAllocator::workloadBase);
+    EXPECT_EQ(regions[0].size, p.matrixBytes());
+    EXPECT_EQ(regions[0].size, 1024u * 896u * 8u);
+    const std::pair<const char*, Addr> rest[] = {
+        {"mds.rowptr", 0x1070'0000},
+        {"mds.rank", 0x1070'1040},
+        {"mds.rank-next", 0x1070'2040},
+        {"mds.query-affinity", 0x1070'3040}};
+    for (std::size_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(regions[i + 1].name, rest[i].first);
+        EXPECT_EQ(regions[i + 1].base, rest[i].second) << rest[i].first;
+    }
+}
+
 // ---------------------------------------------------------------- SHOT
 
 TEST(ShotWorkload, DetectsExactlyThePlantedCuts)
