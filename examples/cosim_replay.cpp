@@ -232,7 +232,8 @@ cmdCheckGolden(const std::string& golden_path, const std::string& fresh_path)
         "recorded.\nIf this is an unintended behaviour change, fix it. "
         "If the change is\nintentional (workload, cache or bus behaviour "
         "updated on purpose),\nregenerate the baseline and commit it:\n"
-        "    <bench> --quick --digest=fresh.digest\n"
+        "    <bench> --digest=fresh.digest   (with --quick for a "
+        "*.quick.digest)\n"
         "    cosim_replay update-golden %s fresh.digest\n",
         golden_path.c_str(), report.c_str(), golden_path.c_str());
     return 1;

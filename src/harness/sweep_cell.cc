@@ -425,9 +425,14 @@ runCellBody(const SweepFigure& fig, const SweepCell& cell,
             fsb.detach(digest.get());
         out.guestExecutions = 1;
         out.simInsts = result.totalInsts;
+        // A capture encodes inside the run's window; those seconds are
+        // capture.encode's alone, so the phases stay disjoint.
+        const double encode_seconds =
+            capture ? capture->encodeSeconds() : 0.0;
         obs::addHostPhase(out.hostPhases, "setup", result.setupSeconds);
         obs::addHostPhase(out.hostPhases, "run",
-                          result.hostSeconds - result.drainSeconds);
+                          result.hostSeconds - result.drainSeconds -
+                              encode_seconds);
     } else {
         // A --replay file is read here, when its cell runs, so a
         // missing or corrupt one fails this cell alone.

@@ -74,8 +74,10 @@ struct CellOutput
 
     /** Host time by phase, in first-use order: "setup" and "run"
      * (guest) or "replay" / "replay.sampled", then "run.drain" (a rig
-     * with an emulator bank) and "capture.encode". A merged row sums
-     * its cells'. A failed cell or row carries none. */
+     * with an emulator bank) and "capture.encode". The phases are
+     * disjoint: "run" leaves out the drain and the encoding done in
+     * its window. A merged row sums its cells'. A failed cell or row
+     * carries none. */
     std::vector<obs::ManifestHostPhase> hostPhases;
     /** Instructions the guest executed (0 for a replay), and the host
      * seconds of the emulation window (RunResult::hostSeconds). @{ */

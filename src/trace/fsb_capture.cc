@@ -1,8 +1,10 @@
 #include "trace/fsb_capture.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -19,6 +21,18 @@ constexpr std::uint8_t kChunkMarker = 'C';
 constexpr std::uint8_t kTrailerMarker = 'E';
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
+/** kFnvPrime to the power @p k: FNV-1a hashes a zero byte by one
+ * multiply by the prime, so a run of k zero bytes is one multiply by
+ * this. */
+constexpr std::uint64_t
+fnvPrimePow(unsigned k)
+{
+    std::uint64_t p = 1;
+    while (k-- > 0)
+        p *= kFnvPrime;
+    return p;
+}
+
 /** Fixed header bytes before the two length-prefixed strings. */
 constexpr std::size_t kFixedHeaderBytes = 48;
 constexpr std::size_t kTotalInstsOffset = 32;
@@ -33,6 +47,14 @@ constexpr std::uint8_t kSameSizeBit = 0x04;
 constexpr std::uint8_t kSameCoreBit = 0x08;
 constexpr std::uint8_t kLeadReservedMask = 0xf0;
 /** @} */
+
+/** The most bytes one transaction encodes to: a lead byte, then the
+ * varints of a 16-bit core, a 32-bit size and a 64-bit address delta. */
+constexpr std::size_t kMaxTxnBytes = 1 + 3 + 5 + 10;
+
+/** The most bytes the reader consumes for one transaction, valid or
+ * not: a lead byte and three varints, each cut off at 10 bytes. */
+constexpr std::size_t kMaxTxnReadBytes = 1 + 3 * 10;
 
 void
 putU32(std::vector<std::uint8_t>& out, std::uint32_t v)
@@ -57,14 +79,23 @@ patchU64(std::vector<std::uint8_t>& buf, std::size_t off, std::uint64_t v)
         buf[off + i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
+/** Write @p v as a varint at @p p; @return the byte after it. */
+std::uint8_t*
+putVarint(std::uint8_t* p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
 void
 putVarint(std::vector<std::uint8_t>& out, std::uint64_t v)
 {
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t bytes[10];
+    out.insert(out.end(), bytes, putVarint(bytes, v));
 }
 
 std::uint64_t
@@ -106,6 +137,25 @@ FsbDigest::update(const BusTransaction& txn)
 {
     // Canonical tuple: addr (8B LE), size (4B LE), kind (1B), core
     // (2B LE), hashed byte-at-a-time so the value is host-independent.
+    if (txn.addr <= 0xffffffffull && txn.size <= 0xff &&
+        txn.core <= 0xff) [[likely]] {
+        // Nearly every data transaction: bytes 4-7, 9-11 and 14 are
+        // zero, and each run of them folds into the multiply before
+        // it. Seven dependent steps instead of fifteen, the same value.
+        constexpr std::uint64_t kPrime2 = fnvPrimePow(2);
+        constexpr std::uint64_t kPrime4 = fnvPrimePow(4);
+        constexpr std::uint64_t kPrime5 = fnvPrimePow(5);
+        std::uint64_t h = hash_;
+        h = (h ^ (txn.addr & 0xff)) * kFnvPrime;
+        h = (h ^ ((txn.addr >> 8) & 0xff)) * kFnvPrime;
+        h = (h ^ ((txn.addr >> 16) & 0xff)) * kFnvPrime;
+        h = (h ^ (txn.addr >> 24)) * kPrime5;              // bytes 3-7
+        h = (h ^ txn.size) * kPrime4;                      // bytes 8-11
+        h = (h ^ static_cast<std::uint8_t>(txn.kind)) * kFnvPrime;
+        hash_ = (h ^ txn.core) * kPrime2;                  // bytes 13-14
+        ++txns_;
+        return;
+    }
     std::uint8_t bytes[15];
     for (int i = 0; i < 8; ++i)
         bytes[i] = static_cast<std::uint8_t>(txn.addr >> (8 * i));
@@ -119,6 +169,13 @@ FsbDigest::update(const BusTransaction& txn)
         hash_ *= kFnvPrime;
     }
     ++txns_;
+}
+
+void
+FsbDigest::update(const BusTransaction* txns, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        update(txns[i]);
 }
 
 void
@@ -162,9 +219,12 @@ FsbStreamWriter::FsbStreamWriter(const FsbStreamMeta& meta,
 }
 
 void
-FsbStreamWriter::append(const BusTransaction& txn)
+FsbStreamWriter::encode(const BusTransaction& txn)
 {
-    panic_if(finished_, "appending to a finished FSB stream");
+    // Room for a worst-case transaction, then no check per byte.
+    if (chunk_.size() - chunkBytes_ < kMaxTxnBytes)
+        chunk_.resize(std::max(2 * chunk_.size(), chunkBytes_ + kMaxTxnBytes));
+    std::uint8_t* p = chunk_.data() + chunkBytes_;
 
     std::uint8_t lead = static_cast<std::uint8_t>(txn.kind) & kKindMask;
     const bool same_size = txn.size == prevSize_;
@@ -173,27 +233,39 @@ FsbStreamWriter::append(const BusTransaction& txn)
         lead |= kSameSizeBit;
     if (same_core)
         lead |= kSameCoreBit;
-    chunk_.push_back(lead);
+    *p++ = lead;
     if (!same_core)
-        putVarint(chunk_, txn.core);
+        p = putVarint(p, txn.core);
     if (!same_size)
-        putVarint(chunk_, txn.size);
-    putVarint(chunk_, zigzag(static_cast<std::int64_t>(txn.addr) -
-                             static_cast<std::int64_t>(prevAddr_)));
+        p = putVarint(p, txn.size);
+    p = putVarint(p, zigzag(static_cast<std::int64_t>(txn.addr - prevAddr_)));
+    chunkBytes_ = static_cast<std::size_t>(p - chunk_.data());
 
     prevAddr_ = txn.addr;
     prevSize_ = txn.size;
     prevCore_ = txn.core;
-    digest_.update(txn);
     if (++chunkCount_ >= chunkTxns_)
         flushChunk();
 }
 
 void
+FsbStreamWriter::append(const BusTransaction& txn)
+{
+    appendBatch(&txn, 1);
+}
+
+void
 FsbStreamWriter::appendBatch(const BusTransaction* txns, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        append(txns[i]);
+    panic_if(finished_, "appending to a finished FSB stream");
+    // A local digest keeps its chain of multiplies in registers, clear
+    // of the byte stores the encoder makes.
+    FsbDigest digest = digest_;
+    for (std::size_t i = 0; i < n; ++i) {
+        encode(txns[i]);
+        digest.update(txns[i]);
+    }
+    digest_ = digest;
 }
 
 void
@@ -213,9 +285,9 @@ FsbStreamWriter::flushChunk()
         return;
     buffer_.push_back(kChunkMarker);
     putVarint(buffer_, chunkCount_);
-    putVarint(buffer_, chunk_.size());
-    buffer_.insert(buffer_.end(), chunk_.begin(), chunk_.end());
-    chunk_.clear();
+    putVarint(buffer_, chunkBytes_);
+    buffer_.insert(buffer_.end(), chunk_.data(), chunk_.data() + chunkBytes_);
+    chunkBytes_ = 0;
     chunkCount_ = 0;
 }
 
@@ -265,21 +337,22 @@ FsbStreamReader::fail(const std::string& what)
 bool
 FsbStreamReader::openFile(const std::string& path, std::string* error)
 {
+    const auto failFile = [&](const char* what) {
+        fail(std::string(what) + " FSB stream file '" + path + "'");
+        if (error)
+            *error = error_;
+        return false;
+    };
     std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        fail("cannot open FSB stream file '" + path + "'");
-        if (error)
-            *error = error_;
-        return false;
-    }
-    auto buf = std::make_shared<std::vector<std::uint8_t>>(
-        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof()) {
-        fail("error reading FSB stream file '" + path + "'");
-        if (error)
-            *error = error_;
-        return false;
-    }
+    if (!in)
+        return failFile("cannot open");
+    // One read of the file's size. A directory opens but has no size.
+    std::error_code ec;
+    const std::uintmax_t size = std::filesystem::file_size(path, ec);
+    auto buf = std::make_shared<std::vector<std::uint8_t>>(ec ? 0 : size);
+    if (ec || !in.read(reinterpret_cast<char*>(buf->data()),
+                       static_cast<std::streamsize>(buf->size())))
+        return failFile("error reading");
     return openBuffer(std::move(buf), error);
 }
 
@@ -304,14 +377,20 @@ FsbStreamReader::openBuffer(
 
 namespace {
 
-/** Bounds-checked varint read; false on truncation or overlong value. */
+/**
+ * Varint read; false on an overlong value or, when @p kChecked, on
+ * truncation at @p size. Without the check the caller guarantees that
+ * 10 bytes remain: either way @p pos ends where the checked read
+ * would leave it.
+ */
+template <bool kChecked = true>
 bool
-readVarint(const std::vector<std::uint8_t>& data, std::size_t& pos,
+readVarint(const std::uint8_t* data, std::size_t size, std::size_t& pos,
            std::uint64_t& out)
 {
     out = 0;
     for (unsigned shift = 0; shift < 64; shift += 7) {
-        if (pos >= data.size())
+        if (kChecked && pos >= size)
             return false;
         const std::uint8_t byte = data[pos++];
         out |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
@@ -356,7 +435,8 @@ readString(const std::vector<std::uint8_t>& data, std::size_t& pos,
            std::string& out)
 {
     std::uint64_t len = 0;
-    if (!readVarint(data, pos, len) || len > kMaxHeaderString ||
+    if (!readVarint(data.data(), data.size(), pos, len) ||
+        len > kMaxHeaderString ||
         pos + len > data.size()) {
         return false;
     }
@@ -405,6 +485,51 @@ FsbStreamReader::parseHeader()
     return true;
 }
 
+template <bool kChecked>
+bool
+FsbStreamReader::decodeTxn(const std::uint8_t* d, std::size_t chunk_end,
+                           std::size_t& pos, BusTransaction& txn)
+{
+    const std::size_t size = data_->size();
+    const auto bad = [&](const std::string& what) {
+        pos_ = pos;
+        return fail(what);
+    };
+    if (kChecked && pos >= chunk_end)
+        return bad("corrupt FSB stream: chunk payload underruns its "
+                   "transaction count");
+    const std::uint8_t lead = d[pos++];
+    if ((lead & kLeadReservedMask) != 0) {
+        return bad(strFormat("corrupt FSB stream: reserved lead-byte bits "
+                             "set (0x%02x)", lead));
+    }
+    txn.kind = static_cast<TxnKind>(lead & kKindMask);
+    // Unchecked, no field can end past the chunk.
+    if ((lead & kSameCoreBit) == 0) {
+        std::uint64_t core = 0;
+        if (!readVarint<kChecked>(d, size, pos, core) ||
+            (kChecked && pos > chunk_end) || core > 0xffff) {
+            return bad("corrupt FSB stream: bad core id");
+        }
+        txn.core = static_cast<CoreId>(core);
+    }
+    if ((lead & kSameSizeBit) == 0) {
+        std::uint64_t txn_size = 0;
+        if (!readVarint<kChecked>(d, size, pos, txn_size) ||
+            (kChecked && pos > chunk_end) || txn_size > 0xffffffffull) {
+            return bad("corrupt FSB stream: bad transaction size");
+        }
+        txn.size = static_cast<std::uint32_t>(txn_size);
+    }
+    std::uint64_t delta = 0;
+    if (!readVarint<kChecked>(d, size, pos, delta) ||
+        (kChecked && pos > chunk_end)) {
+        return bad("corrupt FSB stream: bad address delta");
+    }
+    txn.addr += static_cast<Addr>(unzigzag(delta));
+    return true;
+}
+
 bool
 FsbStreamReader::nextChunk(std::vector<BusTransaction>& out)
 {
@@ -447,8 +572,8 @@ FsbStreamReader::nextChunk(std::vector<BusTransaction>& out)
     }
 
     std::uint64_t n_txns = 0, payload_bytes = 0;
-    if (!readVarint(d, pos_, n_txns) ||
-        !readVarint(d, pos_, payload_bytes)) {
+    if (!readVarint(d.data(), d.size(), pos_, n_txns) ||
+        !readVarint(d.data(), d.size(), pos_, payload_bytes)) {
         return fail("truncated FSB stream: bad chunk frame");
     }
     if (payload_bytes > d.size() - pos_)
@@ -467,49 +592,32 @@ FsbStreamReader::nextChunk(std::vector<BusTransaction>& out)
         pos_ + static_cast<std::size_t>(payload_bytes);
 
     out.reserve(static_cast<std::size_t>(n_txns));
+    // Decode into locals, which the stores to out cannot alias.
+    std::size_t pos = pos_;
+    BusTransaction txn;
+    txn.addr = prevAddr_;
+    txn.size = prevSize_;
+    txn.core = prevCore_;
+    FsbDigest digest = digest_;
     for (std::uint64_t i = 0; i < n_txns; ++i) {
-        if (pos_ >= chunk_end)
-            return fail("corrupt FSB stream: chunk payload underruns "
-                        "its transaction count");
-        const std::uint8_t lead = d[pos_++];
-        if ((lead & kLeadReservedMask) != 0) {
-            return fail(strFormat("corrupt FSB stream: reserved lead-"
-                                  "byte bits set (0x%02x)", lead));
+        // While a worst-case transaction fits before the chunk's end,
+        // none can read past it: check bounds once per transaction.
+        const bool good =
+            chunk_end - pos >= kMaxTxnReadBytes
+                ? decodeTxn<false>(d.data(), chunk_end, pos, txn)
+                : decodeTxn<true>(d.data(), chunk_end, pos, txn);
+        if (!good) {
+            digest_ = digest;
+            return false;
         }
-        BusTransaction txn;
-        txn.kind = static_cast<TxnKind>(lead & kKindMask);
-        if ((lead & kSameCoreBit) != 0) {
-            txn.core = prevCore_;
-        } else {
-            std::uint64_t core = 0;
-            if (!readVarint(d, pos_, core) || pos_ > chunk_end ||
-                core > 0xffff) {
-                return fail("corrupt FSB stream: bad core id");
-            }
-            txn.core = static_cast<CoreId>(core);
-        }
-        if ((lead & kSameSizeBit) != 0) {
-            txn.size = prevSize_;
-        } else {
-            std::uint64_t size = 0;
-            if (!readVarint(d, pos_, size) || pos_ > chunk_end ||
-                size > 0xffffffffull) {
-                return fail("corrupt FSB stream: bad transaction size");
-            }
-            txn.size = static_cast<std::uint32_t>(size);
-        }
-        std::uint64_t delta = 0;
-        if (!readVarint(d, pos_, delta) || pos_ > chunk_end)
-            return fail("corrupt FSB stream: bad address delta");
-        txn.addr = static_cast<Addr>(static_cast<std::int64_t>(prevAddr_) +
-                                     unzigzag(delta));
-
-        prevAddr_ = txn.addr;
-        prevSize_ = txn.size;
-        prevCore_ = txn.core;
-        digest_.update(txn);
+        digest.update(txn);
         out.push_back(txn);
     }
+    pos_ = pos;
+    prevAddr_ = txn.addr;
+    prevSize_ = txn.size;
+    prevCore_ = txn.core;
+    digest_ = digest;
     if (pos_ != chunk_end) {
         return fail("corrupt FSB stream: chunk payload overruns its "
                     "transaction count");

@@ -80,13 +80,7 @@ class FsbDigest
 {
   public:
     void update(const BusTransaction& txn);
-
-    void
-    update(const BusTransaction* txns, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            update(txns[i]);
-    }
+    void update(const BusTransaction* txns, std::size_t n);
 
     std::uint64_t value() const { return hash_; }
     std::uint64_t txnCount() const { return txns_; }
@@ -141,12 +135,15 @@ class FsbStreamWriter
     const FsbStreamMeta& meta() const { return meta_; }
 
   private:
+    /** Encode @p txn into the open chunk, sealing it when full. */
+    void encode(const BusTransaction& txn);
     void flushChunk();
 
     FsbStreamMeta meta_;
     std::size_t chunkTxns_;
     std::vector<std::uint8_t> buffer_;  ///< sealed stream prefix
-    std::vector<std::uint8_t> chunk_;   ///< open chunk payload
+    std::vector<std::uint8_t> chunk_;   ///< open chunk's payload buffer
+    std::size_t chunkBytes_ = 0;        ///< payload bytes in use
     std::size_t chunkCount_ = 0;        ///< txns in the open chunk
     FsbDigest digest_;
     /** Encoder prediction state. @{ */
@@ -200,6 +197,16 @@ class FsbStreamReader
   private:
     bool fail(const std::string& what);
     bool parseHeader();
+
+    /**
+     * Decode the transaction at @p pos of @p d into @p txn, which holds
+     * the previous one on entry; false after fail() on corruption.
+     * Without @p kChecked the caller guarantees that a worst-case
+     * transaction fits before @p chunkEnd.
+     */
+    template <bool kChecked>
+    bool decodeTxn(const std::uint8_t* d, std::size_t chunkEnd,
+                   std::size_t& pos, BusTransaction& txn);
 
     std::shared_ptr<const std::vector<std::uint8_t>> data_;
     std::size_t pos_ = 0;

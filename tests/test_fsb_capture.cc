@@ -1,10 +1,11 @@
 /**
  * @file
  * FSB stream format tests: encode/decode roundtrips over adversarial
- * transaction sequences, header patching, digest stability, the digest
- * manifest, and -- most importantly -- malformed-stream handling. A
- * truncated, tampered or wrong-format file must produce a clear error
- * through the reader API, never undefined behaviour or a crash.
+ * transaction sequences, header patching, the digest's value against a
+ * byte-at-a-time FNV-1a, the digest manifest, and -- most importantly --
+ * malformed-stream handling. A truncated, tampered or wrong-format file
+ * must produce a clear error through the reader API, never undefined
+ * behaviour or a crash.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/random.hh"
 #include "mem/access.hh"
 #include "trace/fsb_capture.hh"
 
@@ -162,6 +164,103 @@ TEST(FsbCapture, DigestMatchesWriterReaderAndStandalone)
     EXPECT_TRUE(reader->ok()) << reader->error();
     EXPECT_EQ(reader->contentDigest(), standalone.value());
     EXPECT_EQ(reader->txnsDecoded(), in.size());
+}
+
+/** FNV-1a over each canonical tuple -- addr (8B LE), size (4B LE),
+ * kind (1B), core (2B LE) -- a byte at a time: the digest's definition,
+ * written apart from the arithmetic FsbDigest folds it into. */
+std::uint64_t
+bytewiseFnv1a(const std::vector<BusTransaction>& txns)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (const BusTransaction& t : txns) {
+        std::uint8_t bytes[15];
+        for (int i = 0; i < 8; ++i)
+            bytes[i] = static_cast<std::uint8_t>(t.addr >> (8 * i));
+        for (int i = 0; i < 4; ++i)
+            bytes[8 + i] = static_cast<std::uint8_t>(t.size >> (8 * i));
+        bytes[12] = static_cast<std::uint8_t>(t.kind);
+        bytes[13] = static_cast<std::uint8_t>(t.core);
+        bytes[14] = static_cast<std::uint8_t>(t.core >> 8);
+        for (std::uint8_t b : bytes) {
+            hash ^= b;
+            hash *= 0x100000001b3ull;
+        }
+    }
+    return hash;
+}
+
+std::uint64_t
+fsbDigestOf(const std::vector<BusTransaction>& txns)
+{
+    FsbDigest digest;
+    digest.update(txns.data(), txns.size());
+    return digest.value();
+}
+
+TEST(FsbDigest, MatchesBytewiseFnv1aOnEveryBoundary)
+{
+    // Each side of the 32-bit address, one-byte size and one-byte core
+    // limits, every kind, and a message address.
+    const Addr addrs[] = {0,
+                          0xffffffffull,
+                          0x100000000ull,
+                          std::uint64_t{1} << 40,
+                          0xffffffffffffffffull,
+                          0xDA6D000000000001ull};
+    const std::uint32_t sizes[] = {0, 64, 255, 256, 0xffffffffu};
+    const CoreId cores[] = {0, 255, 256, invalidCoreId};
+    const TxnKind kinds[] = {TxnKind::ReadLine, TxnKind::WriteLine,
+                             TxnKind::Prefetch, TxnKind::Message};
+    std::vector<BusTransaction> all;
+    for (Addr addr : addrs) {
+        for (std::uint32_t size : sizes) {
+            for (CoreId core : cores) {
+                for (TxnKind kind : kinds) {
+                    const BusTransaction t = txn(addr, size, kind, core);
+                    EXPECT_EQ(fsbDigestOf({t}), bytewiseFnv1a({t}))
+                        << std::hex << "addr 0x" << addr << " size 0x"
+                        << size << " core 0x" << core << " kind "
+                        << static_cast<int>(kind);
+                    all.push_back(t);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(fsbDigestOf(all), bytewiseFnv1a(all));
+}
+
+TEST(FsbDigest, MatchesBytewiseFnv1aOnRandomTuples)
+{
+    // Every field drawn on both sides of its limit, as one stream.
+    Rng rng(20240607);
+    const auto draw = [&](std::uint64_t limit, std::uint64_t max) {
+        if (rng.nextBool())
+            return rng.nextBounded(limit + 1);
+        return limit + 1 + rng.nextBounded(max - limit);
+    };
+    std::vector<BusTransaction> txns;
+    for (int i = 0; i < 100000; ++i) {
+        BusTransaction t;
+        t.addr = rng.nextBool() ? rng.nextBounded(0x100000000ull)
+                                : 0x100000000ull | rng.next();
+        t.size = static_cast<std::uint32_t>(draw(0xff, 0xffffffffu));
+        t.kind = static_cast<TxnKind>(rng.nextBounded(4));
+        t.core = static_cast<CoreId>(draw(0xff, 0xffff));
+        txns.push_back(t);
+    }
+    EXPECT_EQ(fsbDigestOf(txns), bytewiseFnv1a(txns));
+}
+
+TEST(FsbDigest, FixedStreamHasItsPinnedValue)
+{
+    // The value committed goldens depend on, written out.
+    const std::vector<BusTransaction> txns = {
+        txn(0x1000, 64, TxnKind::ReadLine, 0),
+        txn(0xDA6D000000000001ull, 0, TxnKind::Message, invalidCoreId),
+        txn(0x100000040ull, 256, TxnKind::WriteLine, 300)};
+    EXPECT_EQ(fsbDigestOf(txns), 0xba694c0a500de5caull);
+    EXPECT_EQ(bytewiseFnv1a(txns), 0xba694c0a500de5caull);
 }
 
 TEST(FsbCapture, HeaderCarriesMetaAndPatchedResult)
@@ -373,6 +472,122 @@ TEST(FsbCaptureMalformed, ChunkCountBeyondPayloadIsAnError)
                                    std::to_string(frame_end)),
               std::string::npos)
         << reader->error();
+}
+
+/** A stream cut after one chunk that holds @p before valid two-byte
+ * transactions, then @p bad, then @p after more; @p bad_at receives
+ * @p bad's byte offset. The frame counts the transactions up to @p bad,
+ * which leaves every payload size under the count check. */
+std::vector<std::uint8_t>
+chunkAround(std::size_t before, const std::vector<std::uint8_t>& bad,
+            std::size_t after, std::size_t& bad_at)
+{
+    std::vector<std::uint8_t> payload;
+    const auto pad = [&](std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+            payload.push_back(0x0c); // size and core repeat
+            payload.push_back(0x00); // address delta 0
+        }
+    };
+    pad(before);
+    payload.insert(payload.end(), bad.begin(), bad.end());
+    pad(after);
+    std::vector<std::uint8_t> bytes = encode({}, 64);
+    bytes.resize(48 + 7 + 8); // fixed header + strings
+    bytes.push_back('C');
+    bytes.push_back(static_cast<std::uint8_t>(before + 1));
+    bytes.push_back(static_cast<std::uint8_t>(payload.size()));
+    bad_at = bytes.size() + 2 * before;
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    return bytes;
+}
+
+TEST(FsbCaptureMalformed, FieldErrorsAreTheSameAnywhereInAChunk)
+{
+    // The reader checks bounds once per transaction while a worst-case
+    // one (31 bytes) fits before the chunk's end, and per byte after
+    // that. Each corrupt field reports the same message and byte offset
+    // in both places.
+    struct Case
+    {
+        const char* what;
+        std::vector<std::uint8_t> bad; ///< all of it read before failing
+        std::string error;
+    };
+    const std::vector<std::uint8_t> overlong(10, 0x80);
+    const auto with = [](std::vector<std::uint8_t> head,
+                         const std::vector<std::uint8_t>& tail) {
+        head.insert(head.end(), tail.begin(), tail.end());
+        return head;
+    };
+    const std::vector<Case> cases = {
+        {"reserved lead bits", {0x1c},
+         "corrupt FSB stream: reserved lead-byte bits set (0x1c)"},
+        {"overlong core", with({0x04}, overlong),
+         "corrupt FSB stream: bad core id"},
+        {"core above 0xffff", {0x04, 0x80, 0x80, 0x04},
+         "corrupt FSB stream: bad core id"},
+        {"overlong size", with({0x08}, overlong),
+         "corrupt FSB stream: bad transaction size"},
+        {"size above 2^32-1", {0x08, 0x80, 0x80, 0x80, 0x80, 0x10},
+         "corrupt FSB stream: bad transaction size"},
+        {"overlong address delta", with({0x0c}, overlong),
+         "corrupt FSB stream: bad address delta"},
+        {"address delta past 64 bits",
+         with(with({0x0c}, std::vector<std::uint8_t>(9, 0xff)), {0x7f}),
+         "corrupt FSB stream: bad address delta"},
+    };
+    struct Placement
+    {
+        const char* where;
+        std::size_t before, after;
+    };
+    const Placement placements[] = {
+        {"first, 31+ bytes before the end", 0, 16},
+        {"later, 31+ bytes before the end", 3, 16},
+        {"within the last 31 bytes", 20, 2},
+    };
+    for (const Case& c : cases) {
+        for (const Placement& p : placements) {
+            std::size_t bad_at = 0;
+            std::vector<std::uint8_t> bytes =
+                chunkAround(p.before, c.bad, p.after, bad_at);
+            const std::size_t chunk_end = bytes.size();
+            ASSERT_EQ(chunk_end - bad_at >= 31, p.after > 2) << p.where;
+            const std::string expected =
+                c.error + " (byte offset " +
+                std::to_string(bad_at + c.bad.size()) + " of " +
+                std::to_string(bytes.size()) + ")";
+            auto reader = decodeAll(std::move(bytes));
+            EXPECT_EQ(reader->error(), expected)
+                << c.what << ", " << p.where;
+            EXPECT_EQ(reader->txnsDecoded(), p.before)
+                << c.what << ", " << p.where;
+        }
+    }
+}
+
+TEST(FsbCaptureMalformed, FieldRunningPastTheChunkEndIsAnError)
+{
+    // A transaction 25 bytes before the chunk's end whose zero core and
+    // size take 10 bytes each, so its address delta starts inside the
+    // chunk and ends a byte past it.
+    std::vector<std::uint8_t> bad = {0x00};
+    for (int field = 0; field < 2; ++field) {
+        bad.insert(bad.end(), 9, 0x80);
+        bad.push_back(0x00);
+    }
+    bad.insert(bad.end(), 4, 0x80);
+    std::size_t bad_at = 0;
+    std::vector<std::uint8_t> bytes = chunkAround(20, bad, 0, bad_at);
+    bytes.push_back(0x01);
+    const std::string expected =
+        "corrupt FSB stream: bad address delta (byte offset " +
+        std::to_string(bytes.size()) + " of " +
+        std::to_string(bytes.size()) + ")";
+    auto reader = decodeAll(std::move(bytes));
+    EXPECT_EQ(reader->error(), expected);
+    EXPECT_EQ(reader->txnsDecoded(), 20u);
 }
 
 TEST(FsbCaptureMalformed, MissingFileHasClearError)

@@ -14,6 +14,7 @@
 #include "base/fault.hh"
 #include "base/units.hh"
 #include "harness/report.hh"
+#include "harness/sweep_cell.hh"
 #include "harness/sweep_journal.hh"
 #include "harness/sweep_runner.hh"
 #include "obs/json.hh"
@@ -514,6 +515,51 @@ TEST(SweepRunner, HostProfileCoversOnlyItsSweep)
     EXPECT_EQ(serial.dump.count("run.drain.calls"), 0u);
     EXPECT_GT(banked.dump.at("sim_insts"), 0.0);
     EXPECT_EQ(serial.dump.at("sim_insts"), banked.dump.at("sim_insts"));
+}
+
+TEST(SweepRunner, HostPhasesAreDisjoint)
+{
+    // A capture cell encodes inside its guest's run window, and its run
+    // phase leaves those seconds to capture.encode: the two add up to
+    // no more than the window, and a serial sweep's phases to no more
+    // than its wall time.
+    const std::string dir = ::testing::TempDir() + "cosim_host_disjoint";
+    ensureOutputDir(dir);
+    const BenchOptions opts =
+        parse({"--quick", "--workloads=MDS", "--cells=replay",
+               "--out=" + dir, "--manifest=" + dir + "/run.json"});
+    const PlatformParams platform = presets::cmpPlatform("tiny", 2);
+
+    const SweepFigure fig{opts, platform, {}, {}};
+    const SweepPlan plan = planSweep(fig);
+    const SweepCell& capture = plan.cells.at(plan.chains.at(0).at(0));
+    ASSERT_TRUE(capture.capture);
+    RigSlot slot;
+    WorkloadStream ws = resolveStream(fig, 0);
+    const CellOutput out =
+        runCellBody(fig, capture, slot.acquire(fig, capture), ws);
+    std::map<std::string, double> seconds;
+    for (const obs::ManifestHostPhase& p : out.hostPhases)
+        seconds[p.name] = p.seconds;
+    ASSERT_EQ(seconds.count("run"), 1u);
+    ASSERT_EQ(seconds.count("capture.encode"), 1u);
+    EXPECT_GT(seconds["capture.encode"], 0.0);
+    EXPECT_LE(seconds["run"] + seconds["capture.encode"],
+              out.simSeconds + 1e-9);
+
+    SweepRunner(opts).runCacheSizeFigure("FigDisjoint", platform);
+    std::ifstream in(dir + "/run.json");
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    obs::json::Value doc;
+    std::string error;
+    ASSERT_TRUE(obs::json::parse(text, doc, &error)) << error;
+    const obs::json::Value* host = doc.find("host");
+    ASSERT_NE(host, nullptr);
+    double sum = 0.0;
+    for (const obs::json::Value& phase : host->find("phases")->arr)
+        sum += phase.find("seconds")->num;
+    EXPECT_LE(sum, host->find("wall_seconds")->num);
 }
 
 TEST(SweepRunnerDeathTest, ResumeRefusesAJournalWithAnotherCbWindow)
